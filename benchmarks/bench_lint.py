@@ -8,10 +8,10 @@ the combined report under ``benchmarks/results/``.  A rule or cell
 change that breaks the shipped netlists fails here by name.
 
 ``bench_lint_source_tree`` additionally measures the incremental
-whole-program engine: one cold run (empty cache — parse, summarise,
-fixpoint, all bands) against warm reruns (cache hits — no parsing),
-writing the cold/warm split to ``BENCH_lint.json`` at the repo root
-and asserting the warm path earns its complexity (>= 5x).
+whole-program engine: one cold run (empty cache — serial parse,
+summarise, fixpoint, all bands) against warm reruns (cache hits — no
+parsing), writing the cold/warm split to ``BENCH_lint.json`` at the
+repo root and asserting the warm path earns its complexity (>= 5x).
 """
 
 from __future__ import annotations
@@ -96,20 +96,11 @@ def bench_lint_source_tree(benchmark, publish, tmp_path):
                                 extra_task_refs=refs)
     cold_s = perf_counter() - t0
 
-    # Marginal cost of the RV8xx array-semantics band: a second cold
-    # run with the band disabled (its own cache — the policy hash
-    # differs anyway), so the shape-lattice work is a tracked number.
-    no_rv8 = effective_config(cli_disable=frozenset(
-        {"RV800", "RV801", "RV802", "RV803", "RV804"}))
-    t0 = perf_counter()
-    verify_source(roots, config=no_rv8,
-                  cache_dir=tmp_path / "lint-cache-no-rv8",
-                  extra_task_refs=refs)
-    cold_no_rv8_s = perf_counter() - t0
-
-    # Same split for the RV9xx concurrency/crash-safety band (effect
-    # signatures are still collected — they live in the summaries —
-    # so this prices the rule evaluation, not the collection).
+    # Marginal cost of the RV9xx concurrency/crash-safety band: a
+    # second cold run with the band disabled (its own cache — the
+    # policy hash differs anyway).  Effect signatures are still
+    # collected — they live in the summaries — so this prices the rule
+    # evaluation, not the collection.
     no_rv9 = effective_config(cli_disable=frozenset(
         {"RV900", "RV901", "RV902", "RV903", "RV904", "RV905"}))
     t0 = perf_counter()
@@ -150,18 +141,11 @@ def bench_lint_source_tree(benchmark, publish, tmp_path):
         by_band[band] = by_band.get(band, 0) + 1
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
     payload = {
-        "schema": 3,
+        "schema": 4,
         "modules": sum(1 for _ in iter_source_files(roots)),
         "cold_s": round(cold_s, 4),
         "warm_s": round(warm_s, 4),
         "speedup": round(speedup, 1),
-        "rv8xx_band": {
-            "cold_s_without": round(cold_no_rv8_s, 4),
-            "cold_marginal_s": round(max(0.0, cold_s - cold_no_rv8_s),
-                                     4),
-            "findings": sum(1 for d in cold_report
-                            if d.code.startswith("RV8")),
-        },
         "rv9xx_band": {
             "cold_s_without": round(cold_no_rv9_s, 4),
             "cold_marginal_s": round(max(0.0, cold_s - cold_no_rv9_s),

@@ -59,7 +59,6 @@ SPECS: Dict[str, List[Tuple[str, str, float]]] = {
         ("schema", "exact", 0.0),
         ("modules", "exact", 0.0),
         ("speedup", "min-ratio", 0.4),
-        ("rv8xx_band.findings", "exact", 0.0),
         ("rv9xx_band.findings", "exact", 0.0),
         ("diagnostics.total", "exact", 0.0),
     ],

@@ -389,24 +389,22 @@ def _cmd_lint(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_lint_source(args) -> int:
-    from .verify import (
-        default_source_paths,
-        render_json,
-        render_sarif,
-        render_text,
-        verify_source,
-    )
+def _source_lint_report(args, command: str):
+    """The source lint shared by ``lint-source`` and ``fix``.
+
+    Both commands must lint the same project (same task roots, same
+    policy) so they agree on findings and share cache entries.  Returns
+    ``(report, exit code | None)`` like :func:`_apply_lint_baseline`.
+    """
+    from .verify import default_source_paths, verify_source
     from .verify.cache import default_lint_cache_dir
 
-    if args.list_rules:
-        return _list_rules()
     paths = args.paths or default_source_paths()
     missing = [p for p in paths if not os.path.exists(p)]
     if missing:
-        print("repro lint-source: no such path: "
+        print(f"repro {command}: no such path: "
               + ", ".join(repr(p) for p in missing), file=sys.stderr)
-        return 2
+        return None, 2
     try:
         from .exec.registry import task_function_refs
         task_refs = task_function_refs()
@@ -414,9 +412,16 @@ def _cmd_lint_source(args) -> int:
         task_refs = []
     cache_dir = None if args.no_cache else default_lint_cache_dir()
     report = verify_source(paths, config=_lint_config(args),
-                           cache_dir=cache_dir, jobs=args.jobs,
-                           extra_task_refs=task_refs)
-    report, short_circuit = _apply_lint_baseline(args, report)
+                           cache_dir=cache_dir, extra_task_refs=task_refs)
+    return _apply_lint_baseline(args, report)
+
+
+def _cmd_lint_source(args) -> int:
+    from .verify import render_json, render_sarif, render_text
+
+    if args.list_rules:
+        return _list_rules()
+    report, short_circuit = _source_lint_report(args, "lint-source")
     if short_circuit is not None:
         return short_circuit
     renderer = {"text": render_text, "json": render_json,
@@ -433,19 +438,11 @@ _EQUIV_RELEVANT = ("src/repro/analysis", "src/repro/devices",
 
 
 def _cmd_fix(args) -> int:
-    from .verify import default_source_paths, verify_source
     from .verify import fix as fixmod
-    from .verify.cache import default_lint_cache_dir
 
     if args.check and args.apply:
         print("repro fix: --check and --apply are mutually exclusive",
               file=sys.stderr)
-        return 2
-    paths = args.paths or default_source_paths()
-    missing = [p for p in paths if not os.path.exists(p)]
-    if missing:
-        print("repro fix: no such path: "
-              + ", ".join(repr(p) for p in missing), file=sys.stderr)
         return 2
     rules = None
     if args.rules:
@@ -458,10 +455,7 @@ def _cmd_fix(args) -> int:
                   + ", ".join(fixmod.FIXABLE_RULES) + ")",
                   file=sys.stderr)
             return 2
-    cache_dir = None if args.no_cache else default_lint_cache_dir()
-    report = verify_source(paths, config=_lint_config(args),
-                           cache_dir=cache_dir, jobs=args.jobs)
-    report, short_circuit = _apply_lint_baseline(args, report)
+    report, short_circuit = _source_lint_report(args, "fix")
     if short_circuit is not None:
         return short_circuit
 
@@ -922,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lint-source",
                        help="static-analyse the simulator's own "
-                            "Python source (RV4xx-RV7xx)")
+                            "Python source (RV4xx-RV7xx, RV9xx)")
     p.add_argument("paths", nargs="*", metavar="PATH",
                    help="Python files or directories "
                         "(default: the installed repro package)")
@@ -947,12 +941,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "the file in place (never adds entries)")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the incremental result cache")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="parser worker threads (default: CPU count)")
 
     p = sub.add_parser("fix",
                        help="apply mechanical codemods for RV702/"
-                            "RV703/RV803/RV900 lint findings")
+                            "RV703/RV900 lint findings")
     p.add_argument("paths", nargs="*", metavar="PATH",
                    help="Python files or directories "
                         "(default: the installed repro package)")
@@ -965,7 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", action="append", default=[],
                    metavar="RULES",
                    help="comma-separated rule codes to fix "
-                        "(default: all of RV702,RV703,RV803,RV900)")
+                        "(default: all of RV702,RV703,RV900)")
     p.add_argument("--disable", action="append", default=[],
                    metavar="RULES",
                    help="comma-separated rule codes/names to skip "
@@ -978,8 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "--apply (not recommended)")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the incremental result cache")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="parser worker threads (default: CPU count)")
 
     p = sub.add_parser("equiv",
                        help="solver-equivalence gate: golden corpus + "

@@ -27,10 +27,6 @@ rule-registry framework:
 * :mod:`repro.verify.rules_perf` — RV7xx hot-path inventory (per
   element stamping loops, dense allocations in loops, invariant
   reassembly) feeding the vectorization worklist;
-* :mod:`repro.verify.arrayflow` / :mod:`repro.verify.rules_array` —
-  RV8xx array semantics: a symbolic shape/dtype lattice catching
-  provable broadcast mismatches, dtype demotion, unintended copies,
-  in-place aliasing hazards and batch-axis drift across calls;
 * :mod:`repro.verify.effects` / :mod:`repro.verify.rules_effects` —
   RV9xx concurrency & crash safety: per-function effect signatures
   (writes/renames/fsyncs with path provenance, queue and process
@@ -39,7 +35,7 @@ rule-registry framework:
   dynamically by :mod:`repro.verify.crashcheck`
   (``repro chaos --crashpoints``);
 * :mod:`repro.verify.fix` — finding-driven codemods (``repro fix``)
-  that mechanically apply the RV702/RV703/RV803/RV900 rewrites;
+  that mechanically apply the RV702/RV703/RV900 rewrites;
 * :mod:`repro.verify.baseline` — record-and-suppress of pre-existing
   findings so new bands gate only new regressions;
 * :mod:`repro.verify.emit` — text / JSON / SARIF output.
@@ -81,7 +77,6 @@ from . import rules_source    # noqa: F401
 from . import rules_units     # noqa: F401
 from . import rules_purity    # noqa: F401
 from . import rules_perf      # noqa: F401
-from . import rules_array     # noqa: F401
 from . import rules_effects   # noqa: F401
 from .baseline import (
     apply_baseline,

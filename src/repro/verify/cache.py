@@ -9,7 +9,7 @@ path needs so an unchanged module is never parsed again:
   — plain JSON, enough to rebuild the project symbol table, call graph
   and interprocedural facts with no AST;
 * its **source-scope diagnostics** (RV4xx), already pragma-filtered;
-* its **project-scope diagnostics** (RV5xx-RV7xx) together with the
+* its **project-scope diagnostics** (RV5xx+) together with the
   ``facts digest`` they were computed under — the content hash of the
   slice of project facts this module's findings depend on (callee
   return dimensions, task-root reachability, loop-call context).
@@ -42,7 +42,8 @@ from ..exec.atomicio import atomic_write_text
 #: v2: summary schema 2 (shape returns, nonloop allocs) + RV8xx band.
 #: v3: summary schema 3 (effect signatures, global reads) + RV9xx band.
 #: v4: spawn_tgt atoms are Process-only (Thread targets stay local).
-CACHE_SCHEMA_VERSION = 4
+#: v5: summary schema 4 (no shape returns) and no RV8xx band.
+CACHE_SCHEMA_VERSION = 5
 
 CORRUPT_SUBDIR = "corrupt"
 

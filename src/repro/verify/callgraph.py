@@ -31,7 +31,7 @@ from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Set,
                     Tuple)
 
 from ..units import CONSTANT_DIMENSIONS
-from . import arrayflow, dataflow
+from . import dataflow
 from . import effects as effects_mod
 
 if TYPE_CHECKING:  # a runtime import would be circular: source.py
@@ -44,7 +44,8 @@ if TYPE_CHECKING:  # a runtime import would be circular: source.py
 #: v3: per-function ``effects`` (filesystem/queue/process effect
 #: signatures) and ``global_reads`` (module data read under spawn) for
 #: the RV9xx band.
-SUMMARY_SCHEMA = 3
+#: v4: per-function ``shape_returns`` dropped with the RV8xx band.
+SUMMARY_SCHEMA = 4
 
 #: Dense-array constructors (numpy/scipy dotted tails); shared by the
 #: RV7xx band, the summary extractor and the fix engine.
@@ -562,12 +563,6 @@ def summarize_module(module: SourceModule, modname: str) -> Dict[str, object]:
             _units_resolver(resolver, class_ctx))
         returns = flow.run(func)
 
-        annotations = _param_annotations(func)
-        shape_flow = arrayflow.ShapeFlow(
-            *_shape_callbacks(resolver, class_ctx),
-            param_shapes=_annotation_shapes(annotations))
-        shape_returns = shape_flow.run(func)
-
         atoms = _AtomCollector(func, resolver, class_ctx)
         eff = effects_mod.EffectCollector(
             func, resolver, class_ctx, mod_token, data_names,
@@ -576,45 +571,15 @@ def summarize_module(module: SourceModule, modname: str) -> Dict[str, object]:
             "line": func.lineno,
             "calls": calls,
             "returns": returns[:8],      # cap pathological bodies
-            "shape_returns": shape_returns[:6],
             "nonloop_allocs": _nonloop_allocs(func, resolver, class_ctx),
             "atoms": [[k, w, ln] for k, w, ln in atoms.atoms],
             "effects": eff.atoms,
             "global_reads": eff.global_reads,
             "signature": _signature_info(func),
-            "annotations": annotations,
+            "annotations": _param_annotations(func),
         }
     summary["functions"] = functions
     return summary
-
-
-def _shape_callbacks(resolver: _Resolver, class_ctx: str):
-    """(numpy_of, resolve_call) hooks binding a ShapeFlow to a module."""
-
-    def numpy_of(dotted: str) -> Optional[str]:
-        full = resolver.resolve(dotted, class_ctx)
-        if full and (full.startswith("numpy.")
-                     or full.startswith("scipy.")):
-            return full.rsplit(".", 1)[-1]
-        return None
-
-    def resolve_call(dotted: str):
-        full = resolver.resolve(dotted, class_ctx)
-        if full is None:
-            return None
-        return arrayflow.call_expr(full)
-
-    return numpy_of, resolve_call
-
-
-def _annotation_shapes(annotations: Dict[str, str]):
-    """Parameter shape seeds from ``"(n, n)"``-style annotations."""
-    out: Dict[str, arrayflow.AShape] = {}
-    for name, text in annotations.items():
-        dims = arrayflow.parse_shape_annotation(text)
-        if dims is not None:
-            out[name] = arrayflow.AShape(dims=tuple(dims))
-    return out
 
 
 def _nonloop_allocs(func: ast.FunctionDef, resolver: _Resolver,
@@ -688,8 +653,6 @@ class SourceProject:
         self._build_edges()
         self.units_returns: Dict[str, Optional[Tuple[int, ...]]] = {}
         self._units_fixpoint()
-        self.shape_returns: Dict[str, Optional[arrayflow.AShape]] = {}
-        self._shapes_fixpoint()
         self.task_roots: Dict[str, List[Tuple[str, str, int]]] = {}
         self.unresolved_refs: Dict[str, List[Tuple[str, int]]] = {}
         self._collect_roots(extra_task_refs)
@@ -813,43 +776,6 @@ class SourceProject:
         """Return-dim facts keyed by *dotted* name (DimExpr call leaves)."""
         return dict(self._dotted_units)
 
-    # -- shape facts ------------------------------------------------------
-    def param_shapes(self, fid: str) -> Dict[str, arrayflow.AShape]:
-        """Shape seeds from a function's ``"(n, n)"`` annotations."""
-        info = self.functions.get(fid, {})
-        return _annotation_shapes(info.get("annotations", {}) or {})
-
-    def _shapes_fixpoint(self) -> None:
-        facts: Dict[str, Optional[arrayflow.AShape]] = {
-            fid: None for fid in self.functions}
-        dotted_facts: Dict[str, Optional[arrayflow.AShape]] = {}
-        for _ in range(8):
-            changed = False
-            for fid, info in self.functions.items():
-                returns = info.get("shape_returns", ())
-                if not returns:
-                    continue
-                params = self.param_shapes(fid)
-                values = set()
-                for expr in returns:        # type: ignore[union-attr]
-                    values.add(arrayflow.eval_shape(expr, params,
-                                                    dotted_facts))
-                values.discard(None)
-                new = values.pop() if len(values) == 1 else None
-                if new != facts[fid]:
-                    facts[fid] = new
-                    changed = True
-            dotted_facts = self._dotted_facts(facts)
-            if not changed:
-                break
-        self.shape_returns = facts
-        self._dotted_shapes = dotted_facts
-
-    def shape_facts_for_eval(self) -> Dict[str,
-                                           Optional[arrayflow.AShape]]:
-        """Return-shape facts keyed by *dotted* name (call leaves)."""
-        return dict(self._dotted_shapes)
-
     # -- purity facts -----------------------------------------------------
     def _collect_roots(self, extra_task_refs: Iterable[str]) -> None:
         refs: Dict[str, List[Tuple[str, str, int]]] = {}
@@ -903,10 +829,10 @@ class SourceProject:
         """Everything a module's project findings depend on, hashable.
 
         A module needs re-linting exactly when this slice changes: the
-        return dimensions and shapes of what it calls (units, RV8xx),
-        the callees' declared parameter shapes and out-of-loop
-        allocations (RV804, caller-side RV702), and the task-roots
-        reaching its functions with their chains (purity).
+        return dimensions of what it calls (units), the callees'
+        out-of-loop allocations (caller-side RV702) and effect
+        signatures (RV9xx), and the task-roots reaching its functions
+        with their chains (purity).
         """
         summary = self.modules.get(modname, {})
         function_ids = [f"{modname}:{qual}"
@@ -915,21 +841,12 @@ class SourceProject:
         for fid in function_ids:
             callees.update(self.internal_callees(fid))
         units = {}
-        shapes = {}
-        callee_sigs = {}
         callee_allocs = {}
         effects = {}
         for callee in sorted(callees):
             dim = self.units_returns.get(callee)
             units[callee] = list(dim) if dim else None
-            shape = self.shape_returns.get(callee)
-            shapes[callee] = shape.to_json() if shape is not None else None
             info = self.functions.get(callee, {})
-            callee_sigs[callee] = {
-                "params": list(info.get("signature", {})
-                               .get("params", ())),    # type: ignore[union-attr]
-                "ann": dict(info.get("annotations", {}) or {}),
-            }
             allocs = info.get("nonloop_allocs") or []
             if allocs:
                 callee_allocs[callee] = [list(a) for a in allocs]
@@ -946,8 +863,6 @@ class SourceProject:
                       if self.module_of(fid) == modname}
         return {
             "units": units,
-            "shapes": shapes,
-            "callee_sigs": callee_sigs,
             "callee_allocs": callee_allocs,
             "callee_effects": effects,
             "purity": purity,

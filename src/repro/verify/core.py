@@ -25,8 +25,6 @@ RV4xx   the simulator's own Python source (AST checks)
 RV5xx   interprocedural physical-units dataflow
 RV6xx   campaign task purity (call-graph transitive)
 RV7xx   hot-path performance inventory
-RV8xx   array shape/dtype semantics (broadcast, demotion,
-        copies, aliasing, batch-axis drift)
 RV9xx   concurrency & crash safety of durable stores
         (atomic-write protocol, fsync ordering, spawn
         visibility, queue/join order, signal handlers)

@@ -1,6 +1,6 @@
-"""Finding-driven codemods: mechanical fixes for RV702/RV703/RV803.
+"""Finding-driven codemods: mechanical fixes for RV702/RV703/RV900.
 
-The RV7xx/RV8xx bands *inventory* the vectorization refactor's work;
+The RV7xx band *inventories* the vectorization refactor's work;
 this module closes the loop for the mechanical subset.  ``python -m
 repro fix`` re-runs the source linter, keeps the findings a codemod
 can prove safe, and rewrites them:
@@ -16,9 +16,6 @@ can prove safe, and rewrites them:
 * **RV703** (topology-invariant call in a loop): ``recv.elements()``
   et al. are evaluated once before the loop into a fresh local and the
   in-loop call site is replaced by that name.
-* **RV803** (repeated-index in-place update): ``base[ix] += v`` with a
-  potentially duplicated integer index becomes
-  ``np.add.at(base, ix, v)`` (NumPy's documented unbuffered form).
 * **RV900** (non-atomic durable write): a bare statement-level
   ``path.write_text(text)`` against a durable store becomes
   ``atomic_write_text(path, text)`` — the shared
@@ -53,7 +50,7 @@ from . import callgraph, dataflow
 from .core import Diagnostic, Report
 
 #: Rule codes this engine knows how to rewrite.
-FIXABLE_RULES = ("RV702", "RV703", "RV803", "RV900")
+FIXABLE_RULES = ("RV702", "RV703", "RV900")
 
 #: Dense constructors a loop-allocation hoist understands.  ``arange``
 #: and friends are deliberately absent: their *contents* usually depend
@@ -75,9 +72,6 @@ _SAFE_BUILTINS = frozenset({
     "sum", "round", "repr", "str", "print", "range", "enumerate",
     "zip", "sorted", "reversed", "any", "all", "isinstance",
 })
-
-#: ``AugAssign`` operators with an unbuffered ``ufunc.at`` form.
-_AT_FUNCS = {ast.Add: "add", ast.Sub: "subtract", ast.Mult: "multiply"}
 
 #: Same set the RV703 rule recognises (kept in one place there).
 _INVARIANT_TAILS = frozenset({"compile", "stamp_pattern", "row_labels",
@@ -186,15 +180,6 @@ class _ModuleCtx:
     def resolver(self) -> "callgraph._Resolver":
         return callgraph._Resolver(self.module_name, self._imports,
                                    self._top)
-
-    def numpy_alias(self) -> Optional[str]:
-        """The name ``import numpy as np`` bound, if any."""
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "numpy":
-                        return alias.asname or "numpy"
-        return None
 
     def segment(self, node: ast.AST) -> Optional[str]:
         return ast.get_source_segment(self.text, node)
@@ -485,50 +470,6 @@ def _plan_rv703(ctx: _ModuleCtx, diag: Diagnostic) -> FixPlan:
 
 
 # ---------------------------------------------------------------------------
-# RV803: repeated-index += to the unbuffered ufunc.at form
-
-
-def _plan_rv803(ctx: _ModuleCtx, diag: Diagnostic) -> FixPlan:
-    line = diag.location.line
-    plan = FixPlan(code="RV803", path=ctx.path, line=line,
-                   message=diag.message, fixable=False)
-    hit = None
-    for node, _loops, _func, _cls in ctx.find(line, ast.AugAssign):
-        if isinstance(node.target, ast.Subscript):
-            hit = node
-            break
-    if hit is None:
-        plan.reason = "no subscripted augmented assignment at the line"
-        return plan
-    func_name = _AT_FUNCS.get(type(hit.op))
-    if func_name is None:
-        plan.reason = (f"operator {type(hit.op).__name__} has no "
-                       "ufunc.at form")
-        return plan
-    if hit.lineno != getattr(hit, "end_lineno", hit.lineno):
-        plan.reason = "statement spans multiple lines"
-        return plan
-    alias = ctx.numpy_alias()
-    if alias is None:
-        plan.reason = "module does not import numpy"
-        return plan
-    base = ctx.segment(hit.target.value)
-    index = ctx.segment(hit.target.slice)
-    value = ctx.segment(hit.value)
-    if None in (base, index, value):
-        plan.reason = "cannot recover source text for the statement"
-        return plan
-    rewritten = f"{alias}.{func_name}.at({base}, {index}, {value})"
-    plan.fixable = True
-    plan.description = f"rewrite to `{rewritten}` (unbuffered update)"
-    plan.edits = [
-        Edit(kind="replace-span", line=hit.lineno, col=hit.col_offset,
-             end_col=hit.end_col_offset, span_text=rewritten),
-    ]
-    return plan
-
-
-# ---------------------------------------------------------------------------
 # RV900: bare durable write_text to the shared atomic-write helper
 
 
@@ -628,7 +569,7 @@ def _plan_rv900(ctx: _ModuleCtx, diag: Diagnostic) -> FixPlan:
 
 
 _PLANNERS = {"RV702": _plan_rv702, "RV703": _plan_rv703,
-             "RV803": _plan_rv803, "RV900": _plan_rv900}
+             "RV900": _plan_rv900}
 
 
 def plan_fixes(report: Report,

@@ -7,9 +7,9 @@
   quantities, NaN-unsafe reductions, stamp-contract drift, raw SPICE
   quantity strings, swallowed solver forensics, mutable defaults;
 * **whole-program** (``scope="project"``): RV5xx units dataflow, RV6xx
-  campaign purity and RV7xx perf inventory run each module against the
-  assembled project symbol table, call graph and interprocedural facts
-  (:mod:`repro.verify.callgraph`).
+  campaign purity, RV7xx perf inventory and RV9xx crash safety run
+  each module against the assembled project symbol table, call graph
+  and interprocedural facts (:mod:`repro.verify.callgraph`).
 
 The engine is incremental: with a ``cache_dir``, every module's summary
 and diagnostics persist keyed by content + policy hash
@@ -17,7 +17,8 @@ and diagnostics persist keyed by content + policy hash
 nothing, and after an edit only the edited module *and the modules
 whose interprocedural facts it shifted* (callers seeing a changed
 return dimension, functions newly reachable from a task) are
-re-checked.  Parsing of cold modules fans out over a thread pool.
+re-checked.  Cold modules are parsed serially on the calling thread:
+CPython 3.11's AST constructor is not thread-safe.
 
 The target object handed to every ``scope="source"`` rule is a
 :class:`SourceModule`: the module text, its parsed AST and the
@@ -43,9 +44,7 @@ Suppressing a finding:
 from __future__ import annotations
 
 import ast
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
                     Set, Tuple)
@@ -234,7 +233,6 @@ def verify_source(paths: Iterable[str],
                   config: Optional[VerifyConfig] = None,
                   *,
                   cache_dir: Optional[Path] = None,
-                  jobs: Optional[int] = None,
                   extra_task_refs: Iterable[str] = (),
                   project_rules: bool = True) -> Report:
     """Lint every module under ``paths``; one merged report.
@@ -250,9 +248,6 @@ def verify_source(paths: Iterable[str],
         Directory for the incremental result cache; ``None`` (the
         default) disables caching.  The CLI passes
         :func:`repro.verify.cache.default_lint_cache_dir`.
-    jobs:
-        Worker threads for parsing cold modules (default: CPU count,
-        capped at 8).
     extra_task_refs:
         Additional ``"module:function"`` task roots for the RV6xx band
         (the CLI seeds :func:`repro.exec.registry.task_function_refs`).
@@ -290,15 +285,9 @@ def verify_source(paths: Iterable[str],
         else:
             cold.append(entry)
 
-    # 2. parse + summarise + source-lint the cold modules, in parallel
-    if cold:
-        workers = jobs or min(8, os.cpu_count() or 1)
-        if workers > 1 and len(cold) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(lambda e: _analyse_cold(e, config), cold))
-        else:
-            for entry in cold:
-                _analyse_cold(entry, config)
+    # 2. parse + summarise + source-lint the cold modules
+    for entry in cold:
+        _analyse_cold(entry, config)
 
     merged = Report(
         target=f"{', '.join(roots) or 'source'} ({len(files)} modules)")

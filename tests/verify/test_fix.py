@@ -262,40 +262,6 @@ def test_rv703_fresh_name_avoids_collisions(tmp_path):
     assert "for element in circuit_elements2:" in fixed
 
 
-# -- RV803: np.add.at rewrite ------------------------------------------------
-
-
-def test_rv803_rewrites_to_ufunc_at(tmp_path):
-    plans, fixed = fix_cycle(tmp_path, '''\
-        import numpy as np
-
-
-        def stamp(state):
-            ix = np.array([0, 0, 2])
-            state[ix] += np.ones(3)
-            return state
-        ''')
-    (plan,) = [p for p in plans if p.code == "RV803"]
-    assert plan.fixable
-    assert "    np.add.at(state, ix, np.ones(3))\n" in fixed
-    assert "state[ix] +=" not in fixed
-
-
-def test_rv803_respects_numpy_alias(tmp_path):
-    plans, fixed = fix_cycle(tmp_path, '''\
-        import numpy
-
-
-        def stamp(state):
-            ix = numpy.array([0, 0, 2])
-            state[ix] -= numpy.ones(3)
-            return state
-        ''')
-    (plan,) = [p for p in plans if p.code == "RV803"]
-    assert plan.fixable
-    assert "numpy.subtract.at(state, ix, numpy.ones(3))" in fixed
-
-
 # -- end-to-end: fixes remove their findings, rewrites are idempotent --------
 
 
@@ -370,6 +336,27 @@ class TestFixCli:
         assert "circuit_elements" in text
         assert "scratch_buf" not in text
 
+    def test_fix_after_lint_source_hits_its_cache(self, tmp_path, capsys,
+                                                   monkeypatch):
+        """``fix`` lints the same project as ``lint-source`` (same task
+        roots, same policy), so it reuses the entries the lint wrote."""
+        from repro.verify import callgraph
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        path = write_module(tmp_path, FIXABLE_MODULE)
+        assert main(["lint-source", str(path)]) == 0
+        summarized = []
+        original = callgraph.summarize_module
+
+        def spy(module, modname):
+            summarized.append(modname)
+            return original(module, modname)
+
+        monkeypatch.setattr(callgraph, "summarize_module", spy)
+        assert main(["fix", "--check", str(path)]) == 1
+        assert summarized == []
+        assert "mechanically fixable" in capsys.readouterr().out
+
     def test_unknown_rule_is_usage_error(self, tmp_path, capsys):
         path = write_module(tmp_path, FIXABLE_MODULE)
         assert main(["fix", "--no-cache", "--rules", "RV401",
@@ -421,14 +408,15 @@ class TestFixCli:
         assert "scratch_buf" in path.read_text()
 
     def test_baseline_suppresses_fixables(self, tmp_path, capsys):
+        # Info-level inventories are never baselined; RV900 is a warning.
         path = write_module(tmp_path, '''\
-            import numpy as np
+            import json
+            from pathlib import Path
 
 
-            def stamp(state):
-                ix = np.array([0, 0, 2])
-                state[ix] += np.ones(3)
-                return state
+            def save(cache_dir, key, payload):
+                path = Path(cache_dir) / f"{key}.json"
+                path.write_text(json.dumps(payload))
             ''')
         baseline = tmp_path / "baseline.json"
         assert main(["lint-source", "--no-cache", str(path),

@@ -4,6 +4,7 @@ and the hardened cache envelope quarantines corruption."""
 
 import json
 import textwrap
+import threading
 import warnings
 
 import pytest
@@ -184,3 +185,20 @@ def test_no_cache_dir_means_no_cache_io(tmp_path):
     report = verify_source([str(tmp_path / "pkg")], cache_dir=None)
     assert [d.code for d in report] == ["RV501"]
     assert not list(tmp_path.glob("**/*.json"))
+
+
+def test_cold_run_parses_on_the_calling_thread(tmp_path, monkeypatch):
+    """A cold run parses every module serially, starting no thread.
+
+    CPython 3.11's AST constructor is not thread-safe: concurrent
+    ``ast.parse`` calls intermittently fail with ``SystemError: AST
+    constructor recursion depth mismatch``.
+    """
+    write_tree(tmp_path, TREE)
+
+    def no_threads(self):
+        raise AssertionError("verify_source started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
+    report = verify_source([str(tmp_path / "pkg")], cache_dir=None)
+    assert [d.code for d in report] == ["RV501"]

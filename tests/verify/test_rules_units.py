@@ -29,7 +29,6 @@ def test_project_band_registered():
         "RV501", "RV502", "RV503",
         "RV600", "RV601", "RV602", "RV603", "RV604",
         "RV701", "RV702", "RV703",
-        "RV800", "RV801", "RV802", "RV803", "RV804",
         "RV900", "RV901", "RV902", "RV903", "RV904", "RV905"]
     for rule_ in project_rules:
         assert rule_.description

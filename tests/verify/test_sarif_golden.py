@@ -92,24 +92,6 @@ PERF_TEXT = (
 )
 
 
-#: Deterministic array-semantics input: RV800 + RV803.
-ARRAY_TEXT = (
-    "import numpy as np\n"
-    "\n"
-    "\n"
-    "def clash():\n"
-    "    a = np.zeros((3, 4))\n"
-    "    b = np.ones((3, 5))\n"
-    "    return a + b\n"
-    "\n"
-    "\n"
-    "def alias(state):\n"
-    "    ix = np.array([0, 0, 2])\n"
-    "    state[ix] += np.ones(3)\n"
-    "    return state\n"
-)
-
-
 def deck_report():
     return verify_deck(DECK_TEXT, path="bad.sp", include_circuit=False)
 
@@ -130,10 +112,6 @@ def perf_report():
     return verify_source_text(PERF_TEXT, path="bad_perf.py")
 
 
-def array_report():
-    return verify_source_text(ARRAY_TEXT, path="bad_array.py")
-
-
 def restricted_registry(report) -> RuleRegistry:
     """A registry holding only the rules that fired in ``report``."""
     fired = {d.code for d in report}
@@ -149,9 +127,9 @@ def restricted_registry(report) -> RuleRegistry:
 
 @pytest.mark.parametrize("make_report",
                          [deck_report, source_report, units_report,
-                          purity_report, perf_report, array_report],
+                          purity_report, perf_report],
                          ids=["deck", "source", "units", "purity",
-                              "perf", "array"])
+                              "perf"])
 def test_required_sarif_fields(make_report):
     report = make_report()
     assert len(report) > 0, "fixture input no longer trips any rule"
@@ -208,10 +186,9 @@ def test_source_results_point_at_module_artifact():
                           (source_report, "source.sarif.json"),
                           (units_report, "units.sarif.json"),
                           (purity_report, "purity.sarif.json"),
-                          (perf_report, "perf.sarif.json"),
-                          (array_report, "array.sarif.json")],
+                          (perf_report, "perf.sarif.json")],
                          ids=["deck", "source", "units", "purity",
-                              "perf", "array"])
+                              "perf"])
 def test_sarif_matches_golden(make_report, golden_name):
     report = make_report()
     rendered = render_sarif(report,
