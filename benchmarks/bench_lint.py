@@ -9,7 +9,7 @@ change that breaks the shipped netlists fails here by name.
 
 ``bench_lint_source_tree`` additionally measures the incremental
 whole-program engine: one cold run (empty cache — serial parse,
-summarise, fixpoint, all bands) against warm reruns (cache hits — no
+summarise, call graph, all bands) against warm reruns (cache hits — no
 parsing), writing the cold/warm split to ``BENCH_lint.json`` at the
 repo root and asserting the warm path earns its complexity (>= 5x).
 """

@@ -389,22 +389,19 @@ def _cmd_lint(args) -> int:
     return 1 if failed else 0
 
 
-def _source_lint_report(args, command: str):
-    """The source lint shared by ``lint-source`` and ``fix``.
-
-    Both commands must lint the same project (same task roots, same
-    policy) so they agree on findings and share cache entries.  Returns
-    ``(report, exit code | None)`` like :func:`_apply_lint_baseline`.
-    """
-    from .verify import default_source_paths, verify_source
+def _cmd_lint_source(args) -> int:
+    from .verify import (default_source_paths, render_json, render_sarif,
+                         render_text, verify_source)
     from .verify.cache import default_lint_cache_dir
 
+    if args.list_rules:
+        return _list_rules()
     paths = args.paths or default_source_paths()
     missing = [p for p in paths if not os.path.exists(p)]
     if missing:
-        print(f"repro {command}: no such path: "
+        print("repro lint-source: no such path: "
               + ", ".join(repr(p) for p in missing), file=sys.stderr)
-        return None, 2
+        return 2
     try:
         from .exec.registry import task_function_refs
         task_refs = task_function_refs()
@@ -413,15 +410,7 @@ def _source_lint_report(args, command: str):
     cache_dir = None if args.no_cache else default_lint_cache_dir()
     report = verify_source(paths, config=_lint_config(args),
                            cache_dir=cache_dir, extra_task_refs=task_refs)
-    return _apply_lint_baseline(args, report)
-
-
-def _cmd_lint_source(args) -> int:
-    from .verify import render_json, render_sarif, render_text
-
-    if args.list_rules:
-        return _list_rules()
-    report, short_circuit = _source_lint_report(args, "lint-source")
+    report, short_circuit = _apply_lint_baseline(args, report)
     if short_circuit is not None:
         return short_circuit
     renderer = {"text": render_text, "json": render_json,
@@ -429,90 +418,6 @@ def _cmd_lint_source(args) -> int:
     print(renderer(report))
     failed = report.has_errors or (args.strict and report.warnings())
     return 1 if failed else 0
-
-
-#: Rewrites to these subtrees can shift solver numerics; ``repro fix
-#: --apply`` refuses to keep them unless the equivalence gate passes.
-_EQUIV_RELEVANT = ("src/repro/analysis", "src/repro/devices",
-                   "src/repro/circuit", "src/repro/recovery")
-
-
-def _cmd_fix(args) -> int:
-    from .verify import fix as fixmod
-
-    if args.check and args.apply:
-        print("repro fix: --check and --apply are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    rules = None
-    if args.rules:
-        rules = {token.strip() for spec in args.rules
-                 for token in spec.split(",") if token.strip()}
-        unknown = rules - set(fixmod.FIXABLE_RULES)
-        if unknown:
-            print("repro fix: no codemod for "
-                  + ", ".join(sorted(unknown)) + " (have: "
-                  + ", ".join(fixmod.FIXABLE_RULES) + ")",
-                  file=sys.stderr)
-            return 2
-    report, short_circuit = _source_lint_report(args, "fix")
-    if short_circuit is not None:
-        return short_circuit
-
-    plans = fixmod.plan_fixes(report, rules)
-    for plan in plans:
-        print(plan.render())
-    fixable = [p for p in plans if p.fixable]
-    if not fixable:
-        print("nothing mechanically fixable")
-        return 0
-    texts = fixmod.rewritten_texts(plans)
-
-    if not args.apply:
-        for path, (before, after) in texts.items():
-            print(fixmod.unified_diff(path, before, after), end="")
-        print(f"\n{len(fixable)} finding(s) mechanically fixable in "
-              f"{len(texts)} file(s); re-run with --apply to rewrite")
-        return 1
-
-    for path, (_before, after) in texts.items():
-        Path(path).write_text(after, encoding="utf-8")
-        print(f"rewrote {path}")
-    touchy = [p for p in texts
-              if any(sub in p.replace("\\", "/")
-                     for sub in _EQUIV_RELEVANT)]
-    if touchy and not args.no_equiv:
-        print("equivalence gate: solver-relevant module(s) rewritten "
-              "(" + ", ".join(touchy) + "); running repro equiv run")
-        # Fresh interpreter, not in-process: this process imported the
-        # solver modules *before* the rewrite, so an in-process gate
-        # would certify the stale code.  The timeout guards against a
-        # rewrite that makes a solve spin instead of drift (a clean run
-        # takes ~1 s).
-        import subprocess
-        try:
-            gate = subprocess.run(
-                [sys.executable, "-m", "repro", "equiv", "run",
-                 "--strict"],
-                capture_output=True, text=True, timeout=300,
-                env=os.environ.copy())
-            sys.stdout.write(gate.stdout)
-            sys.stderr.write(gate.stderr)
-            gate_ok = gate.returncode == 0
-        except subprocess.TimeoutExpired:
-            print("repro fix: equiv gate timed out after 300 s — "
-                  "treating the rewrite as non-equivalent",
-                  file=sys.stderr)
-            gate_ok = False
-        if not gate_ok:
-            for path, (before, _after) in texts.items():
-                Path(path).write_text(before, encoding="utf-8")
-            print("equivalence gate FAILED — all rewrites reverted",
-                  file=sys.stderr)
-            return 2
-        print("equivalence gate passed")
-    print(f"applied {len(fixable)} fix(es) across {len(texts)} file(s)")
-    return 0
 
 
 def _cmd_equiv(args) -> int:
@@ -916,7 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lint-source",
                        help="static-analyse the simulator's own "
-                            "Python source (RV4xx-RV7xx, RV9xx)")
+                            "Python source (RV4xx, RV6xx, RV7xx, RV9xx)")
     p.add_argument("paths", nargs="*", metavar="PATH",
                    help="Python files or directories "
                         "(default: the installed repro package)")
@@ -939,35 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prune", action="store_true",
                    help="with --baseline: delete stale entries from "
                         "the file in place (never adds entries)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the incremental result cache")
-
-    p = sub.add_parser("fix",
-                       help="apply mechanical codemods for RV702/"
-                            "RV703/RV900 lint findings")
-    p.add_argument("paths", nargs="*", metavar="PATH",
-                   help="Python files or directories "
-                        "(default: the installed repro package)")
-    p.add_argument("--check", action="store_true",
-                   help="plan + diff only, exit 1 if anything is "
-                        "fixable (the default mode, spelled out)")
-    p.add_argument("--apply", action="store_true",
-                   help="rewrite the files (default: print plans and "
-                        "diffs only, exit 1 if anything is fixable)")
-    p.add_argument("--rules", action="append", default=[],
-                   metavar="RULES",
-                   help="comma-separated rule codes to fix "
-                        "(default: all of RV702,RV703,RV900)")
-    p.add_argument("--disable", action="append", default=[],
-                   metavar="RULES",
-                   help="comma-separated rule codes/names to skip "
-                        "during the lint pass (repeatable)")
-    p.add_argument("--baseline", metavar="FILE",
-                   help="ignore findings recorded in this baseline "
-                        "file; only new findings are fixed")
-    p.add_argument("--no-equiv", action="store_true",
-                   help="skip the solver-equivalence gate after "
-                        "--apply (not recommended)")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the incremental result cache")
 
@@ -1134,7 +1010,6 @@ _HANDLERS = {
     "all": _cmd_all,
     "lint": _cmd_lint,
     "lint-source": _cmd_lint_source,
-    "fix": _cmd_fix,
     "equiv": _cmd_equiv,
     "diagnose": _cmd_diagnose,
     "chaos": _cmd_chaos,

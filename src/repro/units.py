@@ -154,108 +154,3 @@ AF = 1e-18
 
 #: Boltzmann constant times room temperature over electron charge (volts).
 THERMAL_VOLTAGE_300K = 0.025852
-
-
-# ---------------------------------------------------------------------------
-# physical dimensions
-# ---------------------------------------------------------------------------
-#
-# The RV5xx units-dataflow lint (:mod:`repro.verify.rules_units`) seeds
-# its analysis from this module: every quantity constant above carries a
-# physical dimension, and every unit symbol accepted by
-# :func:`format_eng` maps to one.  Dimensions are exponent 4-tuples over
-# the SI base quantities this project needs: ``(mass, length, time,
-# current)``.
-
-#: Exponents over (kg, m, s, A).
-DimExponents = "tuple"  # documentation alias; plain tuples are used
-
-DIMENSIONLESS = (0, 0, 0, 0)
-DIM_TIME = (0, 0, 1, 0)
-DIM_FREQUENCY = (0, 0, -1, 0)
-DIM_LENGTH = (0, 1, 0, 0)
-DIM_ENERGY = (1, 2, -2, 0)
-DIM_POWER = (1, 2, -3, 0)
-DIM_CURRENT = (0, 0, 0, 1)
-DIM_VOLTAGE = (1, 2, -3, -1)
-DIM_CHARGE = (0, 0, 1, 1)
-DIM_RESISTANCE = (1, 2, -3, -2)
-DIM_CAPACITANCE = (-1, -2, 4, 2)
-
-#: Human names for the dimensions above (diagnostics say "energy", not
-#: "(1, 2, -2, 0)").
-DIMENSION_NAMES = {
-    DIMENSIONLESS: "dimensionless",
-    DIM_TIME: "time",
-    DIM_FREQUENCY: "frequency",
-    DIM_LENGTH: "length",
-    DIM_ENERGY: "energy",
-    DIM_POWER: "power",
-    DIM_CURRENT: "current",
-    DIM_VOLTAGE: "voltage",
-    DIM_CHARGE: "charge",
-    DIM_RESISTANCE: "resistance",
-    DIM_CAPACITANCE: "capacitance",
-}
-
-#: Dimension of each bare unit symbol used with :func:`format_eng`.
-UNIT_DIMENSIONS = {
-    "s": DIM_TIME,
-    "Hz": DIM_FREQUENCY,
-    "m": DIM_LENGTH,
-    "J": DIM_ENERGY,
-    "eV": DIM_ENERGY,
-    "W": DIM_POWER,
-    "A": DIM_CURRENT,
-    "V": DIM_VOLTAGE,
-    "C": DIM_CHARGE,
-    "Ohm": DIM_RESISTANCE,
-    "F": DIM_CAPACITANCE,
-}
-
-#: Dimension of every quantity constant this module exports, used to
-#: seed the RV5xx dataflow (``10 * NS`` is a time, ``2 * PJ`` an energy).
-CONSTANT_DIMENSIONS = {
-    "FEMTO": DIMENSIONLESS, "PICO": DIMENSIONLESS, "NANO": DIMENSIONLESS,
-    "MICRO": DIMENSIONLESS, "MILLI": DIMENSIONLESS, "KILO": DIMENSIONLESS,
-    "MEGA": DIMENSIONLESS, "GIGA": DIMENSIONLESS,
-    "NS": DIM_TIME, "US": DIM_TIME, "MS": DIM_TIME, "PS": DIM_TIME,
-    "FS": DIM_TIME,
-    "NM": DIM_LENGTH, "UM": DIM_LENGTH,
-    "FJ": DIM_ENERGY, "PJ": DIM_ENERGY, "NJ": DIM_ENERGY,
-    "NW": DIM_POWER, "UW": DIM_POWER, "MW": DIM_POWER,
-    "NA": DIM_CURRENT, "UA": DIM_CURRENT, "MA": DIM_CURRENT,
-    "FF": DIM_CAPACITANCE, "AF": DIM_CAPACITANCE,
-    "THERMAL_VOLTAGE_300K": DIM_VOLTAGE,
-}
-
-#: SI prefixes accepted (and emitted) in front of a unit symbol.
-_UNIT_PREFIXES = ("T", "G", "M", "k", "m", "u", "µ", "n", "p", "f", "a")
-
-
-def dimension_of(unit: str):
-    """Dimension tuple of a unit string like ``"J"``, ``"pJ"`` or ``"ns"``.
-
-    Accepts an optional single SI prefix in front of a known symbol.
-    Returns ``None`` for empty or unrecognised units — callers (the
-    RV5xx lint) must treat that as "no information", never as an error.
-    """
-    unit = unit.strip()
-    if not unit:
-        return None
-    if unit in UNIT_DIMENSIONS:
-        return UNIT_DIMENSIONS[unit]
-    if len(unit) >= 2 and unit[0] in _UNIT_PREFIXES:
-        return UNIT_DIMENSIONS.get(unit[1:])
-    return None
-
-
-def dimension_name(dim) -> str:
-    """Readable name of a dimension tuple (falls back to the exponents)."""
-    if dim is None:
-        return "unknown"
-    name = DIMENSION_NAMES.get(tuple(dim))
-    if name is not None:
-        return name
-    mass, length, time, current = dim
-    return f"kg^{mass}·m^{length}·s^{time}·A^{current}"

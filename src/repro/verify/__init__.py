@@ -15,12 +15,8 @@ rule-registry framework:
   NaN/skip hazards over partial sweep results, stamp-contract drift,
   raw SPICE quantity strings, swallowed solver forensics, mutable
   default arguments;
-* :mod:`repro.verify.callgraph` / :mod:`repro.verify.dataflow` — the
-  interprocedural substrate: project symbol table, call graph, forward
-  dimension dataflow, incremental fact digests;
-* :mod:`repro.verify.rules_units` — RV5xx physical-units dataflow
-  (dimension mixing, unit-API mismatches, format_eng string misuse)
-  across module boundaries;
+* :mod:`repro.verify.callgraph` — the interprocedural substrate:
+  project symbol table, call graph, incremental fact digests;
 * :mod:`repro.verify.rules_purity` — RV6xx campaign-task purity
   (transitive state mutation, nondeterminism, stray filesystem writes,
   JSON-unsafe signatures);
@@ -34,8 +30,6 @@ rule-registry framework:
   journal-append and signal-handler protocols, cross-validated
   dynamically by :mod:`repro.verify.crashcheck`
   (``repro chaos --crashpoints``);
-* :mod:`repro.verify.fix` — finding-driven codemods (``repro fix``)
-  that mechanically apply the RV702/RV703/RV900 rewrites;
 * :mod:`repro.verify.baseline` — record-and-suppress of pre-existing
   findings so new bands gate only new regressions;
 * :mod:`repro.verify.emit` — text / JSON / SARIF output.
@@ -74,7 +68,6 @@ from . import rules_power     # noqa: F401
 from . import rules_mna       # noqa: F401
 from . import rules_deck      # noqa: F401
 from . import rules_source    # noqa: F401
-from . import rules_units     # noqa: F401
 from . import rules_purity    # noqa: F401
 from . import rules_perf      # noqa: F401
 from . import rules_effects   # noqa: F401

@@ -9,10 +9,10 @@ path needs so an unchanged module is never parsed again:
   — plain JSON, enough to rebuild the project symbol table, call graph
   and interprocedural facts with no AST;
 * its **source-scope diagnostics** (RV4xx), already pragma-filtered;
-* its **project-scope diagnostics** (RV5xx+) together with the
+* its **project-scope diagnostics** (RV6xx+) together with the
   ``facts digest`` they were computed under — the content hash of the
   slice of project facts this module's findings depend on (callee
-  return dimensions, task-root reachability, loop-call context).
+  allocations and effects, task-root reachability).
 
 Invalidation is therefore two-level and dependency-aware: the entry key
 hashes the module's own text (plus lint config and schema versions), so
@@ -43,7 +43,8 @@ from ..exec.atomicio import atomic_write_text
 #: v3: summary schema 3 (effect signatures, global reads) + RV9xx band.
 #: v4: spawn_tgt atoms are Process-only (Thread targets stay local).
 #: v5: summary schema 4 (no shape returns) and no RV8xx band.
-CACHE_SCHEMA_VERSION = 5
+#: v6: summary schema 5 (no units facts, package-relative imports fixed).
+CACHE_SCHEMA_VERSION = 6
 
 CORRUPT_SUBDIR = "corrupt"
 

@@ -1,23 +1,22 @@
 """Project symbol table, module summaries and the call graph.
 
-This is the interprocedural substrate under the RV5xx/RV6xx/RV7xx rule
+This is the interprocedural substrate under the RV6xx/RV7xx/RV9xx rule
 bands.  It has two halves with a deliberate seam between them:
 
 * :func:`summarize_module` distils one parsed :class:`SourceModule`
   into a **module summary** — imports, the functions it defines, every
-  call they make (with loop context), their purity atoms, their
-  return-dimension expressions, and any ``"module:function"`` task
-  references.  Summaries are plain JSON, which is what makes the
-  incremental lint cache work: a warm run rebuilds the whole project
-  view from cached summaries without touching a single AST;
+  call they make (with loop context), their purity atoms and effect
+  signatures, and any ``"module:function"`` task references.
+  Summaries are plain JSON, which is what makes the incremental lint
+  cache work: a warm run rebuilds the whole project view from cached
+  summaries without touching a single AST;
 * :class:`SourceProject` assembles the summaries of every module into a
   symbol table and call graph, then computes the **project facts** the
-  rule bands consume: fixpoint return dimensions (units), task-root
-  reachability with call chains (purity) and called-from-loop context
-  (perf).  Per-module *fact slices* are content-hashed so the cache can
-  tell "this module's findings are stale because a callee changed" from
-  "nothing this module depends on moved" — dependency-aware
-  invalidation through the call graph.
+  rule bands consume: task-root reachability with call chains (purity)
+  and called-from-loop context (perf).  Per-module *fact slices* are
+  content-hashed so the cache can tell "this module's findings are
+  stale because a callee changed" from "nothing this module depends on
+  moved" — dependency-aware invalidation through the call graph.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ from pathlib import Path
 from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Set,
                     Tuple)
 
-from ..units import CONSTANT_DIMENSIONS
-from . import dataflow
 from . import effects as effects_mod
 
 if TYPE_CHECKING:  # a runtime import would be circular: source.py
@@ -45,10 +42,12 @@ if TYPE_CHECKING:  # a runtime import would be circular: source.py
 #: signatures) and ``global_reads`` (module data read under spawn) for
 #: the RV9xx band.
 #: v4: per-function ``shape_returns`` dropped with the RV8xx band.
-SUMMARY_SCHEMA = 4
+#: v5: ``returns``/``annotations`` dropped with the RV5xx band; relative
+#: imports in a package ``__init__`` resolve against the package itself.
+SUMMARY_SCHEMA = 5
 
 #: Dense-array constructors (numpy/scipy dotted tails); shared by the
-#: RV7xx band, the summary extractor and the fix engine.
+#: RV7xx band and the summary extractor.
 DENSE_ALLOC_TAILS = frozenset({
     "zeros", "ones", "empty", "full", "eye", "identity", "arange",
     "linspace", "zeros_like", "ones_like", "empty_like", "full_like",
@@ -196,9 +195,27 @@ def module_name_for(path: "str | Path") -> str:
 # ---------------------------------------------------------------------------
 
 
-def _import_map(tree: ast.Module, modname: str) -> Dict[str, str]:
-    """Local alias -> fully dotted target for every top-level import."""
-    package = modname.rsplit(".", 1)[0] if "." in modname else ""
+def call_target(node: ast.Call) -> Optional[str]:
+    """Dotted name (``a.b.c``) of a call's callee, or None when computed."""
+    parts: List[str] = []
+    func = node.func
+    while isinstance(func, ast.Attribute):
+        parts.append(func.attr)
+        func = func.value
+    if isinstance(func, ast.Name):
+        parts.append(func.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def _import_map(tree: ast.Module, modname: str,
+                is_package: bool) -> Dict[str, str]:
+    """Local alias -> fully dotted target for every top-level import.
+
+    ``modname`` names a package ``__init__`` after the package itself
+    (see :func:`module_name_for`), so there ``is_package`` makes a level-1
+    relative import resolve against ``modname`` rather than its parent.
+    """
     out: Dict[str, str] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -211,7 +228,7 @@ def _import_map(tree: ast.Module, modname: str) -> Dict[str, str]:
             if node.level:
                 base_parts = modname.split(".")
                 # level 1 = the containing package, each extra level one up.
-                cut = node.level if modname.count(".") >= 0 else 0
+                cut = node.level - 1 if is_package else node.level
                 base_parts = base_parts[:-cut] if cut else base_parts
                 base = ".".join(base_parts)
             else:
@@ -314,7 +331,7 @@ class _CallCollector(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = dataflow._call_target(node)
+        dotted = call_target(node)
         if dotted is not None:
             self.calls.append((dotted, node.lineno, self._loop_depth > 0))
         self.generic_visit(node)
@@ -406,7 +423,7 @@ class _AtomCollector:
                 self.atoms.append(("global_write", "globals()", lineno))
 
     def _scan_call(self, node: ast.Call) -> None:
-        dotted = dataflow._call_target(node)
+        dotted = call_target(node)
         if dotted is None:
             # No dotted name means a computed receiver —
             # Path("x").write_text(...) style.  The writer-method name
@@ -504,18 +521,6 @@ def _signature_info(func: ast.FunctionDef) -> Dict[str, object]:
     }
 
 
-def _param_annotations(func: ast.FunctionDef) -> Dict[str, str]:
-    """String literal annotations (``x: "J"``) by parameter name."""
-    out: Dict[str, str] = {}
-    args = func.args
-    for arg in (list(args.posonlyargs) + list(args.args)
-                + list(args.kwonlyargs)):
-        ann = arg.annotation
-        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-            out[arg.arg] = ann.value
-    return out
-
-
 def _task_refs(module: SourceModule) -> List[Tuple[str, int]]:
     """Every ``"module:function"`` string literal in the module."""
     if module.tree is None:
@@ -540,7 +545,8 @@ def summarize_module(module: SourceModule, modname: str) -> Dict[str, object]:
     }
     if module.tree is None:
         return summary
-    imports = _import_map(module.tree, modname)
+    imports = _import_map(module.tree, modname,
+                          Path(module.path).name == "__init__.py")
     top_names = _module_level_names(module.tree)
     resolver = _Resolver(modname, imports, top_names)
     summary["imports"] = imports
@@ -559,10 +565,6 @@ def summarize_module(module: SourceModule, modname: str) -> Dict[str, object]:
             resolved = resolver.resolve(dotted, class_ctx)
             calls.append([resolved or dotted, line, in_loop])
 
-        flow = dataflow.DimFlow(
-            _units_resolver(resolver, class_ctx))
-        returns = flow.run(func)
-
         atoms = _AtomCollector(func, resolver, class_ctx)
         eff = effects_mod.EffectCollector(
             func, resolver, class_ctx, mod_token, data_names,
@@ -570,13 +572,11 @@ def summarize_module(module: SourceModule, modname: str) -> Dict[str, object]:
         functions[qual] = {
             "line": func.lineno,
             "calls": calls,
-            "returns": returns[:8],      # cap pathological bodies
             "nonloop_allocs": _nonloop_allocs(func, resolver, class_ctx),
             "atoms": [[k, w, ln] for k, w, ln in atoms.atoms],
             "effects": eff.atoms,
             "global_reads": eff.global_reads,
             "signature": _signature_info(func),
-            "annotations": _param_annotations(func),
         }
     summary["functions"] = functions
     return summary
@@ -594,7 +594,7 @@ def _nonloop_allocs(func: ast.FunctionDef, resolver: _Resolver,
     for node, loops in body_nodes(func):
         if loops or not isinstance(node, ast.Call):
             continue
-        dotted = dataflow._call_target(node)
+        dotted = call_target(node)
         if dotted is None:
             continue
         tail = dotted.rsplit(".", 1)[-1]
@@ -604,21 +604,6 @@ def _nonloop_allocs(func: ast.FunctionDef, resolver: _Resolver,
         if resolved.startswith("numpy.") or resolved.startswith("scipy."):
             out.append([tail, node.lineno])
     return out[:16]
-
-
-def _units_resolver(resolver: _Resolver, class_ctx: str):
-    """DimFlow name-resolution hook bound to one module's imports."""
-
-    def resolve(dotted: str):
-        full = resolver.resolve(dotted, class_ctx)
-        if full is None:
-            return None
-        tail = full.rsplit(".", 1)[-1]
-        if ".units." in f".{full}" and tail in CONSTANT_DIMENSIONS:
-            return dataflow.dim_expr(CONSTANT_DIMENSIONS[tail])
-        return dataflow.call_expr(full)
-
-    return resolve
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +636,6 @@ class SourceProject:
         self._resolve_cache: Dict[str, Optional[str]] = {}
         self.callees: Dict[str, List[Tuple[str, int, bool]]] = {}
         self._build_edges()
-        self.units_returns: Dict[str, Optional[Tuple[int, ...]]] = {}
-        self._units_fixpoint()
         self.task_roots: Dict[str, List[Tuple[str, str, int]]] = {}
         self.unresolved_refs: Dict[str, List[Tuple[str, int]]] = {}
         self._collect_roots(extra_task_refs)
@@ -722,60 +705,6 @@ class SourceProject:
         return sorted({target for target, _line, _loop
                        in self.callees.get(fid, ())})
 
-    # -- units facts ------------------------------------------------------
-    def _param_dims(self, fid: str) -> Dict[str, Tuple[int, ...]]:
-        info = self.functions[fid]
-        annotations = info.get("annotations", {})
-        out: Dict[str, Tuple[int, ...]] = {}
-        for name in info.get("signature", {}).get("params", ()):  # type: ignore[union-attr]
-            dim = (dataflow.seed_for_annotation(
-                       annotations.get(name))     # type: ignore[union-attr]
-                   or dataflow.seed_for_name(name))
-            if dim is not None:
-                out[name] = dim
-        return out
-
-    def _units_fixpoint(self) -> None:
-        facts: Dict[str, Optional[Tuple[int, ...]]] = {
-            fid: None for fid in self.functions}
-        dotted_facts: Dict[str, Optional[Tuple[int, ...]]] = {}
-        for _ in range(8):
-            changed = False
-            for fid, info in self.functions.items():
-                returns = info.get("returns", ())
-                if not returns:
-                    continue
-                params = self._param_dims(fid)
-                dims = set()
-                for expr in returns:              # type: ignore[union-attr]
-                    value = dataflow.eval_dim(expr, params, dotted_facts)
-                    dims.add(value if not isinstance(value, tuple)
-                             else tuple(value))
-                dims.discard(None)
-                new = dims.pop() if len(dims) == 1 else None
-                if new == "engstr":
-                    new = None
-                if new != facts[fid]:
-                    facts[fid] = new              # type: ignore[assignment]
-                    changed = True
-            dotted_facts = self._dotted_facts(facts)
-            if not changed:
-                break
-        self.units_returns = facts
-        self._dotted_units = dotted_facts
-
-    def _dotted_facts(self, facts) -> Dict[str, Optional[Tuple[int, ...]]]:
-        out: Dict[str, Optional[Tuple[int, ...]]] = {}
-        for dotted in list(self._resolve_cache) + list(self._by_dotted):
-            fid = self.resolve_dotted(dotted)
-            if fid is not None:
-                out[dotted] = facts.get(fid)
-        return out
-
-    def units_facts_for_eval(self) -> Dict[str, Optional[Tuple[int, ...]]]:
-        """Return-dim facts keyed by *dotted* name (DimExpr call leaves)."""
-        return dict(self._dotted_units)
-
     # -- purity facts -----------------------------------------------------
     def _collect_roots(self, extra_task_refs: Iterable[str]) -> None:
         refs: Dict[str, List[Tuple[str, str, int]]] = {}
@@ -829,8 +758,7 @@ class SourceProject:
         """Everything a module's project findings depend on, hashable.
 
         A module needs re-linting exactly when this slice changes: the
-        return dimensions of what it calls (units), the callees'
-        out-of-loop allocations (caller-side RV702) and effect
+        callees' out-of-loop allocations (caller-side RV702) and effect
         signatures (RV9xx), and the task-roots reaching its functions
         with their chains (purity).
         """
@@ -840,12 +768,9 @@ class SourceProject:
         callees: Set[str] = set()
         for fid in function_ids:
             callees.update(self.internal_callees(fid))
-        units = {}
         callee_allocs = {}
         effects = {}
         for callee in sorted(callees):
-            dim = self.units_returns.get(callee)
-            units[callee] = list(dim) if dim else None
             info = self.functions.get(callee, {})
             allocs = info.get("nonloop_allocs") or []
             if allocs:
@@ -862,7 +787,6 @@ class SourceProject:
                       for fid, refs in self.task_roots.items()
                       if self.module_of(fid) == modname}
         return {
-            "units": units,
             "callee_allocs": callee_allocs,
             "callee_effects": effects,
             "purity": purity,

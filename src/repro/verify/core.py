@@ -22,7 +22,6 @@ RV1xx   power-gating structure (VVDD islands, store paths...)
 RV2xx   MNA structural solvability
 RV3xx   SPICE-deck / text-level checks
 RV4xx   the simulator's own Python source (AST checks)
-RV5xx   interprocedural physical-units dataflow
 RV6xx   campaign task purity (call-graph transitive)
 RV7xx   hot-path performance inventory
 RV9xx   concurrency & crash safety of durable stores
@@ -30,7 +29,7 @@ RV9xx   concurrency & crash safety of durable stores
         visibility, queue/join order, signal handlers)
 ======  =====================================================
 
-RV0xx-RV4xx rules see one artifact at a time.  The RV5xx+ bands run at
+RV0xx-RV4xx rules see one artifact at a time.  The RV6xx+ bands run at
 ``scope="project"``: their target is a
 :class:`repro.verify.callgraph.ProjectModule` — one module *plus* the
 whole-program symbol table, call graph and interprocedural facts.

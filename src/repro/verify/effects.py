@@ -46,7 +46,7 @@ import ast
 import re
 from typing import Dict, List, Optional, Sequence, Set
 
-from . import dataflow
+from . import callgraph
 
 _WORD_RE = re.compile(r"[A-Za-z_]\w*")
 
@@ -138,7 +138,7 @@ class EffectCollector:
                 continue
             tail = ""
             if isinstance(node.value, ast.Call):
-                dotted = dataflow._call_target(node.value)
+                dotted = callgraph.call_target(node.value)
                 tail = (dotted or "").rsplit(".", 1)[-1]
             for target in node.targets:
                 if not isinstance(target, ast.Name):
@@ -251,7 +251,7 @@ class EffectCollector:
 
     def _scan_call(self, node: ast.Call, in_loop: bool) -> None:
         line = node.lineno
-        dotted = dataflow._call_target(node)
+        dotted = callgraph.call_target(node)
         func = node.func
         tail = ""
         recv_node: Optional[ast.AST] = None

@@ -9,7 +9,7 @@ into an allocating function), and every reassembly of topology-
 invariant structure inside a loop.  Findings are informational by
 design: they are a worklist, not defects, and ``python -m repro
 lint-source --format json`` is the machine-readable form the refactor
-(and the ``repro fix`` codemod engine) consumes.
+consumes.
 
 ======  =========================  =================================
 code    name                       finding
@@ -40,7 +40,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Set, Tuple
 
-from . import callgraph, dataflow
+from . import callgraph
 from .callgraph import DENSE_ALLOC_TAILS as _DENSE_ALLOCS
 from .callgraph import body_nodes, loop_target_names
 from .core import Finding, rule
@@ -91,7 +91,7 @@ class _PerfScan:
         tree = self.pm.module.tree
         if tree is None:
             return []
-        imports = callgraph._import_map(tree, self.pm.name)
+        imports = self.pm.summary["imports"]
         top = callgraph._module_level_names(tree)
         for qual, class_ctx, func in callgraph._collect_functions(tree):
             resolver = callgraph._Resolver(self.pm.name, imports, top)
@@ -118,7 +118,7 @@ class _PerfScan:
         for node, loops in body_nodes(func):
             loop = loops[-1] if loops else None
             if isinstance(node, ast.Call):
-                dotted = dataflow._call_target(node)
+                dotted = callgraph.call_target(node)
                 self._scan_call(fid, node, dotted, loop, loops, resolver,
                                 class_ctx, stamp_loops, loop_reason)
             elif isinstance(node, ast.AugAssign) and loop is not None \

@@ -6,8 +6,8 @@
   checks over one module at a time — float equality on physical
   quantities, NaN-unsafe reductions, stamp-contract drift, raw SPICE
   quantity strings, swallowed solver forensics, mutable defaults;
-* **whole-program** (``scope="project"``): RV5xx units dataflow, RV6xx
-  campaign purity, RV7xx perf inventory and RV9xx crash safety run
+* **whole-program** (``scope="project"``): RV6xx campaign purity,
+  RV7xx perf inventory and RV9xx crash safety run
   each module against the assembled project symbol table, call graph
   and interprocedural facts (:mod:`repro.verify.callgraph`).
 
@@ -15,9 +15,9 @@ The engine is incremental: with a ``cache_dir``, every module's summary
 and diagnostics persist keyed by content + policy hash
 (:mod:`repro.verify.cache`); a warm run over an unchanged tree parses
 nothing, and after an edit only the edited module *and the modules
-whose interprocedural facts it shifted* (callers seeing a changed
-return dimension, functions newly reachable from a task) are
-re-checked.  Cold modules are parsed serially on the calling thread:
+whose interprocedural facts it shifted* (callers of a callee whose
+allocations or effects changed, functions newly reachable from a task)
+are re-checked.  Cold modules are parsed serially on the calling thread:
 CPython 3.11's AST constructor is not thread-safe.
 
 The target object handed to every ``scope="source"`` rule is a
@@ -354,8 +354,8 @@ def verify_source_text(text: str, path: str = "",
     module parses, the ``project`` bands over a single-module project.
 
     Interprocedural facts are naturally thinner with one module — cross
-    module findings need :func:`verify_source` — but units checks,
-    signature checks and lexical perf findings all fire, which is what
+    module findings need :func:`verify_source` — but signature checks,
+    effect checks and lexical perf findings all fire, which is what
     the per-rule fixture tests exercise.
     """
     from .callgraph import SourceProject, ProjectModule, summarize_module

@@ -33,20 +33,27 @@ def snapshot(report):
             for d in report]
 
 
-#: helper returns a power; the caller mixes it into an energy -> RV501
-#: in caller.py, derived entirely from the helper's return fact.
+#: helper allocates a dense array; the caller invokes it from a loop
+#: -> caller-side RV702 in caller.py, derived entirely from the helper's
+#: out-of-loop allocation fact.
 TREE = {
     "pkg/__init__.py": "",
     "pkg/helper.py": '''\
-        def leak_power(vdd, leakage_current):
-            return vdd * leakage_current
+        import numpy as np
+
+
+        def scratch(n):
+            return np.zeros(n)
         ''',
     "pkg/caller.py": '''\
-        from pkg.helper import leak_power
+        from pkg.helper import scratch
 
 
-        def cycle_total(e_cyc):
-            return e_cyc + leak_power(0.9, 1e-6)
+        def sweep(points, n):
+            out = []
+            for _ in range(points):
+                out.append(scratch(n))
+            return out
         ''',
     "pkg/bystander.py": '''\
         def double(x):
@@ -59,7 +66,7 @@ def test_warm_run_is_identical_and_parses_nothing(tmp_path, monkeypatch):
     write_tree(tmp_path, TREE)
     cache = tmp_path / "cache"
     cold = verify_source([str(tmp_path / "pkg")], cache_dir=cache)
-    assert [d.code for d in cold] == ["RV501"]
+    assert [d.code for d in cold] == ["RV702"]
 
     def boom(self):
         raise AssertionError(f"warm run parsed {self.path}")
@@ -71,18 +78,18 @@ def test_warm_run_is_identical_and_parses_nothing(tmp_path, monkeypatch):
 
 def test_callee_edit_relints_caller(tmp_path, monkeypatch):
     """Editing helper.py changes caller.py's facts digest: the caller
-    is re-analysed (and its RV501 disappears) even though its own text
+    is re-analysed (and its RV702 disappears) even though its own text
     — and hence its cache key — is unchanged."""
     write_tree(tmp_path, TREE)
     cache = tmp_path / "cache"
     cold = verify_source([str(tmp_path / "pkg")], cache_dir=cache)
-    assert [d.code for d in cold] == ["RV501"]
+    assert [d.code for d in cold] == ["RV702"]
 
-    # leak_power now integrates over the sleep window: W * s = J, so
-    # the caller's sum becomes dimension-consistent.
+    # scratch no longer allocates an ndarray, so the caller's loop stops
+    # paying a dense allocation per iteration.
     (tmp_path / "pkg" / "helper.py").write_text(textwrap.dedent('''\
-        def leak_power(vdd, leakage_current, t_sl):
-            return vdd * leakage_current * t_sl
+        def scratch(n):
+            return [0.0] * n
         '''))
 
     parsed = []
@@ -119,7 +126,7 @@ def test_caller_edit_does_not_relint_bystanders(tmp_path, monkeypatch):
 
     monkeypatch.setattr(source_mod._Entry, "ensure_parsed", spy)
     warm = verify_source([str(tmp_path / "pkg")], cache_dir=cache)
-    assert [d.code for d in warm] == ["RV501"]
+    assert [d.code for d in warm] == ["RV702"]
     # ensure_parsed memoizes: repeat calls for the same entry are fine,
     # other modules must never appear.
     assert set(parsed) == {"pkg.caller"}
@@ -132,7 +139,7 @@ def test_config_change_misses_the_cache(tmp_path):
     verify_source([str(tmp_path / "pkg")], cache_dir=cache)
     n_entries = len(list(cache.glob("*.json")))
     disabled = verify_source([str(tmp_path / "pkg")],
-                             VerifyConfig(disable=frozenset({"RV501"})),
+                             VerifyConfig(disable=frozenset({"RV702"})),
                              cache_dir=cache)
     assert [d.code for d in disabled] == []
     # A different policy digest writes its own entries.
@@ -183,7 +190,7 @@ def test_schema_bump_invalidates(tmp_path):
 def test_no_cache_dir_means_no_cache_io(tmp_path):
     write_tree(tmp_path, TREE)
     report = verify_source([str(tmp_path / "pkg")], cache_dir=None)
-    assert [d.code for d in report] == ["RV501"]
+    assert [d.code for d in report] == ["RV702"]
     assert not list(tmp_path.glob("**/*.json"))
 
 
@@ -201,4 +208,4 @@ def test_cold_run_parses_on_the_calling_thread(tmp_path, monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", no_threads)
     report = verify_source([str(tmp_path / "pkg")], cache_dir=None)
-    assert [d.code for d in report] == ["RV501"]
+    assert [d.code for d in report] == ["RV702"]

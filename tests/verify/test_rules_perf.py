@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.verify import default_source_paths, verify_source, \
+from repro.verify import REGISTRY, default_source_paths, verify_source, \
     verify_source_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -28,6 +28,17 @@ HAND_AUDITED_STAMP_LOOPS = {
 
 def codes(report):
     return [d.code for d in report]
+
+
+def test_project_band_registered():
+    project_rules = REGISTRY.rules("project")
+    assert [r.code for r in project_rules] == [
+        "RV600", "RV601", "RV602", "RV603", "RV604",
+        "RV701", "RV702", "RV703",
+        "RV900", "RV901", "RV902", "RV903", "RV904", "RV905"]
+    for rule_ in project_rules:
+        assert rule_.description
+        assert rule_.rationale
 
 
 def test_rv7xx_fixture_findings():
@@ -79,6 +90,39 @@ def test_rv702_flags_loop_called_function(tmp_path):
     assert "loop calls pkg.alloc:fresh_state per iteration" \
         in hits[0].message
     assert "zeros() at line 5" in hits[0].message
+
+
+def test_rv702_follows_package_reexport(tmp_path):
+    """A loop calling a helper through its package ``__init__``.
+
+    In ``pkg/__init__.py``, ``from .helper import scratch`` is relative
+    to ``pkg`` itself, so the call resolves to ``pkg.helper:scratch``.
+    """
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("from .helper import scratch\n")
+    (pkg / "helper.py").write_text(textwrap.dedent('''\
+        import numpy as np
+
+
+        def scratch(n):
+            return np.zeros(n)
+        '''))
+    (pkg / "caller.py").write_text(textwrap.dedent('''\
+        from pkg import scratch
+
+
+        def run(points, n):
+            out = []
+            for _ in range(points):
+                out.append(scratch(n))
+            return out
+        '''))
+    report = verify_source([str(pkg)])
+    hits = [d for d in report if d.code == "RV702"]
+    assert len(hits) == 1
+    assert hits[0].subject == "pkg.caller:run"
+    assert "loop calls pkg.helper:scratch per iteration" in hits[0].message
 
 
 def test_rv702_stays_quiet_without_looping_caller(tmp_path):

@@ -44,23 +44,6 @@ SOURCE_TEXT = (
 )
 
 
-#: Deterministic units input: RV501 + RV502 + RV503, one function each.
-UNITS_TEXT = (
-    "from repro.units import format_eng\n"
-    "\n"
-    "\n"
-    "def mix(e_store, leak_power):\n"
-    "    return e_store + leak_power\n"
-    "\n"
-    "\n"
-    "def mislabel(e_store):\n"
-    "    return format_eng(e_store, \"W\")\n"
-    "\n"
-    "\n"
-    "def concat(e_store, e_restore):\n"
-    "    return format_eng(e_store, \"J\") + e_restore\n"
-)
-
 #: Deterministic purity input.  The dotted file stem makes the module a
 #: referenceable task module: RV600 (dangling ref), RV601 (module-state
 #: mutation), RV602 (wall clock) and RV604 (two required params).
@@ -100,10 +83,6 @@ def source_report():
     return verify_source_text(SOURCE_TEXT, path="bad_module.py")
 
 
-def units_report():
-    return verify_source_text(UNITS_TEXT, path="bad_units.py")
-
-
 def purity_report():
     return verify_source_text(PURITY_TEXT, path="bad_pkg.tasks.py")
 
@@ -126,10 +105,9 @@ def restricted_registry(report) -> RuleRegistry:
 
 
 @pytest.mark.parametrize("make_report",
-                         [deck_report, source_report, units_report,
-                          purity_report, perf_report],
-                         ids=["deck", "source", "units", "purity",
-                              "perf"])
+                         [deck_report, source_report, purity_report,
+                          perf_report],
+                         ids=["deck", "source", "purity", "perf"])
 def test_required_sarif_fields(make_report):
     report = make_report()
     assert len(report) > 0, "fixture input no longer trips any rule"
@@ -184,11 +162,9 @@ def test_source_results_point_at_module_artifact():
 @pytest.mark.parametrize("make_report,golden_name",
                          [(deck_report, "deck.sarif.json"),
                           (source_report, "source.sarif.json"),
-                          (units_report, "units.sarif.json"),
                           (purity_report, "purity.sarif.json"),
                           (perf_report, "perf.sarif.json")],
-                         ids=["deck", "source", "units", "purity",
-                              "perf"])
+                         ids=["deck", "source", "purity", "perf"])
 def test_sarif_matches_golden(make_report, golden_name):
     report = make_report()
     rendered = render_sarif(report,
