@@ -18,7 +18,7 @@ import numpy as np
 from ..recovery.ladder import LadderResult, RecoveryOptions, recover_dc
 from .mna import Context, Stamper
 from .results import Solution
-from .solver import GMIN_FLOOR, NewtonOptions
+from .solver import NewtonOptions
 
 #: Conductance of the initial-condition clamps (siemens).  Device currents
 #: are micro-amps, so 1 kS pins nodes to within nanovolts of the target.
@@ -30,18 +30,8 @@ class OperatingPointOptions:
     """Options for :func:`operating_point`."""
 
     newton: NewtonOptions = field(default_factory=NewtonOptions)
-    #: gmin-stepping ladder, solved from first to last.
-    gmin_steps: tuple = (1e-3, 1e-5, 1e-7, 1e-9, GMIN_FLOOR)
-    #: source-stepping ladder (fractions of full source level).
-    source_steps: tuple = (0.1, 0.3, 0.5, 0.7, 0.85, 1.0)
-    #: Recovery-ladder configuration (the gmin/source steps above feed
-    #: the corresponding rungs, so existing callers keep their knobs).
+    #: Recovery-ladder configuration, gmin- and source-stepping included.
     recovery: RecoveryOptions = field(default_factory=RecoveryOptions)
-
-    def recovery_options(self) -> RecoveryOptions:
-        return replace(self.recovery,
-                       gmin_steps=tuple(self.gmin_steps),
-                       source_steps=tuple(self.source_steps))
 
 
 def operating_point(
@@ -82,7 +72,7 @@ def operating_point(
     opts = options or OperatingPointOptions()
     circuit.compile()
     guess = np.zeros(circuit.size) if x0 is None else np.array(x0, dtype=float)
-    recovery = opts.recovery_options()
+    recovery = opts.recovery
 
     clamps = _resolve_clamps(circuit, ic)
     if clamps:

@@ -113,7 +113,6 @@ def transient(
     events: List[Tuple[float, str, str]] = []
     recoveries: List[Dict] = []
     dt_history: deque = deque(maxlen=_DT_HISTORY)
-    newton_iters_total = 0
     # Numerical-trust aggregate over the t=0 solve and every accepted
     # step (worst residual/condition, defended-solve count).
     trust_acc = TrustAccumulator()

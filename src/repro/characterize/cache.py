@@ -4,41 +4,30 @@ Characterising a cell costs several transient simulations; the figure
 sweeps (Fig. 7-9) reuse the same characterisations across dozens of
 parameter points.  Results are cached as JSON keyed by a hash of every
 input that affects them (cell kind, operating conditions, domain
-geometry, device cards).
+geometry, device cards), one file per key under ``$REPRO_CACHE_DIR``
+(see :func:`repro.exec.envelope.cache_root`); pass ``cache_dir=None``
+through the runner to disable caching entirely.
 
-Each entry is an integrity envelope — ``{"schema", "sha256",
-"payload"}`` — checksummed over the payload, so a truncated write, a
-bit-flip or a stale-schema file is *detected* rather than silently
-deserialised: the offending file is moved to ``<cache>/corrupt/`` and a
-warning names it, instead of the old silent ``return None``.
-
-The cache also degrades gracefully on unwritable directories (read-only
-mounts, permission drift mid-sweep): the first failure warns once and
-turns caching off for that directory instead of killing a long campaign
-with an ``OSError`` at point 900 of 1000.
+Each entry is an integrity envelope (:mod:`repro.exec.envelope`): a
+truncated write, a bit-flip or a stale-schema file is quarantined with a
+warning and recomputed, and an unwritable directory warns once and turns
+caching off instead of killing a long campaign.
 
 Every load/store lands in process-wide :class:`CacheStats` counters
 (hits, misses, quarantines, served-entry ages) so the serve layer's
 ``/metrics`` endpoint and degraded-mode decisions can see cache health
 without touching cache behaviour.
-
-Set the ``REPRO_CACHE_DIR`` environment variable to relocate the cache;
-pass ``cache_dir=None`` through the runner to disable caching entirely.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 import threading
-import time
-import warnings
-from dataclasses import asdict, is_dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Optional, Type, TypeVar
 
-from ..exec.atomicio import atomic_write_text
+from ..exec import envelope
+from ..exec.campaign import stable_hash
 from .data import CellCharacterization
 
 #: Bump when characterisation semantics change to invalidate old entries.
@@ -49,13 +38,7 @@ from .data import CellCharacterization
 #:    envelope (generic payload API); raw pre-7 files get fresh keys.
 CACHE_SCHEMA_VERSION = 7
 
-#: Subdirectory quarantining entries that failed integrity checks.
-CORRUPT_SUBDIR = "corrupt"
-
-#: Cache directories that already warned about being unwritable; caching
-#: is disabled for them for the rest of the process (warn once, not per
-#: sweep point).
-_UNWRITABLE: Set[str] = set()
+_Result = TypeVar("_Result")
 
 
 class CacheStats:
@@ -127,230 +110,51 @@ def _note(event: str, age_s: Optional[float] = None) -> None:
 
     Deliberate module-state mutation: the counters are observability
     only — a task rerun with them zeroed produces identical payloads
-    (mirrors the ``_UNWRITABLE`` warn-once precedent above).
+    (mirrors the envelope's warn-once set).
     """
     STATS.note(event, age_s)  # lint: skip=RV601
 
 
-def _entry_age_s(path: Path) -> Optional[float]:
-    """Age of a cache entry in seconds, from its mtime; None if unknown.
-
-    Wall-clock read on a task-reachable path is deliberate: the age
-    feeds counters and degraded-mode staleness stamps, never the cached
-    payload itself.
-    """
-    try:
-        mtime = path.stat().st_mtime
-        return max(0.0, time.time() - mtime)  # lint: skip=RV602
-    except OSError:
-        return None
-
-
-def default_cache_dir() -> Path:
-    """Cache directory: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-nvsram``."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro-nvsram"
-
-
-def _normalise(value: Any) -> Any:
-    if is_dataclass(value) and not isinstance(value, type):
-        payload = asdict(value)
-        payload["__type__"] = type(value).__name__
-        return {k: _normalise(v) for k, v in payload.items()}
-    if isinstance(value, dict):
-        return {k: _normalise(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_normalise(v) for v in value]
-    if isinstance(value, float):
-        return float(repr(value))
-    return value
-
-
 def cache_key(**inputs: Any) -> str:
     """Deterministic hash of the characterisation inputs."""
-    inputs["__schema__"] = CACHE_SCHEMA_VERSION
-    blob = json.dumps(_normalise(inputs), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:24]
+    return stable_hash({**inputs, "__schema__": CACHE_SCHEMA_VERSION},
+                       length=24)
 
 
-def _payload_checksum(payload: Dict[str, Any]) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()
-    ).hexdigest()
+def load(cache_dir: Optional[Path], key: str,
+         result_type: Type[_Result] = CellCharacterization,
+         ) -> Optional[_Result]:
+    """Fetch a cached ``result_type`` instance, or None.
 
-
-def _quarantine(path: Path, reason: str) -> None:
-    """Move a bad entry to ``<cache>/corrupt/`` and warn about it."""
-    target = path.parent / CORRUPT_SUBDIR / path.name
-    moved = ""
-    try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        os.replace(path, target)
-        moved = f"; moved to {target}"
-    except OSError:
-        pass    # read-only cache / concurrent quarantine: still warn
-    _note("quarantine")
-    warnings.warn(
-        f"discarding cache entry {path.name}: {reason}{moved} "
-        "(it will be recomputed)",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
-def entry_age_s(cache_dir: Optional[Path], key: str) -> Optional[float]:
-    """Age of the entry for ``key`` in seconds, or None if absent."""
-    if cache_dir is None:
-        return None
-    return _entry_age_s(Path(cache_dir) / f"{key}.json")
-
-
-def load_payload(cache_dir: Optional[Path],
-                 key: str) -> Optional[Dict[str, Any]]:
-    """Fetch a cached payload dict through the integrity envelope.
-
-    Entries failing the integrity check (unparseable JSON, missing or
-    mismatched checksum, stale schema) are quarantined with a warning
-    rather than silently ignored — a corrupt cache should be *visible*.
-    Callers that then find the payload does not fit their result type
-    should hand it back via :func:`reject_payload`.
-
-    Every call lands in the counters: one ``hit`` (with the entry's
-    age) or one ``miss``; quarantines additionally count as
-    ``quarantine``.
+    An entry that fails the envelope's integrity check, or whose payload
+    no longer fits ``result_type``, is quarantined with a warning.
+    Every call with a ``cache_dir`` counts one ``hit`` (with the entry's
+    age) or one ``miss``, plus one ``quarantine`` per quarantined entry.
     """
     if cache_dir is None:
         return None
-    path = Path(cache_dir) / f"{key}.json"
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
-        _note("miss")
-        return None
-    except OSError as err:
-        warnings.warn(f"cannot read cache entry {path}: {err}",
-                      RuntimeWarning, stacklevel=2)
-        _note("miss")
-        return None
-    age_s = _entry_age_s(path)
-    try:
-        envelope = json.loads(text)
-    except json.JSONDecodeError as err:
-        _quarantine(path, f"unparseable JSON ({err})")
-        _note("miss")
-        return None
-    if not isinstance(envelope, dict) or "payload" not in envelope:
-        _quarantine(path, "not an integrity envelope (pre-schema-5 entry?)")
-        _note("miss")
-        return None
-    schema = envelope.get("schema")
-    if schema != CACHE_SCHEMA_VERSION:
-        _quarantine(path, f"schema {schema!r} != {CACHE_SCHEMA_VERSION}")
-        _note("miss")
-        return None
-    payload = envelope["payload"]
-    expected = envelope.get("sha256")
-    if not isinstance(payload, dict) or not isinstance(expected, str):
-        _quarantine(path, "malformed envelope fields")
-        _note("miss")
-        return None
-    actual = _payload_checksum(payload)
-    if actual != expected:
-        _quarantine(path, f"checksum mismatch (stored {expected[:12]}..., "
-                          f"computed {actual[:12]}...)")
-        _note("miss")
-        return None
-    _note("hit", age_s)
-    return payload
-
-
-def reject_payload(cache_dir: Optional[Path], key: str,
-                   reason: str) -> None:
-    """Quarantine an entry whose payload failed the caller's type fit.
-
-    The envelope was intact (so :func:`load_payload` counted a hit) but
-    the payload no longer matches the result dataclass — schema drift
-    the envelope cannot see.  Quarantines and warns like any other bad
-    entry.
-    """
-    if cache_dir is None:
-        return
-    _quarantine(Path(cache_dir) / f"{key}.json", reason)
-
-
-def load(cache_dir: Optional[Path], key: str) -> Optional[CellCharacterization]:
-    """Fetch a cached characterisation, or None.
-
-    :func:`load_payload` semantics, plus the payload must fit
-    :class:`CellCharacterization` (else the entry is quarantined).
-    """
-    payload = load_payload(cache_dir, key)
+    payload, outcome = envelope.load(cache_dir, key, CACHE_SCHEMA_VERSION)
     if payload is None:
+        if outcome == envelope.QUARANTINE:
+            _note(envelope.QUARANTINE)
+        _note(envelope.MISS)
         return None
+    _note(envelope.HIT, envelope.entry_age_s(cache_dir, key))
     try:
-        return CellCharacterization(**payload)
+        return result_type(**payload)
     except TypeError as err:
-        reject_payload(cache_dir, key,
-                       f"payload does not fit CellCharacterization ({err})")
+        envelope.quarantine(envelope.entry_path(cache_dir, key),
+                            f"payload does not fit {result_type.__name__} "
+                            f"({err})")
+        _note(envelope.QUARANTINE)
         return None
 
 
-def _warn_unwritable(directory: Path, err: OSError) -> None:
-    marker = str(directory)
-    if marker in _UNWRITABLE:
-        return
-    # Deliberate module-state write on a task-reachable path: the
-    # warn-once set only gates *warning noise*, never results — a task
-    # rerun without it produces identical payloads, just louder.
-    _UNWRITABLE.add(marker)  # lint: skip=RV601
-    warnings.warn(
-        f"cache directory {directory} is not writable ({err}); "
-        "continuing with caching disabled for this directory",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
-def store_payload(cache_dir: Optional[Path], key: str,
-                  payload: Dict[str, Any]) -> None:
-    """Persist a payload dict inside the integrity envelope.
-
-    Safe under concurrent writers (parallel figure sweeps sharing one
-    cache): each writer stages into its own ``mkstemp`` file before the
-    atomic rename, so two processes storing the same key can never
-    interleave into a corrupt entry.
-
-    An unwritable directory (read-only mount, permission change mid
-    sweep) warns once and degrades to cache-off instead of raising —
-    losing the cache must never lose the run.
-    """
+def store(cache_dir: Optional[Path], key: str, result: Any) -> None:
+    """Persist a characterisation result (a dataclass with ``to_json``)."""
     if cache_dir is None:
         return
-    directory = Path(cache_dir)
-    if str(directory) in _UNWRITABLE:
-        return
-    envelope = json.dumps(
-        {"schema": CACHE_SCHEMA_VERSION,
-         "sha256": _payload_checksum(payload),
-         "payload": payload},
-        indent=2, sort_keys=True,
-    )
-    path = directory / f"{key}.json"
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(path, envelope)
-    except OSError as err:
-        _note("store_failure")
-        _warn_unwritable(directory, err)
-    else:
-        _note("store")
-
-
-def store(cache_dir: Optional[Path], key: str,
-          result: CellCharacterization) -> None:
-    """Persist a characterisation result (see :func:`store_payload`)."""
-    if cache_dir is None:
-        return
-    store_payload(cache_dir, key, json.loads(result.to_json()))
+    outcome = envelope.store(cache_dir, key, CACHE_SCHEMA_VERSION,
+                             json.loads(result.to_json()))
+    if outcome is not None:
+        _note(outcome)

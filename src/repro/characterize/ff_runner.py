@@ -33,6 +33,7 @@ from ..devices.finfet import FinFETParams
 from ..devices.mtj import MTJParams, MTJ_TABLE1
 from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
 from ..pg.modes import OperatingConditions
+from ..exec.envelope import cache_root
 from . import cache
 
 #: Sources whose delivered energy constitutes the FF energy.
@@ -117,6 +118,13 @@ def _build_ff_bench(cond: OperatingConditions,
     return c, ff
 
 
+def nvff_cache_key(cond: OperatingConditions, nfet: FinFETParams,
+                   pfet: FinFETParams, mtj_params: MTJParams) -> str:
+    """Disk-cache key of one :func:`characterize_nvff` result."""
+    return cache.cache_key(kind="nvff", cond=cond, nfet=nfet, pfet=pfet,
+                           mtj=mtj_params)
+
+
 def characterize_nvff(
     cond: Optional[OperatingConditions] = None,
     nfet: FinFETParams = NFET_20NM_HP,
@@ -136,21 +144,12 @@ def characterize_nvff(
     :class:`~repro.errors.VerificationError`.
     """
     if cache_dir == "auto":
-        cache_dir = cache.default_cache_dir()
-    if cache_dir is not None:
-        cache_dir = Path(cache_dir)
+        cache_dir = cache_root()
     cond = cond or OperatingConditions()
-    key = cache.cache_key(kind="nvff", cond=cond, nfet=nfet, pfet=pfet,
-                          mtj=mtj_params)
-    if cache_dir is not None:
-        payload = cache.load_payload(cache_dir, key)
-        if payload is not None:
-            try:
-                return FlipFlopCharacterization(**payload)
-            except TypeError as err:
-                cache.reject_payload(
-                    cache_dir, key,
-                    f"payload does not fit FlipFlopCharacterization ({err})")
+    key = nvff_cache_key(cond, nfet, pfet, mtj_params)
+    cached = cache.load(cache_dir, key, FlipFlopCharacterization)
+    if cached is not None:
+        return cached
 
     result = FlipFlopCharacterization(
         vdd=cond.vdd, clock_frequency=cond.frequency,
@@ -165,8 +164,7 @@ def characterize_nvff(
     _extract_restore(cond, nfet, pfet, mtj_params, result)
     if validate:
         result.validate()
-    if cache_dir is not None:
-        cache.store_payload(cache_dir, key, json.loads(result.to_json()))
+    cache.store(cache_dir, key, result)
     return result
 
 

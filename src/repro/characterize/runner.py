@@ -35,12 +35,21 @@ from ..devices.mtj import MTJ, MTJParams, MTJState, MTJ_TABLE1
 from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
 from ..pg.modes import Mode, OperatingConditions
 from ..pg.scheduler import PhaseWindow, Schedule, ScheduleStep
+from ..exec.envelope import cache_root
 from . import cache
 from .data import CellCharacterization
 from .testbench import SUPPLY_SOURCES, CellTestbench, build_cell_testbench
 
 #: Bitline differential treated as a completed read (volts).
 READ_SENSE_THRESHOLD = 0.10
+
+
+def cell_cache_key(kind: str, cond: OperatingConditions,
+                   domain: PowerDomain, nfet: FinFETParams,
+                   pfet: FinFETParams, mtj_params: MTJParams) -> str:
+    """Disk-cache key of one :func:`characterize_cell` result."""
+    return cache.cache_key(kind=kind, cond=cond, domain=domain, nfet=nfet,
+                           pfet=pfet, mtj=mtj_params)
 
 
 def characterize_cell(
@@ -62,9 +71,8 @@ def characterize_cell(
         ``"nv"`` or ``"6t"``.
     cache_dir:
         Directory for the JSON result cache; the default ``"auto"``
-        resolves :func:`repro.characterize.cache.default_cache_dir` (which
-        honours ``REPRO_CACHE_DIR``) at call time; ``None`` disables
-        caching.
+        resolves :func:`repro.exec.envelope.cache_root` (which honours
+        ``REPRO_CACHE_DIR``) at call time; ``None`` disables caching.
     validate:
         Run the physical sanity checks on the result (recommended).
     lint:
@@ -74,11 +82,10 @@ def characterize_cell(
         disables the check globally.
     """
     if cache_dir == "auto":
-        cache_dir = cache.default_cache_dir()
+        cache_dir = cache_root()
     cond = cond or OperatingConditions()
     domain = domain or PowerDomain()
-    key = cache.cache_key(kind=kind, cond=cond, domain=domain, nfet=nfet,
-                          pfet=pfet, mtj=mtj_params)
+    key = cell_cache_key(kind, cond, domain, nfet, pfet, mtj_params)
     cached = cache.load(cache_dir, key)
     if cached is not None:
         return cached

@@ -392,7 +392,7 @@ def _cmd_lint(args) -> int:
 def _cmd_lint_source(args) -> int:
     from .verify import (default_source_paths, render_json, render_sarif,
                          render_text, verify_source)
-    from .verify.cache import default_lint_cache_dir
+    from .verify.source import default_lint_cache_dir
 
     if args.list_rules:
         return _list_rules()
@@ -496,11 +496,9 @@ def _diagnose_demo() -> int:
     c.add(FinFET("pu2", "qb", "q", "vdd", PFET_20NM_HP))
     c.add(FinFET("pd2", "qb", "q", "0", NFET_20NM_HP))
     opts = OperatingPointOptions(recovery=RecoveryOptions(
-        damping_factors=(0.5,), damping_iteration_boost=1,
-        pseudo_transient=False, source_ramp=False))
+        damping_factors=(0.5,), damping_iteration_boost=1, gmin_steps=(),
+        pseudo_transient=False, source_ramp=False, source_steps=()))
     opts.newton.max_iterations = 2
-    opts.gmin_steps = ()
-    opts.source_steps = ()
     print("demo: solving a cross-coupled latch with a 2-iteration Newton "
           "budget and the ladder mostly disabled...\n")
     try:

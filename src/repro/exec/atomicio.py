@@ -2,10 +2,10 @@
 
 Three writers grew their own copy of the stage-then-rename dance (the
 characterisation cache, the lint cache envelope, the journal's sibling
-artifacts); this module is the single shared implementation the RV900
-codemod rewrites bare writes to, and the instrumented boundary the
-crash-injection harness (:mod:`repro.verify.crashcheck`) kills children
-at.
+artifacts); this module is the single shared implementation (the
+cache envelope, :mod:`repro.exec.envelope`, writes through it), and
+the instrumented boundary the crash-injection harness
+(:mod:`repro.verify.crashcheck`) kills children at.
 
 The protocol, in order:
 

@@ -38,7 +38,7 @@ class CampaignError(ReproError):
 
 
 def _normalise(value: Any) -> Any:
-    """Canonicalise a value for hashing (mirrors the cache-key rules)."""
+    """Canonicalise a value for hashing (task ids and cache keys)."""
     if is_dataclass(value) and not isinstance(value, type):
         payload = asdict(value)
         payload["__type__"] = type(value).__name__

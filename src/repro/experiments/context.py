@@ -14,12 +14,12 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from ..cells import PowerDomain
-from ..characterize import cache as char_cache
 from ..characterize.data import CellCharacterization
 from ..characterize.runner import characterize_cell
 from ..devices.finfet import FinFETParams
 from ..devices.mtj import MTJParams, MTJ_TABLE1
 from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
+from ..exec.envelope import cache_root
 from ..pg.energy import CellEnergyModel
 from ..pg.modes import OperatingConditions
 
@@ -43,7 +43,7 @@ class ExperimentContext:
     pfet: FinFETParams = PFET_20NM_HP
     mtj_params: MTJParams = MTJ_TABLE1
     cache_dir: Optional[Path] = field(
-        default_factory=char_cache.default_cache_dir
+        default_factory=cache_root
     )  # resolved at context creation; honours REPRO_CACHE_DIR
     _memo: Dict[Tuple, CellCharacterization] = field(
         default_factory=dict, repr=False

@@ -21,6 +21,7 @@ small file read) and safe from any thread.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from collections import OrderedDict
@@ -61,26 +62,27 @@ class CacheHit:
     source: str     # "memo" | "disk"
 
 
-def _disk_cache_key(request: ServeRequest) -> Optional[str]:
-    """The disk-cache key a characterisation task would use.
-
-    Mirrors the runners' ``cache.cache_key`` calls exactly (dataclass
-    instances, same keyword names), so a serve probe hits the entries
-    that earlier sweeps or campaigns wrote.
-    """
-    if request.route not in _DISK_CACHED_ROUTES:
-        return None
-    from ..characterize import cache
+def _disk_entry(request: ServeRequest) -> Optional[Tuple[str, type]]:
+    """``(key, result type)`` of the disk-cache entry the request's
+    characterisation task would write, from the runner's own key
+    function; None for routes without one."""
     from ..exec.tasks import _cond, _domain, _fet, _mtj
 
     p = request.params
     if request.route == "characterize":
-        return cache.cache_key(
-            kind=p["kind"], cond=_cond(p["cond"]), domain=_domain(p["domain"]),
-            nfet=_fet(p["nfet"]), pfet=_fet(p["pfet"]), mtj=_mtj(p["mtj"]))
-    return cache.cache_key(
-        kind="nvff", cond=_cond(p["cond"]),
-        nfet=_fet(p["nfet"]), pfet=_fet(p["pfet"]), mtj=_mtj(p["mtj"]))
+        from ..characterize.data import CellCharacterization
+        from ..characterize.runner import cell_cache_key
+        key = cell_cache_key(p["kind"], _cond(p["cond"]),
+                             _domain(p["domain"]), _fet(p["nfet"]),
+                             _fet(p["pfet"]), _mtj(p["mtj"]))
+        return key, CellCharacterization
+    if request.route == "nvff":
+        from ..characterize.ff_runner import (FlipFlopCharacterization,
+                                              nvff_cache_key)
+        key = nvff_cache_key(_cond(p["cond"]), _fet(p["nfet"]),
+                             _fet(p["pfet"]), _mtj(p["mtj"]))
+        return key, FlipFlopCharacterization
+    return None
 
 
 class ExecBackend:
@@ -136,15 +138,17 @@ class ExecBackend:
                                 source="memo")
         if self.cache_dir is None:
             return None
-        disk_key = _disk_cache_key(request)
-        if disk_key is None:
+        entry = _disk_entry(request)
+        if entry is None:
             return None
         from ..characterize import cache
+        from ..exec.envelope import entry_age_s
 
-        payload = cache.load_payload(self.cache_dir, disk_key)
-        if payload is None:
+        result = cache.load(self.cache_dir, *entry)
+        if result is None:
             return None
-        age_s = cache.entry_age_s(self.cache_dir, disk_key)
+        payload = json.loads(result.to_json())
+        age_s = entry_age_s(self.cache_dir, entry[0])
         self.memo_put(request.key, payload)
         return CacheHit(payload=payload, age_s=age_s, source="disk")
 

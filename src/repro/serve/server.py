@@ -164,8 +164,8 @@ class ReproServer:
             routes[name] = ROUTE_FNS[name]
         cache_dir = opts.cache_dir
         if cache_dir == "auto":
-            from ..characterize.cache import default_cache_dir
-            cache_dir = default_cache_dir()
+            from ..exec.envelope import cache_root
+            cache_dir = cache_root()
         self.backend = ExecBackend(
             routes,
             workers=opts.workers,

@@ -43,8 +43,7 @@ from .core import Finding, SourceLocation, rule
 
 #: Modules whose filesystem writes are the sanctioned persistence layer.
 #: Matching is by dotted-name suffix so the rule works on fixture trees.
-FS_EXEMPT_SUFFIXES = ("exec.journal", "exec.atomicio",
-                      "characterize.cache", "verify.cache")
+FS_EXEMPT_SUFFIXES = ("exec.journal", "exec.atomicio", "exec.envelope")
 
 _ATOM_LABELS = {
     "global_write": "writes global {what}",

@@ -12,13 +12,13 @@
   and interprocedural facts (:mod:`repro.verify.callgraph`).
 
 The engine is incremental: with a ``cache_dir``, every module's summary
-and diagnostics persist keyed by content + policy hash
-(:mod:`repro.verify.cache`); a warm run over an unchanged tree parses
-nothing, and after an edit only the edited module *and the modules
-whose interprocedural facts it shifted* (callers of a callee whose
-allocations or effects changed, functions newly reachable from a task)
-are re-checked.  Cold modules are parsed serially on the calling thread:
-CPython 3.11's AST constructor is not thread-safe.
+and diagnostics persist keyed by content + policy hash, one
+:mod:`repro.exec.envelope` entry per module; a warm run over an
+unchanged tree parses nothing, and after an edit only the edited module
+*and the modules whose interprocedural facts it shifted* (callers of a
+callee whose allocations or effects changed, functions newly reachable
+from a task) are re-checked.  Cold modules are parsed serially on the
+calling thread: CPython 3.11's AST constructor is not thread-safe.
 
 The target object handed to every ``scope="source"`` rule is a
 :class:`SourceModule`: the module text, its parsed AST and the
@@ -44,12 +44,13 @@ Suppressing a finding:
 from __future__ import annotations
 
 import ast
+import hashlib
 import re
 from pathlib import Path
 from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
                     Set, Tuple)
 
-from . import cache as lint_cache
+from ..exec import envelope
 from .core import (
     Diagnostic,
     Report,
@@ -62,6 +63,30 @@ from .core import (
 #: Inline suppression pragma: ``# lint: skip=RV401`` or
 #: ``# lint: skip=RV401,RV403`` at the end of the offending line.
 _PRAGMA_RE = re.compile(r"#\s*lint:\s*skip=([A-Za-z0-9_,\s]+)")
+
+#: Schema of the lint-cache entries; bump when summary or diagnostic
+#: serialisation changes shape.
+#: v2: summary schema 2 (shape returns, nonloop allocs) + RV8xx band.
+#: v3: summary schema 3 (effect signatures, global reads) + RV9xx band.
+#: v4: spawn_tgt atoms are Process-only (Thread targets stay local).
+#: v5: summary schema 4 (no shape returns) and no RV8xx band.
+#: v6: summary schema 5 (no units facts, package-relative imports fixed).
+CACHE_SCHEMA_VERSION = 6
+
+
+def default_lint_cache_dir() -> Path:
+    """The ``lint/`` subdirectory of :func:`repro.exec.envelope.cache_root`."""
+    return envelope.cache_root() / "lint"
+
+
+def entry_key(text: str, config_digest: str) -> str:
+    """Lint-cache key of one module: its text, the policy, the schema."""
+    blob = hashlib.sha256()
+    blob.update(text.encode())
+    blob.update(b"\0")
+    blob.update(config_digest.encode())
+    blob.update(f"\0schema={CACHE_SCHEMA_VERSION}".encode())
+    return blob.hexdigest()[:24]
 
 
 class SourceModule:
@@ -247,7 +272,7 @@ def verify_source(paths: Iterable[str],
     cache_dir:
         Directory for the incremental result cache; ``None`` (the
         default) disables caching.  The CLI passes
-        :func:`repro.verify.cache.default_lint_cache_dir`.
+        :func:`default_lint_cache_dir`.
     extra_task_refs:
         Additional ``"module:function"`` task roots for the RV6xx band
         (the CLI seeds :func:`repro.exec.registry.task_function_refs`).
@@ -266,13 +291,13 @@ def verify_source(paths: Iterable[str],
     entries: List[_Entry] = []
     for path in files:
         text = path.read_text()
-        key = lint_cache.entry_key(text, config_digest)
+        key = entry_key(text, config_digest)
         entries.append(_Entry(path, text, key, module_name_for(path)))
 
     # 1. probe the cache; rebuild summaries/diags for hits without parsing
     cold: List[_Entry] = []
     for entry in entries:
-        payload = lint_cache.load(cache_dir, entry.key)
+        payload, _ = envelope.load(cache_dir, entry.key, CACHE_SCHEMA_VERSION)
         if payload is not None and isinstance(payload.get("summary"), dict):
             entry.summary = payload["summary"]
             entry.source_diags = [_diag_from_json(d)
@@ -341,7 +366,8 @@ def verify_source(paths: Iterable[str],
                     "facts_digest": entry.cached_project[0],
                     "diags": entry.cached_project[1],
                 }
-            lint_cache.store(cache_dir, entry.key, payload)
+            envelope.store(cache_dir, entry.key, CACHE_SCHEMA_VERSION,
+                           payload)
 
     merged.diagnostics.sort(key=Diagnostic.sort_key)
     return merged

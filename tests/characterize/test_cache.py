@@ -1,13 +1,20 @@
-"""Tests for the characterisation disk cache."""
+"""Tests for the characterisation disk cache: keys, the typed load and
+entries written by earlier versions.  The envelope itself (quarantine,
+atomic stores, unwritable directories) is tested in
+``tests/exec/test_envelope.py``."""
 
-from pathlib import Path
+import json
 
 import pytest
 
 from repro.cells import PowerDomain
 from repro.characterize import cache
-from repro.exec import atomicio
 from repro.characterize.data import CellCharacterization
+from repro.characterize.ff_runner import nvff_cache_key
+from repro.characterize.runner import cell_cache_key
+from repro.devices.mtj import MTJ_TABLE1
+from repro.devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
+from repro.exec import envelope
 from repro.pg.modes import OperatingConditions
 
 
@@ -43,112 +50,36 @@ class TestCacheKey:
 
     def test_dataclass_type_disambiguates(self):
         """Two different dataclasses with equal fields hash differently."""
-        from repro.devices.mtj import MTJ_TABLE1
-
         a = cache.cache_key(x=MTJ_TABLE1)
         b = cache.cache_key(x=MTJ_TABLE1.with_(jc=1e10))
         assert a != b
 
+    def test_runner_keys_are_pinned(self):
+        """The default cell and NV-FF keys, as the previous cache code
+        computed them: entries already on disk must keep hitting."""
+        cond = OperatingConditions()
+        assert cell_cache_key("nv", cond, PowerDomain(), NFET_20NM_HP,
+                              PFET_20NM_HP, MTJ_TABLE1) \
+            == "c4751e156ca92d17fee3b45d"
+        assert nvff_cache_key(cond, NFET_20NM_HP, PFET_20NM_HP,
+                              MTJ_TABLE1) == "f0414b1a3dd8d25cb3d7dbb0"
+
 
 class TestLoadStore:
-    def test_roundtrip(self, tmp_path):
-        record = _record()
-        cache.store(tmp_path, "abc", record)
-        assert cache.load(tmp_path, "abc") == record
-
-    def test_missing_returns_none(self, tmp_path):
-        assert cache.load(tmp_path, "missing") is None
-
-    def test_disabled_cache(self):
-        cache.store(None, "abc", _record())  # no-op
-        assert cache.load(None, "abc") is None
-
     def test_corrupt_entry_quarantined_with_warning(self, tmp_path):
         (tmp_path / "bad.json").write_text("{not json")
         with pytest.warns(RuntimeWarning, match="bad.json"):
             assert cache.load(tmp_path, "bad") is None
         assert not (tmp_path / "bad.json").exists()
-        assert (tmp_path / cache.CORRUPT_SUBDIR / "bad.json").exists()
+        assert (tmp_path / envelope.CORRUPT_SUBDIR / "bad.json").exists()
 
-    def test_stale_schema_entry_quarantined(self, tmp_path):
-        (tmp_path / "stale.json").write_text('{"unexpected": 1}')
-        with pytest.warns(RuntimeWarning, match="stale.json"):
-            assert cache.load(tmp_path, "stale") is None
-        assert (tmp_path / cache.CORRUPT_SUBDIR / "stale.json").exists()
-
-    def test_old_schema_envelope_quarantined(self, tmp_path):
-        """A well-formed envelope from an older schema is invalidated."""
-        cache.store(tmp_path, "old", _record())
-        text = (tmp_path / "old.json").read_text()
-        (tmp_path / "old.json").write_text(
-            text.replace(f'"schema": {cache.CACHE_SCHEMA_VERSION}',
-                         '"schema": 4'))
-        with pytest.warns(RuntimeWarning, match="schema"):
-            assert cache.load(tmp_path, "old") is None
-
-    def test_checksum_mismatch_quarantined(self, tmp_path):
-        """A flipped payload value no longer matches the checksum."""
-        import json
-
-        cache.store(tmp_path, "flip", _record())
-        envelope = json.loads((tmp_path / "flip.json").read_text())
-        envelope["payload"]["e_read"] = 123.0
-        (tmp_path / "flip.json").write_text(json.dumps(envelope))
-        with pytest.warns(RuntimeWarning, match="checksum mismatch"):
-            assert cache.load(tmp_path, "flip") is None
-        assert (tmp_path / cache.CORRUPT_SUBDIR / "flip.json").exists()
-
-    def test_quarantine_does_not_hide_good_entries(self, tmp_path):
+    def test_loads_entry_in_the_indented_format(self, tmp_path):
+        """Entries used to be written with ``indent=2``; they still hit."""
         record = _record()
-        cache.store(tmp_path, "good", record)
-        (tmp_path / "bad.json").write_text("{not json")
-        with pytest.warns(RuntimeWarning):
-            cache.load(tmp_path, "bad")
-        assert cache.load(tmp_path, "good") == record
-
-    def test_creates_directory(self, tmp_path):
-        target = tmp_path / "nested" / "dir"
-        cache.store(target, "abc", _record())
-        assert (target / "abc.json").exists()
-
-
-class TestUnwritableDir:
-    @pytest.fixture(autouse=True)
-    def _fresh_warn_state(self, monkeypatch):
-        monkeypatch.setattr(cache, "_UNWRITABLE", set())
-
-    def test_store_degrades_to_cache_off(self, tmp_path, monkeypatch):
-        """An unwritable directory warns once, then goes quiet."""
-        def refuse(*args, **kwargs):
-            raise OSError(30, "Read-only file system")
-
-        # The staging lives in the shared atomic-write helper now.
-        monkeypatch.setattr(atomicio.tempfile, "mkstemp", refuse)
-        with pytest.warns(RuntimeWarning, match="not writable"):
-            cache.store(tmp_path, "ro1", _record())
-        # second store: silently skipped, no second warning
-        import warnings as _warnings
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            cache.store(tmp_path, "ro2", _record())
-        assert cache.load(tmp_path, "ro1") is None
-
-    def test_failed_rename_degrades(self, tmp_path, monkeypatch):
-        real_replace = cache.os.replace
-
-        def refuse(src, dst):
-            if str(dst).endswith("ro.json"):
-                raise OSError(30, "Read-only file system")
-            return real_replace(src, dst)
-
-        monkeypatch.setattr(cache.os, "replace", refuse)
-        with pytest.warns(RuntimeWarning, match="not writable"):
-            cache.store(tmp_path, "ro", _record())
-        # the staged temp file must not leak
-        assert [p for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
-
-
-class TestDefaultDir:
-    def test_env_override(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert cache.default_cache_dir() == tmp_path
+        payload = json.loads(record.to_json())
+        (tmp_path / "old.json").write_text(json.dumps(
+            {"schema": cache.CACHE_SCHEMA_VERSION,
+             "sha256": envelope.checksum(payload),
+             "payload": payload},
+            indent=2, sort_keys=True))
+        assert cache.load(tmp_path, "old") == record

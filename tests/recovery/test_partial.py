@@ -30,10 +30,9 @@ def _hopeless_options():
     """Options under which the latch cannot converge at all."""
     opts = OperatingPointOptions(
         newton=NewtonOptions(max_iterations=2),
-        gmin_steps=(),
-        source_steps=(),
         recovery=RecoveryOptions(damping_factors=(), gmin_steps=(),
-                                 pseudo_transient=False, source_ramp=False),
+                                 pseudo_transient=False, source_ramp=False,
+                                 source_steps=()),
     )
     return opts
 
