@@ -1,9 +1,11 @@
 """Tests for the characterisation disk cache: keys, the typed load and
-entries written by earlier versions.  The envelope itself (quarantine,
-atomic stores, unwritable directories) is tested in
+store as the runners call them, and entries written by earlier versions.
+The envelope module on its own is tested in
 ``tests/exec/test_envelope.py``."""
 
 import json
+import os
+import warnings
 
 import pytest
 
@@ -11,10 +13,10 @@ from repro.cells import PowerDomain
 from repro.characterize import cache
 from repro.characterize.data import CellCharacterization
 from repro.characterize.ff_runner import nvff_cache_key
-from repro.characterize.runner import cell_cache_key
+from repro.characterize.runner import cell_cache_key, characterize_cell
 from repro.devices.mtj import MTJ_TABLE1
 from repro.devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
-from repro.exec import envelope
+from repro.exec import atomicio, envelope
 from repro.pg.modes import OperatingConditions
 
 
@@ -66,6 +68,62 @@ class TestCacheKey:
 
 
 class TestLoadStore:
+    def test_roundtrip(self, tmp_path):
+        record = _record()
+        cache.store(tmp_path, "abc", record)
+        assert cache.load(tmp_path, "abc") == record
+
+    def test_missing_returns_none(self, tmp_path):
+        assert cache.load(tmp_path, "missing") is None
+
+    def test_disabled_cache(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cache.store(None, "abc", _record())  # no-op
+        assert cache.load(None, "abc") is None
+        assert list(tmp_path.iterdir()) == []
+
+    def test_stale_schema_entry_quarantined(self, tmp_path):
+        (tmp_path / "stale.json").write_text('{"unexpected": 1}')
+        with pytest.warns(RuntimeWarning, match="stale.json"):
+            assert cache.load(tmp_path, "stale") is None
+        assert (tmp_path / envelope.CORRUPT_SUBDIR / "stale.json").exists()
+
+    def test_old_schema_envelope_quarantined(self, tmp_path):
+        """A well-formed envelope from an older schema is invalidated."""
+        cache.store(tmp_path, "old", _record())
+        path = tmp_path / "old.json"
+        data = json.loads(path.read_text())
+        assert data["schema"] == cache.CACHE_SCHEMA_VERSION
+        data["schema"] = 4
+        path.write_text(json.dumps(data))
+        with pytest.warns(RuntimeWarning, match="schema"):
+            assert cache.load(tmp_path, "old") is None
+        assert (tmp_path / envelope.CORRUPT_SUBDIR / "old.json").exists()
+
+    def test_checksum_mismatch_quarantined(self, tmp_path):
+        """A flipped payload value no longer matches the checksum."""
+        cache.store(tmp_path, "flip", _record())
+        path = tmp_path / "flip.json"
+        data = json.loads(path.read_text())
+        data["payload"]["e_read"] = 123.0
+        path.write_text(json.dumps(data))
+        with pytest.warns(RuntimeWarning, match="checksum mismatch"):
+            assert cache.load(tmp_path, "flip") is None
+        assert (tmp_path / envelope.CORRUPT_SUBDIR / "flip.json").exists()
+
+    def test_quarantine_does_not_hide_good_entries(self, tmp_path):
+        record = _record()
+        cache.store(tmp_path, "good", record)
+        (tmp_path / "bad.json").write_text("{not json")
+        with pytest.warns(RuntimeWarning):
+            cache.load(tmp_path, "bad")
+        assert cache.load(tmp_path, "good") == record
+
+    def test_creates_directory(self, tmp_path):
+        target = tmp_path / "nested" / "dir"
+        cache.store(target, "abc", _record())
+        assert (target / "abc.json").exists()
+
     def test_corrupt_entry_quarantined_with_warning(self, tmp_path):
         (tmp_path / "bad.json").write_text("{not json")
         with pytest.warns(RuntimeWarning, match="bad.json"):
@@ -83,3 +141,50 @@ class TestLoadStore:
              "payload": payload},
             indent=2, sort_keys=True))
         assert cache.load(tmp_path, "old") == record
+
+
+class TestUnwritableDir:
+    @pytest.fixture(autouse=True)
+    def _fresh_warn_state(self, monkeypatch):
+        monkeypatch.setattr(envelope, "_UNWRITABLE", set())
+
+    def test_store_degrades_to_cache_off(self, tmp_path, monkeypatch):
+        """An unwritable directory warns once, then goes quiet."""
+        def refuse(*args, **kwargs):
+            raise OSError(30, "Read-only file system")
+
+        monkeypatch.setattr(atomicio.tempfile, "mkstemp", refuse)
+        with pytest.warns(RuntimeWarning, match="not writable"):
+            cache.store(tmp_path, "ro1", _record())
+        # second store: silently skipped, no second warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cache.store(tmp_path, "ro2", _record())
+        assert cache.load(tmp_path, "ro1") is None
+
+    def test_failed_rename_degrades(self, tmp_path, monkeypatch):
+        real_replace = os.replace
+
+        def refuse(src, dst):
+            if str(dst).endswith("ro.json"):
+                raise OSError(30, "Read-only file system")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(atomicio.os, "replace", refuse)
+        with pytest.warns(RuntimeWarning, match="not writable"):
+            cache.store(tmp_path, "ro", _record())
+        # the staged temp file must not leak
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestDefaultDir:
+    def test_env_override(self, monkeypatch, tmp_path):
+        """With no ``cache_dir``, the runner reads ``$REPRO_CACHE_DIR``:
+        an entry stored there under the runner's key is what it returns
+        (a hit, so nothing is simulated)."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        record = _record()
+        key = cell_cache_key("6t", OperatingConditions(), PowerDomain(),
+                             NFET_20NM_HP, PFET_20NM_HP, MTJ_TABLE1)
+        cache.store(tmp_path, key, record)
+        assert characterize_cell("6t") == record

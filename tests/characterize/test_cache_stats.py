@@ -2,6 +2,8 @@
 and the NV-FF runner's use of the same store."""
 
 import json
+import threading
+import warnings
 
 import pytest
 
@@ -72,6 +74,40 @@ class TestQuarantine:
         with pytest.warns(RuntimeWarning, match="checksum"):
             assert cache.load(tmp_path, "k") is None
         assert cache.STATS.snapshot()["quarantined"] == 1
+
+    def test_concurrent_readers_during_quarantine_all_miss_cleanly(
+            self, tmp_path):
+        """Racing readers of a corrupt entry each count one clean miss
+        (one mover wins the quarantine rename; the rest must tolerate
+        the entry vanishing underneath them)."""
+        n = 8
+        (tmp_path / "torn.json").write_text('{"schema": 0')
+        barrier = threading.Barrier(n)
+        results, errors = [], []
+
+        def read():
+            try:
+                barrier.wait(timeout=5.0)
+                results.append(cache.load(tmp_path, "torn"))
+            except Exception as err:    # noqa: BLE001 - the assertion
+                errors.append(err)
+
+        threads = [threading.Thread(target=read) for _ in range(n)]
+        # the filter is process-wide, so it covers the reader threads
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10.0)
+        assert not errors
+        assert results == [None] * n
+        snap = cache.STATS.snapshot()
+        assert snap["quarantined"] >= 1
+        assert snap["misses"] == n
+        # a fresh store over the quarantined key works immediately
+        cache.store(tmp_path, "torn", _record())
+        assert cache.load(tmp_path, "torn") == _record()
 
     def test_reject_payload_for_type_mismatch(self, tmp_path):
         """An intact envelope whose payload no longer fits the result

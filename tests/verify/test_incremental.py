@@ -1,7 +1,9 @@
 """The incremental whole-program engine: warm runs parse nothing,
 dependency-aware invalidation re-lints exactly the affected callers,
-and a corrupt entry goes through the shared cache envelope."""
+and corrupt, tampered or stale-schema entries go through the shared
+cache envelope."""
 
+import json
 import textwrap
 import threading
 import warnings
@@ -150,6 +152,62 @@ def test_corrupt_entry_is_quarantined_and_relinted(tmp_path):
     assert any(f"discarding cache entry {victim}" in str(w.message)
                for w in caught)
     assert (cache / CORRUPT_SUBDIR / victim.name).exists()
+
+
+def entries_by_module(cache):
+    """The lint-cache files under ``cache``, by module name."""
+    return {json.loads(path.read_text())["payload"]["name"]: path
+            for path in cache.glob("*.json")}
+
+
+def test_tampered_payload_fails_checksum(tmp_path):
+    """An entry edited without updating its checksum — here the caller's
+    cached RV702 is dropped — is quarantined and re-linted, not served."""
+    write_tree(tmp_path, TREE)
+    cache = tmp_path / "cache"
+    cold = verify_source([str(tmp_path / "pkg")], cache_dir=cache)
+    path = entries_by_module(cache)["pkg.caller"]
+    data = json.loads(path.read_text())
+    assert data["payload"]["project"]["diags"]
+    data["payload"]["project"]["diags"] = []
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warm = verify_source([str(tmp_path / "pkg")], cache_dir=cache)
+    assert snapshot(warm) == snapshot(cold)
+    assert any("checksum mismatch" in str(w.message) for w in caught)
+    assert (cache / CORRUPT_SUBDIR / path.name).exists()
+
+
+def test_schema_bump_invalidates(tmp_path, monkeypatch):
+    """Entries stamped with another schema number are not served: every
+    module is parsed again."""
+    write_tree(tmp_path, TREE)
+    cache = tmp_path / "cache"
+    cold = verify_source([str(tmp_path / "pkg")], cache_dir=cache)
+    entries = entries_by_module(cache)
+    schema = source_mod.CACHE_SCHEMA_VERSION
+    for path in entries.values():
+        data = json.loads(path.read_text())
+        assert data["schema"] == schema
+        data["schema"] = schema + 1
+        path.write_text(json.dumps(data))
+
+    parsed = []
+    original = source_mod._Entry.ensure_parsed
+
+    def spy(self):
+        parsed.append(self.name)
+        return original(self)
+
+    monkeypatch.setattr(source_mod._Entry, "ensure_parsed", spy)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warm = verify_source([str(tmp_path / "pkg")], cache_dir=cache)
+    assert snapshot(warm) == snapshot(cold)
+    assert set(parsed) == set(entries)
+    assert sum(f"schema {schema + 1} != {schema}" in str(w.message)
+               for w in caught) == len(entries)
 
 
 def test_no_cache_dir_means_no_cache_io(tmp_path):
