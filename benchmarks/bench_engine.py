@@ -109,10 +109,10 @@ def bench_trust_certification_overhead(benchmark, publish):
     Clean solves (healthy NV-cell standby/read deck) must pay ≈0 for
     per-solve certification: the residual is one matvec and the
     condition estimate is cached across the slowly-varying transient
-    systems (``TrustOptions.condest_reuse_rtol``).  The measured split
-    is written to ``BENCH_engine.json``; the assertion bounds the
-    transient overhead loosely enough for CI noise while still catching
-    an accidental O(n³)-per-step regression.
+    systems (``_CONDEST_REUSE_RTOL`` in ``repro.analysis.trust``).  The
+    measured split is written to ``BENCH_engine.json``; the assertion
+    bounds the transient overhead loosely enough for CI noise while still
+    catching an accidental O(n³)-per-step regression.
     """
     op_cert = _best_of(lambda: _trust_op(True), rounds=7)
     op_plain = _best_of(lambda: _trust_op(False), rounds=7)

@@ -41,6 +41,12 @@ GMIN_FLOOR = 1e-12
 
 #: How many worst-offending equations a failure report names.
 _WORST_NODE_COUNT = 5
+#: Absolute node-voltage convergence tolerance (volts).
+_VNTOL = 1e-7
+#: Relative convergence tolerance.
+_RELTOL = 1e-5
+#: Absolute branch-current convergence tolerance (amps).
+_ABSTOL = 1e-11
 
 
 @dataclass
@@ -48,12 +54,6 @@ class NewtonOptions:
     """Tuning knobs for the Newton iteration."""
 
     max_iterations: int = 150
-    #: Absolute node-voltage convergence tolerance (volts).
-    vntol: float = 1e-7
-    #: Relative convergence tolerance.
-    reltol: float = 1e-5
-    #: Absolute branch-current convergence tolerance (amps).
-    abstol: float = 1e-11
     #: Maximum node-voltage change applied per iteration (volts).
     damping: float = 0.4
     #: Extra conductance from each node to ground (homotopy knob).
@@ -251,7 +251,7 @@ def newton_solve(
                 x_new = np.linalg.solve(stamper.A, stamper.b)
         except np.linalg.LinAlgError:
             x_new = None
-            if trust.defenses and not trust.always_equilibrate:
+            if not trust.always_equilibrate:
                 # Conditioning defense: LU refused the raw system — retry
                 # through exact power-of-two row/column equilibration
                 # before declaring the matrix singular.
@@ -288,8 +288,8 @@ def newton_solve(
         v_err = max_dv
         i_err = float(np.max(np.abs(dx[num_nodes:]))) if size > num_nodes else 0.0
         v_scale = float(np.max(np.abs(x[:num_nodes]))) if num_nodes else 0.0
-        if v_err <= opts.vntol + opts.reltol * v_scale and i_err <= max(
-            opts.abstol, opts.reltol * (np.max(np.abs(x[num_nodes:])) if size > num_nodes else 0.0)
+        if v_err <= _VNTOL + _RELTOL * v_scale and i_err <= max(
+            _ABSTOL, _RELTOL * (np.max(np.abs(x[num_nodes:])) if size > num_nodes else 0.0)
         ):
             # Certify the accepted solve against the final assembled
             # system; past-threshold residual/rcond triggers the

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import ConvergenceError, TimestepError
 from ..recovery.ladder import RecoveryOptions, recover_transient_step
-from .dc import OperatingPointOptions, operating_point
+from .dc import operating_point
 from .mna import Context
 from .results import Solution, TransientResult
 from .solver import NewtonOptions, newton_solve
@@ -37,6 +37,14 @@ from .trust import TrustAccumulator
 #: Number of recent step sizes kept for TimestepError forensics.
 _DT_HISTORY = 16
 
+#: Smallest step before a Newton failure becomes a TimestepError (the
+#: run also floors it at 1e-15 of the span).
+_DT_MIN = 1e-16
+#: Absolute LTE tolerance on node voltages (volts).
+_LTE_ABSTOL = 1e-5
+#: Step-growth limit per accepted step.
+_MAX_GROWTH = 2.0
+
 
 @dataclass
 class TransientOptions:
@@ -44,17 +52,12 @@ class TransientOptions:
 
     #: Initial step and the step used to restart after breakpoints/events.
     dt_initial: Optional[float] = None
-    dt_min: float = 1e-16
     dt_max: Optional[float] = None
-    #: LTE tolerances on node voltages.
+    #: Relative LTE tolerance on node voltages.
     lte_reltol: float = 1e-3
-    lte_abstol: float = 1e-5
     #: Maximum accepted steps before aborting (runaway guard).
     max_steps: int = 5_000_000
     newton: NewtonOptions = field(default_factory=NewtonOptions)
-    op: OperatingPointOptions = field(default_factory=OperatingPointOptions)
-    #: Step-growth limit per accepted step.
-    max_growth: float = 2.0
     #: Transient-local recovery ladder, tried before the step is cut.
     recovery: RecoveryOptions = field(default_factory=RecoveryOptions)
 
@@ -92,14 +95,13 @@ def transient(
 
     # SPICE ``.IC`` semantics: pinned nodes are *held* for the t=0 solve
     # and the transient relaxes from there.
-    op = operating_point(circuit, time=t_start, ic=ic, options=opts.op,
-                         release_clamps=False)
+    op = operating_point(circuit, time=t_start, ic=ic, release_clamps=False)
     span = t_stop - t_start
     dt_max = opts.dt_max if opts.dt_max is not None else span / 50.0
     dt_init = opts.dt_initial if opts.dt_initial is not None else min(
         dt_max, span / 1000.0
     )
-    dt_min = max(opts.dt_min, span * 1e-15)
+    dt_min = max(_DT_MIN, span * 1e-15)
 
     breakpoints = _collect_breakpoints(circuit, t_start, t_stop)
 
@@ -197,14 +199,14 @@ def transient(
         elif fresh <= 0 and len(times) >= 3:
             err_ratio = _lte_ratio(
                 times, states, t + dt, x_new, num_nodes,
-                opts.lte_reltol, opts.lte_abstol,
+                opts.lte_reltol, _LTE_ABSTOL,
             )
             if err_ratio > 1.0 and dt > dt_min * 4 and not hit_breakpoint:
                 rejected += 1
                 dt *= max(0.2, 0.9 * err_ratio ** (-1.0 / 3.0))
                 continue
             growth = 0.9 * max(err_ratio, 1e-4) ** (-1.0 / 3.0)
-            next_dt = dt * min(opts.max_growth, max(0.3, growth))
+            next_dt = dt * min(_MAX_GROWTH, max(0.3, growth))
         else:
             next_dt = dt * 1.5
 

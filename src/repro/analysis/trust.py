@@ -52,6 +52,24 @@ _CONDEST_MAX_ITER = 5
 #: (not flops) dominates dense linear algebra on cell-sized systems.
 _CONDEST_EXACT_N = 64
 
+#: Condition-estimate reuse tolerance for slowly-varying systems
+#: (transient steps, Newton continuations).  When the matrix has drifted
+#: by less than this relative 1-norm amount since the last *healthy*
+#: estimate (rcond comfortably above ``rcond_threshold``), the cached
+#: estimate is reused instead of re-running Hager's iteration.
+#: Conditioning is a slowly-varying property of these decks, and the
+#: residual threshold independently backs the defense trigger, so the
+#: reuse only ever affects the advisory annotation.
+_CONDEST_REUSE_RTOL = 0.1
+
+#: KCL residual (amps) above which the conditioning defenses kick in.
+#: Far above a healthy solve (~1e-12 A), far below device currents
+#: (~1e-6 A).
+_RESIDUAL_THRESHOLD = 1e-6
+
+#: Iterative-refinement rounds per defended solve.
+_MAX_REFINEMENTS = 1
+
 
 @dataclass
 class TrustOptions:
@@ -67,41 +85,19 @@ class TrustOptions:
         Also estimate the 1-norm condition number.  The estimate costs
         one LU factorisation plus a few triangular solves per accepted
         solve; disable in extremely hot loops if profiling says so.
-    condest_reuse_rtol:
-        Condition-estimate reuse tolerance for slowly-varying systems
-        (transient steps, Newton continuations).  When the matrix has
-        drifted by less than this relative 1-norm amount since the last
-        *healthy* estimate (rcond comfortably above ``rcond_threshold``),
-        the cached estimate is reused instead of re-running Hager's
-        iteration.  Conditioning is a slowly-varying property of these
-        decks, and the residual threshold independently backs the
-        defense trigger, so the reuse only ever affects the advisory
-        annotation.  0 disables reuse.
-    residual_threshold:
-        KCL residual (amps) above which the conditioning defenses kick
-        in.  The default is far above a healthy solve (~1e-12 A) and far
-        below device currents (~1e-6 A).
     rcond_threshold:
         Reciprocal condition estimate below which the defenses kick in.
         1e-13 leaves the routine power-gating corners (~1e9..1e12
         condition) alone and catches the genuinely degenerate systems.
-    defenses:
-        Allow equilibration + iterative refinement at all.
     always_equilibrate:
         Equilibrate every solve instead of only past-threshold ones
         (what the recovery ladder's rung 0.5 forces).
-    max_refinements:
-        Iterative-refinement rounds per defended solve.
     """
 
     certify: bool = True
     condest: bool = True
-    condest_reuse_rtol: float = 0.1
-    residual_threshold: float = 1e-6
     rcond_threshold: float = 1e-13
-    defenses: bool = True
     always_equilibrate: bool = False
-    max_refinements: int = 1
     #: Runtime condest-reuse cache (managed by :func:`certify`, not a knob).
     _condest_cache: Optional["_CondestCache"] = field(
         default=None, repr=False, compare=False)
@@ -232,7 +228,7 @@ def _condest_with_reuse(A: np.ndarray, opts: "TrustOptions") -> float:
     of matrices that differ only in companion-model and linearisation
     terms; their conditioning drifts far more slowly than their entries.
     When the drift since the last estimate is below
-    ``condest_reuse_rtol`` *and* that estimate was comfortably healthy
+    ``_CONDEST_REUSE_RTOL`` *and* that estimate was comfortably healthy
     (rcond above ``1e4 × rcond_threshold``, so reuse can never mask a
     defense trigger), the cached value is returned without any solve.
 
@@ -242,16 +238,15 @@ def _condest_with_reuse(A: np.ndarray, opts: "TrustOptions") -> float:
     Python-loop stamp assembly or the cache defeats its own purpose.
     """
     cache = opts._condest_cache
-    rtol = opts.condest_reuse_rtol
     n = A.shape[0]
-    if (rtol > 0.0 and cache is not None
+    if (cache is not None
             and cache.snapshot.shape == A.shape
             and np.isfinite(cache.estimate) and cache.estimate > 0.0
             and 1.0 / cache.estimate > 1e4 * opts.rcond_threshold):
         np.subtract(A, cache.snapshot, out=cache.scratch)
         flat = cache.scratch.ravel()
         fro_sq = float(np.dot(flat, flat))
-        if fro_sq * n <= (rtol * cache.norm) ** 2:
+        if fro_sq * n <= (_CONDEST_REUSE_RTOL * cache.norm) ** 2:
             return cache.estimate
     estimate = onenorm_condest(A)
     norm_a = float(np.linalg.norm(A, 1)) if A.size else 0.0
@@ -350,12 +345,10 @@ def certify(A: np.ndarray, b: np.ndarray, x: np.ndarray,
     if opts.condest:
         cert.cond_estimate = _condest_with_reuse(A, opts)
 
-    if not opts.defenses:
-        return x, cert
     rcond = cert.rcond
     suspect = (
         opts.always_equilibrate
-        or cert.residual_norm > opts.residual_threshold
+        or cert.residual_norm > _RESIDUAL_THRESHOLD
         or not np.isfinite(cert.residual_norm)
         or (np.isfinite(rcond) and rcond < opts.rcond_threshold)
         or (opts.condest and not np.isfinite(cert.cond_estimate))
@@ -379,7 +372,7 @@ def certify(A: np.ndarray, b: np.ndarray, x: np.ndarray,
                 cert.equilibrated = True
     except np.linalg.LinAlgError:
         pass
-    defended, rounds = refine(A, b, defended, rounds=opts.max_refinements,
+    defended, rounds = refine(A, b, defended, rounds=_MAX_REFINEMENTS,
                               equilibrate=True)
     cert.refinement_rounds = rounds
     cert.refined = rounds > 0

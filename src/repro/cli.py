@@ -573,76 +573,35 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    from .recovery import dump_failure
-    from .recovery.faults import chaos_operating_points, chaos_store_transient
+    """``repro chaos``: run one fault-injection suite and audit it."""
+    import tempfile
+
+    from .recovery import dump_failure, faults, render_failure
 
     if args.serve:
-        return _chaos_serve(args)
-    if args.executor:
-        return _chaos_executor(args)
-    if args.crashpoints:
-        return _chaos_crashpoints(args)
-    if args.transient:
-        report = chaos_store_transient(n_faults=args.faults, seed=args.seed)
+        from .serve.chaos import chaos_serve
+
+        report = chaos_serve(
+            args.scratch or tempfile.mkdtemp(prefix="repro-serve-chaos-"),
+            n_clients=args.clients, seed=args.seed,
+            workers=args.workers or 0, progress=print)
+    elif args.executor:
+        report = faults.chaos_executor(
+            args.scratch or tempfile.mkdtemp(prefix="repro-exec-chaos-"),
+            n_healthy=args.faults, seed=args.seed, progress=print,
+            workers=2 if args.workers is None else args.workers)
+    elif args.crashpoints:
+        from .verify.crashcheck import run_crashpoints
+
+        report = run_crashpoints(args.scratch)
+    elif args.transient:
+        report = faults.chaos_store_transient(n_faults=args.faults,
+                                              seed=args.seed)
     else:
-        report = chaos_operating_points(target=args.target,
-                                        n_faults=args.faults,
-                                        seed=args.seed)
-    print(report.render())
-    if args.json:
-        dump_failure(report.to_dict(), args.json)
-        print(f"\nreport written to {args.json}")
-    counts = report.counts()
-    unhandled = counts.get("error", 0)
-    return 1 if unhandled else 0
-
-
-def _chaos_crashpoints(args) -> int:
-    """``repro chaos --crashpoints``: kill writers at effect boundaries."""
-    from .recovery import dump_failure
-    from .verify.crashcheck import render_crashpoints, run_crashpoints
-
-    report = run_crashpoints(args.scratch, progress=print)
-    print(render_crashpoints(report))
-    if args.json:
-        dump_failure(report, args.json)
-        print(f"\nreport written to {args.json}")
-    return 0 if report["ok"] else 1
-
-
-def _chaos_serve(args) -> int:
-    """``repro chaos --serve``: attack the serving layer."""
-    import tempfile
-
-    from .recovery import dump_failure
-    from .serve.chaos import chaos_serve, render_serve_chaos
-
-    scratch = args.scratch or tempfile.mkdtemp(prefix="repro-serve-chaos-")
-    workers = 0 if args.workers is None else args.workers
-    report = chaos_serve(scratch, n_clients=args.clients,
-                         seed=args.seed, workers=workers,
-                         progress=print)
-    print()
-    print(render_serve_chaos(report))
-    if args.json:
-        dump_failure(report, args.json)
-        print(f"\nreport written to {args.json}")
-    return 0 if report["ok"] else 1
-
-
-def _chaos_executor(args) -> int:
-    """``repro chaos --executor``: fault-inject the campaign engine."""
-    import tempfile
-
-    from .recovery import dump_failure
-    from .recovery.faults import chaos_executor, render_exec_chaos
-
-    scratch = args.scratch or tempfile.mkdtemp(prefix="repro-exec-chaos-")
-    workers = 2 if args.workers is None else args.workers
-    report = chaos_executor(scratch, n_healthy=args.faults,
-                            workers=workers, seed=args.seed,
-                            progress=print)
-    print(render_exec_chaos(report))
+        report = faults.chaos_operating_points(target=args.target,
+                                               n_faults=args.faults,
+                                               seed=args.seed)
+    print(render_failure(report))
     if args.json:
         dump_failure(report, args.json)
         print(f"\nreport written to {args.json}")
@@ -873,7 +832,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "its forensics live")
 
     p = sub.add_parser("chaos",
-                       help="fault-injection stress run on a cell deck")
+                       help="run one fault-injection suite (default: DC "
+                            "solves of faulted cell decks) and audit it")
     p.add_argument("--target", choices=("nv", "6t", "nvff"), default="nv")
     p.add_argument("--faults", type=int, default=20,
                    help="number of faults to inject (default 20)")

@@ -23,8 +23,9 @@ exception, never a silent abort of the remaining points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from ..circuit import Resistor
 from ..devices.finfet import FinFET
 from ..devices.mtj import MTJ
 from ..errors import AnalysisError
+from .forensics import chaos_report
 from .partial import SkipRecord
 
 #: All fault kinds the sampler draws from.
@@ -188,64 +190,20 @@ def inject_fault(circuit, fault: FaultSpec) -> Dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# chaos driver
+# solver chaos: faults against the circuit
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ChaosRecord:
-    """Outcome of one injected fault."""
-
-    fault: FaultSpec
-    #: "converged" (no rung fired), "recovered" (a ladder rung fired) or
-    #: "skipped" (ladder exhausted; see ``skip``).
-    outcome: str
-    rung: Optional[str] = None
-    skip: Optional[SkipRecord] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "fault": self.fault.to_dict(),
-            "outcome": self.outcome,
-            "rung": self.rung,
-            "skip": self.skip.to_dict() if self.skip else None,
-        }
-
-
-@dataclass
-class ChaosReport:
-    """All records of one chaos run plus summary accounting."""
-
-    target: str
-    records: List[ChaosRecord] = field(default_factory=list)
-
-    def counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for record in self.records:
-            out[record.outcome] = out.get(record.outcome, 0) + 1
-        return out
-
-    @property
-    def skipped(self) -> List[ChaosRecord]:
-        return [r for r in self.records if r.outcome == "skipped"]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "chaos_report",
-            "target": self.target,
-            "records": [r.to_dict() for r in self.records],
-        }
-
-    def render(self) -> str:
-        from .forensics import render_failure
-        return render_failure(self.to_dict())
-
-
 def _chaos_testbench(target: str, cond=None, domain=None):
-    """Build a fresh deck for a chaos target (lazy heavy imports)."""
+    """Fresh ``(bench, circuit)`` for a chaos target (lazy heavy imports).
+
+    The NV-FF bench has no cell-testbench wrapper, so its ``bench`` is
+    ``None``.
+    """
     from ..characterize.testbench import build_cell_testbench
 
     if target in ("nv", "6t"):
-        return build_cell_testbench(target, cond, domain)
+        bench = build_cell_testbench(target, cond, domain)
+        return bench, bench.circuit
     if target == "nvff":
         from ..characterize.ff_runner import _build_ff_bench
         from ..devices.mtj import MTJ_TABLE1
@@ -255,8 +213,48 @@ def _chaos_testbench(target: str, cond=None, domain=None):
         circuit, _ff = _build_ff_bench(cond or OperatingConditions(),
                                        NFET_20NM_HP, PFET_20NM_HP,
                                        MTJ_TABLE1)
-        return circuit
+        return None, circuit
     raise ValueError(f"unknown chaos target: {target}")
+
+
+def _solver_suite(suite: str, target: str, n_faults: int, seed: int,
+                  kinds: Sequence[str], build, solve) -> dict:
+    """The sample → inject → solve → classify loop of both solver suites.
+
+    ``build()`` returns a fresh ``(bench, circuit)``; ``solve(bench,
+    circuit, ic_override)`` runs the suite's analyses and returns the
+    last recovery rung that fired (``None`` when none did).  Analysis
+    failures become skip records, so the loop never aborts early: a
+    record is ok once its fault is handled — converged, recovered by a
+    rung, or skipped with a structured
+    :class:`~repro.recovery.partial.SkipRecord` — and any other
+    exception escapes the suite instead of hiding in the report.
+    """
+    rng = np.random.default_rng(seed)
+    records = []
+    for index in range(n_faults):
+        bench, circuit = build()
+        fault = sample_fault(circuit, rng, kinds)
+        ic_override = inject_fault(circuit, fault)
+        rung, skip = None, None
+        try:
+            rung = solve(bench, circuit, ic_override)
+        except AnalysisError as err:
+            skip = SkipRecord.from_error(
+                err, index=index, label=fault.describe(),
+                stage=f"chaos:{target}", fault=fault.to_dict()).to_dict()
+        if skip is not None:
+            actual, detail = "skipped", f"{skip['error_type']}: {skip['reason']}"
+        elif rung is not None:
+            actual, detail = "recovered", f"rung: {rung}"
+        else:
+            actual, detail = "converged", ""
+        records.append({"name": fault.describe(),
+                        "expected": "converged, recovered or skipped",
+                        "actual": actual, "ok": True, "detail": detail,
+                        "fault": fault.to_dict(), "rung": rung,
+                        "skip": skip})
+    return chaos_report(suite, records, n_faults, target=target, seed=seed)
 
 
 def chaos_operating_points(
@@ -266,69 +264,39 @@ def chaos_operating_points(
     cond=None,
     domain=None,
     kinds: Sequence[str] = FAULT_KINDS,
-) -> ChaosReport:
+) -> dict:
     """Inject ``n_faults`` faults into fresh decks and solve each one.
 
     For the cell targets (``"nv"``, ``"6t"``) every faulted deck is
     solved in the standby mode and — NV only — the H-store mode, the two
-    DC corners the Fig. 3–4 sweeps hammer.  Each fault yields exactly one
-    :class:`ChaosRecord`; analysis failures become skip records, so the
-    loop never aborts early and the report always holds ``n_faults``
-    entries.
+    DC corners the Fig. 3–4 sweeps hammer; the NV-FF bench gets one
+    plain operating point.  Returns the ``solver-dc``
+    :func:`~repro.recovery.forensics.chaos_report` with one record per
+    fault.
     """
     from ..analysis import operating_point
     from ..devices.mtj import MTJState
     from ..pg.modes import Mode
 
-    rng = np.random.default_rng(seed)
-    report = ChaosReport(target=target)
+    modes = {"nv": [Mode.STANDBY, Mode.STORE_H],
+             "6t": [Mode.STANDBY]}.get(target, [None])
 
-    for index in range(n_faults):
-        bench = _chaos_testbench(target, cond, domain)
-        is_cell = target in ("nv", "6t")
-        circuit = bench.circuit if is_cell else bench
-        fault = sample_fault(circuit, rng, kinds)
-        ic_override = inject_fault(circuit, fault)
-
-        rung: Optional[str] = None
-        skip: Optional[SkipRecord] = None
-        if is_cell:
-            modes = [Mode.STANDBY] + ([Mode.STORE_H] if target == "nv"
-                                      else [])
-            for mode in modes:
+    def solve(bench, circuit, ic_override) -> Optional[str]:
+        rung = None
+        for mode in modes:
+            ic = None
+            if mode is not None:
                 bench.apply_mode(mode)
-                if target == "nv" and mode is Mode.STORE_H:
+                if mode is Mode.STORE_H:
                     bench.nv_cell.set_mtj_states(
                         circuit, MTJState.PARALLEL, MTJState.ANTIPARALLEL)
-                ic = bench.initial_conditions(True)
-                ic.update(ic_override)
-                try:
-                    sol = operating_point(circuit, ic=ic)
-                except AnalysisError as err:
-                    skip = SkipRecord.from_error(
-                        err, index=index, label=fault.describe(),
-                        stage=f"chaos:{target}:{mode.name.lower()}",
-                        fault=fault.to_dict())
-                    break
-                rung = getattr(sol, "recovery_rung", None) or rung
-        else:
-            try:
-                sol = operating_point(circuit)
-                rung = getattr(sol, "recovery_rung", None)
-            except AnalysisError as err:
-                skip = SkipRecord.from_error(
-                    err, index=index, label=fault.describe(),
-                    stage=f"chaos:{target}", fault=fault.to_dict())
+                ic = {**bench.initial_conditions(True), **ic_override}
+            rung = operating_point(circuit, ic=ic).recovery_rung or rung
+        return rung
 
-        if skip is not None:
-            outcome = "skipped"
-        elif rung is not None:
-            outcome = "recovered"
-        else:
-            outcome = "converged"
-        report.records.append(ChaosRecord(fault=fault, outcome=outcome,
-                                          rung=rung, skip=skip))
-    return report
+    return _solver_suite("solver-dc", target, n_faults, seed, kinds,
+                         lambda: _chaos_testbench(target, cond, domain),
+                         solve)
 
 
 def chaos_store_transient(
@@ -337,28 +305,21 @@ def chaos_store_transient(
     cond=None,
     domain=None,
     kinds: Sequence[str] = FAULT_KINDS,
-) -> ChaosReport:
+) -> dict:
     """Transient chaos: a shortened two-step store on faulted NV decks.
 
     Heavier than :func:`chaos_operating_points` (each fault costs a
     transient), so the stress suite and the ``--transient`` CLI flag use
-    small fault counts.
+    small fault counts.  Returns the ``solver-transient`` chaos report.
     """
     from ..analysis import transient
     from ..analysis.transient import TransientOptions
-    from ..errors import AnalysisError as _AnalysisError
     from ..pg.modes import Mode, OperatingConditions
     from ..pg.scheduler import Schedule, ScheduleStep
 
     cond = cond or OperatingConditions()
-    rng = np.random.default_rng(seed)
-    report = ChaosReport(target="nv:store-transient")
 
-    for index in range(n_faults):
-        tb = _chaos_testbench("nv", cond, domain)
-        fault = sample_fault(tb.circuit, rng, kinds)
-        ic_override = inject_fault(tb.circuit, fault)
-
+    def solve(tb, circuit, ic_override) -> Optional[str]:
         schedule = Schedule(
             [ScheduleStep(Mode.STANDBY, 0.5e-9),
              ScheduleStep(Mode.STORE_H, cond.t_store_step / 4),
@@ -367,26 +328,14 @@ def chaos_store_transient(
         )
         tb.apply_waveforms(schedule.line_waveforms())
         tb.set_mtj_data(False)
-        ic = tb.initial_conditions(True)
-        ic.update(ic_override)
+        ic = {**tb.initial_conditions(True), **ic_override}
+        result = transient(circuit, schedule.total_duration, ic=ic,
+                           options=TransientOptions(dt_initial=20e-12))
+        return result.recoveries[-1]["rung"] if result.recoveries else None
 
-        rung: Optional[str] = None
-        skip: Optional[SkipRecord] = None
-        try:
-            result = transient(tb.circuit, schedule.total_duration, ic=ic,
-                               options=TransientOptions(dt_initial=20e-12))
-            if result.recoveries:
-                rung = result.recoveries[-1]["rung"]
-        except _AnalysisError as err:
-            skip = SkipRecord.from_error(
-                err, index=index, label=fault.describe(),
-                stage="chaos:nv:store-transient", fault=fault.to_dict())
-
-        outcome = ("skipped" if skip is not None
-                   else "recovered" if rung is not None else "converged")
-        report.records.append(ChaosRecord(fault=fault, outcome=outcome,
-                                          rung=rung, skip=skip))
-    return report
+    return _solver_suite("solver-transient", "nv:store-transient", n_faults,
+                         seed, kinds,
+                         lambda: _chaos_testbench("nv", cond, domain), solve)
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +404,14 @@ def chaos_executor(scratch, n_healthy: int = 4, workers: int = 2,
 
     Every injected fault must land in exactly the terminal state of
     :data:`EXEC_FAULT_EXPECTED` — N tasks in, N classified outcomes out,
-    no unhandled exception, no lost task.  Returns a JSON-able report
-    (``kind="exec_chaos_report"``) listing each task's expected vs
-    actual state and an overall ``ok`` verdict.
+    no unhandled exception, no lost task.  Returns the ``executor``
+    :func:`~repro.recovery.forensics.chaos_report`, one record per task
+    outcome (``attempts`` says how often it ran).
     """
     from ..exec import CampaignOptions, run_campaign
 
+    # The flaky_crash task writes its crash-once marker here.
+    Path(scratch).mkdir(parents=True, exist_ok=True)
     campaign = build_executor_chaos_campaign(scratch, n_healthy, seed,
                                              kinds)
     options = CampaignOptions(
@@ -474,56 +425,19 @@ def chaos_executor(scratch, n_healthy: int = 4, workers: int = 2,
     )
     result = run_campaign(campaign, journal=journal, options=options)
 
-    rows = []
-    ok = True
+    records = []
     for task in campaign.tasks:
+        outcome = result.outcome(task.task_id)
+        if outcome is None:
+            continue            # a lost task: n_out falls short of n_in
         fault = task.params.get("fault")
         expected = EXEC_FAULT_EXPECTED.get(fault, "completed")
-        outcome = result.outcome(task.task_id)
-        actual = outcome.status if outcome is not None else "missing"
-        row_ok = actual == expected
-        if fault == "flaky_crash" and row_ok:
-            row_ok = outcome.attempts >= 2   # must have actually retried
-        rows.append({
-            "label": task.label,
-            "fault": fault,
-            "expected": expected,
-            "actual": actual,
-            "attempts": outcome.attempts if outcome else 0,
-            "ok": row_ok,
-        })
-        ok = ok and row_ok
-    n_in = len(campaign.tasks)
-    n_out = len(result.outcomes)
-    return {
-        "kind": "exec_chaos_report",
-        "n_in": n_in,
-        "n_out": n_out,
-        "counts": result.counts(),
-        "retries": result.retries,
-        "ok": ok and n_in == n_out,
-        "rows": rows,
-    }
-
-
-def render_exec_chaos(report: dict) -> str:
-    """Human-readable executor chaos summary."""
-    lines = [
-        f"executor chaos: {report['n_in']} tasks in, "
-        f"{report['n_out']} outcomes out — "
-        + ("PASS" if report["ok"] else "FAIL")
-    ]
-    counts = report["counts"]
-    lines.append(
-        f"  {counts.get('completed', 0)} completed, "
-        f"{counts.get('skipped', 0)} skipped, "
-        f"{counts.get('quarantined', 0)} quarantined, "
-        f"{report['retries']} retried attempt(s)"
-    )
-    for row in report["rows"]:
-        mark = "ok " if row["ok"] else "BAD"
-        lines.append(
-            f"  [{mark}] {row['label']}: expected {row['expected']}, "
-            f"got {row['actual']} ({row['attempts']} attempt(s))"
-        )
-    return "\n".join(lines)
+        ok = outcome.status == expected
+        if fault == "flaky_crash":
+            ok = ok and outcome.attempts >= 2   # must have actually retried
+        records.append({"name": task.label, "expected": expected,
+                        "actual": outcome.status, "ok": ok,
+                        "detail": f"{outcome.attempts} attempt(s)",
+                        "attempts": outcome.attempts})
+    return chaos_report("executor", records, len(campaign.tasks),
+                        retries=result.retries)

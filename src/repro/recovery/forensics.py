@@ -4,14 +4,16 @@ The solver attaches structured context to every
 :class:`~repro.errors.ConvergenceError` / :class:`~repro.errors.TimestepError`
 (true KCL residual vector, worst-offending nodes, damped-step streak,
 time point, dt history, ladder trace).  This module turns those payloads
-— and the :class:`~repro.recovery.partial.SkipRecord` lists produced by
-partial-result sweeps — into human-readable reports, and persists them
-as JSON for the ``python -m repro diagnose`` CLI.
+— the :class:`~repro.recovery.partial.SkipRecord` lists produced by
+partial-result sweeps, and the :func:`chaos_report` audit every
+fault-injection suite returns — into human-readable reports, and
+persists them as JSON for the ``python -m repro diagnose`` CLI.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Union
 
@@ -42,6 +44,31 @@ def load_failure(path: Union[str, Path]) -> Dict[str, Any]:
     """Load a payload previously written by :func:`dump_failure` (or any
     of the skip-record / chaos-report JSON files this package emits)."""
     return json.loads(Path(path).read_text())
+
+
+def chaos_report(suite: str, records: Iterable[Dict[str, Any]], n_in: int,
+                 **extras: Any) -> Dict[str, Any]:
+    """The one audit every fault-injection suite returns.
+
+    Each record is a dict with ``name``, ``expected``, ``actual``, ``ok``
+    and an optional ``detail`` (suites may add their own keys).  ``n_in``
+    counts what the suite set out to check and ``n_out`` the records it
+    delivered, so the report is ``ok`` only when nothing was lost
+    (``n_in == n_out``) and every record is ok.  ``counts`` tallies the
+    records by ``actual``; ``extras`` are suite context kept in the JSON.
+    """
+    records = list(records)
+    counts = Counter(record["actual"] for record in records)
+    return {
+        "kind": "chaos_report",
+        "suite": suite,
+        "n_in": n_in,
+        "n_out": len(records),
+        "counts": dict(sorted(counts.items())),
+        "ok": n_in == len(records) and all(r["ok"] for r in records),
+        "records": records,
+        **extras,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -145,25 +172,21 @@ def _render_skip_records(payload: Dict[str, Any]) -> List[str]:
 
 
 def _render_chaos(payload: Dict[str, Any]) -> List[str]:
-    records = payload.get("records") or []
-    lines = [f"chaos report: {len(records)} injected fault(s) on "
-             f"{payload.get('target', '?')}"]
-    counts: Dict[str, int] = {}
-    for record in records:
-        counts[record.get("outcome", "?")] = \
-            counts.get(record.get("outcome", "?"), 0) + 1
-        fault = record.get("fault") or {}
-        rung = record.get("rung")
-        line = (f"  {fault.get('kind', '?'):14s} -> {fault.get('target', '?'):20s}"
-                f" {record.get('outcome', '?')}")
-        if rung:
-            line += f" (rung: {rung})"
+    where = f" on {payload['target']}" if payload.get("target") else ""
+    lines = [f"chaos report: {payload.get('suite', '?')}{where} — "
+             f"{payload.get('n_in')} in, {payload.get('n_out')} out — "
+             + ("PASS" if payload.get("ok") else "FAIL")]
+    counts = payload.get("counts") or {}
+    if counts:
+        lines.append("  " + ", ".join(f"{k}: {v}" for k, v in counts.items()))
+    for record in payload.get("records") or []:
+        line = (f"  [{'ok ' if record.get('ok') else 'BAD'}] "
+                f"{record.get('name')}: {record.get('actual')}")
+        if not record.get("ok"):
+            line += f" (want {record.get('expected')})"
+        if record.get("detail"):
+            line += f" — {record['detail']}"
         lines.append(line)
-        skip = record.get("skip")
-        if skip:
-            lines.append(f"      {skip.get('error_type')}: {skip.get('reason')}")
-    summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
-    lines.append(f"  -> {summary}")
     return lines
 
 

@@ -53,6 +53,11 @@ from ..errors import ConvergenceError
 #: import cycle with the analysis package).
 GMIN_FLOOR = 1e-12
 
+#: Pseudo-transient continuation: artificial timestep ramp (seconds).
+_PTRAN_DT = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5)
+#: Artificial node capacitance for the pseudo-transient rung (farads).
+_PTRAN_CAPACITANCE = 1e-9
+
 
 @dataclass
 class RungAttempt:
@@ -84,10 +89,6 @@ class RecoveryOptions:
     damping_iteration_boost: int = 4
     #: gmin-stepping ladder, solved from first to last.
     gmin_steps: Tuple[float, ...] = (1e-3, 1e-5, 1e-7, 1e-9, GMIN_FLOOR)
-    #: Pseudo-transient continuation: artificial timestep ramp (seconds).
-    ptran_dt: Tuple[float, ...] = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5)
-    #: Artificial node capacitance for the pseudo-transient rung (farads).
-    ptran_capacitance: float = 1e-9
     #: source-ramping ladder (fractions of full source level).
     source_steps: Tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.85, 1.0)
     #: Allow the source-ramp rung.  Disable when the caller must stay in
@@ -96,8 +97,6 @@ class RecoveryOptions:
     source_ramp: bool = True
     #: Allow the pseudo-transient rung.
     pseudo_transient: bool = True
-    #: Transient-local rung switches (see recover_transient_step).
-    be_fallback: bool = True
 
 
 @dataclass
@@ -266,12 +265,12 @@ def recover_dc(
             return done(x, "gmin-step")
 
     # Rung 4: pseudo-transient continuation.
-    if opts.pseudo_transient and opts.ptran_dt:
+    if opts.pseudo_transient:
         x = ladder.attempt(
             "pseudo-transient",
-            lambda: _pseudo_transient(circuit, time, x0, newton,
-                                      extra_stamps, opts, fresh_ctx),
-            detail=f"dt ramp to {opts.ptran_dt[-1]:g}s",
+            lambda: _pseudo_transient(circuit, x0, newton, extra_stamps,
+                                      fresh_ctx),
+            detail=f"dt ramp to {_PTRAN_DT[-1]:g}s",
         )
         if x is not None:
             return done(x, "pseudo-transient")
@@ -291,9 +290,8 @@ def recover_dc(
         f"recovery ladder exhausted ({len(ladder.trace)} attempts)")
 
 
-def _pseudo_transient(circuit, time: float, x0: np.ndarray,
-                      newton: NewtonOptions, extra_stamps: ExtraStamps,
-                      opts: RecoveryOptions, fresh_ctx) -> np.ndarray:
+def _pseudo_transient(circuit, x0: np.ndarray, newton: NewtonOptions,
+                      extra_stamps: ExtraStamps, fresh_ctx) -> np.ndarray:
     """Pseudo-transient continuation toward the DC point.
 
     Backward-Euler companion stamps of an artificial capacitance C from
@@ -306,9 +304,8 @@ def _pseudo_transient(circuit, time: float, x0: np.ndarray,
 
     num_nodes = circuit.num_nodes
     x = np.asarray(x0, dtype=float).copy()
-    cap = opts.ptran_capacitance
-    for dt in opts.ptran_dt:
-        g_art = cap / dt
+    for dt in _PTRAN_DT:
+        g_art = _PTRAN_CAPACITANCE / dt
         x_prev = x.copy()
 
         def stamps(stamper: Stamper, ctx: Context,
@@ -406,7 +403,7 @@ def recover_transient_step(
         if x is not None:
             return done(x, "damping")
 
-    if opts.be_fallback and ctx.method != "be":
+    if ctx.method != "be":
         x = ladder.attempt("backward-euler", lambda: newton_solve(
             circuit, step_ctx("be"), guess, newton))
         if x is not None:

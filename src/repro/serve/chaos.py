@@ -15,8 +15,13 @@ clients and injected backend faults, phase by phase:
   asserts cache-only degraded serving (``degraded: true``), ``503``
   for novel work, and closed-loop recovery after the cooldown.
 * **drain** — graceful drain under load; asserts ``/readyz`` flips
-  while in-flight work completes, new work is refused, the socket then
-  closes, and the journal replays cleanly afterwards.
+  while in-flight work completes, new work is refused and the socket
+  then closes.
+* **journal** — the journal replays cleanly after the server is gone.
+* **conservation** — every request sent got exactly one response.
+
+Each phase is one record of the ``serve``
+:func:`~repro.recovery.forensics.chaos_report`, in this order.
 
 Faults are injected through the ``chaos`` route's ``task_error`` kind
 (an in-task raise), which is safe at every ``workers`` setting — the
@@ -29,18 +34,20 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
+from ..recovery.forensics import chaos_report
 from .client import ServeClient, ServeResponse
 from .protocol import STATUS_HTTP
 from .server import ServeOptions, ServerHandle
 
 
-def _progress(sink: Optional[Callable[[str], None]], message: str) -> None:
-    if sink is not None:
-        sink(message)
+#: The suite's records, in order; conservation is always last.
+PHASES = ("coalesce", "storm", "shed", "breaker", "drain", "journal",
+          "conservation")
 
 
 def _settle(client: ServeClient, timeout_s: float = 15.0) -> None:
@@ -69,7 +76,7 @@ def chaos_serve(scratch: str, n_clients: int = 24, n_unique: int = 6,
                 seed: int = 2015, workers: int = 0,
                 progress: Optional[Callable[[str], None]] = None,
                 ) -> Dict[str, Any]:
-    """Run the full serve chaos suite; returns a JSON-able report."""
+    """Run the full serve chaos suite; returns its chaos report."""
     import random
 
     rng = random.Random(seed)
@@ -91,7 +98,17 @@ def chaos_serve(scratch: str, n_clients: int = 24, n_unique: int = 6,
         drain_grace=8.0,
         drain_settle_s=0.1,
     )
-    phases: List[Dict[str, Any]] = []
+    records: List[Dict[str, Any]] = []
+
+    def phase(name: str, ok: bool, **metrics: Any) -> None:
+        """Record one phase; its metrics are the record's detail."""
+        detail = ", ".join(f"{k}={v}" for k, v in metrics.items())
+        records.append({"name": name, "expected": "pass",
+                        "actual": "pass" if ok else "fail", "ok": ok,
+                        "detail": detail, **metrics})
+        if progress is not None:
+            progress(f"{name}: {detail}")
+
     sent = 0
     received = 0
 
@@ -125,13 +142,9 @@ def chaos_serve(scratch: str, n_clients: int = 24, n_unique: int = 6,
                        and exec_delta == 1
                        and len(answers) == 1
                        and leaders == 1)
-        phases.append({"name": "coalesce", "ok": coalesce_ok,
-                       "clients": k, "backend_executions": exec_delta,
-                       "distinct_answers": len(answers),
-                       "leaders": leaders})
-        _progress(progress,
-                  f"coalesce: {k} identical clients -> {exec_delta} "
-                  f"backend execution(s)")
+        phase("coalesce", coalesce_ok, clients=k,
+              backend_executions=exec_delta,
+              distinct_answers=len(answers), leaders=leaders)
 
         # -- phase: storm -----------------------------------------------
         exec_before = client.metrics()["backend"]["executions"]
@@ -174,15 +187,10 @@ def chaos_serve(scratch: str, n_clients: int = 24, n_unique: int = 6,
             if p["expect"] is None and r.status == "ok")
         storm_ok = (all_terminal and expected_ok and answers_ok
                     and exec_delta <= len(distinct_keys))
-        phases.append({
-            "name": "storm", "ok": storm_ok, "clients": len(plans),
-            "distinct_keys": len(distinct_keys),
-            "backend_executions": exec_delta,
-            "statuses": _status_counts(responses)})
-        _progress(progress,
-                  f"storm: {len(plans)} mixed clients, "
-                  f"{len(distinct_keys)} distinct keys -> {exec_delta} "
-                  f"executions, statuses {_status_counts(responses)}")
+        phase("storm", storm_ok, clients=len(plans),
+              distinct_keys=len(distinct_keys),
+              backend_executions=exec_delta,
+              statuses=_status_counts(responses))
 
         # -- phase: shed ------------------------------------------------
         flood = options.max_pending_interactive * 2
@@ -205,13 +213,8 @@ def chaos_serve(scratch: str, n_clients: int = 24, n_unique: int = 6,
                    and len(shed) > 0
                    and all(r.code == 429 and r.retry_after_s() is not None
                            and r.retry_after_s() >= 1.0 for r in shed))
-        phases.append({"name": "shed", "ok": shed_ok, "clients": flood,
-                       "shed": len(shed),
-                       "statuses": _status_counts(responses)})
-        _progress(progress,
-                  f"shed: {flood} novel clients against a budget of "
-                  f"{options.max_pending_interactive} -> {len(shed)} shed "
-                  f"with Retry-After")
+        phase("shed", shed_ok, clients=flood, shed=len(shed),
+              statuses=_status_counts(responses))
 
         # -- phase: breaker ---------------------------------------------
         healthy = {"params": {"index": 1}}
@@ -255,19 +258,13 @@ def chaos_serve(scratch: str, n_clients: int = 24, n_unique: int = 6,
             and recovered.status == "ok"
             and after.status == "ok"
             and metrics["breaker"]["state"] == "closed")
-        phases.append({
-            "name": "breaker", "ok": breaker_ok,
-            "poison_requests": poison_sent,
-            "state_after_poison": state_tripped,
-            "degraded_status": degraded.status,
-            "novel_while_open": unavailable.status,
-            "state_after_recovery": metrics["breaker"]["state"],
-            "trips": metrics["breaker"]["trips"]})
-        _progress(progress,
-                  f"breaker: {poison_sent} poisoned requests -> "
-                  f"{state_tripped}; degraded={degraded.status}, "
-                  f"novel={unavailable.status}, after cooldown "
-                  f"{metrics['breaker']['state']}")
+        phase(
+            "breaker", breaker_ok, poison_requests=poison_sent,
+            state_after_poison=state_tripped,
+            degraded_status=degraded.status,
+            novel_while_open=unavailable.status,
+            state_after_recovery=metrics["breaker"]["state"],
+            trips=metrics["breaker"]["trips"])
 
         # -- phase: drain -----------------------------------------------
         inflight_result: List[ServeResponse] = []
@@ -298,17 +295,12 @@ def chaos_serve(scratch: str, n_clients: int = 24, n_unique: int = 6,
             and len(inflight_result) == 1
             and inflight_result[0].status == "ok"
             and not worker.is_alive())
-        phases.append({
-            "name": "drain", "ok": drain_ok,
-            "readyz_during_drain": readyz.code,
-            "healthz_during_drain": healthz.code,
-            "new_request_during_drain": refused.status,
-            "inflight_status": (inflight_result[0].status
-                                if inflight_result else "lost")})
-        _progress(progress,
-                  f"drain: readyz={readyz.code}, in-flight="
-                  f"{phases[-1]['inflight_status']}, "
-                  f"new={refused.status}")
+        phase(
+            "drain", drain_ok, readyz_during_drain=readyz.code,
+            healthz_during_drain=healthz.code,
+            new_request_during_drain=refused.status,
+            inflight_status=(inflight_result[0].status
+                             if inflight_result else "lost"))
     finally:
         handle.stop(hard=True)
         handle.join(timeout=15.0)
@@ -317,47 +309,14 @@ def chaos_serve(scratch: str, n_clients: int = 24, n_unique: int = 6,
     from ..exec.journal import Journal
 
     journal = Journal(journal_path)
-    records = journal.replay()
-    replay_ok = journal_path.exists() and isinstance(records, list)
-    phases.append({"name": "journal", "ok": replay_ok,
-                   "records": len(records)})
-    _progress(progress,
-              f"journal: {len(records)} records replay cleanly")
-
-    conservation_ok = sent == received
-    report = {
-        "kind": "serve_chaos_report",
-        "seed": seed,
-        "workers": workers,
-        "n_clients": n_clients,
-        "requests_sent": sent,
-        "responses_received": received,
-        "conservation_ok": conservation_ok,
-        "phases": phases,
-        "ok": conservation_ok and all(p["ok"] for p in phases),
-    }
-    return report
+    replayed = journal.replay()
+    replay_ok = journal_path.exists() and isinstance(replayed, list)
+    phase("journal", replay_ok, replayed=len(replayed))
+    phase("conservation", sent == received, requests_sent=sent,
+          responses_received=received)
+    return chaos_report("serve", records, len(PHASES), seed=seed,
+                        workers=workers, n_clients=n_clients)
 
 
 def _status_counts(responses: List[ServeResponse]) -> Dict[str, int]:
-    counts: Dict[str, int] = {}
-    for r in responses:
-        counts[r.status] = counts.get(r.status, 0) + 1
-    return dict(sorted(counts.items()))
-
-
-def render_serve_chaos(report: Dict[str, Any]) -> str:
-    """Human-readable summary of a serve chaos report."""
-    lines = [
-        "serve chaos report",
-        f"  seed {report['seed']}  workers {report['workers']}  "
-        f"requests {report['requests_sent']} in / "
-        f"{report['responses_received']} out",
-    ]
-    for phase in report["phases"]:
-        flag = "ok " if phase["ok"] else "FAIL"
-        detail = ", ".join(f"{k}={v}" for k, v in phase.items()
-                           if k not in ("name", "ok"))
-        lines.append(f"  [{flag}] {phase['name']:<9} {detail}")
-    lines.append(f"  verdict: {'PASS' if report['ok'] else 'FAIL'}")
-    return "\n".join(lines)
+    return dict(sorted(Counter(r.status for r in responses).items()))

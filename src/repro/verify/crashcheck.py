@@ -29,9 +29,13 @@ journalled-metadata/unflushed-data state a machine crash leaves behind
 — the standard crash-consistency failure mode — and is labelled
 ``emulated`` in the report.
 
-The harness fails (exit 1) if a *fixed* pattern loses data **or** a
-*pre-fix* pattern fails to demonstrate its hazard — either direction
-means the static rules and reality have drifted apart.
+Each check is one ``scenario@crashpoint`` record of the
+``crashpoints`` :func:`~repro.recovery.forensics.chaos_report`, with
+the reader's view as ``actual``.  The harness fails (exit 1) if a
+*fixed* pattern loses data **or** a *pre-fix* pattern fails to
+demonstrate its hazard — either direction means the static rules and
+reality have drifted apart — or if a child never reaches its
+crashpoint (a hung child is recorded as ``timeout``).
 """
 
 from __future__ import annotations
@@ -41,15 +45,20 @@ import os
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from ..exec import atomicio
 from ..exec.journal import Journal
+from ..recovery.forensics import chaos_report
 
 #: Child exit status at an armed crashpoint — distinguishable from a
 #: normal exit (0) and from an import/usage failure (1/2).
 CRASH_EXIT = 9
+
+#: Seconds a crash vehicle may run before it counts as hung.
+_CHILD_TIMEOUT_S = 60
 
 OLD_PAYLOAD = {"value": "old", "rev": 1}
 NEW_PAYLOAD = {"value": "new", "rev": 2}
@@ -91,12 +100,16 @@ sys.exit(0)
 
 
 def _spawn_child(scenario: str, point: str, target: Path,
-                 payload: str) -> int:
-    """Run one crash vehicle to its armed crashpoint; return exit code."""
+                 payload: str) -> Optional[int]:
+    """Run one crash vehicle to its armed crashpoint; return its exit
+    code, or ``None`` when it hung past ``_CHILD_TIMEOUT_S``."""
     argv = [sys.executable, "-c", _CHILD_SCRIPT, atomicio.__file__,
             scenario, point, str(target), payload]
-    return subprocess.run(argv, capture_output=True,
-                          timeout=60).returncode
+    try:
+        return subprocess.run(argv, capture_output=True,
+                              timeout=_CHILD_TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def _classify(target: Path) -> str:
@@ -114,58 +127,57 @@ def _classify(target: Path) -> str:
     return "torn"
 
 
-def _result(scenario: str, point: str, state: str, expected: str,
-            ok: bool, *, emulated: bool = False,
+def _record(scenario: str, point: str, state: str, expected: str, *,
+            code: Optional[int] = CRASH_EXIT, emulated: bool = False,
             detail: str = "") -> Dict[str, Any]:
-    return {"scenario": scenario, "crashpoint": point, "state": state,
-            "expected": expected, "ok": ok, "emulated": emulated,
-            "detail": detail}
+    """One ``scenario@crashpoint`` record; ``code`` is the child's exit
+    status (``None`` if it hung), which must be :data:`CRASH_EXIT` (the
+    emulated disk model spawns no child and keeps the default)."""
+    if code is None:
+        state = "timeout"
+        detail = f"child still running after {_CHILD_TIMEOUT_S} s"
+    return {"name": f"{scenario}@{point}", "expected": expected,
+            "actual": state, "ok": code == CRASH_EXIT and state == expected,
+            "emulated": emulated, "detail": detail}
 
 
-def _check_bare_overwrite(scratch: Path) -> List[Dict[str, Any]]:
+def _check_bare_overwrite(scratch: Path) -> Dict[str, Any]:
     """RV900 pre-fix pattern: the kill must destroy the old value."""
     target = scratch / "bare.json"
     atomicio.atomic_write_text(target, json.dumps(OLD_PAYLOAD))
     code = _spawn_child("bare-overwrite", "post-write", target,
                         json.dumps(NEW_PAYLOAD))
-    state = _classify(target)
-    ok = code == CRASH_EXIT and state == "torn"
-    return [_result(
-        "bare-overwrite", "post-write", state, "torn", ok,
+    return _record(
+        "bare-overwrite", "post-write", _classify(target), "torn",
+        code=code,
         detail="open('w') truncates before writing: the old value is "
-               "gone the moment the crash lands")]
+               "gone the moment the crash lands")
 
 
-def _check_atomic_replace(scratch: Path) -> List[Dict[str, Any]]:
-    """Fixed pattern: old-or-new at every protocol boundary."""
-    results = []
-    for point in atomicio.CRASHPOINTS:
-        target = scratch / f"atomic-{point}.json"
-        atomicio.atomic_write_text(target, json.dumps(OLD_PAYLOAD))
-        code = _spawn_child("atomic-replace", point, target,
-                            json.dumps(NEW_PAYLOAD))
-        state = _classify(target)
-        expected = "new" if point == "post-rename" else "old"
-        ok = code == CRASH_EXIT and state == expected
-        results.append(_result("atomic-replace", point, state,
-                               expected, ok))
-    return results
+def _check_atomic_replace(scratch: Path, point: str) -> Dict[str, Any]:
+    """Fixed pattern: old-or-new at one protocol boundary."""
+    target = scratch / f"atomic-{point}.json"
+    atomicio.atomic_write_text(target, json.dumps(OLD_PAYLOAD))
+    code = _spawn_child("atomic-replace", point, target,
+                        json.dumps(NEW_PAYLOAD))
+    expected = "new" if point == "post-rename" else "old"
+    return _record("atomic-replace", point, _classify(target), expected,
+                   code=code)
 
 
-def _check_journal_append(scratch: Path) -> List[Dict[str, Any]]:
+def _check_journal_append(scratch: Path) -> Dict[str, Any]:
     """Torn append: replay keeps every complete record, drops the tail."""
     path = scratch / "crash.journal"
     journal = Journal(path)
     journal.append({"event": "begin", "seq": 1})
     journal.append({"event": "task_end", "seq": 2})
     code = _spawn_child("journal-append", "post-write", path, "")
-    records = journal.replay()
-    seqs = [r.get("seq") for r in records]
-    ok = code == CRASH_EXIT and seqs == [1, 2]
-    return [_result(
-        "journal-append", "post-write",
-        f"{len(records)} records", "2 records", ok,
-        detail="crash mid-append loses at most the torn record")]
+    seqs = [r.get("seq") for r in journal.replay()]
+    # The reader must see exactly the two complete records, in order.
+    state = "2 records" if seqs == [1, 2] else f"records {seqs}"
+    return _record(
+        "journal-append", "post-write", state, "2 records", code=code,
+        detail="crash mid-append loses at most the torn record")
 
 
 def _disk_model_rename(scratch: Path, *, fsync: bool) -> Dict[str, Any]:
@@ -189,57 +201,25 @@ def _disk_model_rename(scratch: Path, *, fsync: bool) -> Dict[str, Any]:
     if not fsync:                   # power failure: unflushed data lost
         with open(target, "r+b") as handle:
             handle.truncate(0)
-    state = _classify(target)
-    expected = "new" if fsync else "torn"
-    return _result(name, "post-rename", state, expected,
-                   state == expected, emulated=True,
+    return _record(name, "post-rename", _classify(target),
+                   "new" if fsync else "torn", emulated=True,
                    detail="machine-crash page-cache drop (emulated)")
 
 
-def run_crashpoints(scratch: Optional[str] = None,
-                    progress: Optional[Callable[[str], None]] = None,
-                    ) -> Dict[str, Any]:
-    """Run every scenario; return a JSON-ready report.
+def run_crashpoints(scratch: Optional[str] = None) -> Dict[str, Any]:
+    """Run every scenario; return the ``crashpoints`` chaos report.
 
     ``ok`` is true only when the fixed patterns survive **and** the
     pre-fix patterns demonstrably fail — both directions are asserted.
     """
     root = Path(scratch or tempfile.mkdtemp(prefix="repro-crashcheck-"))
     root.mkdir(parents=True, exist_ok=True)
-    results: List[Dict[str, Any]] = []
-    for step in (_check_bare_overwrite, _check_atomic_replace,
-                 _check_journal_append):
-        chunk = step(root)
-        results.extend(chunk)
-        if progress is not None:
-            for entry in chunk:
-                progress(f"  {entry['scenario']}@{entry['crashpoint']}"
-                         f": {entry['state']}")
-    for fsync in (False, True):
-        entry = _disk_model_rename(root, fsync=fsync)
-        results.append(entry)
-        if progress is not None:
-            progress(f"  {entry['scenario']}@{entry['crashpoint']}"
-                     f": {entry['state']}")
-    return {
-        "ok": all(r["ok"] for r in results),
-        "crashpoints": list(atomicio.CRASHPOINTS),
-        "results": results,
-        "scratch": str(root),
-    }
-
-
-def render_crashpoints(report: Dict[str, Any]) -> str:
-    """Human-readable scenario table."""
-    lines = ["crashpoint cross-validation "
-             f"({'PASS' if report['ok'] else 'FAIL'})"]
-    for entry in report["results"]:
-        flag = "ok " if entry["ok"] else "BAD"
-        tag = " [emulated]" if entry.get("emulated") else ""
-        lines.append(
-            f"  {flag} {entry['scenario']:16s} "
-            f"@{entry['crashpoint']:<11s} -> {entry['state']:<10s} "
-            f"(want {entry['expected']}){tag}")
-    lines.append(
-        "  pre-fix patterns must tear; atomicio/journal must not")
-    return "\n".join(lines)
+    checks = [partial(_check_bare_overwrite, root),
+              *(partial(_check_atomic_replace, root, point)
+                for point in atomicio.CRASHPOINTS),
+              partial(_check_journal_append, root),
+              partial(_disk_model_rename, root, fsync=False),
+              partial(_disk_model_rename, root, fsync=True)]
+    return chaos_report("crashpoints", [check() for check in checks],
+                        len(checks), crashpoints=list(atomicio.CRASHPOINTS),
+                        scratch=str(root))

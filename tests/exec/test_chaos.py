@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.recovery import render_failure
 from repro.recovery.faults import (
     EXEC_FAULT_EXPECTED,
     EXEC_FAULT_KINDS,
     build_executor_chaos_campaign,
     chaos_executor,
-    render_exec_chaos,
 )
 
 #: Fault kinds that are safe to execute inline (no worker to sacrifice:
@@ -38,7 +38,7 @@ class TestInlineChaos:
         """The inline-safe slice of the matrix, cheap enough for tier 1."""
         report = chaos_executor(tmp_path, n_healthy=2, workers=0,
                                 kinds=INLINE_SAFE, task_timeout=None)
-        assert report["ok"], render_exec_chaos(report)
+        assert report["ok"], render_failure(report)
         assert report["n_in"] == report["n_out"] == len(INLINE_SAFE) + 2
         assert report["counts"]["skipped"] == 1       # conv_skip
         assert report["counts"]["quarantined"] == 1   # task_error
@@ -46,7 +46,7 @@ class TestInlineChaos:
     def test_render_mentions_verdict(self, tmp_path):
         report = chaos_executor(tmp_path, n_healthy=1, workers=0,
                                 kinds=("conv_skip",), task_timeout=None)
-        text = render_exec_chaos(report)
+        text = render_failure(report)
         assert "PASS" in text
         assert "conv_skip" in text
 
@@ -57,10 +57,10 @@ class TestFullChaosMatrix:
         """The full matrix: crash, hang, slow, flaky, poison, skip."""
         report = chaos_executor(tmp_path, n_healthy=2, workers=2,
                                 task_timeout=5.0, max_retries=1)
-        assert report["ok"], render_exec_chaos(report)
+        assert report["ok"], render_failure(report)
         n = len(EXEC_FAULT_KINDS) + 2
         assert report["n_in"] == report["n_out"] == n
-        by_label = {row["label"]: row for row in report["rows"]}
+        by_label = {row["name"]: row for row in report["records"]}
         assert by_label["fault:flaky_crash"]["attempts"] >= 2
         assert by_label["fault:worker_hang"]["actual"] == "quarantined"
 

@@ -120,13 +120,40 @@ class TestChaosExecutorCommand:
         out = capsys.readouterr().out
         assert "PASS" in out
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["kind"] == "exec_chaos_report"
+        assert report["kind"] == "chaos_report"
+        assert report["suite"] == "executor"
         assert report["ok"] is True
+
+    def test_diagnose_renders_the_json_report(self, tmp_path, capsys,
+                                              monkeypatch):
+        import repro.recovery.faults as faults
+
+        real = faults.chaos_executor
+        monkeypatch.setattr(
+            faults, "chaos_executor",
+            lambda scratch, **kwargs: real(
+                scratch, **dict(kwargs, workers=0, task_timeout=None,
+                                kinds=("task_error", "conv_skip"))))
+        path = str(tmp_path / "report.json")
+        assert main(["chaos", "--executor", "--scratch", str(tmp_path),
+                     "--faults", "1", "--json", path]) == 0
+        capsys.readouterr()
+        assert main(["diagnose", path]) == 0
+        out = capsys.readouterr().out
+        assert "chaos report: executor — 3 in, 3 out — PASS" in out
+        assert "[ok ] fault:conv_skip: skipped" in out
 
 
 @pytest.mark.stress
 class TestChaosExecutorSpawn:
     def test_full_cli_run(self, tmp_path, capsys):
         assert main(["chaos", "--executor", "--scratch", str(tmp_path),
+                     "--faults", "1", "--workers", "2"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
+    def test_missing_scratch_dir_is_created(self, tmp_path, capsys):
+        """The flaky task's crash-once marker needs the scratch dir."""
+        scratch = tmp_path / "chaos-forensics" / "scratch"
+        assert main(["chaos", "--executor", "--scratch", str(scratch),
                      "--faults", "1", "--workers", "2"]) == 0
         assert "PASS" in capsys.readouterr().out

@@ -20,7 +20,12 @@ from repro.circuit import Circuit, Resistor, VoltageSource
 from repro.circuit.netlist import Element
 from repro.devices import FinFET, NFET_20NM_HP, PFET_20NM_HP
 from repro.errors import ConvergenceError, TimestepError
-from repro.recovery import dump_failure, load_failure, render_failure
+from repro.recovery import (
+    chaos_report,
+    dump_failure,
+    load_failure,
+    render_failure,
+)
 from repro.recovery.ladder import RecoveryOptions
 
 
@@ -173,3 +178,46 @@ class TestRenderDumpLoad:
     def test_render_unknown_kind_dumps_json(self):
         payload = {"kind": "mystery", "detail": 42}
         assert json.loads(render_failure(payload)) == payload
+
+
+class TestChaosAudit:
+    """The one audit every fault-injection suite returns."""
+
+    @staticmethod
+    def _record(name, ok=True, actual="converged"):
+        return {"name": name, "expected": "converged", "actual": actual,
+                "ok": ok}
+
+    def test_every_record_ok_and_nothing_lost_passes(self):
+        report = chaos_report("demo", [self._record("a"), self._record("b")],
+                              n_in=2, seed=7)
+        assert report["kind"] == "chaos_report"
+        assert report["ok"] is True
+        assert report["n_in"] == report["n_out"] == 2
+        assert report["counts"] == {"converged": 2}
+        assert report["seed"] == 7
+
+    def test_lost_record_fails_even_when_every_record_is_ok(self):
+        report = chaos_report("demo", [self._record("a")], n_in=2)
+        assert report["n_out"] == 1
+        assert all(r["ok"] for r in report["records"])
+        assert report["ok"] is False
+
+    def test_one_bad_record_fails(self):
+        report = chaos_report("demo", [self._record("a"),
+                                       self._record("b", ok=False,
+                                                    actual="missing")],
+                              n_in=2)
+        assert report["ok"] is False
+        assert report["counts"] == {"converged": 1, "missing": 1}
+
+    def test_render_marks_bad_records_and_the_verdict(self):
+        report = chaos_report("demo", [self._record("a"),
+                                       self._record("b", ok=False,
+                                                    actual="missing")],
+                              n_in=2)
+        text = render_failure(report)
+        assert text.splitlines()[0] == \
+            "chaos report: demo — 2 in, 2 out — FAIL"
+        assert "[ok ] a: converged" in text
+        assert "[BAD] b: missing (want converged)" in text

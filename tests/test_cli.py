@@ -170,6 +170,18 @@ class TestChaosCommand:
         assert main(["diagnose", str(report)]) == 0
         assert "chaos" in capsys.readouterr().out.lower()
 
+    def test_exit_code_follows_the_report(self, monkeypatch, capsys):
+        import repro.recovery.faults as faults
+        from repro.recovery import chaos_report
+
+        bad = {"name": "fault", "expected": "converged", "actual": "lost",
+               "ok": False}
+        monkeypatch.setattr(faults, "chaos_operating_points",
+                            lambda **kwargs: chaos_report("solver-dc", [bad],
+                                                          n_in=1))
+        assert main(["chaos", "--faults", "1"]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
 
 class TestLintCommand:
     BAD_DECK = "bad deck\nv1 a 0 1\nv2 a 0 1\nr1 a 0 1k\n.end\n"

@@ -3,26 +3,29 @@ RV900/RV901 rules say it lands — pre-fix patterns tear, the shared
 protocol survives."""
 
 import json
+import subprocess
 
 from repro.cli import main
+from repro.recovery import render_failure
 from repro.verify.crashcheck import (
     CRASH_EXIT,
     _classify,
-    render_crashpoints,
     run_crashpoints,
 )
 
 
 def by_scenario(report):
     out = {}
-    for entry in report["results"]:
-        out.setdefault(entry["scenario"], []).append(entry)
+    for entry in report["records"]:
+        scenario, crashpoint = entry["name"].split("@")
+        out.setdefault(scenario, []).append(
+            dict(entry, crashpoint=crashpoint, state=entry["actual"]))
     return out
 
 
 def test_full_run_passes(tmp_path):
     report = run_crashpoints(str(tmp_path))
-    assert report["ok"], render_crashpoints(report)
+    assert report["ok"], render_failure(report)
     scenarios = by_scenario(report)
 
     # RV900 hazard demonstrated: the bare overwrite really tears.
@@ -51,7 +54,7 @@ def test_children_died_at_armed_points(tmp_path):
     # Every subprocess scenario reports ok, which requires the child
     # to have exited with CRASH_EXIT, not completed normally.
     assert CRASH_EXIT == 9
-    assert all(entry["ok"] for entry in report["results"]
+    assert all(entry["ok"] for entry in report["records"]
                if not entry["emulated"])
 
 
@@ -70,8 +73,35 @@ def test_cli_chaos_crashpoints(tmp_path, capsys):
                  "--scratch", str(tmp_path / "scratch"),
                  "--json", str(out_json)])
     assert code == 0
-    assert "crashpoint cross-validation (PASS)" in capsys.readouterr().out
+    assert "chaos report: crashpoints — 8 in, 8 out — PASS" \
+        in capsys.readouterr().out
     payload = json.loads(out_json.read_text())
     assert payload["ok"] is True
     assert payload["crashpoints"] == ["post-write", "pre-fsync",
                                       "pre-rename", "post-rename"]
+
+
+def test_diagnose_renders_the_json_report(tmp_path, capsys):
+    out_json = tmp_path / "report.json"
+    assert main(["chaos", "--crashpoints",
+                 "--scratch", str(tmp_path / "scratch"),
+                 "--json", str(out_json)]) == 0
+    capsys.readouterr()
+    assert main(["diagnose", str(out_json)]) == 0
+    out = capsys.readouterr().out
+    assert "chaos report: crashpoints — 8 in, 8 out — PASS" in out
+    assert "[ok ] atomic-replace@post-rename: new" in out
+
+
+def test_hung_child_fails_the_report(tmp_path, monkeypatch):
+    """A child that never reaches its crashpoint is recorded, not raised."""
+    def hang(argv, **kwargs):
+        raise subprocess.TimeoutExpired(argv, kwargs.get("timeout"))
+
+    monkeypatch.setattr("repro.verify.crashcheck.subprocess.run", hang)
+    report = run_crashpoints(str(tmp_path))
+    assert report["ok"] is False
+    assert report["n_in"] == report["n_out"]
+    spawned = [r for r in report["records"] if not r["emulated"]]
+    assert spawned and all(r["actual"] == "timeout" and not r["ok"]
+                           for r in spawned)
