@@ -93,14 +93,21 @@ def _trust_tran(certify):
                      ic=tb.initial_conditions(True), options=opts)
 
 
-def _best_of(fn, rounds):
-    fn()                                      # warm caches / JIT imports
-    times = []
+def _best_of_alternating(fns, rounds):
+    """Best time of each of ``fns`` over ``rounds`` alternating rounds.
+
+    Every round runs each function once, so a drift in host speed hits
+    all of them alike instead of whichever ran last.
+    """
+    for fn in fns:
+        fn()                                  # warm caches / JIT imports
+    best = [float("inf")] * len(fns)
     for _ in range(rounds):
-        t0 = perf_counter()
-        fn()
-        times.append(perf_counter() - t0)
-    return min(times)
+        for k, fn in enumerate(fns):
+            t0 = perf_counter()
+            fn()
+            best[k] = min(best[k], perf_counter() - t0)
+    return best
 
 
 def bench_trust_certification_overhead(benchmark, publish):
@@ -109,15 +116,17 @@ def bench_trust_certification_overhead(benchmark, publish):
     Clean solves (healthy NV-cell standby/read deck) must pay ≈0 for
     per-solve certification: the residual is one matvec and the
     condition estimate is cached across the slowly-varying transient
-    systems (``_CONDEST_REUSE_RTOL`` in ``repro.analysis.trust``).  The
-    measured split is written to ``BENCH_engine.json``; the assertion
-    bounds the transient overhead loosely enough for CI noise while still
-    catching an accidental O(n³)-per-step regression.
+    systems (``_CONDEST_REUSE_RTOL`` in ``repro.analysis.trust``).
+    Certified and uncertified runs alternate round by round, so both see
+    the same host conditions.  The measured split is written to
+    ``BENCH_engine.json``; the assertion bounds the transient overhead
+    loosely enough for CI noise while still catching an accidental
+    O(n³)-per-step regression.
     """
-    op_cert = _best_of(lambda: _trust_op(True), rounds=7)
-    op_plain = _best_of(lambda: _trust_op(False), rounds=7)
-    tran_cert = _best_of(lambda: _trust_tran(True), rounds=3)
-    tran_plain = _best_of(lambda: _trust_tran(False), rounds=3)
+    op_cert, op_plain = _best_of_alternating(
+        (lambda: _trust_op(True), lambda: _trust_op(False)), rounds=7)
+    tran_cert, tran_plain = _best_of_alternating(
+        (lambda: _trust_tran(True), lambda: _trust_tran(False)), rounds=3)
 
     result = benchmark(lambda: _trust_tran(True))
     assert math.isfinite(result.residual_norm)

@@ -1,10 +1,30 @@
 """Dense modified-nodal-analysis system assembly.
 
 The MNA unknown vector is ``[node voltages..., branch currents...]``.
-Ground is index ``-1`` and is simply skipped when stamping.  Circuits in
-this project are small (an NV-SRAM cell plus testbench is ~25 unknowns),
-so a dense ``numpy`` matrix with Python-loop assembly is both simple and
-fast enough; no sparse machinery is needed.
+Ground is index ``-1`` and never reaches the system.  Circuits in this
+project are small (an NV-SRAM cell plus testbench is ~25 unknowns), so
+the system is a dense ``numpy`` matrix; no sparse machinery is needed.
+
+Two stampers take the same ``Element.stamp()`` calls:
+
+* :class:`PlanStamper` assembles every Newton iteration.  It stamps the
+  circuit's ``is_linear`` elements (sources, resistors, capacitor
+  companions) and ``gmin`` once per solve into a base; each iteration
+  restamps only the nonlinear elements, which hand over their whole
+  contribution in one :meth:`Stamper.add` call, and the system is the
+  base plus one ``np.bincount`` over the slots of the circuit's
+  :class:`~repro.circuit.netlist.StampPlan`.
+* :class:`Stamper` adds contributions to dense ``A``/``b`` arrays entry
+  by entry.  It serves testbench ``extra_stamps``, custom elements that
+  stamp entry by entry, the AC analysis, the stamp sanitizer and the
+  non-finite stamp provenance.
+
+The device kernels stay scalar Python.  Evaluating the nv testbench's
+9 FinFETs over numpy arrays took 41 µs against 20 µs for the scalar
+kernels, before any gather or scatter (Python 3.11, numpy 2.4, 2 vCPUs):
+at this size numpy's per-call overhead outweighs the arithmetic.  Arrays
+pay off once a batch axis carries many same-topology systems (ROADMAP
+item 6).
 
 Sign conventions
 ----------------
@@ -17,6 +37,7 @@ Sign conventions
 
 from __future__ import annotations
 
+import struct
 from typing import Optional
 
 import numpy as np
@@ -37,6 +58,26 @@ class Stamper:
     def clear(self) -> None:
         self.A[:, :] = 0.0
         self.b[:] = 0.0
+
+    def add(self, element, ctx, values) -> None:
+        """Add ``element``'s whole contribution, handed over in one call.
+
+        ``values`` holds the matrix entries in
+        ``element.stamp_pattern(ctx.mode)`` order, then one RHS entry per
+        unknown of the element (``node_index``, then ``branch_index``).
+        Entries on ground rows or columns are dropped.
+        """
+        pattern = element.stamp_pattern(ctx.mode)
+        rows = element.node_index + element.branch_index
+        if len(values) != len(pattern) + len(rows):
+            raise ValueError(
+                f"{element.name}: stamp() handed {len(values)} values, "
+                f"stamp_pattern() and the element's unknowns make "
+                f"{len(pattern) + len(rows)}")
+        for (row, col), value in zip(pattern, values):
+            self.matrix(row, col, value)
+        for row, value in zip(rows, values[len(pattern):]):
+            self.rhs(row, value)
 
     def conductance(self, p: int, n: int, g: float) -> None:
         """Stamp a two-terminal conductance ``g`` between nodes p and n."""
@@ -77,6 +118,82 @@ class Stamper:
             self.b[row] += value
 
 
+def _stamp_each(elements, stamper: Stamper, ctx: "Context") -> None:
+    """Call every element's own ``stamp()``.
+
+    A Python loop over scalar device kernels on purpose: at 7-9 FinFETs
+    per testbench it beats evaluating the devices over numpy arrays
+    (module docstring).
+    """
+    for element in elements:
+        element.stamp(stamper, ctx)
+
+
+class PlanStamper(Stamper):
+    """Newton assembler over a circuit's compiled stamp plan.
+
+    Build one per ``newton_solve`` call: the constructor stamps the
+    plan's ``is_linear`` elements and ``gmin`` into a base at ``ctx``
+    (its time, dt, method and source scale).  Each :meth:`restamp` then
+    leaves ``A`` and ``b`` holding the system at one iterate.  Elements
+    that stamp entry by entry, and ``extra_stamps``, write into ``A`` and
+    ``b`` directly, as into a plain :class:`Stamper`.
+    """
+
+    def __init__(self, plan, ctx: "Context", gmin: float):
+        size = plan.size
+        self.size = size
+        self.plan = plan
+        # A and b are views of one buffer in the plan's flat layout
+        # (matrix row-major, then RHS), so one bincount fills both.
+        self._flat = np.zeros(size * size + size)
+        self.A = self._flat[:size * size].reshape(size, size)
+        self.b = self._flat[size * size:]
+        self._length = plan.trash + 1
+        self._where, linear, self._slots = plan.layout(ctx.mode)
+        # The base: the linear elements at this solve's ctx, plus gmin
+        # on the node diagonal.
+        self._values = [0.0] * len(linear)
+        _stamp_each(plan.linear, self, ctx)
+        self._fold(linear)
+        self._base = self._flat.copy()
+        self._base[:plan.num_nodes * (size + 1):size + 1] += gmin
+        # From here on add() collects the nonlinear elements' values.
+        self._zeros = [0.0] * len(self._slots)
+        self._values = list(self._zeros)
+
+    def add(self, element, ctx, values) -> None:
+        """Keep ``values`` in the element's slots until the next fold."""
+        self._values[self._where[element]] = values
+
+    def clear(self) -> None:
+        super().clear()
+        self._values[:] = self._zeros
+
+    def _fold(self, slots: np.ndarray) -> None:
+        """Add the values handed to :meth:`add` into ``A`` and ``b``."""
+        values = self._values
+        if len(values) != len(slots):
+            raise ValueError("an element handed stamp() values that do not "
+                             "match its stamp_pattern() and unknowns")
+        # ``struct`` packs a list of floats about three times faster than
+        # ``np.array`` converts it.
+        weights = np.frombuffer(struct.pack(f"{len(values)}d", *values))
+        self._flat += np.bincount(slots, weights=weights,
+                                  minlength=self._length)[:-1]
+
+    def restamp(self, ctx: "Context", x: np.ndarray,
+                extra_stamps=None) -> None:
+        """Assemble the linearised system at the iterate ``x``."""
+        ctx.x = x
+        self.clear()
+        _stamp_each(self.plan.nonlinear, self, ctx)
+        if extra_stamps is not None:
+            extra_stamps(self, ctx)
+        self._fold(self._slots)
+        self._flat += self._base
+
+
 class Context:
     """Per-evaluation context handed to ``Element.stamp``/``commit``.
 
@@ -91,7 +208,12 @@ class Context:
     method:
         Companion-model method: ``"be"`` or ``"trap"``.
     x:
-        Current Newton iterate / committed solution vector.
+        Current Newton iterate / committed solution vector.  Setting it
+        also sets ``xlist``.
+    xlist:
+        ``x`` as a Python list with a trailing ``0.0``, so that
+        ``xlist[i]`` is the value of unknown ``i`` and ground (-1) reads
+        zero.  Element kernels read their terminal voltages here.
     source_scale:
         Multiplier applied by independent sources to their level; used by
         the source-stepping homotopy in :mod:`repro.analysis.dc`.
@@ -101,8 +223,8 @@ class Context:
         by ``newton_solve``; read by the analyses to annotate results.
     """
 
-    __slots__ = ("mode", "time", "dt", "method", "x", "source_scale",
-                 "cert")
+    __slots__ = ("mode", "time", "dt", "method", "_x", "xlist",
+                 "source_scale", "cert")
 
     def __init__(self, mode: str = "dc", time: float = 0.0, dt: float = 0.0,
                  method: str = "trap", x: Optional[np.ndarray] = None,
@@ -115,8 +237,16 @@ class Context:
         self.source_scale = source_scale
         self.cert = None
 
+    @property
+    def x(self) -> np.ndarray:
+        return self._x
+
+    @x.setter
+    def x(self, value: np.ndarray) -> None:
+        self._x = value
+        self.xlist = np.asarray(value, dtype=float).tolist()
+        self.xlist.append(0.0)
+
     def v(self, index: int) -> float:
         """Voltage of node ``index`` (0.0 for ground)."""
-        if index < 0:
-            return 0.0
-        return float(self.x[index])
+        return self.xlist[index]

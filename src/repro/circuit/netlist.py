@@ -13,7 +13,14 @@ Analyses communicate with elements through three methods:
 ``stamp(stamper, ctx)``
     Add the element's (linearised) contribution to the MNA matrix and RHS
     for the solution iterate in ``ctx``.  Must not mutate element state:
-    Newton calls it repeatedly for the same timepoint.
+    Newton calls it repeatedly for the same timepoint.  Terminal
+    voltages come from ``ctx.xlist`` (a Python list of the iterate in
+    which ground, index -1, reads zero).  The shipped elements hand over
+    their whole contribution in one ``stamper.add(self, ctx, values)``
+    call: the matrix entries in :meth:`Element.stamp_pattern` order,
+    then one RHS entry per unknown of the element.  Custom elements may
+    instead stamp entry by entry (``stamper.conductance``, ``current``,
+    ``vccs``, ``matrix``, ``rhs``).
 
 ``commit(ctx)``
     Advance time-dependent internal state (capacitor history, MTJ
@@ -25,14 +32,23 @@ Analyses communicate with elements through three methods:
     Initialise internal state from a converged DC operating point before a
     transient starts.
 
+An element whose stamp does not depend on the iterate declares
+``is_linear = True``; Newton then stamps it once per solve (at that
+solve's time, timestep, method and source scale) instead of once per
+iteration.  The flag is opt-in: an element that leaves it ``False`` is
+restamped every iteration, which is always correct.
+
 Elements that introduce extra MNA unknowns (voltage sources, switches with
 branch currents) report them via ``branch_count`` and receive their branch
-indices in ``assign_branches``.
+indices in ``assign_branches``.  :meth:`Circuit.compile` assigns these
+indices and builds the circuit's :class:`StampPlan`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import NetlistError
 
@@ -68,8 +84,9 @@ class Element:
     #: Number of extra MNA branch unknowns this element needs.
     branch_count = 0
 
-    #: True if the element's stamp is independent of the solution iterate.
-    is_linear = True
+    #: True if the element's stamp is independent of the solution
+    #: iterate, so Newton stamps it once per solve (see module docstring).
+    is_linear = False
 
     def __init__(self, name: str, node_names: Sequence[str]):
         if not name:
@@ -200,6 +217,8 @@ class Circuit:
             branch_cursor += count
         self._num_branches = branch_cursor - num_nodes
         self._check_connectivity()
+        self._plan = StampPlan(list(self._elements.values()), num_nodes,
+                               branch_cursor)
         self._compiled = True
 
     def _intern_node(self, node: str) -> int:
@@ -238,6 +257,12 @@ class Circuit:
         """Total number of MNA unknowns (node voltages + branch currents)."""
         return self.num_nodes + self.num_branches
 
+    @property
+    def plan(self) -> "StampPlan":
+        """The :class:`StampPlan` of the compiled circuit."""
+        self.compile()
+        return self._plan
+
     def node_names(self) -> List[str]:
         self.compile()
         return list(self._nodes)
@@ -267,3 +292,54 @@ class Circuit:
             f"{self.num_branches} branches"
         )
         return "\n".join(lines)
+
+
+class StampPlan:
+    """Where every element's stamp lands in the flat MNA system.
+
+    The flat system holds the ``size * size`` matrix entries (row-major),
+    then the ``size`` RHS entries, then one trash slot that collects
+    every entry on a ground row or column; so the matrix is a contiguous
+    reshape of its front.  :meth:`Circuit.compile` builds the plan, so it
+    holds topology only (element order, unknown indices and declared
+    stamp patterns), never parameters, source levels or device state.
+    """
+
+    def __init__(self, elements: Sequence[Element], num_nodes: int,
+                 size: int):
+        self.num_nodes = num_nodes
+        self.size = size
+        self.trash = size * size + size
+        self.linear = tuple(e for e in elements if e.is_linear)
+        self.nonlinear = tuple(e for e in elements if not e.is_linear)
+        self._layouts: Dict[str, tuple] = {}
+
+    def layout(self, mode: str) -> Tuple[Dict[Element, slice], np.ndarray,
+                                         np.ndarray]:
+        """``(where, linear_slots, nonlinear_slots)`` in analysis ``mode``.
+
+        An element's values (see :meth:`repro.analysis.mna.Stamper.add`)
+        occupy ``where[element]`` of its group's value list, and the
+        group's slot array gives the flat slot of each value.
+        """
+        layout = self._layouts.get(mode)
+        if layout is None:
+            where: Dict[Element, slice] = {}
+            layout = (where, self._slots(self.linear, mode, where),
+                      self._slots(self.nonlinear, mode, where))
+            self._layouts[mode] = layout
+        return layout
+
+    def _slots(self, elements: Sequence[Element], mode: str,
+               where: Dict[Element, slice]) -> np.ndarray:
+        n = self.size
+        slots: List[int] = []
+        for element in elements:
+            start = len(slots)
+            for row, col in element.stamp_pattern(mode):
+                slots.append(row * n + col if row >= 0 and col >= 0
+                             else self.trash)
+            for row in element.node_index + element.branch_index:
+                slots.append(n * n + row if row >= 0 else self.trash)
+            where[element] = slice(start, len(slots))
+        return np.array(slots, dtype=np.intp)

@@ -26,6 +26,8 @@ class Resistor(Element):
         Ohms; must be positive.
     """
 
+    is_linear = True
+
     def __init__(self, name: str, p: str, n: str, resistance: float):
         super().__init__(name, (p, n))
         resistance = float(resistance)
@@ -35,8 +37,8 @@ class Resistor(Element):
         self.conductance = 1.0 / resistance
 
     def stamp(self, stamper, ctx) -> None:
-        p, n = self.node_index
-        stamper.conductance(p, n, self.conductance)
+        g = self.conductance
+        stamper.add(self, ctx, (g, -g, -g, g, 0.0, 0.0))
 
     def stamp_pattern(self, mode: str = "dc"):
         """Conductance block across p-n in every mode."""
@@ -66,6 +68,8 @@ class Capacitor(Element):
     requested.
     """
 
+    is_linear = True
+
     def __init__(self, name: str, p: str, n: str, capacitance: float,
                  ic: Optional[float] = None):
         super().__init__(name, (p, n))
@@ -92,10 +96,8 @@ class Capacitor(Element):
     def stamp(self, stamper, ctx) -> None:
         if ctx.mode == "dc":
             return  # open circuit
-        p, n = self.node_index
         geq, ieq = self._companion(ctx)
-        stamper.conductance(p, n, geq)
-        stamper.current(p, n, ieq)
+        stamper.add(self, ctx, (geq, -geq, -geq, geq, -ieq, ieq))
 
     def stamp_pattern(self, mode: str = "dc"):
         """Open at DC (empty pattern); companion conductance otherwise."""

@@ -37,6 +37,7 @@ class VoltageSource(Element):
     """
 
     branch_count = 1
+    is_linear = True
 
     def __init__(self, name: str, p: str, n: str, dc: float = 0.0,
                  waveform: Optional[Waveform] = None, ac: float = 0.0):
@@ -60,13 +61,8 @@ class VoltageSource(Element):
         self.waveform = waveform
 
     def stamp(self, stamper, ctx) -> None:
-        p, n = self.node_index
-        (k,) = self.branch_index
-        stamper.matrix(p, k, 1.0)
-        stamper.matrix(n, k, -1.0)
-        stamper.matrix(k, p, 1.0)
-        stamper.matrix(k, n, -1.0)
-        stamper.rhs(k, ctx.source_scale * self.level(ctx.time))
+        level = ctx.source_scale * self.level(ctx.time)
+        stamper.add(self, ctx, (1.0, -1.0, 1.0, -1.0, 0.0, 0.0, level))
 
     def stamp_pattern(self, mode: str = "dc"):
         """Branch row/column couplings of the ideal source."""
@@ -99,6 +95,8 @@ class CurrentSource(Element):
     matching the SPICE ``I`` element.
     """
 
+    is_linear = True
+
     def __init__(self, name: str, p: str, n: str, dc: float = 0.0,
                  waveform: Optional[Waveform] = None):
         super().__init__(name, (p, n))
@@ -115,8 +113,8 @@ class CurrentSource(Element):
         self.waveform = None
 
     def stamp(self, stamper, ctx) -> None:
-        p, n = self.node_index
-        stamper.current(p, n, ctx.source_scale * self.level(ctx.time))
+        i = ctx.source_scale * self.level(ctx.time)
+        stamper.add(self, ctx, (-i, i))
 
     def stamp_pattern(self, mode: str = "dc"):
         """RHS-only element: no matrix entries in any mode."""

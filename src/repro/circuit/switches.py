@@ -27,8 +27,6 @@ class VoltageControlledSwitch(Element):
         ``v_on`` may be smaller than ``v_off`` for an inverted switch.
     """
 
-    is_linear = False
-
     def __init__(self, name: str, p: str, n: str, cp: str, cn: str,
                  r_on: float = 1.0, r_off: float = 1e12,
                  v_on: float = 1.0, v_off: float = 0.0):
@@ -65,19 +63,17 @@ class VoltageControlledSwitch(Element):
 
     def stamp(self, stamper, ctx) -> None:
         p, n, cp, cn = self.node_index
-        vc = ctx.v(cp) - ctx.v(cn)
-        v_pn = ctx.v(p) - ctx.v(n)
+        x = ctx.xlist
+        vc = x[cp] - x[cn]
+        v_pn = x[p] - x[n]
         g = self.conductance_at(vc)
-        dg = self._dconductance(vc)
-        # I = g(vc) * v_pn.  Linearise in both v_pn and vc.
-        stamper.conductance(p, n, g)
-        # Cross terms dI/dvc stamped as a VCCS.
-        gm = dg * v_pn
-        stamper.vccs(p, n, cp, cn, gm)
-        # Residual correction: I0 - g*v_pn - gm*vc
-        i0 = g * v_pn
-        correction = i0 - g * v_pn - gm * vc
-        stamper.current(p, n, correction)
+        # I = g(vc) * v_pn, linearised in both v_pn and vc: the channel
+        # conductance, the cross terms dI/dvc as a VCCS, and the residual
+        # I0 - g*v_pn - gm*vc = -gm*vc as a p -> n current.
+        gm = self._dconductance(vc) * v_pn
+        correction = -gm * vc
+        stamper.add(self, ctx, (g, -g, -g, g, gm, -gm, -gm, gm,
+                                -correction, correction, 0.0, 0.0))
 
     def stamp_pattern(self, mode: str = "dc"):
         """Channel conductance block plus the control-voltage VCCS."""

@@ -174,8 +174,6 @@ class FinFET(Element):
         Number of fins; integer >= 1 per the paper's sizing discipline.
     """
 
-    is_linear = False
-
     def __init__(self, name: str, d: str, g: str, s: str,
                  params: FinFETParams, nfin: int = 1):
         super().__init__(name, (d, g, s))
@@ -256,22 +254,16 @@ class FinFET(Element):
     # -- stamping -----------------------------------------------------------
     def stamp(self, stamper, ctx) -> None:
         d, g, s = self.node_index
-        vd, vg, vs = ctx.v(d), ctx.v(g), ctx.v(s)
+        x = ctx.xlist
+        vd, vg, vs = x[d], x[g], x[s]
         i, g_d, g_g, g_s = self._evaluate(vd, vg, vs)
 
         # Linearised current i(v) ~ i0 + g_d dvd + g_g dvg + g_s dvs,
-        # flowing d -> s.  Stamp as conductances/VCCS plus residual source.
-        for row, sign in ((d, 1.0), (s, -1.0)):
-            if row < 0:
-                continue
-            if d >= 0:
-                stamper.A[row, d] += sign * g_d
-            if g >= 0:
-                stamper.A[row, g] += sign * g_g
-            if s >= 0:
-                stamper.A[row, s] += sign * g_s
+        # flowing d -> s: the Jacobian on the drain (+) and source (-)
+        # rows, plus the residual as a d -> s current source.
         residual = i - (g_d * vd + g_g * vg + g_s * vs)
-        stamper.current(d, s, residual)
+        stamper.add(self, ctx, (g_d, g_g, g_s, -g_d, -g_g, -g_s,
+                                -residual, 0.0, residual))
 
     def stamp_pattern(self, mode: str = "dc"):
         """KCL rows at drain/source, columns for all three terminals.

@@ -246,8 +246,6 @@ class MTJ(Element):
     transients still capture the store dynamics.
     """
 
-    is_linear = False
-
     def __init__(self, name: str, free: str, pinned: str,
                  params: Optional[MTJParams] = None,
                  state: MTJState = MTJState.PARALLEL):
@@ -288,10 +286,10 @@ class MTJ(Element):
     # -- stamping -------------------------------------------------------------
     def stamp(self, stamper, ctx) -> None:
         free, pinned = self.node_index
-        v = ctx.v(free) - ctx.v(pinned)
+        v = ctx.xlist[free] - ctx.xlist[pinned]
         i, g = self._current_and_derivative(v)
-        stamper.conductance(free, pinned, g)
-        stamper.current(free, pinned, i - g * v)
+        norton = i - g * v
+        stamper.add(self, ctx, (g, -g, -g, g, -norton, norton))
 
     def stamp_pattern(self, mode: str = "dc"):
         """Nonlinear-resistor conductance block across free-pinned."""

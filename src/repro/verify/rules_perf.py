@@ -1,7 +1,8 @@
 """RV7xx: hot-path performance inventory (project scope).
 
-ROADMAP item 1 replaces the per-element Python stamping loops with a
-vectorized batched solver.  This band *inventories* the work: every
+ROADMAP item 2 works through the per-element Python stamping loops
+(the compiled netlist core; item 6 adds the batch axis).  This band
+*inventories* the work: every
 Python-level loop that stamps into MNA ndarrays, every dense ndarray
 allocation executed per Newton iteration or sweep point (lexically
 inside a loop, or — via the call graph — behind a call some loop makes
@@ -45,7 +46,7 @@ from .callgraph import DENSE_ALLOC_TAILS as _DENSE_ALLOCS
 from .callgraph import body_nodes, loop_target_names
 from .core import Finding, rule
 
-#: Stamper-object primitives (see ``analysis/stamps.py``): a call to one
+#: Stamper-object primitives (see ``analysis/mna.py``): a call to one
 #: of these on a receiver whose name mentions "stamp", inside a loop,
 #: is per-element matrix filling.
 _STAMP_PRIMS = frozenset({"conductance", "current", "vccs", "matrix",
@@ -209,8 +210,8 @@ def _perf_findings(pm, code: str) -> Iterator[Finding]:
       "a Python loop stamps elements or fills the MNA system "
       "entry-by-entry",
       rationale="each transient step re-runs these loops; they are the "
-                "inventory ROADMAP item 1's vectorized batched solver "
-                "must eliminate.")
+                "inventory ROADMAP item 2's compiled netlist core "
+                "works through.")
 def check_stamp_loops(pm) -> Iterator[Finding]:
     """RV701: per-element stamping loops (the vectorization worklist)."""
     yield from _perf_findings(pm, "RV701")

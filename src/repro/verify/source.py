@@ -79,13 +79,15 @@ def default_lint_cache_dir() -> Path:
     return envelope.cache_root() / "lint"
 
 
-def entry_key(text: str, config_digest: str) -> str:
-    """Lint-cache key of one module: its text, the policy, the schema."""
+def entry_key(text: str, config_digest: str, path: str, name: str) -> str:
+    """Lint-cache key of one module: its text, path and dotted name, the
+    policy, the schema.  The path and name are part of the key because
+    the cached findings and summary carry them."""
     blob = hashlib.sha256()
-    blob.update(text.encode())
-    blob.update(b"\0")
-    blob.update(config_digest.encode())
-    blob.update(f"\0schema={CACHE_SCHEMA_VERSION}".encode())
+    for part in (text, config_digest, path, name):
+        blob.update(part.encode())
+        blob.update(b"\0")
+    blob.update(f"schema={CACHE_SCHEMA_VERSION}".encode())
     return blob.hexdigest()[:24]
 
 
@@ -291,8 +293,9 @@ def verify_source(paths: Iterable[str],
     entries: List[_Entry] = []
     for path in files:
         text = path.read_text()
-        key = entry_key(text, config_digest)
-        entries.append(_Entry(path, text, key, module_name_for(path)))
+        name = module_name_for(path)
+        key = entry_key(text, config_digest, str(path), name)
+        entries.append(_Entry(path, text, key, name))
 
     # 1. probe the cache; rebuild summaries/diags for hits without parsing
     cold: List[_Entry] = []

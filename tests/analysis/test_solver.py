@@ -13,9 +13,11 @@ from repro.circuit.netlist import Element
 
 
 class ExponentialDevice(Element):
-    """A diode-like element: I = Is (exp(V/vt) - 1) from p to n."""
+    """A diode-like element: I = Is (exp(V/vt) - 1) from p to n.
 
-    is_linear = False
+    It leaves ``is_linear`` at the base-class default, as a custom
+    element that forgets the flag would.
+    """
 
     def __init__(self, name, p, n, i_sat=1e-12, vt=0.026):
         super().__init__(name, (p, n))
@@ -63,6 +65,26 @@ class TestNonlinearSolve:
         i_d = 1e-12 * (math.exp(v_d / 0.026) - 1.0)
         assert i_r == pytest.approx(i_d, rel=1e-4)
         assert 0.4 < v_d < 0.7
+
+    def test_undeclared_element_is_restamped_every_iteration(self):
+        """``is_linear`` is opt-in: without it the diode is not frozen at
+        the solve's first iterate."""
+
+        class DeclaredDevice(ExponentialDevice):
+            is_linear = False
+
+        def solve(device_type):
+            c = Circuit()
+            c.add(VoltageSource("v", "in", "0", dc=1.0))
+            c.add(Resistor("r", "in", "d", 1000))
+            c.add(device_type("d1", "d", "0"))
+            c.compile()
+            return newton_solve(c, Context(), np.zeros(c.size))[
+                c.index_of("d")]
+
+        assert ExponentialDevice.is_linear is False
+        assert solve(ExponentialDevice) == solve(DeclaredDevice)
+        assert 0.4 < solve(ExponentialDevice) < 0.7
 
     def test_damping_limits_overshoot(self):
         """From a terrible initial guess the damped solve still converges."""

@@ -23,6 +23,18 @@ from repro.experiments import ExperimentContext          # noqa: E402
 from repro.pg.modes import OperatingConditions           # noqa: E402
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--reverse", action="store_true", default=False,
+        help="run the collected tests in reverse order, to catch state "
+             "that one test leaks into the next")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--reverse"):
+        items.reverse()
+
+
 @pytest.fixture(scope="session")
 def cond() -> OperatingConditions:
     """The paper's Table I operating conditions."""

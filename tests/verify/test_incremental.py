@@ -69,6 +69,18 @@ def test_warm_run_is_identical_and_parses_nothing(tmp_path, monkeypatch):
     assert snapshot(warm) == snapshot(cold)
 
 
+def test_identical_text_at_two_paths_keeps_its_own_location(tmp_path):
+    """The cache key includes the path: a second module with the same
+    text must not get the first one's findings, which name its file."""
+    body = 'def window():\n    return float("10n")\n'
+    cache = tmp_path / "cache"
+    for stem in ("first", "second"):
+        write_tree(tmp_path, {f"{stem}/mod.py": body})
+        report = verify_source([str(tmp_path / stem)], cache_dir=cache)
+        assert [d.code for d in report] == ["RV404"]
+        assert report.diagnostics[0].target == str(tmp_path / stem / "mod.py")
+
+
 def test_callee_edit_relints_caller(tmp_path, monkeypatch):
     """Editing helper.py changes caller.py's facts digest: the caller
     is re-analysed (and its RV702 disappears) even though its own text
