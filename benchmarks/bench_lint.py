@@ -8,15 +8,16 @@ the combined report under ``benchmarks/results/``.  A rule or cell
 change that breaks the shipped netlists fails here by name.
 
 ``bench_lint_source_tree`` additionally measures the incremental
-whole-program engine: one cold run (empty cache — serial parse,
-summarise, call graph, all bands) against warm reruns (cache hits — no
-parsing), writing the cold/warm split to ``BENCH_lint.json`` at the
-repo root and asserting the warm path earns its complexity (>= 5x).
+self-lint: one cold run (empty cache — serial parse and the RV4xx rules
+over every module) against warm reruns (cache hits — no parsing),
+writing the cold/warm split to ``BENCH_lint.json`` at the repo root and
+asserting the warm path earns its complexity (>= 5x).
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from time import perf_counter
 
@@ -75,47 +76,24 @@ def bench_lint_shipped_artifacts(benchmark, publish):
 
 @pytest.mark.lint
 def bench_lint_source_tree(benchmark, publish, tmp_path):
-    """Cold vs warm whole-program self-lint over ``src/repro``.
+    """Cold vs warm self-lint over ``src/repro``.
 
     The warm path must reproduce the cold report bit-for-bit while
     parsing nothing; ``BENCH_lint.json`` records both timings so the
     cache's speedup is a tracked artefact, not an anecdote.
     """
-    from repro.exec.registry import task_function_refs
     from repro.verify.source import iter_source_files
-
-    from repro.verify.config import effective_config
 
     roots = default_source_paths()
     assert roots, "shipped source tree not found — package layout moved?"
-    refs = tuple(task_function_refs())
     cache = tmp_path / "lint-cache"
 
     t0 = perf_counter()
-    cold_report = verify_source(roots, cache_dir=cache,
-                                extra_task_refs=refs)
+    cold_report = verify_source(roots, cache_dir=cache)
     cold_s = perf_counter() - t0
 
-    # Marginal cost of the RV9xx concurrency/crash-safety band: a
-    # second cold run with the band disabled (its own cache — the
-    # policy hash differs anyway).  Effect signatures are still
-    # collected — they live in the summaries — so this prices the rule
-    # evaluation, not the collection.
-    no_rv9 = effective_config(cli_disable=frozenset(
-        {"RV900", "RV901", "RV902", "RV903", "RV904", "RV905"}))
-    t0 = perf_counter()
-    verify_source(roots, config=no_rv9,
-                  cache_dir=tmp_path / "lint-cache-no-rv9",
-                  extra_task_refs=refs)
-    cold_no_rv9_s = perf_counter() - t0
-    t0 = perf_counter()
-    verify_source(roots, config=no_rv9,
-                  cache_dir=tmp_path / "lint-cache-no-rv9",
-                  extra_task_refs=refs)
-    warm_no_rv9_s = perf_counter() - t0
-
     def warm():
-        return verify_source(roots, cache_dir=cache, extra_task_refs=refs)
+        return verify_source(roots, cache_dir=cache)
 
     warm_times = []
     for _ in range(3):
@@ -141,21 +119,11 @@ def bench_lint_source_tree(benchmark, publish, tmp_path):
         by_band[band] = by_band.get(band, 0) + 1
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
     payload = {
-        "schema": 4,
+        "schema": 5,
         "modules": sum(1 for _ in iter_source_files(roots)),
         "cold_s": round(cold_s, 4),
         "warm_s": round(warm_s, 4),
         "speedup": round(speedup, 1),
-        "rv9xx_band": {
-            "cold_s_without": round(cold_no_rv9_s, 4),
-            "cold_marginal_s": round(max(0.0, cold_s - cold_no_rv9_s),
-                                     4),
-            "warm_s_without": round(warm_no_rv9_s, 4),
-            "warm_marginal_s": round(max(0.0, warm_s - warm_no_rv9_s),
-                                     4),
-            "findings": sum(1 for d in cold_report
-                            if d.code.startswith("RV9")),
-        },
         "diagnostics": {
             "total": len(cold_report),
             "by_band": dict(sorted(by_band.items())),
@@ -163,9 +131,12 @@ def bench_lint_source_tree(benchmark, publish, tmp_path):
     }
     atomic_write_text(_REPO / "BENCH_lint.json",
                       json.dumps(payload, indent=2) + "\n")
+    # Repo-relative paths, so the archived report does not depend on
+    # where the checkout lives.
     publish("lint_source",
             f"cold {cold_s:.3f} s / warm {warm_s:.3f} s "
-            f"({speedup:.1f}x)\n\n" + render_text(cold_report))
+            f"({speedup:.1f}x)\n\n"
+            + render_text(cold_report).replace(f"{_REPO}{os.sep}", ""))
     assert speedup >= 5.0, (
         f"warm lint is only {speedup:.1f}x faster than cold "
         f"({warm_s:.3f} s vs {cold_s:.3f} s) — the incremental cache "

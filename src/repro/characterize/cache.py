@@ -101,18 +101,10 @@ class CacheStats:
             self.max_hit_age_s = 0.0
 
 
-#: The process-wide counter object (see :class:`CacheStats`).
+#: The process-wide counter object (see :class:`CacheStats`).  Campaign
+#: tasks bump it too: the counters are observability only, so a task
+#: rerun with them zeroed produces identical payloads.
 STATS = CacheStats()
-
-
-def _note(event: str, age_s: Optional[float] = None) -> None:
-    """Single funnel for counter bumps on task-reachable paths.
-
-    Deliberate module-state mutation: the counters are observability
-    only — a task rerun with them zeroed produces identical payloads
-    (mirrors the envelope's warn-once set).
-    """
-    STATS.note(event, age_s)  # lint: skip=RV601
 
 
 def cache_key(**inputs: Any) -> str:
@@ -136,17 +128,17 @@ def load(cache_dir: Optional[Path], key: str,
     payload, outcome = envelope.load(cache_dir, key, CACHE_SCHEMA_VERSION)
     if payload is None:
         if outcome == envelope.QUARANTINE:
-            _note(envelope.QUARANTINE)
-        _note(envelope.MISS)
+            STATS.note(envelope.QUARANTINE)
+        STATS.note(envelope.MISS)
         return None
-    _note(envelope.HIT, envelope.entry_age_s(cache_dir, key))
+    STATS.note(envelope.HIT, envelope.entry_age_s(cache_dir, key))
     try:
         return result_type(**payload)
     except TypeError as err:
         envelope.quarantine(envelope.entry_path(cache_dir, key),
                             f"payload does not fit {result_type.__name__} "
                             f"({err})")
-        _note(envelope.QUARANTINE)
+        STATS.note(envelope.QUARANTINE)
         return None
 
 
@@ -157,4 +149,4 @@ def store(cache_dir: Optional[Path], key: str, result: Any) -> None:
     outcome = envelope.store(cache_dir, key, CACHE_SCHEMA_VERSION,
                              json.loads(result.to_json()))
     if outcome is not None:
-        _note(outcome)
+        STATS.note(outcome)

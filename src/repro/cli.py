@@ -402,14 +402,9 @@ def _cmd_lint_source(args) -> int:
         print("repro lint-source: no such path: "
               + ", ".join(repr(p) for p in missing), file=sys.stderr)
         return 2
-    try:
-        from .exec.registry import task_function_refs
-        task_refs = task_function_refs()
-    except ImportError:         # lint must not die on exec-side drift
-        task_refs = []
     cache_dir = None if args.no_cache else default_lint_cache_dir()
     report = verify_source(paths, config=_lint_config(args),
-                           cache_dir=cache_dir, extra_task_refs=task_refs)
+                           cache_dir=cache_dir)
     report, short_circuit = _apply_lint_baseline(args, report)
     if short_circuit is not None:
         return short_circuit
@@ -778,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lint-source",
                        help="static-analyse the simulator's own "
-                            "Python source (RV4xx, RV6xx, RV7xx, RV9xx)")
+                            "Python source, module by module (RV4xx)")
     p.add_argument("paths", nargs="*", metavar="PATH",
                    help="Python files or directories "
                         "(default: the installed repro package)")
@@ -850,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crashpoints", action="store_true",
                    help="kill child writers at each atomic-write "
                         "protocol boundary and assert reader-side "
-                        "recovery (RV900/RV901 cross-validation)")
+                        "recovery (torn writes, unsynced renames)")
     p.add_argument("--serve", action="store_true",
                    help="chaos-test the serving layer: coalescing, "
                         "storm, shedding, breaker and drain phases "

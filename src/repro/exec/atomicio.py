@@ -15,7 +15,7 @@ The protocol, in order:
 2. write the full text, flush.
 3. ``os.fsync`` the staged file — the data must be on stable storage
    *before* the rename publishes it, otherwise a power cut can leave
-   the new name pointing at unwritten blocks (the RV901 hazard).
+   the new name pointing at unwritten blocks (an unsynced rename).
 4. ``os.replace`` onto the destination: readers see the old bytes or
    the new bytes, never a mixture, and the old value survives a crash
    at any earlier point.

@@ -75,7 +75,7 @@ def entry_age_s(cache_dir: Optional[Path], key: str) -> Optional[float]:
         mtime = entry_path(cache_dir, key).stat().st_mtime
     except OSError:
         return None
-    return max(0.0, time.time() - mtime)  # lint: skip=RV602
+    return max(0.0, time.time() - mtime)
 
 
 def quarantine(path: Path, reason: str) -> None:
@@ -143,10 +143,9 @@ def _warn_unwritable(directory: Path, err: OSError) -> None:
     marker = str(directory)
     if marker in _UNWRITABLE:
         return
-    # Deliberate module-state write on a task-reachable path: the
-    # warn-once set only gates *warning noise*, never results — a task
-    # rerun without it produces identical payloads, just louder.
-    _UNWRITABLE.add(marker)  # lint: skip=RV601
+    # The warn-once set only gates *warning noise*, never results: a
+    # task rerun without it produces identical payloads, just louder.
+    _UNWRITABLE.add(marker)
     warnings.warn(
         f"cache directory {directory} is not writable ({err}); "
         "continuing with caching disabled for this directory",

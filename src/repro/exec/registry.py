@@ -61,33 +61,10 @@ _BUILDERS: Dict[str, Callable[[Dict[str, Any]], Campaign]] = {
     "chaos": _build_chaos,
 }
 
-#: Task function behind each named campaign.  This table is the static
-#: face of the builders above: building a campaign needs options (the
-#: chaos builder refuses to run without a scratch directory), so tools
-#: that only need the *roots* — the RV6xx purity lint seeds its call
-#: graph reachability from here — read this instead of instantiating
-#: campaigns.  ``test_registry`` cross-checks it against the builders.
-_TASK_FNS: Dict[str, str] = {
-    "demo": "repro.exec.tasks:demo_task",
-    "store-yield": "repro.exec.tasks:store_yield_sample_task",
-    "snm": "repro.exec.tasks:snm_sample_task",
-    "chaos": "repro.exec.tasks:chaos_task",
-}
-
 
 def available_campaigns() -> List[str]:
     """Names accepted by :func:`build_campaign` (and `repro campaign list`)."""
     return sorted(_BUILDERS)
-
-
-def task_function_refs() -> List[str]:
-    """``"module:function"`` refs of every registered campaign's task.
-
-    The purity lint (RV6xx) treats these as task roots even when no
-    string literal in the analysed tree references them — a campaign
-    built programmatically is still shipped to workers.
-    """
-    return sorted(set(_TASK_FNS.values()))
 
 
 def build_campaign(name: str, **options: Any) -> Campaign:

@@ -247,7 +247,7 @@ def chaos_task(params: Dict[str, Any]) -> Dict[str, Any]:
             # The marker write IS the injected fault: crash-once-then
             # succeed needs cross-attempt state, and the scratch dir is
             # owned by the chaos harness.  Real tasks must not do this.
-            marker.touch()  # lint: skip=RV603
+            marker.touch()
             os._exit(13)
     elif fault == "task_error":
         raise RuntimeError(f"injected poison in task {index}")

@@ -14,24 +14,10 @@ rule-registry framework:
   simulator itself (RV4xx): float equality on physical quantities,
   NaN/skip hazards over partial sweep results, stamp-contract drift,
   raw SPICE quantity strings, swallowed solver forensics, mutable
-  default arguments;
-* :mod:`repro.verify.callgraph` — the interprocedural substrate:
-  project symbol table, call graph, incremental fact digests;
-* :mod:`repro.verify.rules_purity` — RV6xx campaign-task purity
-  (transitive state mutation, nondeterminism, stray filesystem writes,
-  JSON-unsafe signatures);
-* :mod:`repro.verify.rules_perf` — RV7xx hot-path inventory (per
-  element stamping loops, dense allocations in loops, invariant
-  reassembly) feeding the vectorization worklist;
-* :mod:`repro.verify.effects` / :mod:`repro.verify.rules_effects` —
-  RV9xx concurrency & crash safety: per-function effect signatures
-  (writes/renames/fsyncs with path provenance, queue and process
-  ordering, spawn-visible global reads) enforcing the atomic-write,
-  journal-append and signal-handler protocols, cross-validated
-  dynamically by :mod:`repro.verify.crashcheck`
-  (``repro chaos --crashpoints``);
+  default arguments; :mod:`repro.verify.source` runs them module by
+  module behind an incremental cache;
 * :mod:`repro.verify.baseline` — record-and-suppress of pre-existing
-  findings so new bands gate only new regressions;
+  findings so new rules gate only new regressions;
 * :mod:`repro.verify.emit` — text / JSON / SARIF output.
 
 Entry points: :func:`verify_circuit`, :func:`verify_deck`,
@@ -68,9 +54,6 @@ from . import rules_power     # noqa: F401
 from . import rules_mna       # noqa: F401
 from . import rules_deck      # noqa: F401
 from . import rules_source    # noqa: F401
-from . import rules_purity    # noqa: F401
-from . import rules_perf      # noqa: F401
-from . import rules_effects   # noqa: F401
 from .baseline import (
     apply_baseline,
     baseline_fingerprint,
@@ -78,17 +61,12 @@ from .baseline import (
     prune_baseline,
     write_baseline,
 )
-from .callgraph import (
-    ProjectModule,
-    SourceProject,
-    module_name_for,
-    summarize_module,
-)
 from .emit import render_json, render_sarif, render_text
 from .rules_deck import DeckSource
 from .source import (
     SourceModule,
     default_source_paths,
+    module_name_for,
     verify_source,
     verify_source_file,
     verify_source_text,
@@ -105,14 +83,12 @@ __all__ = [
     "DeckSource",
     "Diagnostic",
     "Finding",
-    "ProjectModule",
     "Report",
     "Rule",
     "RuleRegistry",
     "Severity",
     "SourceLocation",
     "SourceModule",
-    "SourceProject",
     "StampCheckResult",
     "VerificationError",
     "VerifyConfig",
@@ -132,7 +108,6 @@ __all__ = [
     "render_text",
     "rule",
     "run_rules",
-    "summarize_module",
     "verify_circuit",
     "verify_deck",
     "verify_deck_file",

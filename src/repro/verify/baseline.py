@@ -45,8 +45,8 @@ def write_baseline(path: "str | Path", report: Report) -> int:
     The file keeps a human-auditable entry per fingerprint (code,
     target, subject, message) alongside the hash — reviewers can see
     *what* was baselined without replaying the lint run.  Info-severity
-    findings are never recorded: they are inventories (RV7xx), cannot
-    fail a gate, and baselining them would only rot.
+    findings are never recorded: they are advisory, cannot fail a gate,
+    and baselining them would only rot.
     """
     entries = {}
     for diag in report.diagnostics:

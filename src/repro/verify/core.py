@@ -22,17 +22,10 @@ RV1xx   power-gating structure (VVDD islands, store paths...)
 RV2xx   MNA structural solvability
 RV3xx   SPICE-deck / text-level checks
 RV4xx   the simulator's own Python source (AST checks)
-RV6xx   campaign task purity (call-graph transitive)
-RV7xx   hot-path performance inventory
-RV9xx   concurrency & crash safety of durable stores
-        (atomic-write protocol, fsync ordering, spawn
-        visibility, queue/join order, signal handlers)
 ======  =====================================================
 
-RV0xx-RV4xx rules see one artifact at a time.  The RV6xx+ bands run at
-``scope="project"``: their target is a
-:class:`repro.verify.callgraph.ProjectModule` — one module *plus* the
-whole-program symbol table, call graph and interprocedural facts.
+Every rule sees one artifact at a time: a compiled circuit, a deck or
+one Python module.
 """
 
 from __future__ import annotations
@@ -126,10 +119,8 @@ class Rule:
     scope:
         ``"circuit"`` (checks a compiled :class:`repro.circuit.Circuit`),
         ``"deck"`` (checks a tokenised SPICE deck source),
-        ``"source"`` (checks a parsed Python module of the simulator
-        itself) or ``"project"`` (checks one module against the
-        assembled whole-program call graph and facts — see
-        :mod:`repro.verify.callgraph`).
+        or ``"source"`` (checks a parsed Python module of the
+        simulator itself — see :mod:`repro.verify.source`).
     severity:
         Default severity of findings from this rule.
     description:

@@ -1,16 +1,16 @@
-"""Crash-injection cross-validator for the RV9xx band (RV900/RV901).
+"""Crash-injection check of the durable-write protocol.
 
-Static rules claim *"this write pattern tears on a crash"*; this
-harness demonstrates it.  ``python -m repro chaos --crashpoints`` runs
-each durable-write pattern in a **real child process** that is killed
-(``os._exit``) at every instrumented boundary of the
-:mod:`repro.exec.atomicio` protocol — ``post-write``, ``pre-fsync``,
-``pre-rename``, ``post-rename`` — and then checks the survivor's view
-of the file:
+A write pattern either survives a crash or tears; this harness
+demonstrates which, against real process deaths.  ``python -m repro
+chaos --crashpoints`` runs each durable-write pattern in a **real
+child process** that is killed (``os._exit``) at every instrumented
+boundary of the :mod:`repro.exec.atomicio` protocol — ``post-write``,
+``pre-fsync``, ``pre-rename``, ``post-rename`` — and then checks the
+survivor's view of the file:
 
-* **bare-overwrite** — the RV900 *pre-fix* pattern (``open(path,
+* **bare-overwrite** — the *pre-fix* in-place overwrite (``open(path,
   "w")`` over live data).  The kill mid-write must leave a torn or
-  truncated file: the hazard the rule reports, demonstrated.
+  truncated file: the hazard, demonstrated.
 * **atomic-replace** — the fixed pattern
   (:func:`repro.exec.atomicio.atomic_write_text`).  At every
   crashpoint the reader must see *either* the complete old value or
@@ -19,7 +19,7 @@ of the file:
   record; :meth:`repro.exec.journal.Journal.replay` must recover every
   fully-appended record and drop at most the torn tail.
 
-Process death does **not** empty the OS page cache, so the RV901
+Process death does **not** empty the OS page cache, so the
 fsync-ordering hazard (rename durable, data blocks not) cannot be
 shown by killing a child.  The two ``*-rename`` scenarios instead use
 an explicit *disk model*: data written without ``fsync`` is treated as
@@ -33,8 +33,8 @@ Each check is one ``scenario@crashpoint`` record of the
 ``crashpoints`` :func:`~repro.recovery.forensics.chaos_report`, with
 the reader's view as ``actual``.  The harness fails (exit 1) if a
 *fixed* pattern loses data **or** a *pre-fix* pattern fails to
-demonstrate its hazard — either direction means the static rules and
-reality have drifted apart — or if a child never reaches its
+demonstrate its hazard — either direction means the protocol and
+this harness have drifted apart — or if a child never reaches its
 crashpoint (a hung child is recorded as ``timeout``).
 """
 
@@ -142,7 +142,7 @@ def _record(scenario: str, point: str, state: str, expected: str, *,
 
 
 def _check_bare_overwrite(scratch: Path) -> Dict[str, Any]:
-    """RV900 pre-fix pattern: the kill must destroy the old value."""
+    """Pre-fix in-place overwrite: the kill must destroy the old value."""
     target = scratch / "bare.json"
     atomicio.atomic_write_text(target, json.dumps(OLD_PAYLOAD))
     code = _spawn_child("bare-overwrite", "post-write", target,
@@ -181,13 +181,13 @@ def _check_journal_append(scratch: Path) -> Dict[str, Any]:
 
 
 def _disk_model_rename(scratch: Path, *, fsync: bool) -> Dict[str, Any]:
-    """RV901 disk model: stage + rename, power lost right after.
+    """Fsync-ordering disk model: stage + rename, power lost right after.
 
     The rename itself is treated as durable (journalled metadata); the
     staged file's *data blocks* survive only if they were fsynced
     before the rename.  Without the fsync the reader finds the new
-    name pointing at zero-length contents — the torn state RV901
-    reports.
+    name pointing at zero-length contents — the torn state an
+    unsynced rename leaves.
     """
     name = "fsync-rename" if fsync else "nofsync-rename"
     target = scratch / f"{name}.json"

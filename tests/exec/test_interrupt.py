@@ -6,6 +6,7 @@ execute only the remaining points while producing the same aggregate
 results as an uninterrupted run.
 """
 
+import io
 import json
 import os
 import signal
@@ -14,7 +15,10 @@ import sys
 import time
 from pathlib import Path
 
-from repro.exec import Campaign, CampaignOptions, make_task, run_campaign
+import pytest
+
+from repro.exec import (Campaign, CampaignInterrupted, CampaignOptions,
+                        make_task, run_campaign)
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -119,3 +123,56 @@ def test_sigint_flushes_journal_and_resume_completes(tmp_path):
     reference = run_campaign(_campaign(),
                              options=CampaignOptions(workers=0))
     assert resumed.results() == reference.results()
+
+
+def test_signal_handler_only_sets_a_flag(tmp_path, monkeypatch):
+    """The pooled executor's SIGINT handler does nothing but set a flag.
+
+    A Python signal handler runs between two bytecodes of whatever the
+    main thread is doing, possibly in the middle of a buffered write, so
+    any IO from it can fail with "reentrant call".  Here the handler
+    fires the moment ``_run_pooled`` installs it, while stdout and
+    stderr raise exactly that.  The install site swallows only
+    ``OSError`` and ``ValueError``, so IO from the handler would escape
+    as a ``RuntimeError``.  The main loop must then announce the drain
+    itself, spawn no worker and journal the interruption.
+    """
+    from repro.exec import executor
+
+    class Reentrant(io.TextIOBase):
+        def write(self, text):
+            raise RuntimeError("reentrant call")
+
+        def flush(self):
+            raise RuntimeError("reentrant call")
+
+    fired = []
+
+    def install_and_fire(signum, handler):
+        if signum == signal.SIGINT and not fired:
+            fired.append(handler)
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", Reentrant())
+                patch.setattr(sys, "stderr", Reentrant())
+                handler(signum, None)
+        return signal.getsignal(signum)
+
+    def no_spawn(*args, **kwargs):
+        raise AssertionError("a worker was spawned after SIGINT")
+
+    monkeypatch.setattr(signal, "signal", install_and_fire)
+    monkeypatch.setattr(executor, "_spawn_worker", no_spawn)
+    journal = tmp_path / "campaign.jsonl"
+    messages = []
+    with pytest.raises(CampaignInterrupted, match="interrupted by SIGINT"):
+        run_campaign(_campaign(), journal=journal,
+                     options=CampaignOptions(workers=1,
+                                             progress=messages.append))
+
+    assert fired, "the executor installed no SIGINT handler"
+    assert any(m.startswith("SIGINT: draining") for m in messages)
+    records = [json.loads(line)
+               for line in journal.read_text().splitlines()]
+    assert [r["signal"] for r in records
+            if r["kind"] == "campaign_interrupted"] == ["SIGINT"]
+    assert not [r for r in records if r["kind"] == "task_end"]

@@ -43,33 +43,11 @@ class TestRegistry:
 
 
 class TestTaskFunctionRefs:
-    """The static _TASK_FNS table must track the builders: the RV6xx
-    purity lint seeds its task roots from it without building
-    campaigns, so a drifted entry silently un-lints a campaign."""
+    """Every named campaign ships a task reference its workers can
+    import: the executor resolves it in the parent before spawning."""
 
-    def test_table_covers_every_builder(self):
-        from repro.exec.registry import _TASK_FNS
-        assert sorted(_TASK_FNS) == available_campaigns()
-
-    def test_refs_match_built_campaigns(self, tmp_path):
-        from repro.exec.registry import _TASK_FNS
-        built = {
-            "demo": build_campaign("demo", tasks=1),
-            "store-yield": build_campaign("store-yield", samples=1),
-            "snm": build_campaign("snm", samples=1),
-            "chaos": build_campaign("chaos", scratch=str(tmp_path),
-                                    tasks=1),
-        }
-        for name, campaign in built.items():
-            assert campaign.fn == _TASK_FNS[name], (
-                f"{name}: registry table says {_TASK_FNS[name]!r} but "
-                f"the builder produced {campaign.fn!r}")
-
-    def test_refs_resolve_to_real_functions(self):
-        import importlib
-
-        from repro.exec.registry import task_function_refs
-        for ref in task_function_refs():
-            modname, _, fn = ref.partition(":")
-            module = importlib.import_module(modname)
-            assert callable(getattr(module, fn)), ref
+    def test_refs_resolve_to_real_functions(self, tmp_path):
+        for name in available_campaigns():
+            campaign = build_campaign(name, tasks=1, samples=1,
+                                      scratch=str(tmp_path))
+            assert callable(campaign.resolve_fn()), name

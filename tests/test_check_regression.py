@@ -15,11 +15,9 @@ _SPEC.loader.exec_module(check_regression)
 
 
 LINT_PAYLOAD = {
-    "schema": 3, "modules": 111, "cold_s": 4.4, "warm_s": 0.1,
+    "schema": 5, "modules": 111, "cold_s": 4.4, "warm_s": 0.1,
     "speedup": 44.0,
-    "rv8xx_band": {"findings": 0},
-    "rv9xx_band": {"findings": 0},
-    "diagnostics": {"total": 15},
+    "diagnostics": {"total": 0, "by_band": {}},
 }
 
 
@@ -60,24 +58,24 @@ def test_speedup_collapse_fails(tmp_path):
 
 def test_new_findings_fail_exactly(tmp_path):
     fresh = json.loads(json.dumps(LINT_PAYLOAD))
-    fresh["rv9xx_band"]["findings"] = 2
+    fresh["diagnostics"]["total"] = 2
     write_pair(tmp_path, "BENCH_lint.json", LINT_PAYLOAD, fresh)
     ok, rows = run(tmp_path)
     assert not ok
-    assert any(r["metric"] == "rv9xx_band.findings" for r in rows
+    assert any(r["metric"] == "diagnostics.total" for r in rows
                if r["status"] == "FAIL")
 
 
 def test_vanished_metric_fails_new_metric_passes(tmp_path):
     base = json.loads(json.dumps(LINT_PAYLOAD))
-    del base["rv9xx_band"]              # schema-2 era baseline
+    del base["modules"]                 # baseline predating the metric
     fresh = json.loads(json.dumps(LINT_PAYLOAD))
     del fresh["diagnostics"]            # bench dropped coverage
     base["schema"] = fresh["schema"]
     write_pair(tmp_path, "BENCH_lint.json", base, fresh)
     ok, rows = run(tmp_path)
     verdicts = {r["metric"]: r["status"] for r in rows}
-    assert verdicts["rv9xx_band.findings"] == "new"
+    assert verdicts["modules"] == "new"
     assert verdicts["diagnostics.total"] == "FAIL"
     assert not ok
 

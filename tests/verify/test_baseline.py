@@ -107,8 +107,8 @@ def test_baseline_file_is_human_auditable(tmp_path):
 
 
 def test_info_findings_are_never_recorded(tmp_path):
-    """The RV7xx inventory is a worklist, not a gate: baselining it
-    would suppress the machine-readable output for no gain."""
+    """Info findings are advisory, not a gate: baselining them would
+    suppress the machine-readable output for no gain."""
     from repro.verify import Report
 
     report = Report(target="t", diagnostics=[

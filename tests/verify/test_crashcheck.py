@@ -1,6 +1,6 @@
-"""The crashpoint cross-validator: every scenario must land where the
-RV900/RV901 rules say it lands — pre-fix patterns tear, the shared
-protocol survives."""
+"""The crashpoint harness: every scenario must land where the
+durable-write protocol says it lands — pre-fix patterns tear, the
+shared protocol survives."""
 
 import json
 import subprocess
@@ -28,7 +28,7 @@ def test_full_run_passes(tmp_path):
     assert report["ok"], render_failure(report)
     scenarios = by_scenario(report)
 
-    # RV900 hazard demonstrated: the bare overwrite really tears.
+    # In-place overwrite hazard demonstrated: the bare write really tears.
     (bare,) = scenarios["bare-overwrite"]
     assert bare["state"] == "torn"
 
@@ -38,7 +38,7 @@ def test_full_run_passes(tmp_path):
     assert atomic == {"post-write": "old", "pre-fsync": "old",
                       "pre-rename": "old", "post-rename": "new"}
 
-    # RV901 hazard (emulated page-cache drop) and its fsync cure.
+    # Unsynced-rename hazard (emulated page-cache drop) and its fsync cure.
     (nofsync,) = scenarios["nofsync-rename"]
     (fsync,) = scenarios["fsync-rename"]
     assert nofsync["state"] == "torn" and nofsync["emulated"]

@@ -1,7 +1,6 @@
-"""The incremental whole-program engine: warm runs parse nothing,
-dependency-aware invalidation re-lints exactly the affected callers,
-and corrupt, tampered or stale-schema entries go through the shared
-cache envelope."""
+"""The incremental per-module engine: warm runs parse nothing, an edit
+re-lints only the edited module, and corrupt, tampered or stale-schema
+entries go through the shared cache envelope."""
 
 import json
 import textwrap
@@ -26,27 +25,20 @@ def snapshot(report):
             for d in report]
 
 
-#: helper allocates a dense array; the caller invokes it from a loop
-#: -> caller-side RV702 in caller.py, derived entirely from the helper's
-#: out-of-loop allocation fact.
+#: caller.py feeds a raw SPICE quantity string to float() -> one RV404;
+#: helper.py and bystander.py are clean.
 TREE = {
     "pkg/__init__.py": "",
     "pkg/helper.py": '''\
-        import numpy as np
-
-
         def scratch(n):
-            return np.zeros(n)
+            return [0.0] * n
         ''',
     "pkg/caller.py": '''\
         from pkg.helper import scratch
 
 
-        def sweep(points, n):
-            out = []
-            for _ in range(points):
-                out.append(scratch(n))
-            return out
+        def window(n):
+            return scratch(n), float("10n")
         ''',
     "pkg/bystander.py": '''\
         def double(x):
@@ -55,16 +47,29 @@ TREE = {
 }
 
 
+def spy_on_parses(monkeypatch):
+    """Record the dotted name of every module ``verify_source`` parses."""
+    parsed = []
+    original = source_mod.SourceModule
+
+    def spy(text, path=""):
+        parsed.append(source_mod.module_name_for(path))
+        return original(text, path=path)
+
+    monkeypatch.setattr(source_mod, "SourceModule", spy)
+    return parsed
+
+
 def test_warm_run_is_identical_and_parses_nothing(tmp_path, monkeypatch):
     write_tree(tmp_path, TREE)
     cache = tmp_path / "cache"
     cold = verify_source([str(tmp_path / "pkg")], cache_dir=cache)
-    assert [d.code for d in cold] == ["RV702"]
+    assert [d.code for d in cold] == ["RV404"]
 
-    def boom(self):
-        raise AssertionError(f"warm run parsed {self.path}")
+    def boom(text, path=""):
+        raise AssertionError(f"warm run parsed {path}")
 
-    monkeypatch.setattr(source_mod._Entry, "ensure_parsed", boom)
+    monkeypatch.setattr(source_mod, "SourceModule", boom)
     warm = verify_source([str(tmp_path / "pkg")], cache_dir=cache)
     assert snapshot(warm) == snapshot(cold)
 
@@ -81,39 +86,6 @@ def test_identical_text_at_two_paths_keeps_its_own_location(tmp_path):
         assert report.diagnostics[0].target == str(tmp_path / stem / "mod.py")
 
 
-def test_callee_edit_relints_caller(tmp_path, monkeypatch):
-    """Editing helper.py changes caller.py's facts digest: the caller
-    is re-analysed (and its RV702 disappears) even though its own text
-    — and hence its cache key — is unchanged."""
-    write_tree(tmp_path, TREE)
-    cache = tmp_path / "cache"
-    cold = verify_source([str(tmp_path / "pkg")], cache_dir=cache)
-    assert [d.code for d in cold] == ["RV702"]
-
-    # scratch no longer allocates an ndarray, so the caller's loop stops
-    # paying a dense allocation per iteration.
-    (tmp_path / "pkg" / "helper.py").write_text(textwrap.dedent('''\
-        def scratch(n):
-            return [0.0] * n
-        '''))
-
-    parsed = []
-    original = source_mod._Entry.ensure_parsed
-
-    def spy(self):
-        parsed.append(self.name)
-        return original(self)
-
-    monkeypatch.setattr(source_mod._Entry, "ensure_parsed", spy)
-    warm = verify_source([str(tmp_path / "pkg")], cache_dir=cache)
-    assert [d.code for d in warm] == []
-    # The edited callee and the dependent caller were re-analysed...
-    assert "pkg.helper" in parsed
-    assert "pkg.caller" in parsed
-    # ...the bystander (no fact dependence on helper) was not.
-    assert "pkg.bystander" not in parsed
-
-
 def test_caller_edit_does_not_relint_bystanders(tmp_path, monkeypatch):
     write_tree(tmp_path, TREE)
     cache = tmp_path / "cache"
@@ -122,18 +94,11 @@ def test_caller_edit_does_not_relint_bystanders(tmp_path, monkeypatch):
     caller = tmp_path / "pkg" / "caller.py"
     caller.write_text(caller.read_text() + "\n\nTAG = 1\n")
 
-    parsed = []
-    original = source_mod._Entry.ensure_parsed
-
-    def spy(self):
-        parsed.append(self.name)
-        return original(self)
-
-    monkeypatch.setattr(source_mod._Entry, "ensure_parsed", spy)
+    parsed = spy_on_parses(monkeypatch)
     warm = verify_source([str(tmp_path / "pkg")], cache_dir=cache)
-    assert [d.code for d in warm] == ["RV702"]
-    # ensure_parsed memoizes: repeat calls for the same entry are fine,
-    # other modules must never appear.
+    assert [d.code for d in warm] == ["RV404"]
+    # Only the edited module is parsed again; the others are served
+    # from the cache.
     assert set(parsed) == {"pkg.caller"}
 
 
@@ -144,7 +109,7 @@ def test_config_change_misses_the_cache(tmp_path):
     verify_source([str(tmp_path / "pkg")], cache_dir=cache)
     n_entries = len(list(cache.glob("*.json")))
     disabled = verify_source([str(tmp_path / "pkg")],
-                             VerifyConfig(disable=frozenset({"RV702"})),
+                             VerifyConfig(disable=frozenset({"RV404"})),
                              cache_dir=cache)
     assert [d.code for d in disabled] == []
     # A different policy digest writes its own entries.
@@ -174,14 +139,14 @@ def entries_by_module(cache):
 
 def test_tampered_payload_fails_checksum(tmp_path):
     """An entry edited without updating its checksum — here the caller's
-    cached RV702 is dropped — is quarantined and re-linted, not served."""
+    cached RV404 is dropped — is quarantined and re-linted, not served."""
     write_tree(tmp_path, TREE)
     cache = tmp_path / "cache"
     cold = verify_source([str(tmp_path / "pkg")], cache_dir=cache)
     path = entries_by_module(cache)["pkg.caller"]
     data = json.loads(path.read_text())
-    assert data["payload"]["project"]["diags"]
-    data["payload"]["project"]["diags"] = []
+    assert data["payload"]["source_diags"]
+    data["payload"]["source_diags"] = []
     path.write_text(json.dumps(data))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -205,14 +170,7 @@ def test_schema_bump_invalidates(tmp_path, monkeypatch):
         data["schema"] = schema + 1
         path.write_text(json.dumps(data))
 
-    parsed = []
-    original = source_mod._Entry.ensure_parsed
-
-    def spy(self):
-        parsed.append(self.name)
-        return original(self)
-
-    monkeypatch.setattr(source_mod._Entry, "ensure_parsed", spy)
+    parsed = spy_on_parses(monkeypatch)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         warm = verify_source([str(tmp_path / "pkg")], cache_dir=cache)
@@ -225,7 +183,7 @@ def test_schema_bump_invalidates(tmp_path, monkeypatch):
 def test_no_cache_dir_means_no_cache_io(tmp_path):
     write_tree(tmp_path, TREE)
     report = verify_source([str(tmp_path / "pkg")], cache_dir=None)
-    assert [d.code for d in report] == ["RV702"]
+    assert [d.code for d in report] == ["RV404"]
     assert not list(tmp_path.glob("**/*.json"))
 
 
@@ -243,4 +201,4 @@ def test_cold_run_parses_on_the_calling_thread(tmp_path, monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", no_threads)
     report = verify_source([str(tmp_path / "pkg")], cache_dir=None)
-    assert [d.code for d in report] == ["RV702"]
+    assert [d.code for d in report] == ["RV404"]

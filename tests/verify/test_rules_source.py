@@ -154,11 +154,8 @@ def test_verify_source_merges_directory(tmp_path):
 def test_shipped_source_tree_is_clean():
     """`repro lint-source` exits 0 on the shipped package.
 
-    Clean means no errors and no warnings.  Info-severity findings are
-    allowed: the RV7xx band deliberately emits an informational
-    inventory of vectorization targets (pinned by
-    ``test_rules_perf.test_rv701_inventory_matches_hand_audit``), and
-    ``--strict`` CI gates only errors/warnings.
+    Clean means no errors and no warnings: ``--strict`` CI gates only
+    those, so an info-severity finding would not fail it either.
     """
     report = verify_source(default_source_paths())
     noisy = report.errors() + report.warnings()
