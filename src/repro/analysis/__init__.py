@@ -14,7 +14,6 @@ accepted solve is certified by the numerical-trust layer
 ``cond_estimate`` / ``refined`` annotations.
 """
 
-from .ac import ACResult, ac_analysis
 from .dc import operating_point, OperatingPointOptions
 from .sweep import dc_sweep, SweepResult
 from .transient import transient, TransientOptions
@@ -22,8 +21,6 @@ from .results import Solution, TransientResult
 from .trust import Certificate, TrustAccumulator, TrustOptions
 
 __all__ = [
-    "ac_analysis",
-    "ACResult",
     "operating_point",
     "OperatingPointOptions",
     "dc_sweep",

@@ -16,8 +16,8 @@ Two stampers take the same ``Element.stamp()`` calls:
   :class:`~repro.circuit.netlist.StampPlan`.
 * :class:`Stamper` adds contributions to dense ``A``/``b`` arrays entry
   by entry.  It serves testbench ``extra_stamps``, custom elements that
-  stamp entry by entry, the AC analysis, the stamp sanitizer and the
-  non-finite stamp provenance.
+  stamp entry by entry, the stamp sanitizer and the non-finite stamp
+  provenance.
 
 The device kernels stay scalar Python.  Evaluating the nv testbench's
 9 FinFETs over numpy arrays took 41 µs against 20 µs for the scalar
@@ -43,17 +43,20 @@ from typing import Optional
 import numpy as np
 
 
+def _miscount(element, values, expected: int) -> ValueError:
+    """The error for an ``add`` whose value count misses the element's."""
+    return ValueError(
+        f"{element.name}: stamp() handed {len(values)} values, "
+        f"stamp_pattern() and the element's unknowns make {expected}")
+
+
 class Stamper:
-    """Accumulates element stamps into the dense MNA matrix and RHS.
+    """Accumulates element stamps into the dense MNA matrix and RHS."""
 
-    ``dtype`` is ``float`` for DC/transient and ``complex`` for the AC
-    small-signal system (G + jwC).
-    """
-
-    def __init__(self, size: int, dtype=float):
+    def __init__(self, size: int):
         self.size = size
-        self.A = np.zeros((size, size), dtype=dtype)
-        self.b = np.zeros(size, dtype=dtype)
+        self.A = np.zeros((size, size))
+        self.b = np.zeros(size)
 
     def clear(self) -> None:
         self.A[:, :] = 0.0
@@ -70,10 +73,7 @@ class Stamper:
         pattern = element.stamp_pattern(ctx.mode)
         rows = element.node_index + element.branch_index
         if len(values) != len(pattern) + len(rows):
-            raise ValueError(
-                f"{element.name}: stamp() handed {len(values)} values, "
-                f"stamp_pattern() and the element's unknowns make "
-                f"{len(pattern) + len(rows)}")
+            raise _miscount(element, values, len(pattern) + len(rows))
         for (row, col), value in zip(pattern, values):
             self.matrix(row, col, value)
         for row, value in zip(rows, values[len(pattern):]):
@@ -96,16 +96,6 @@ class Stamper:
             self.b[p] -= i
         if n >= 0:
             self.b[n] += i
-
-    def vccs(self, p: int, n: int, cp: int, cn: int, gm: float) -> None:
-        """Voltage-controlled current source: gm * V(cp,cn) flowing p -> n."""
-        for row, sign_row in ((p, 1.0), (n, -1.0)):
-            if row < 0:
-                continue
-            if cp >= 0:
-                self.A[row, cp] += sign_row * gm
-            if cn >= 0:
-                self.A[row, cn] -= sign_row * gm
 
     def matrix(self, row: int, col: int, value: float) -> None:
         """Raw matrix entry (used by voltage-source branch rows)."""
@@ -164,7 +154,12 @@ class PlanStamper(Stamper):
 
     def add(self, element, ctx, values) -> None:
         """Keep ``values`` in the element's slots until the next fold."""
-        self._values[self._where[element]] = values
+        where = self._where[element]
+        # A slice assignment of another length would resize the list and
+        # shift every later element's values into the wrong slots.
+        if len(values) != where.stop - where.start:
+            raise _miscount(element, values, where.stop - where.start)
+        self._values[where] = values
 
     def clear(self) -> None:
         super().clear()
@@ -173,9 +168,6 @@ class PlanStamper(Stamper):
     def _fold(self, slots: np.ndarray) -> None:
         """Add the values handed to :meth:`add` into ``A`` and ``b``."""
         values = self._values
-        if len(values) != len(slots):
-            raise ValueError("an element handed stamp() values that do not "
-                             "match its stamp_pattern() and unknowns")
         # ``struct`` packs a list of floats about three times faster than
         # ``np.array`` converts it.
         weights = np.frombuffer(struct.pack(f"{len(values)}d", *values))

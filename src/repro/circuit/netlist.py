@@ -20,7 +20,7 @@ Analyses communicate with elements through three methods:
     call: the matrix entries in :meth:`Element.stamp_pattern` order,
     then one RHS entry per unknown of the element.  Custom elements may
     instead stamp entry by entry (``stamper.conductance``, ``current``,
-    ``vccs``, ``matrix``, ``rhs``).
+    ``matrix``, ``rhs``).
 
 ``commit(ctx)``
     Advance time-dependent internal state (capacitor history, MTJ

@@ -26,9 +26,6 @@ class VoltageSource(Element):
     waveform:
         Optional time-domain drive; overrides ``dc`` during transients and
         provides the t=0 value for the pre-transient operating point.
-    ac:
-        Small-signal stimulus magnitude used by
-        :func:`repro.analysis.ac.ac_analysis` (0 = quiet source).
 
     Sign convention (SPICE): the branch current is the current flowing from
     the + terminal *through the source* to the - terminal, so a supply that
@@ -40,11 +37,10 @@ class VoltageSource(Element):
     is_linear = True
 
     def __init__(self, name: str, p: str, n: str, dc: float = 0.0,
-                 waveform: Optional[Waveform] = None, ac: float = 0.0):
+                 waveform: Optional[Waveform] = None):
         super().__init__(name, (p, n))
         self.dc = float(dc)
         self.waveform = waveform
-        self.ac = float(ac)
 
     def level(self, t: float) -> float:
         """Source voltage at time ``t``."""

@@ -303,33 +303,34 @@ def _list_rules() -> int:
     return 0
 
 
-def _apply_lint_baseline(args, report):
-    """Baseline handling shared by ``lint`` and ``lint-source``.
+def _finish_lint(args, report) -> int:
+    """Apply the baseline flags, print ``report``, return the exit code.
 
-    Returns ``(report, exit code | None)``: ``--update-baseline``
-    records the current findings and short-circuits; ``--baseline``
-    filters known findings out (reporting how many were suppressed and
-    how many baseline entries are stale); ``--prune`` first deletes
-    stale entries from the baseline file in place (it never adds any,
-    so regressions stay visible — unlike re-recording).
+    The tail shared by ``lint`` and ``lint-source``.
+    ``--update-baseline`` records the current findings and exits 0;
+    ``--baseline`` filters known findings out (reporting how many were
+    suppressed and how many baseline entries are stale); ``--prune``
+    first deletes stale entries from the baseline file in place (it
+    never adds any, so regressions stay visible — unlike re-recording).
     """
     from .verify import (apply_baseline, load_baseline, prune_baseline,
+                         render_json, render_sarif, render_text,
                          write_baseline)
 
     if getattr(args, "update_baseline", None):
         count = write_baseline(args.update_baseline, report)
         print(f"recorded {count} finding(s) into {args.update_baseline}")
-        return report, 0
+        return 0
     if getattr(args, "prune", False):
         if not getattr(args, "baseline", None):
             print("repro lint: --prune requires --baseline FILE",
                   file=sys.stderr)
-            return report, 2
+            return 2
         try:
             removed = prune_baseline(args.baseline, report)
         except ValueError as exc:
             print(f"repro lint: {exc}", file=sys.stderr)
-            return report, 2
+            return 2
         print(f"baseline: pruned {removed} stale entr(y/ies) from "
               f"{args.baseline}", file=sys.stderr)
     if getattr(args, "baseline", None):
@@ -337,7 +338,7 @@ def _apply_lint_baseline(args, report):
             fingerprints = load_baseline(args.baseline)
         except ValueError as exc:
             print(f"repro lint: {exc}", file=sys.stderr)
-            return report, 2
+            return 2
         report, suppressed, stale = apply_baseline(report, fingerprints)
         if suppressed:
             print(f"baseline: suppressed {suppressed} known finding(s)",
@@ -346,18 +347,15 @@ def _apply_lint_baseline(args, report):
             print(f"baseline: {stale} entr(y/ies) matched nothing — "
                   "fixed findings, prune them with --update-baseline",
                   file=sys.stderr)
-    return report, None
+    renderer = {"text": render_text, "json": render_json,
+                "sarif": render_sarif}[args.format]
+    print(renderer(report))
+    failed = report.has_errors or (args.strict and report.warnings())
+    return 1 if failed else 0
 
 
 def _cmd_lint(args) -> int:
-    from .verify import (
-        Report,
-        render_json,
-        render_sarif,
-        render_text,
-        verify_circuit,
-        verify_deck_file,
-    )
+    from .verify import Report, verify_circuit, verify_deck_file
 
     if args.list_rules:
         return _list_rules()
@@ -379,19 +377,11 @@ def _cmd_lint(args) -> int:
                       f"{exc.strerror or exc}", file=sys.stderr)
                 return 2
         report.extend(part)
-    report, short_circuit = _apply_lint_baseline(args, report)
-    if short_circuit is not None:
-        return short_circuit
-    renderer = {"text": render_text, "json": render_json,
-                "sarif": render_sarif}[args.format]
-    print(renderer(report))
-    failed = report.has_errors or (args.strict and report.warnings())
-    return 1 if failed else 0
+    return _finish_lint(args, report)
 
 
 def _cmd_lint_source(args) -> int:
-    from .verify import (default_source_paths, render_json, render_sarif,
-                         render_text, verify_source)
+    from .verify import default_source_paths, verify_source
     from .verify.source import default_lint_cache_dir
 
     if args.list_rules:
@@ -405,14 +395,7 @@ def _cmd_lint_source(args) -> int:
     cache_dir = None if args.no_cache else default_lint_cache_dir()
     report = verify_source(paths, config=_lint_config(args),
                            cache_dir=cache_dir)
-    report, short_circuit = _apply_lint_baseline(args, report)
-    if short_circuit is not None:
-        return short_circuit
-    renderer = {"text": render_text, "json": render_json,
-                "sarif": render_sarif}[args.format]
-    print(renderer(report))
-    failed = report.has_errors or (args.strict and report.warnings())
-    return 1 if failed else 0
+    return _finish_lint(args, report)
 
 
 def _cmd_equiv(args) -> int:
@@ -687,6 +670,27 @@ def build_parser() -> argparse.ArgumentParser:
                        help="campaign journal (JSONL) for crash-safe "
                             "checkpoint/resume")
 
+    def lint_opts(p):
+        p.add_argument("--format", choices=("text", "json", "sarif"),
+                       default="text", help="output format (default text)")
+        p.add_argument("--disable", action="append", default=[],
+                       metavar="RULES",
+                       help="comma-separated rule codes/names to skip "
+                            "(repeatable)")
+        p.add_argument("--strict", action="store_true",
+                       help="exit non-zero on warnings too")
+        p.add_argument("--list-rules", action="store_true",
+                       help="print the rule catalog and exit")
+        p.add_argument("--baseline", metavar="FILE",
+                       help="suppress findings recorded in this baseline "
+                            "file; only new findings remain")
+        p.add_argument("--update-baseline", metavar="FILE",
+                       help="record the current findings as the baseline "
+                            "and exit 0")
+        p.add_argument("--prune", action="store_true",
+                       help="with --baseline: delete stale entries from "
+                            "the file in place (never adds entries)")
+
     common(sub.add_parser("table1", help="regenerate Table I"),
            domain=False)
     common(sub.add_parser("fig1", help="conceptual power timelines"))
@@ -751,25 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("targets", nargs="*", metavar="TARGET",
                    help="SPICE deck path or cell alias "
                         "(nv, 6t, nvff, array)")
-    p.add_argument("--format", choices=("text", "json", "sarif"),
-                   default="text", help="output format (default text)")
-    p.add_argument("--disable", action="append", default=[],
-                   metavar="RULES",
-                   help="comma-separated rule codes/names to skip "
-                        "(repeatable)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit non-zero on warnings too")
-    p.add_argument("--list-rules", action="store_true",
-                   help="print the rule catalog and exit")
-    p.add_argument("--baseline", metavar="FILE",
-                   help="suppress findings recorded in this baseline "
-                        "file; only new findings remain")
-    p.add_argument("--update-baseline", metavar="FILE",
-                   help="record the current findings as the baseline "
-                        "and exit 0")
-    p.add_argument("--prune", action="store_true",
-                   help="with --baseline: delete stale entries from "
-                        "the file in place (never adds entries)")
+    lint_opts(p)
 
     p = sub.add_parser("lint-source",
                        help="static-analyse the simulator's own "
@@ -777,25 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="*", metavar="PATH",
                    help="Python files or directories "
                         "(default: the installed repro package)")
-    p.add_argument("--format", choices=("text", "json", "sarif"),
-                   default="text", help="output format (default text)")
-    p.add_argument("--disable", action="append", default=[],
-                   metavar="RULES",
-                   help="comma-separated rule codes/names to skip "
-                        "(repeatable)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit non-zero on warnings too")
-    p.add_argument("--list-rules", action="store_true",
-                   help="print the rule catalog and exit")
-    p.add_argument("--baseline", metavar="FILE",
-                   help="suppress findings recorded in this baseline "
-                        "file; only new findings remain")
-    p.add_argument("--update-baseline", metavar="FILE",
-                   help="record the current findings as the baseline "
-                        "and exit 0")
-    p.add_argument("--prune", action="store_true",
-                   help="with --baseline: delete stale entries from "
-                        "the file in place (never adds entries)")
+    lint_opts(p)
     p.add_argument("--no-cache", action="store_true",
                    help="disable the incremental result cache")
 

@@ -1,9 +1,11 @@
 """One-shot reproduction report: every artefact, one document.
 
-:func:`run_summary` regenerates Table I and Figs. 1-9 (at configurable
-resolution), checks each of the paper's headline claims against the
-fresh numbers, and renders a single consolidated report — the
-"reproduce the paper" button (``python -m repro all``).
+:func:`run_summary` regenerates Table I and Figs. 1, 3, 4, 5, 7(a),
+7(b), 8, 9(a) and 9(b) (at configurable resolution), checks each of the
+paper's headline claims against the fresh numbers, and renders a single
+consolidated report — the "reproduce the paper" button
+(``python -m repro all``).  Fig. 6 and Fig. 7(c) are not in it; run
+``python -m repro fig6`` and ``python -m repro fig7c``.
 """
 
 from __future__ import annotations

@@ -27,16 +27,6 @@ from .energy import CellEnergyModel, CycleEnergyBreakdown
 from .bet import break_even_time, bet_curve_crossing
 from .domainsim import DomainSimResult, PowerDomainSimulator, RowState
 from .registers import RegisterBankModel
-from .hierarchy import CacheLevel, LevelReport, SystemModel
-from .workload import (
-    DomainTrace,
-    Epoch,
-    epoch_pairs,
-    epochs_from_access_times,
-    periodic_trace,
-    poisson_burst_trace,
-    zipf_domain_trace,
-)
 
 __all__ = [
     "Mode",
@@ -55,14 +45,4 @@ __all__ = [
     "DomainSimResult",
     "RowState",
     "RegisterBankModel",
-    "CacheLevel",
-    "LevelReport",
-    "SystemModel",
-    "Epoch",
-    "DomainTrace",
-    "epochs_from_access_times",
-    "epoch_pairs",
-    "periodic_trace",
-    "poisson_burst_trace",
-    "zipf_domain_trace",
 ]

@@ -12,10 +12,10 @@ rule-registry framework:
 * :mod:`repro.verify.rules_deck` — SPICE-deck text checks (RV3xx);
 * :mod:`repro.verify.rules_source` — Python-source checks over the
   simulator itself (RV4xx): float equality on physical quantities,
-  NaN/skip hazards over partial sweep results, stamp-contract drift,
-  raw SPICE quantity strings, swallowed solver forensics, mutable
-  default arguments; :mod:`repro.verify.source` runs them module by
-  module behind an incremental cache;
+  NaN/skip hazards over partial sweep results, raw SPICE quantity
+  strings, swallowed solver forensics, mutable default arguments;
+  :mod:`repro.verify.source` runs them module by module behind an
+  incremental cache;
 * :mod:`repro.verify.baseline` — record-and-suppress of pre-existing
   findings so new rules gate only new regressions;
 * :mod:`repro.verify.emit` — text / JSON / SARIF output.

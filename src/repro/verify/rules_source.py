@@ -15,10 +15,6 @@ this codebase has by construction:
   ``argmin``/ordering comparisons silently mis-rank NaN.  Reductions
   over sweep-accessor data in functions that neither use a ``nan*``
   reduction nor consult the skip accounting are flagged;
-* RV403 — stamp-contract drift: every matrix entry an ``Element``
-  subclass writes in ``stamp()`` must be declared by its
-  ``stamp_pattern()`` — the same contract the RV201 structural-
-  singularity check consumes, cross-checked symbolically on the AST;
 * RV404 — raw SPICE quantity strings (``"10n"``, ``"1.5meg"``) used
   where floats are expected instead of going through
   :func:`repro.units.parse_quantity`;
@@ -31,7 +27,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from .core import Finding, Severity, rule
 from .source import SourceModule
@@ -312,379 +308,6 @@ def check_nan_skip_hazard(module: SourceModule) -> Iterator[Finding]:
                              "np.isnan first"),
                     location=module.loc(node),
                 )
-
-
-# ---------------------------------------------------------------------------
-# RV403 — stamp()/stamp_pattern() contract drift
-# ---------------------------------------------------------------------------
-
-#: Symbolic value of an index expression: ("node", i) is
-#: self.node_index[i], ("branch", i) is self.branch_index[i],
-#: ("const", v) a literal.
-_SymVal = Tuple[str, object]
-_SymSet = Set[_SymVal]
-_Env = Dict[str, Optional[_SymSet]]
-
-
-def _render_sym(val: _SymVal) -> str:
-    kind, idx = val
-    if kind == "const":
-        return repr(idx)
-    return f"{kind}_index[{idx}]"
-
-
-def _resolve(expr: ast.AST, env: _Env) -> Optional[_SymSet]:
-    """Symbolic value-set of an index expression, or None if unknown."""
-    if isinstance(expr, ast.Name):
-        return env.get(expr.id)
-    if isinstance(expr, ast.Constant) and isinstance(expr.value, int):
-        return {("const", expr.value)}
-    if (isinstance(expr, ast.UnaryOp) and isinstance(expr.op, ast.USub)
-            and isinstance(expr.operand, ast.Constant)
-            and isinstance(expr.operand.value, int)):
-        return {("const", -expr.operand.value)}
-    return None
-
-
-def _resolve_pair(rexpr: ast.AST, cexpr: ast.AST,
-                  env: _Env) -> Optional[Set[Tuple[_SymVal, _SymVal]]]:
-    rows = _resolve(rexpr, env)
-    cols = _resolve(cexpr, env)
-    if rows is None or cols is None:
-        return None
-    return {(r, c) for r in rows for c in cols}
-
-
-def _seed_unpack(stmt: ast.Assign, env: _Env) -> bool:
-    """Bind ``p, n = self.node_index`` style unpackings into ``env``."""
-    value = stmt.value
-    if not (isinstance(value, ast.Attribute)
-            and value.attr in ("node_index", "branch_index")):
-        return False
-    source = "node" if value.attr == "node_index" else "branch"
-    for target in stmt.targets:
-        if isinstance(target, ast.Tuple) and all(
-                isinstance(e, ast.Name) for e in target.elts):
-            for position, elt in enumerate(target.elts):
-                env[elt.id] = {(source, position)}  # type: ignore[union-attr]
-            return True
-    return False
-
-
-def _conductance_block(
-        args: Sequence[ast.AST],
-        env: _Env) -> Optional[Set[Tuple[_SymVal, _SymVal]]]:
-    """The four entries of ``stamper.conductance(p, n, g)``."""
-    if len(args) < 2:
-        return None
-    p = _resolve(args[0], env)
-    n = _resolve(args[1], env)
-    if p is None or n is None:
-        return None
-    nodes = p | n
-    return {(r, c) for r in nodes for c in nodes}
-
-
-class _StampWrites:
-    """Collect matrix entries written by a ``stamp()`` body."""
-
-    def __init__(self) -> None:
-        self.entries: Set[Tuple[_SymVal, _SymVal]] = set()
-        self.locations: Dict[Tuple[_SymVal, _SymVal], ast.AST] = {}
-        self.unresolved: List[ast.AST] = []
-
-    def _add(self, pairs: Optional[Set[Tuple[_SymVal, _SymVal]]],
-             node: ast.AST) -> None:
-        if pairs is None:
-            self.unresolved.append(node)
-            return
-        for pair in pairs:
-            self.entries.add(pair)
-            self.locations.setdefault(pair, node)
-
-    def walk(self, stmts: Sequence[ast.stmt], env: _Env) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, ast.Assign):
-                if not _seed_unpack(stmt, env):
-                    for target in stmt.targets:
-                        self._maybe_subscript_write(target, env, stmt)
-                        if isinstance(target, ast.Name):
-                            env[target.id] = None   # opaque local
-            elif isinstance(stmt, ast.AugAssign):
-                self._maybe_subscript_write(stmt.target, env, stmt)
-            elif isinstance(stmt, ast.Expr) and isinstance(stmt.value,
-                                                           ast.Call):
-                self._call(stmt.value, env)
-            elif isinstance(stmt, ast.For):
-                self.walk(stmt.body, self._loop_env(stmt, env))
-                self.walk(stmt.orelse, env)
-            elif isinstance(stmt, ast.If):
-                self.walk(stmt.body, env)
-                self.walk(stmt.orelse, env)
-            elif isinstance(stmt, (ast.With, ast.While)):
-                self.walk(stmt.body, env)
-            elif isinstance(stmt, ast.Try):
-                self.walk(stmt.body, env)
-                for handler in stmt.handlers:
-                    self.walk(handler.body, env)
-                self.walk(stmt.finalbody, env)
-
-    def _loop_env(self, stmt: ast.For, env: _Env) -> _Env:
-        """Bind loop targets over a literal tuple/list of alternatives."""
-        inner = dict(env)
-        iterable = stmt.iter
-        target = stmt.target
-        if not isinstance(iterable, (ast.Tuple, ast.List)):
-            self._clear_targets(target, inner)
-            return inner
-        if isinstance(target, ast.Name):
-            union = self._union(iterable.elts, env)
-            inner[target.id] = union
-            return inner
-        if isinstance(target, ast.Tuple) and all(
-                isinstance(t, ast.Name) for t in target.elts):
-            for position, name in enumerate(target.elts):
-                members = []
-                for elt in iterable.elts:
-                    if (isinstance(elt, (ast.Tuple, ast.List))
-                            and position < len(elt.elts)):
-                        members.append(elt.elts[position])
-                inner[name.id] = self._union(members, env)  # type: ignore
-            return inner
-        self._clear_targets(target, inner)
-        return inner
-
-    @staticmethod
-    def _union(exprs: Sequence[ast.AST], env: _Env) -> Optional[_SymSet]:
-        out: _SymSet = set()
-        for expr in exprs:
-            resolved = _resolve(expr, env)
-            if resolved is None:
-                return None
-            out |= resolved
-        return out or None
-
-    @staticmethod
-    def _clear_targets(target: ast.AST, env: _Env) -> None:
-        for node in ast.walk(target):
-            if isinstance(node, ast.Name):
-                env[node.id] = None
-
-    def _call(self, call: ast.Call, env: _Env) -> None:
-        if not isinstance(call.func, ast.Attribute):
-            return
-        method = call.func.attr
-        args = call.args
-        if method == "conductance":
-            self._add(_conductance_block(args, env), call)
-        elif method == "matrix" and len(args) >= 2:
-            self._add(_resolve_pair(args[0], args[1], env), call)
-        elif method == "vccs" and len(args) >= 4:
-            rows = self._union(args[0:2], env)
-            cols = self._union(args[2:4], env)
-            if rows is None or cols is None:
-                self._add(None, call)
-            else:
-                self._add({(r, c) for r in rows for c in cols}, call)
-        # current()/rhs() touch only the RHS vector: no matrix entries.
-
-    def _maybe_subscript_write(self, target: ast.AST, env: _Env,
-                               stmt: ast.stmt) -> None:
-        """``stamper.A[r, c] += ...`` raw matrix writes."""
-        if not (isinstance(target, ast.Subscript)
-                and isinstance(target.value, ast.Attribute)
-                and target.value.attr == "A"):
-            return
-        index = target.slice
-        if isinstance(index, ast.Tuple) and len(index.elts) == 2:
-            self._add(_resolve_pair(index.elts[0], index.elts[1], env),
-                      stmt)
-        else:
-            self._add(None, stmt)
-
-
-def _eval_pattern_expr(
-        expr: ast.AST, env: _Env,
-        listvars: Dict[str, Optional[Set[Tuple[_SymVal, _SymVal]]]],
-) -> Optional[Set[Tuple[_SymVal, _SymVal]]]:
-    """Entries described by a stamp_pattern expression, or None."""
-    if isinstance(expr, ast.Name):
-        return listvars.get(expr.id)
-    if isinstance(expr, ast.Call) and (
-            (isinstance(expr.func, ast.Name)
-             and expr.func.id == "conductance_pattern")
-            or (isinstance(expr.func, ast.Attribute)
-                and expr.func.attr == "conductance_pattern")):
-        return _conductance_block(expr.args, env)
-    if isinstance(expr, (ast.List, ast.Tuple)):
-        out: Set[Tuple[_SymVal, _SymVal]] = set()
-        for elt in expr.elts:
-            if isinstance(elt, (ast.Tuple, ast.List)) and len(elt.elts) == 2:
-                pairs = _resolve_pair(elt.elts[0], elt.elts[1], env)
-                if pairs is None:
-                    return None
-                out |= pairs
-            else:
-                return None
-        return out
-    if isinstance(expr, (ast.ListComp, ast.GeneratorExp)):
-        return _expand_comprehension(expr, env)
-    if isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Add):
-        left = _eval_pattern_expr(expr.left, env, listvars)
-        right = _eval_pattern_expr(expr.right, env, listvars)
-        if left is None or right is None:
-            return None
-        return left | right
-    return None
-
-
-def _expand_comprehension(
-        comp: "ast.ListComp | ast.GeneratorExp",
-        env: _Env) -> Optional[Set[Tuple[_SymVal, _SymVal]]]:
-    """Expand ``[(r, c) for r in (...) for c in (...)]`` symbolically.
-
-    ``if`` clauses are ignored, which can only over-declare — safe for
-    the "written must be subset of declared" direction of the check.
-    """
-    elt = comp.elt
-    if not (isinstance(elt, (ast.Tuple, ast.List)) and len(elt.elts) == 2):
-        return None
-
-    def expand(generators: Sequence[ast.comprehension],
-               scope: _Env) -> Optional[Set[Tuple[_SymVal, _SymVal]]]:
-        if not generators:
-            return _resolve_pair(elt.elts[0], elt.elts[1], scope)
-        gen = generators[0]
-        if not (isinstance(gen.iter, (ast.Tuple, ast.List))
-                and isinstance(gen.target, ast.Name)):
-            return None
-        out: Set[Tuple[_SymVal, _SymVal]] = set()
-        for member in gen.iter.elts:
-            value = _resolve(member, scope)
-            if value is None:
-                return None
-            inner = dict(scope)
-            inner[gen.target.id] = value
-            sub = expand(generators[1:], inner)
-            if sub is None:
-                return None
-            out |= sub
-        return out
-
-    return expand(comp.generators, env)
-
-
-def _declared_entries(
-        func: ast.FunctionDef) -> Optional[Set[Tuple[_SymVal, _SymVal]]]:
-    """Union of entries over every ``return`` in ``stamp_pattern()``.
-
-    None means the body is beyond this symbolic evaluator — the class
-    is skipped rather than guessed at (no false positives).
-    """
-    env: _Env = {}
-    listvars: Dict[str, Optional[Set[Tuple[_SymVal, _SymVal]]]] = {}
-    declared: Set[Tuple[_SymVal, _SymVal]] = set()
-    ok = True
-
-    def walk(stmts: Sequence[ast.stmt]) -> None:
-        nonlocal ok
-        for stmt in stmts:
-            if not ok:
-                return
-            if isinstance(stmt, ast.Assign):
-                if _seed_unpack(stmt, env):
-                    continue
-                if len(stmt.targets) == 1 and isinstance(stmt.targets[0],
-                                                         ast.Name):
-                    name = stmt.targets[0].id
-                    listvars[name] = _eval_pattern_expr(stmt.value, env,
-                                                        listvars)
-            elif isinstance(stmt, ast.Expr) and isinstance(stmt.value,
-                                                           ast.Call):
-                call = stmt.value
-                if (isinstance(call.func, ast.Attribute)
-                        and isinstance(call.func.value, ast.Name)
-                        and call.func.value.id in listvars):
-                    name = call.func.value.id
-                    current = listvars.get(name)
-                    if call.func.attr == "extend" and len(call.args) == 1:
-                        extra = _eval_pattern_expr(call.args[0], env,
-                                                   listvars)
-                        listvars[name] = (None if current is None
-                                          or extra is None
-                                          else current | extra)
-                    elif call.func.attr == "append" and len(call.args) == 1:
-                        arg = call.args[0]
-                        if (isinstance(arg, (ast.Tuple, ast.List))
-                                and len(arg.elts) == 2):
-                            pairs = _resolve_pair(arg.elts[0], arg.elts[1],
-                                                  env)
-                        else:
-                            pairs = None
-                        listvars[name] = (None if current is None
-                                          or pairs is None
-                                          else current | pairs)
-                    else:
-                        listvars[name] = None
-            elif isinstance(stmt, ast.Return):
-                if stmt.value is None:
-                    ok = False
-                    return
-                entries = _eval_pattern_expr(stmt.value, env, listvars)
-                if entries is None:
-                    ok = False
-                    return
-                declared.update(entries)
-            elif isinstance(stmt, ast.If):
-                walk(stmt.body)
-                walk(stmt.orelse)
-            elif isinstance(stmt, (ast.For, ast.While, ast.With, ast.Try)):
-                ok = False   # beyond the evaluator; skip the class
-                return
-
-    walk(func.body)
-    return declared if ok else None
-
-
-@rule("RV403", "stamp-contract-drift", "source", "error",
-      "stamp() writes a matrix entry stamp_pattern() does not declare",
-      "The RV201 structural-singularity check and the sparse-analysis "
-      "tooling trust stamp_pattern() as the set of entries stamp() may "
-      "touch.  An undeclared write makes RV201 report solvable circuits "
-      "as singular (or miss singular ones) and silently invalidates "
-      "every consumer of the declared sparsity.  The dynamic sanitizer "
-      "(tests/devices/test_stamp_sanitizer.py) enforces the same "
-      "contract numerically.")
-def check_stamp_contract(module: SourceModule) -> Iterator[Finding]:
-    """Cross-check stamp() AST writes against stamp_pattern() entries."""
-    if module.tree is None:
-        return
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        methods = {child.name: child for child in node.body
-                   if isinstance(child, ast.FunctionDef)}
-        stamp = methods.get("stamp")
-        pattern = methods.get("stamp_pattern")
-        if stamp is None or pattern is None:
-            continue
-        declared = _declared_entries(pattern)
-        if declared is None:
-            continue   # beyond the symbolic evaluator: do not guess
-        writes = _StampWrites()
-        writes.walk(stamp.body, {})
-        for entry in sorted(writes.entries - declared):
-            row, col = entry
-            where = writes.locations[entry]
-            yield Finding(
-                subject=node.name,
-                message=(f"stamp() writes matrix entry "
-                         f"({_render_sym(row)}, {_render_sym(col)}) that "
-                         "stamp_pattern() never declares; RV201 and "
-                         "every sparsity consumer will be wrong about "
-                         "this element"),
-                location=module.loc(where),
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 ``repro.verify.source`` turns the rule registry inward: the RV4xx rules
 (``scope="source"``) run Python-``ast`` checks over one module at a
 time — float equality on physical quantities, NaN-unsafe reductions,
-stamp-contract drift, raw SPICE quantity strings, swallowed solver
-forensics, mutable defaults.
+raw SPICE quantity strings, swallowed solver forensics, mutable
+defaults.
 
 The engine is incremental: with a ``cache_dir``, every module's
 diagnostics persist keyed by its text, path, dotted name and the policy
@@ -53,7 +53,7 @@ from .core import (
 )
 
 #: Inline suppression pragma: ``# lint: skip=RV401`` or
-#: ``# lint: skip=RV401,RV403`` at the end of the offending line.
+#: ``# lint: skip=RV401,RV404`` at the end of the offending line.
 _PRAGMA_RE = re.compile(r"#\s*lint:\s*skip=([A-Za-z0-9_,\s]+)")
 
 #: Schema of the lint-cache entries; bump when the stored payload

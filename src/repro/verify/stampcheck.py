@@ -1,9 +1,10 @@
 """Dynamic stamp-contract sanitizer: finite differences vs. stamps.
 
-RV403 cross-checks ``stamp()`` against ``stamp_pattern()`` on the AST;
-this module enforces the same contract *numerically*, plus the part no
-static check can see — that the stamped conductances really are the
-Jacobian of the element's currents.
+Every matrix entry an element's ``stamp()`` writes must lie in its
+``stamp_pattern()``, the contract the RV201 structural-singularity
+check and the compiled stamp plan both consume.  This module checks it
+numerically, together with the stamped conductances being the Jacobian
+of the element's currents.
 
 The check rests on the residual trick the Newton solver relies on: a
 correctly linearised stamp makes ``F(x) = A(x) @ x - b(x)`` the exact

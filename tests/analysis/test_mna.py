@@ -40,20 +40,6 @@ class TestStamper:
         assert s.b[0] == -1e-3
         assert s.b[1] == 0.0
 
-    def test_vccs_stamp(self):
-        s = Stamper(4)
-        s.vccs(0, 1, 2, 3, 0.5)
-        assert s.A[0, 2] == 0.5
-        assert s.A[0, 3] == -0.5
-        assert s.A[1, 2] == -0.5
-        assert s.A[1, 3] == 0.5
-
-    def test_vccs_with_grounded_terminals(self):
-        s = Stamper(2)
-        s.vccs(0, -1, 1, -1, 0.25)
-        assert s.A[0, 1] == 0.25
-        assert np.count_nonzero(s.A) == 1
-
     def test_matrix_and_rhs_raw(self):
         s = Stamper(3)
         s.matrix(2, 0, 1.0)

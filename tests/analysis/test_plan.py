@@ -10,10 +10,12 @@ between two solves is honoured.
 import numpy as np
 import pytest
 
+from repro.analysis import operating_point
 from repro.analysis.mna import Context, PlanStamper, Stamper
 from repro.analysis.solver import GMIN_FLOOR, newton_solve
 from repro.characterize.testbench import build_cell_testbench
-from repro.circuit import Capacitor, Resistor
+from repro.circuit import Capacitor, Circuit, Resistor, VoltageSource
+from repro.circuit.netlist import Element, conductance_pattern
 from repro.devices.mtj import MTJ, MTJState
 from repro.devices.finfet import FinFET
 from repro.pg.modes import Mode, OperatingConditions
@@ -91,6 +93,41 @@ def test_linear_elements_stamp_once_per_solve(monkeypatch):
         stamper.restamp(ctx, np.zeros(circuit.size))
     assert counts == {True: len(plan.linear),
                       False: 3 * len(plan.nonlinear)}
+
+
+class _Conductance(Element):
+    """A conductance that hands ``add`` extra or too few values."""
+
+    def __init__(self, name, p, n, g, extra=0, drop=0):
+        super().__init__(name, (p, n))
+        self.g, self.extra, self.drop = g, extra, drop
+
+    def stamp(self, stamper, ctx):
+        g = self.g
+        values = [0.0] * self.extra + [g, -g, -g, g, 0.0, 0.0]
+        stamper.add(self, ctx, values[:len(values) - self.drop])
+
+    def stamp_pattern(self, mode="dc"):
+        return conductance_pattern(*self.node_index)
+
+
+@pytest.mark.parametrize("extra,drop,message", [
+    # Seven values then five: the total matches, so only a per-element
+    # check sees it (unchecked, V(b) solves to 1.0909 V, not 0.3529 V).
+    (1, 1, "g1: stamp() handed 7 values"),
+    (0, 1, "g2: stamp() handed 5 values"),
+], ids=["offsetting", "one"])
+def test_wrong_value_count_names_the_element(extra, drop, message):
+    c = Circuit("miscounted divider")
+    c.add(VoltageSource("v1", "a", "0", dc=1.0))
+    c.add(Resistor("r1", "a", "b", 1e3))
+    c.add(Resistor("r2", "c", "0", 1e3))
+    c.add(_Conductance("g1", "b", "0", 1e-3, extra=extra))
+    c.add(_Conductance("g2", "b", "c", 5e-3, drop=drop))
+    with pytest.raises(ValueError) as info:
+        operating_point(c)
+    assert str(info.value) == (message + ", stamp_pattern() and the "
+                               "element's unknowns make 6")
 
 
 def test_plan_is_rebuilt_only_on_recompile():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import ac_analysis, operating_point, transient
+from repro.analysis import operating_point, transient
 from repro.circuit import (
     Capacitor,
     Circuit,
@@ -31,7 +31,7 @@ def _random_ladder(rs, v=1.0, with_caps=False, stepped=False):
     """
     c = Circuit("ladder")
     wave = Step(0.0, v, 0.0, 1e-13) if stepped else None
-    c.add(VoltageSource("v", "n0", "0", dc=v, waveform=wave, ac=1.0))
+    c.add(VoltageSource("v", "n0", "0", dc=v, waveform=wave))
     for i, r in enumerate(rs):
         c.add(Resistor(f"r{i}", f"n{i}", f"n{i + 1}", r))
         if with_caps:
@@ -134,38 +134,3 @@ class TestTransientInvariants:
         res = transient(c, 1e-6, ic={"q": 0.9, "qb": 0.0})
         assert np.all(res.voltage("q") > 0.85)
         assert np.all(res.voltage("qb") < 0.05)
-
-
-class TestAcConsistency:
-    @given(rs=resistors)
-    @settings(max_examples=15, deadline=None)
-    def test_dc_limit_matches_operating_point(self, rs):
-        """At very low frequency the AC transfer equals the DC divider
-        ratio (unit stimulus, linear network)."""
-        c = _random_ladder(rs)
-        res = ac_analysis(c, [1e-1])
-        sol = operating_point(c)
-        for i in range(1, len(rs) + 1):
-            node = f"n{i}"
-            assert res.magnitude(node)[0] == pytest.approx(
-                sol.voltage(node), rel=1e-6
-            )
-
-    def test_transient_sine_matches_ac(self):
-        """The AC magnitude/phase predicts the steady-state transient
-        response — two independent code paths, one answer."""
-        from repro.circuit import Sine
-
-        r, cap, freq = 1e3, 1e-12, 100e6
-        c = Circuit("xcheck")
-        c.add(VoltageSource("v", "in", "0", ac=1.0,
-                            waveform=Sine(0.0, 1.0, freq)))
-        c.add(Resistor("r", "in", "out", r))
-        c.add(Capacitor("c", "out", "0", cap))
-        ac = ac_analysis(c, [freq])
-        mag = ac.magnitude("out")[0]
-
-        res = transient(c, 8 / freq)
-        tail = res.voltage("out")[res.time > 6 / freq]
-        assert float(np.max(np.abs(tail))) == pytest.approx(mag,
-                                                            rel=2e-2)

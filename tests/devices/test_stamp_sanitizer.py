@@ -2,13 +2,17 @@
 
 Finite-differences each element's ``F(x) = A(x) @ x - b(x)`` against
 its analytic stamps and asserts the observed sparsity stays inside
-``stamp_pattern()`` — the numeric twin of the RV403 static rule (see
-``repro.verify.stampcheck``).
+``stamp_pattern()`` (see ``repro.verify.stampcheck``).  Every concrete
+element class in ``repro`` must have a case here.
 """
+
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis.mna import Context
 from repro.circuit import (
     Capacitor,
@@ -144,6 +148,33 @@ def test_full_cell_testbench_is_clean():
     circuit.compile()
     x = np.full(circuit.size, 0.45)
     assert_stamps_clean(check_circuit_stamps(circuit, x=x, rtol=5e-4))
+
+
+# Every concrete element class in ``repro``, each sanitized above.
+SANITIZED = {Resistor, Capacitor, VoltageSource, CurrentSource,
+             VoltageControlledSwitch, FinFET, MTJ}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_shipped_element_is_sanitized():
+    """A new element class fails here until it gets a sanitizer case."""
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        if not info.name.endswith("__main__"):
+            importlib.import_module(info.name)
+    shipped = {cls for cls in _subclasses(Element)
+               if cls.__module__.startswith("repro.")
+               and cls.stamp is not Element.stamp}
+
+    def names(classes):
+        return sorted(f"{cls.__module__}.{cls.__qualname__}"
+                      for cls in classes)
+
+    assert names(shipped) == names(SANITIZED)
 
 
 # -- the sanitizer itself must catch violations -----------------------------

@@ -286,7 +286,7 @@ class TestLintSourceCommand:
     def test_list_rules_includes_rv4xx(self, capsys):
         assert main(["lint-source", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RV400", "RV403", "RV406"):
+        for code in ("RV400", "RV402", "RV406"):
             assert code in out
 
     def test_sarif_output_is_valid_json(self, tmp_path, capsys):

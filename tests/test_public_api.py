@@ -37,11 +37,11 @@ TOP_LEVEL_EXPORTS = [
 
 SUBPACKAGE_EXPORTS = {
     "repro.circuit": ["Sine", "Exponential", "lint", "SubCircuit"],
-    "repro.analysis": ["ac_analysis", "TransientOptions"],
+    "repro.analysis": ["dc_sweep", "TransientOptions"],
     "repro.cells": ["add_nvff", "add_senseamp", "add_inverter"],
     "repro.pg": [
-        "PowerDomainSimulator", "RegisterBankModel", "SystemModel",
-        "CacheLevel", "epochs_from_access_times", "zipf_domain_trace",
+        "PowerDomainSimulator", "RegisterBankModel", "bet_curve_crossing",
+        "CycleEnergyBreakdown",
     ],
     "repro.characterize": [
         "leakage_vs_vctrl", "store_current_vs_vsr", "derive_store_biases",

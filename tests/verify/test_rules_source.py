@@ -31,7 +31,7 @@ def codes(report):
 def test_rv4xx_band_registered():
     source_rules = REGISTRY.rules("source")
     assert [r.code for r in source_rules] == [
-        "RV400", "RV401", "RV402", "RV403", "RV404", "RV405", "RV406"]
+        "RV400", "RV401", "RV402", "RV404", "RV405", "RV406"]
     for rule_ in source_rules:
         assert rule_.description
         assert rule_.rationale
@@ -67,19 +67,6 @@ def test_rv402_nan_skip_hazard():
     assert "first_above_threshold" in subjects
     # A function that consults .num_skipped / np.isnan is exempt.
     assert "guarded_is_fine" not in subjects
-
-
-def test_rv403_stamp_contract_drift():
-    report = lint_fixture("viol_rv403.py")
-    assert set(codes(report)) == {"RV403"}
-    subjects = {d.subject for d in report}
-    assert subjects == {"DriftingResistor", "DriftingSource"}
-    # DriftingResistor: (p,n) and (n,p) written, only diagonals declared.
-    drifting = [d for d in report if d.subject == "DriftingResistor"]
-    assert len(drifting) == 2
-    # DriftingSource: the (branch, node) backward write is undeclared.
-    assert any("branch_index[0]" in d.message for d in report
-               if d.subject == "DriftingSource")
 
 
 def test_rv404_raw_quantity_strings():
