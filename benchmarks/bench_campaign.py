@@ -55,8 +55,8 @@ def bench_inline_campaign(benchmark):
 def bench_parallel_campaign(benchmark):
     """Two spawn workers on the same sweep: the fixed isolation cost.
 
-    On a warm-cache 12-sample sweep the ~1 s/worker spawn warmup
-    (interpreter start + numpy/scipy imports) dominates, so this bench
+    On a warm-cache 12-sample sweep the per-worker spawn warmup
+    (interpreter start + imports) dominates, so this bench
     measures the price of process isolation, not a speedup —
     :func:`bench_parallel_speedup` covers the work-dominated regime.
     """

@@ -15,16 +15,17 @@ This module makes every accepted solve carry a :class:`Certificate`:
   devices are stamped as Norton companion pairs, so node rows are true
   current imbalances, and at Newton convergence this equals the
   nonlinear KCL residual to first order);
-* ``cond_estimate`` — a cheap 1-norm condition estimate (Hager/Higham
-  power iteration on ``A⁻¹``, a handful of O(n³-small) solves, no
-  explicit inverse);
+* ``cond_estimate`` — the exact 1-norm condition number
+  ``‖A‖₁·‖A⁻¹‖₁`` through the explicit inverse (one LAPACK call at the
+  tens of unknowns a cell testbench has), reused while the matrix
+  drifts slowly;
 * ``refined`` / ``equilibrated`` — which conditioning defenses fired.
 
 The defenses are *automatic*: when ``rcond`` or the residual crosses the
 :class:`TrustOptions` thresholds, the final system is re-solved with
 row/column equilibration (powers of two, so the scaling itself is
 exact) and polished with iterative refinement.  Clean solves pay one
-matvec and a few tiny dense solves — ≈0 against the Python-loop stamp
+matvec and at most one small inverse — ≈0 against the Python-loop stamp
 assembly that dominates every Newton iteration (measured in
 ``BENCH_engine.json``).
 
@@ -37,26 +38,16 @@ naming the device that produced it instead of an opaque
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-
-#: Hager 1-norm estimator iteration cap; 2-3 almost always converges.
-_CONDEST_MAX_ITER = 5
-
-#: Below this order the exact 1-norm via the explicit inverse is used:
-#: one LAPACK call beats the estimator's five, and LAPACK-call overhead
-#: (not flops) dominates dense linear algebra on cell-sized systems.
-_CONDEST_EXACT_N = 64
 
 #: Condition-estimate reuse tolerance for slowly-varying systems
 #: (transient steps, Newton continuations).  When the matrix has drifted
 #: by less than this relative 1-norm amount since the last *healthy*
 #: estimate (rcond comfortably above ``rcond_threshold``), the cached
-#: estimate is reused instead of re-running Hager's iteration.
+#: estimate is reused instead of inverting the matrix again.
 #: Conditioning is a slowly-varying property of these decks, and the
 #: residual threshold independently backs the defense trigger, so the
 #: reuse only ever affects the advisory annotation.
@@ -82,9 +73,9 @@ class TrustOptions:
         certificate fields NaN) — only useful for benchmarking the
         certification overhead itself.
     condest:
-        Also estimate the 1-norm condition number.  The estimate costs
-        one LU factorisation plus a few triangular solves per accepted
-        solve; disable in extremely hot loops if profiling says so.
+        Also compute the 1-norm condition number.  It costs one explicit
+        inverse per accepted solve, unless a recent value is reused;
+        disable in extremely hot loops if profiling says so.
     rcond_threshold:
         Reciprocal condition estimate below which the defenses kick in.
         1e-13 leaves the routine power-gating corners (~1e9..1e12
@@ -143,67 +134,27 @@ class Certificate:
 
 
 def onenorm_condest(A: np.ndarray) -> float:
-    """Cheap 1-norm condition estimate ``‖A‖₁ · est(‖A⁻¹‖₁)``.
+    """Exact 1-norm condition number ``‖A‖₁ · ‖A⁻¹‖₁``.
 
-    Small systems (order ≤ ``_CONDEST_EXACT_N``, which covers every
-    single-cell testbench in this repo) get the *exact* 1-norm through
-    the explicit inverse — at that size one LAPACK call is cheaper than
-    an estimator's five.  Larger systems use Hager's power iteration on
-    ``A⁻¹`` (Higham's Algorithm 4.1): each step solves ``A·y = x`` and
-    ``Aᵀ·z = sign(y)`` — no explicit inverse.  ``A`` is LU-factorised
-    *once*; all forward and transposed solves reuse the factors
-    (``lu_solve(..., trans=1)``), so the whole estimate costs one O(n³)
-    factorisation plus a few O(n²) triangular sweeps.  Returns ``inf``
-    for a singular matrix and ``nan`` when the estimate itself broke
-    down (non-finite intermediates).
+    Computed through the explicit inverse: on the systems this repo
+    solves (tens of unknowns) one LAPACK call costs less than an
+    estimator's several triangular solves, and the result is exact.
+    Returns ``inf`` for a singular matrix, or one whose inverse is not
+    finite, and never NaN.
     """
-    n = A.shape[0]
-    if n == 0:
+    if A.shape[0] == 0:
         return 1.0
     norm_a = float(np.linalg.norm(A, 1))
     if norm_a == 0.0:
         return float("inf")
-    if n <= _CONDEST_EXACT_N:
-        try:
-            with np.errstate(all="ignore"):
-                inv = np.linalg.inv(A)
-        except np.linalg.LinAlgError:
-            return float("inf")
-        if not np.all(np.isfinite(inv)):
-            return float("inf")
-        return norm_a * float(np.max(np.sum(np.abs(inv), axis=0)))
     try:
-        with warnings.catch_warnings():
-            # scipy warns (LinAlgWarning) on exactly-singular input; the
-            # non-finite checks below already turn that into ``inf``.
-            warnings.simplefilter("ignore")
-            factors = lu_factor(A, check_finite=False)
-            x = np.full(n, 1.0 / n)
-            estimate = 0.0
-            x_buf = np.zeros(n)
-            for _ in range(_CONDEST_MAX_ITER):
-                y = lu_solve(factors, x, check_finite=False)
-                if not np.all(np.isfinite(y)):
-                    return float("inf")
-                new_estimate = float(np.linalg.norm(y, 1))
-                sign = np.where(y >= 0.0, 1.0, -1.0)
-                z = lu_solve(factors, sign, trans=1, check_finite=False)
-                if not np.all(np.isfinite(z)):
-                    return float("inf")
-                j = int(np.argmax(np.abs(z)))
-                # Converged when the new unit vector would repeat (standard
-                # Hager termination: |z|_inf <= z.x) or the estimate stalls.
-                if (float(np.abs(z[j])) <= float(z @ x)
-                        or new_estimate <= estimate):
-                    estimate = max(estimate, new_estimate)
-                    break
-                estimate = new_estimate
-                x = x_buf
-                x.fill(0.0)
-                x[j] = 1.0
-        return norm_a * estimate
-    except (np.linalg.LinAlgError, ValueError):
+        with np.errstate(all="ignore"):
+            inv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
         return float("inf")
+    if not np.all(np.isfinite(inv)):
+        return float("inf")
+    return norm_a * float(np.max(np.sum(np.abs(inv), axis=0)))
 
 
 @dataclass
@@ -230,7 +181,8 @@ def _condest_with_reuse(A: np.ndarray, opts: "TrustOptions") -> float:
     When the drift since the last estimate is below
     ``_CONDEST_REUSE_RTOL`` *and* that estimate was comfortably healthy
     (rcond above ``1e4 × rcond_threshold``, so reuse can never mask a
-    defense trigger), the cached value is returned without any solve.
+    defense trigger), the cached value is returned without inverting
+    ``A``.
 
     The drift test bounds the 1-norm through the Frobenius norm
     (``‖M‖₁ ≤ √n·‖M‖_F``) because the Frobenius norm of the difference

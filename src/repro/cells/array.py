@@ -5,9 +5,9 @@ cells on one word line share power switches and are stored/shut down
 together, and the N word lines of the domain are accessed — and stored —
 **in series**.  Two things live here:
 
-* :class:`PowerDomain` — the arithmetic of that organisation (domain size,
-  access-serialisation factors, bitline loading), shared by the
-  characterisation layer and the Fig. 7-9 energy composition.
+* :class:`PowerDomain` — the arithmetic of that organisation (domain size
+  and bitline loading), shared by the characterisation layer and the
+  Fig. 7-9 energy composition.
 * :func:`build_cell_array` — a real (small) SPICE-level array of NV-SRAM
   cells sharing bitlines/word lines, used by integration tests to check
   that the single-cell testbench results transfer to multi-cell netlists.
@@ -34,7 +34,7 @@ CBL_FIXED = 0.5e-15
 
 @dataclass(frozen=True)
 class PowerDomain:
-    """Geometry and timing bookkeeping for an N x M power domain.
+    """Geometry bookkeeping for an N x M power domain.
 
     Attributes
     ----------
@@ -64,21 +64,6 @@ class PowerDomain:
     def bitline_capacitance(self) -> float:
         """Bitline capacitance seen by one cell during read/write (F)."""
         return CBL_FIXED + self.n_wordlines * CBL_PER_ROW
-
-    def access_pass_duration(self, t_cycle: float) -> float:
-        """Time to read *and* write every word once (one n_RW pass).
-
-        Words are accessed in series: N read cycles then N write cycles.
-        """
-        return 2.0 * self.n_wordlines * t_cycle
-
-    def store_phase_duration(self, t_store: float) -> float:
-        """Duration of the serialised whole-domain store phase."""
-        return self.n_wordlines * t_store
-
-    def idle_fraction_during_pass(self) -> float:
-        """Fraction of a pass during which a given cell is *not* accessed."""
-        return (self.n_wordlines - 1.0) / self.n_wordlines
 
     def __str__(self) -> str:
         return (

@@ -21,7 +21,6 @@ from .waveforms import (
     Exponential,
 )
 from .subcircuit import SubCircuit
-from .lint import LintFinding, has_errors, lint
 
 __all__ = [
     "Circuit",
@@ -40,7 +39,4 @@ __all__ = [
     "Sine",
     "Exponential",
     "SubCircuit",
-    "LintFinding",
-    "lint",
-    "has_errors",
 ]

@@ -93,8 +93,9 @@ class ConvergenceError(AnalysisError):
         never took an undamped step, so it was never even eligible for
         the convergence test.
     cond_estimate:
-        Hager 1-norm condition estimate of the final assembled MNA
-        matrix, or NaN when it could not be computed.  Lets forensics
+        Exact 1-norm condition number of the final assembled MNA
+        matrix (``inf`` when singular), or NaN when it could not be
+        computed (a non-finite iterate or matrix).  Lets forensics
         distinguish "diverged on a healthy system" from "the system
         itself is numerically hopeless".
     x:

@@ -7,7 +7,7 @@ module performs the same composition from characterised per-mode numbers:
 * the cell's own read/write/store/restore energies come from transient
   characterisation (:mod:`repro.characterize.runner`);
 * idle intervals contribute static power x duration;
-* array organisation enters through the serialisation factors of
+* array organisation enters through the depth N of
   :class:`repro.cells.array.PowerDomain`: the N words of the domain are
   accessed in series (a cell waits, powered, while its N-1 neighbours are
   accessed) and stored in series (the NVPG store phase lasts N x t_store,

@@ -1,7 +1,7 @@
 """Static analysis for netlists and SPICE decks (``repro lint``).
 
-This package generalises the seed's ad-hoc circuit linter into a
-rule-registry framework:
+This package generalises the seed's ad-hoc circuit linter (its five
+checks are now RV001..RV005) into a rule-registry framework:
 
 * :mod:`repro.verify.core` — rules, diagnostics, config, reports;
 * :mod:`repro.verify.rules_circuit` — generic netlist hygiene (RV0xx);

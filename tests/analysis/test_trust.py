@@ -51,14 +51,29 @@ class TestCondest:
 
     def test_matches_exact_condition_number(self):
         A = _spread_matrix(6.0)
-        exact = np.linalg.cond(A, 1)
-        est = onenorm_condest(A)
-        # Hager's estimator is a lower bound that is nearly always tight.
-        assert est <= exact * 1.001
-        assert est >= exact * 0.1
+        assert onenorm_condest(A) == pytest.approx(np.linalg.cond(A, 1),
+                                                   rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_exact_at_100_unknowns(self, seed):
+        # Larger than any cell testbench (23-25 unknowns) or test array
+        # (44): the condition number is exact at every order.
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((100, 100)) + 100 * np.eye(100)
+        assert onenorm_condest(A) == pytest.approx(np.linalg.cond(A, 1),
+                                                   rel=1e-9)
 
     def test_singular_matrix_reports_inf(self):
         A = np.ones((3, 3))
+        assert math.isinf(onenorm_condest(A))
+
+    def test_singular_100_unknowns_reports_inf(self):
+        # A node with no connection and no gmin stamps a zero row and
+        # column.
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((100, 100)) + 100 * np.eye(100)
+        A[57, :] = 0.0
+        A[:, 57] = 0.0
         assert math.isinf(onenorm_condest(A))
 
     def test_empty_system(self):

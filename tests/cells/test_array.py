@@ -24,22 +24,6 @@ class TestPowerDomain:
         assert large > small
         assert small == pytest.approx(CBL_FIXED + 32 * CBL_PER_ROW)
 
-    def test_access_pass_duration(self):
-        pd = PowerDomain(512, 32)
-        t_cyc = 1 / 300e6
-        assert pd.access_pass_duration(t_cyc) == pytest.approx(
-            2 * 512 * t_cyc
-        )
-
-    def test_store_phase_serialised(self):
-        pd = PowerDomain(512, 32)
-        assert pd.store_phase_duration(20e-9) == pytest.approx(512 * 20e-9)
-
-    def test_idle_fraction(self):
-        assert PowerDomain(1, 32).idle_fraction_during_pass() == 0.0
-        assert PowerDomain(512, 32).idle_fraction_during_pass() == \
-            pytest.approx(511 / 512)
-
     def test_validation(self):
         with pytest.raises(NetlistError):
             PowerDomain(0, 32)
@@ -56,7 +40,6 @@ class TestPowerDomain:
         pd = PowerDomain(n, m)
         assert pd.num_cells == n * m
         assert pd.size_bytes * 8 == pd.num_cells
-        assert 0.0 <= pd.idle_fraction_during_pass() < 1.0
 
 
 class TestBuildCellArray:

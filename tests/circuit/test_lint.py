@@ -1,14 +1,21 @@
-"""Tests for the netlist linter."""
-
-import pytest
+"""Tests for the seed linter's five netlist checks, rules RV001-RV005."""
 
 from repro.circuit import Capacitor, Circuit, Resistor, VoltageSource
-from repro.circuit.lint import LintFinding, has_errors, lint
 from repro.characterize.testbench import build_cell_testbench
+from repro.verify import Diagnostic, Severity, VerifyConfig, run_rules
+
+#: floating-node, no-dc-path, shorted-element, voltage-loop,
+#: parallel-sources.
+SEED_CHECKS = VerifyConfig(
+    only=frozenset({"RV001", "RV002", "RV003", "RV004", "RV005"}))
 
 
-def codes(findings):
-    return {f.code for f in findings}
+def lint(circuit):
+    return run_rules(circuit, "circuit", config=SEED_CHECKS)
+
+
+def names(report):
+    return {d.name for d in report}
 
 
 class TestCleanCircuits:
@@ -17,13 +24,13 @@ class TestCleanCircuits:
         c.add(VoltageSource("v", "in", "0", dc=1.0))
         c.add(Resistor("r1", "in", "mid", 1e3))
         c.add(Resistor("r2", "mid", "0", 1e3))
-        assert lint(c) == []
+        assert list(lint(c)) == []
 
     def test_full_cell_testbench_is_clean(self):
         tb = build_cell_testbench("nv")
-        findings = lint(tb.circuit)
-        assert not has_errors(findings)
-        assert findings == []
+        report = lint(tb.circuit)
+        assert not report.has_errors
+        assert list(report) == []
 
 
 class TestFloatingNode:
@@ -31,11 +38,11 @@ class TestFloatingNode:
         c = Circuit()
         c.add(VoltageSource("v", "in", "0", dc=1.0))
         c.add(Resistor("r1", "in", "typo_node", 1e3))
-        findings = lint(c)
-        assert "floating-node" in codes(findings)
-        subject = [f for f in findings if f.code == "floating-node"][0]
+        report = lint(c)
+        assert "floating-node" in names(report)
+        subject = [d for d in report if d.name == "floating-node"][0]
         assert subject.subject == "typo_node"
-        assert subject.severity == "warning"
+        assert subject.severity is Severity.WARNING
         assert "r1" in subject.message
 
 
@@ -46,15 +53,14 @@ class TestNoDcPath:
         c.add(Resistor("r", "in", "0", 1e3))
         c.add(Capacitor("c1", "in", "float", 1e-12))
         c.add(Capacitor("c2", "float", "0", 1e-12))
-        findings = lint(c)
-        assert "no-dc-path" in codes(findings)
+        assert "no-dc-path" in names(lint(c))
 
     def test_cap_with_resistor_not_flagged(self):
         c = Circuit()
         c.add(VoltageSource("v", "in", "0", dc=1.0))
         c.add(Resistor("r", "in", "out", 1e3))
         c.add(Capacitor("c1", "out", "0", 1e-12))
-        assert "no-dc-path" not in codes(lint(c))
+        assert "no-dc-path" not in names(lint(c))
 
 
 class TestShortedElement:
@@ -63,8 +69,7 @@ class TestShortedElement:
         c.add(VoltageSource("v", "a", "0", dc=1.0))
         c.add(Resistor("rshort", "a", "a", 1e3))
         c.add(Resistor("rload", "a", "0", 1e3))
-        findings = lint(c)
-        assert "shorted-element" in codes(findings)
+        assert "shorted-element" in names(lint(c))
 
 
 class TestSourceTopology:
@@ -73,9 +78,9 @@ class TestSourceTopology:
         c.add(VoltageSource("v1", "a", "0", dc=1.0))
         c.add(VoltageSource("v2", "a", "0", dc=1.0))
         c.add(Resistor("r", "a", "0", 1e3))
-        findings = lint(c)
-        assert "parallel-sources" in codes(findings)
-        assert has_errors(findings)
+        report = lint(c)
+        assert "parallel-sources" in names(report)
+        assert report.has_errors
 
     def test_voltage_loop_error(self):
         c = Circuit()
@@ -83,15 +88,14 @@ class TestSourceTopology:
         c.add(VoltageSource("v2", "b", "a", dc=0.5))
         c.add(VoltageSource("v3", "b", "0", dc=1.5))
         c.add(Resistor("r", "b", "0", 1e3))
-        findings = lint(c)
-        assert "voltage-loop" in codes(findings)
+        assert "voltage-loop" in names(lint(c))
 
     def test_series_sources_fine(self):
         c = Circuit()
         c.add(VoltageSource("v1", "a", "0", dc=1.0))
         c.add(VoltageSource("v2", "b", "a", dc=0.5))
         c.add(Resistor("r", "b", "0", 1e3))
-        assert lint(c) == []
+        assert list(lint(c)) == []
 
 
 class TestOrderingAndHelpers:
@@ -100,16 +104,18 @@ class TestOrderingAndHelpers:
         c.add(VoltageSource("v1", "a", "0", dc=1.0))
         c.add(VoltageSource("v2", "a", "0", dc=1.0))
         c.add(Resistor("r", "a", "dangling", 1e3))
-        findings = lint(c)
-        assert findings[0].severity == "error"
-        assert findings[-1].severity == "warning"
+        diagnostics = list(lint(c))
+        assert diagnostics[0].severity is Severity.ERROR
+        assert diagnostics[-1].severity is Severity.WARNING
 
     def test_str_rendering(self):
-        f = LintFinding("floating-node", "warning", "msg", "n1")
-        assert "[warning] floating-node" in str(f)
+        d = Diagnostic("RV001", "floating-node", Severity.WARNING, "msg", "n1")
+        assert str(d) == "[warning] RV001 floating-node: msg"
 
     def test_has_errors_false_for_warnings(self):
         c = Circuit()
         c.add(VoltageSource("v", "in", "0", dc=1.0))
         c.add(Resistor("r1", "in", "dangle", 1e3))
-        assert not has_errors(lint(c))
+        report = lint(c)
+        assert list(report)
+        assert not report.has_errors

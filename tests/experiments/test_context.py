@@ -4,7 +4,7 @@ import pytest
 
 from repro.cells import PowerDomain
 from repro.devices.mtj import MTJ_FIG9B
-from repro.experiments import ExperimentContext
+from repro.experiments import ExperimentContext, run_fig7a
 from repro.pg.modes import OperatingConditions
 
 
@@ -74,3 +74,15 @@ class TestDefaults:
         second = clone.characterization("6t", domain)
         assert second == first
         assert any(tmp_path.iterdir())
+
+
+def test_prewarm_matches_serial(tmp_path, small_domain):
+    """``--workers`` prewarms the cells through a campaign; the figure
+    must not depend on it."""
+    warm = ExperimentContext(cache_dir=tmp_path / "warm")
+    result = warm.prewarm([(small_domain, None, None)], workers=0)
+    assert {o.label for o in result.completed} == {"nv N=32x32",
+                                                  "6t N=32x32"}
+    serial = ExperimentContext(cache_dir=tmp_path / "serial")
+    assert run_fig7a(warm, small_domain).render() == \
+        run_fig7a(serial, small_domain).render()

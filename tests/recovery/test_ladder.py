@@ -125,6 +125,21 @@ class TestRecoverDc:
         assert all(a["rung"] != "source-ramp"
                    for a in info.value.ladder_trace)
 
+    def test_source_ramp_rescues_a_starved_solve(self):
+        """With every other rung off, four iterations are too few from
+        zero volts but enough for each step of the source ramp."""
+        c = _latch()
+        options = RecoveryOptions(equilibrate=False, damping_factors=(),
+                                  gmin_steps=(), pseudo_transient=False)
+        result = recover_dc(c, newton=NewtonOptions(max_iterations=4),
+                            options=options)
+        assert [(a.rung, a.ok) for a in result.trace] == [
+            ("plain", False), ("source-ramp", True)]
+        assert result.rung == "source-ramp"
+        from repro.analysis.solver import kcl_residual
+        r = kcl_residual(c, Context(), result.x)
+        assert float(np.max(np.abs(r))) < 1e-7
+
 
 class TestOperatingPointIntegration:
     def test_solution_annotated_clean(self):

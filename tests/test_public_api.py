@@ -8,7 +8,11 @@ carries a docstring).
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +40,7 @@ TOP_LEVEL_EXPORTS = [
 ]
 
 SUBPACKAGE_EXPORTS = {
-    "repro.circuit": ["Sine", "Exponential", "lint", "SubCircuit"],
+    "repro.circuit": ["Sine", "Exponential", "Pulse", "SubCircuit"],
     "repro.analysis": ["dc_sweep", "TransientOptions"],
     "repro.cells": ["add_nvff", "add_senseamp", "add_inverter"],
     "repro.pg": [
@@ -85,6 +89,36 @@ class TestSubpackages:
         mod = importlib.import_module(module)
         for name in names:
             assert hasattr(mod, name), f"{module}.{name} missing"
+
+
+#: Blocks scipy (an entry of ``None`` in ``sys.modules`` makes its import
+#: raise), imports every entry point, and solves a divider with the
+#: condition number certified.
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+import repro, repro.cli, repro.experiments.summary
+import repro.characterize.variability, repro.verify, repro.exec
+import repro.serve, repro.spice
+from repro import Circuit, Resistor, VoltageSource, operating_point
+c = Circuit()
+c.add(VoltageSource("v", "in", "0", dc=1.0))
+c.add(Resistor("r1", "in", "mid", 1e3))
+c.add(Resistor("r2", "mid", "0", 3e3))
+sol = operating_point(c)
+print(sol.voltage("mid"), sol.cond_estimate)
+"""
+
+
+def test_repro_imports_and_solves_without_scipy():
+    src = Path(repro.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    mid, cond = map(float, proc.stdout.split())
+    assert mid == pytest.approx(0.75, rel=1e-6)
+    assert 1.0 <= cond < float("inf")
 
 
 def _walk_modules():
