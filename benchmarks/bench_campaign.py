@@ -14,8 +14,7 @@ import time
 from repro.cells import PowerDomain
 from repro.characterize.variability import (
     VariationModel,
-    _store_margin_sample,
-    sample_rng,
+    _store_margins,
     store_yield_analysis,
     store_yield_campaign,
 )
@@ -30,9 +29,10 @@ VARIATION = VariationModel()
 
 
 def _serial_loop():
-    """The pre-campaign baseline: a bare loop over the MC samples."""
+    """The pre-campaign baseline: a bare loop over the MC samples, each
+    through the per-sample entry the campaign task calls."""
     return [
-        _store_margin_sample(COND, DOMAIN, VARIATION, sample_rng(SEED, i))
+        float(_store_margins(COND, DOMAIN, VARIATION, SEED, [i])[0][0])
         for i in range(N_SAMPLES)
     ]
 

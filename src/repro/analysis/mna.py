@@ -19,12 +19,15 @@ Two stampers take the same ``Element.stamp()`` calls:
   stamp entry by entry, the stamp sanitizer and the non-finite stamp
   provenance.
 
-The device kernels stay scalar Python.  Evaluating the nv testbench's
-9 FinFETs over numpy arrays took 41 µs against 20 µs for the scalar
-kernels, before any gather or scatter (Python 3.11, numpy 2.4, 2 vCPUs):
-at this size numpy's per-call overhead outweighs the arithmetic.  Arrays
-pay off once a batch axis carries many same-topology systems (ROADMAP
-item 6).
+The device kernels of a single circuit stay scalar Python.  Evaluating
+the nv testbench's 9 FinFETs over numpy arrays took 41 µs against 20 µs
+for the scalar kernels, before any gather or scatter (Python 3.11, numpy
+2.4, 2 vCPUs): at this size numpy's per-call overhead outweighs the
+arithmetic.  Arrays pay off along a batch axis instead:
+:mod:`repro.analysis.batch` evaluates each device class's array kernel
+over every sample of a Monte-Carlo batch and adds the values to the
+:class:`PlanStamper` base with one ``np.bincount`` over the same plan
+slots.
 
 Sign conventions
 ----------------
@@ -146,8 +149,9 @@ class PlanStamper(Stamper):
         self._values = [0.0] * len(linear)
         _stamp_each(plan.linear, self, ctx)
         self._fold(linear)
-        self._base = self._flat.copy()
-        self._base[:plan.num_nodes * (size + 1):size + 1] += gmin
+        #: The flat system of the linear elements and gmin.
+        self.base = self._flat.copy()
+        self.base[:plan.num_nodes * (size + 1):size + 1] += gmin
         # From here on add() collects the nonlinear elements' values.
         self._zeros = [0.0] * len(self._slots)
         self._values = list(self._zeros)
@@ -183,7 +187,7 @@ class PlanStamper(Stamper):
         if extra_stamps is not None:
             extra_stamps(self, ctx)
         self._fold(self._slots)
-        self._flat += self._base
+        self._flat += self.base
 
 
 class Context:

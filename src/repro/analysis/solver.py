@@ -19,6 +19,10 @@ non-singular when devices are fully cut off; homotopy strategies in
 :mod:`repro.recovery` raise it temporarily to walk difficult operating
 points in.
 
+:func:`repro.analysis.batch.lockstep_newton` applies the same per-solve
+rules (tolerances, damping, failure tests, certification) to a stack of
+same-topology systems at once; it imports them from here.
+
 On failure the raised :class:`~repro.errors.ConvergenceError` carries the
 true KCL residual ``‖A(x)·x − b(x)‖∞`` (amps) re-evaluated at the final
 iterate, the worst-offending equations by name, and the consecutive-damped

@@ -13,18 +13,29 @@ design curves:
 * :func:`read_snm_distribution` — spread of the read static noise
   margin with mismatched cross-coupled inverters (the asymmetric
   butterfly), quantifying the stability cost of the (1,1) fin design.
+
+Each analysis solves its samples as one
+:class:`~repro.analysis.batch.CircuitBatch`: the store as one batch of
+nv testbenches, the SNM as one batch of two half-cells per sample.  A
+campaign task runs the same code on a batch of its one sample, and no
+batched operation mixes samples, so serial, parallel and resumed runs
+agree bit for bit.  A sample the batch cannot finish takes the scalar
+path with the whole recovery ladder; one that fails there too carries
+NaN and a :class:`~repro.recovery.partial.SkipRecord`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import CharacterizationError, ConvergenceError
-from ..analysis import dc_sweep, operating_point
-from ..recovery.partial import SkipRecord, run_point
+from ..errors import AnalysisError, CharacterizationError
+from ..analysis import dc_sweep
+from ..analysis.batch import CircuitBatch
+from ..analysis.dc import batch_operating_point
+from ..recovery.partial import SkipRecord
 from ..cells import PowerDomain
 from ..circuit import Circuit, VoltageSource
 from ..devices.finfet import FinFET, FinFETParams
@@ -75,16 +86,6 @@ class VariationModel:
         return params.with_(jc=jc, ra_product=ra)
 
 
-def _perturb_testbench(tb, variation: VariationModel,
-                       rng: np.random.Generator) -> None:
-    """Apply per-device sampled variation to every FinFET/MTJ in place."""
-    for element in tb.circuit.elements():
-        if isinstance(element, FinFET):
-            element.params = variation.sample_fet(element.params, rng)
-        elif isinstance(element, MTJ):
-            element.params = variation.sample_mtj(element.params, rng)
-
-
 def sample_rng(seed: int, index: int) -> np.random.Generator:
     """Per-sample generator seeded from ``(seed, index)``.
 
@@ -97,31 +98,73 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
-def _store_margin_sample(cond: OperatingConditions, domain: PowerDomain,
-                         variation: VariationModel,
-                         rng: np.random.Generator) -> float:
-    """Worst-case store margin of one sampled cell (min of H/L store)."""
+def _draw_cards(circuit: Circuit, variation: VariationModel, seed: int,
+                indices: Sequence[int],
+                copies: int = 1) -> Dict[str, List[object]]:
+    """Per-sample cards of every FinFET and MTJ of ``circuit``.
+
+    Sample ``i`` draws from :func:`sample_rng` ``(seed, i)`` for each of
+    its ``copies`` of the circuit in turn, device by device in circuit
+    order, so the cards of ``copies * len(indices)`` circuits come back
+    in that order.
+    """
+    devices = [e for e in circuit.elements() if isinstance(e, (FinFET, MTJ))]
+    cards: Dict[str, List[object]] = {e.name: [] for e in devices}
+    for i in indices:
+        rng = sample_rng(seed, i)
+        for _ in range(copies):
+            for e in devices:
+                draw = (variation.sample_fet if isinstance(e, FinFET)
+                        else variation.sample_mtj)
+                cards[e.name].append(draw(e.params, rng))
+    return cards
+
+
+def _store_margins(cond: Optional[OperatingConditions],
+                   domain: Optional[PowerDomain],
+                   variation: VariationModel, seed: int,
+                   indices: Sequence[int],
+                   ) -> Tuple[np.ndarray, Dict[int, AnalysisError]]:
+    """Worst-case store margin (min of H/L store) of each sample.
+
+    Solves the samples ``indices`` as one batch of nv testbenches and
+    returns their margins (NaN for a failed sample) and ``{position in
+    indices: error}`` of the failed ones.  A sample that fails the
+    H-store is not solved for the L-store.
+    """
     tb = build_cell_testbench("nv", cond, domain)
-    _perturb_testbench(tb, variation, rng)
+    cards = _draw_cards(tb.circuit, variation, seed, indices)
     cell = tb.nv_cell
     ic_map = tb.initial_conditions(True)      # Q high
+    alive = np.ones(len(indices), dtype=bool)
+    errors: Dict[int, AnalysisError] = {}
+    margins = np.full(len(indices), np.inf)
+    # H-store: Q-side MTJ still parallel, CTRL grounded.  L-store:
+    # QB-side MTJ antiparallel, CTRL at the store level.
+    for mode, q_state, junction in (
+            (Mode.STORE_H, MTJState.PARALLEL, cell.mtj_q),
+            (Mode.STORE_L, MTJState.ANTIPARALLEL, cell.mtj_qb)):
+        tb.apply_mode(mode)
+        cell.set_mtj_states(tb.circuit, q_state, MTJState.ANTIPARALLEL)
+        batch = CircuitBatch(tb.circuit, cards)
+        point = batch_operating_point(batch, ic=ic_map, active=alive)
+        for k, err in point.errors.items():
+            errors[k] = err
+            alive[k] = False
+        name = junction(tb.circuit).name
+        i_c = np.array([card.critical_current for card in cards[name]])
+        margins = np.minimum(
+            margins, np.abs(batch.current(name, point.x)) / i_c)
+    margins[~alive] = np.nan
+    return margins, errors
 
-    # H-store: Q-side MTJ still parallel, CTRL grounded.
-    tb.apply_mode(Mode.STORE_H)
-    cell.set_mtj_states(tb.circuit, MTJState.PARALLEL,
-                        MTJState.ANTIPARALLEL)
-    sol = operating_point(tb.circuit, ic=ic_map)
-    mtj_q = cell.mtj_q(tb.circuit)
-    margin_h = abs(mtj_q.current(sol)) / mtj_q.params.critical_current
 
-    # L-store: QB-side MTJ antiparallel, CTRL at the store level.
-    tb.apply_mode(Mode.STORE_L)
-    cell.set_mtj_states(tb.circuit, MTJState.ANTIPARALLEL,
-                        MTJState.ANTIPARALLEL)
-    sol = operating_point(tb.circuit, ic=ic_map)
-    mtj_qb = cell.mtj_qb(tb.circuit)
-    margin_l = abs(mtj_qb.current(sol)) / mtj_qb.params.critical_current
-    return min(margin_h, margin_l)
+def _skips(errors: Dict[int, AnalysisError], indices: Sequence[int],
+           stage: str) -> List[SkipRecord]:
+    """The skip records of the failed samples, by sample index."""
+    return [SkipRecord.from_error(err, index=indices[k],
+                                  label=f"sample {indices[k]}", stage=stage)
+            for k, err in sorted(errors.items())]
 
 
 @dataclass
@@ -219,22 +262,13 @@ def store_yield_analysis(
             skips=skips,
         )
 
-    margins = []
-    skips: List[SkipRecord] = []
-    for i in range(n_samples):
-        rng = sample_rng(seed, i)
-        value, skip = run_point(
-            lambda: _store_margin_sample(cond, domain, variation, rng),
-            index=i, label=f"sample {i}", stage="store_yield_analysis")
-        margins.append(float("nan") if skip else value)
-        if skip:
-            skips.append(skip)
-
+    indices = range(n_samples)
+    margins, errors = _store_margins(cond, domain, variation, seed, indices)
     return StoreYieldResult(
-        margins=np.asarray(margins),
+        margins=margins,
         target_margin=cond.store_margin,
         n_samples=n_samples,
-        skips=skips,
+        skips=_skips(errors, indices, "store_yield_analysis"),
     )
 
 
@@ -313,47 +347,53 @@ class SnmDistribution:
         return float(np.nanpercentile(self.snm, q))
 
 
-def _mismatched_vtc(cond: OperatingConditions, read_mode: bool,
-                    variation: VariationModel, rng: np.random.Generator,
-                    points: int,
-                    nfet: FinFETParams, pfet: FinFETParams) -> np.ndarray:
-    """VTC of one half-cell with per-device sampled parameters."""
+def _half_cell(cond: OperatingConditions, read_mode: bool,
+               nfet: FinFETParams, pfet: FinFETParams) -> Circuit:
+    """One half-cell (inverter plus, in read mode, its pass-gate)."""
     circuit = Circuit("snm-mc-half-cell")
     circuit.add(VoltageSource("vdd", "vdd", "0", dc=cond.vdd))
     circuit.add(VoltageSource("vin", "in", "0", dc=0.0))
-    circuit.add(FinFET("pu", "out", "in", "vdd",
-                       variation.sample_fet(pfet, rng), 1))
-    circuit.add(FinFET("pd", "out", "in", "0",
-                       variation.sample_fet(nfet, rng), 1))
+    circuit.add(FinFET("pu", "out", "in", "vdd", pfet, 1))
+    circuit.add(FinFET("pd", "out", "in", "0", nfet, 1))
     if read_mode:
         circuit.add(VoltageSource("vbl", "bl", "0", dc=cond.vdd))
         circuit.add(VoltageSource("vwl", "wl", "0", dc=cond.v_wl_read))
-        circuit.add(FinFET("pg", "bl", "wl", "out",
-                           variation.sample_fet(nfet, rng), 1))
-    vin = np.linspace(0.0, cond.vdd, points)
-    return dc_sweep(circuit, "vin", vin).voltage("out")
+        circuit.add(FinFET("pg", "bl", "wl", "out", nfet, 1))
+    return circuit
 
 
-def _snm_sample(cond: OperatingConditions, read_mode: bool,
-                variation: VariationModel, rng: np.random.Generator,
-                points: int, nfet: FinFETParams,
-                pfet: FinFETParams) -> float:
-    """Asymmetric-butterfly SNM of one mismatched sample.
+def _snm_values(cond: OperatingConditions, read_mode: bool,
+                variation: VariationModel, seed: int,
+                indices: Sequence[int], points: int, nfet: FinFETParams,
+                pfet: FinFETParams,
+                ) -> Tuple[np.ndarray, Dict[int, AnalysisError]]:
+    """Asymmetric-butterfly SNM of each sample.
 
-    Raises :class:`~repro.errors.ConvergenceError` when a VTC sweep
-    fails; a monostable corner (butterfly with no second eye) returns
+    Each sample's two mismatched half-cells (the first one's devices
+    drawn first) trace their VTCs in one batch with every other
+    sample's.  Returns the SNMs (NaN for a failed sample) and
+    ``{position in indices: error}`` of the samples whose VTC sweep
+    failed.  A monostable corner (butterfly with no second eye) has SNM
     0.0 — stability lost, not an analysis failure.
     """
+    circuit = _half_cell(cond, read_mode, nfet, pfet)
+    batch = CircuitBatch(
+        circuit, _draw_cards(circuit, variation, seed, indices, copies=2))
     vin = np.linspace(0.0, cond.vdd, points)
-    vtc1 = _mismatched_vtc(cond, read_mode, variation, rng, points,
-                           nfet, pfet)
-    vtc2 = _mismatched_vtc(cond, read_mode, variation, rng, points,
-                           nfet, pfet)
-    try:
-        snm, _ = _butterfly_snm_two(vin, vtc1, vtc2)
-    except CharacterizationError:
-        snm = 0.0   # monostable corner: stability lost
-    return snm
+    sweep = dc_sweep(batch, "vin", vin)
+    vtc = sweep.voltage("out")
+    snm = np.full(len(indices), np.nan)
+    errors: Dict[int, AnalysisError] = {}
+    for k in range(len(indices)):
+        err = sweep.errors.get(2 * k, sweep.errors.get(2 * k + 1))
+        if err is not None:
+            errors[k] = err
+            continue
+        try:
+            snm[k], _ = _butterfly_snm_two(vin, vtc[2 * k], vtc[2 * k + 1])
+        except CharacterizationError:
+            snm[k] = 0.0   # monostable corner: stability lost
+    return snm, errors
 
 
 def snm_campaign(
@@ -419,21 +459,12 @@ def read_snm_distribution(
             skips=skips,
         )
 
-    values = []
-    skips: List[SkipRecord] = []
-    for i in range(n_samples):
-        rng = sample_rng(seed, i)
-        try:
-            values.append(_snm_sample(cond, read_mode, variation, rng,
-                                      points, nfet, pfet))
-        except ConvergenceError as err:
-            skips.append(SkipRecord.from_error(
-                err, index=i, label=f"sample {i}",
-                stage="read_snm_distribution"))
-            values.append(float("nan"))
+    indices = range(n_samples)
+    values, errors = _snm_values(cond, read_mode, variation, seed, indices,
+                                 points, nfet, pfet)
     return SnmDistribution(
-        snm=np.asarray(values),
+        snm=values,
         mode="read" if read_mode else "hold",
         n_samples=n_samples,
-        skips=skips,
+        skips=_skips(errors, indices, "read_snm_distribution"),
     )

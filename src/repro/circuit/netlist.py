@@ -38,6 +38,15 @@ solve's time, timestep, method and source scale) instead of once per
 iteration.  The flag is opt-in: an element that leaves it ``False`` is
 restamped every iteration, which is always correct.
 
+A nonlinear element can also take part in batched DC solves
+(:mod:`repro.analysis.batch`) by defining an array kernel:
+``batch_card(samples, states)`` turns per-sample parameter cards into
+parameter rows, and the static ``batch_kernel(v, card)`` maps terminal
+voltages ``v[..., terminal]`` (in ``node_names`` order) to the values
+``stamp()`` would hand to ``stamper.add``, along any leading axes, so
+one call evaluates every device of a class over every sample.
+:meth:`Element.batch_values` applies it to the element's own terminals.
+
 Elements that introduce extra MNA unknowns (voltage sources, switches with
 branch currents) report them via ``branch_count`` and receive their branch
 indices in ``assign_branches``.  :meth:`Circuit.compile` assigns these
@@ -88,6 +97,10 @@ class Element:
     #: iterate, so Newton stamps it once per solve (see module docstring).
     is_linear = False
 
+    #: The array kernel of a batchable nonlinear element, or ``None``
+    #: (see module docstring).
+    batch_kernel = None
+
     def __init__(self, name: str, node_names: Sequence[str]):
         if not name:
             raise NetlistError("element name must be non-empty")
@@ -109,6 +122,12 @@ class Element:
     # -- analysis interface ---------------------------------------------
     def stamp(self, stamper, ctx) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def batch_values(self, x: np.ndarray, card: np.ndarray) -> np.ndarray:
+        """:attr:`batch_kernel` at this element's terminals: one row of
+        ``stamp()`` values per row of ``x``, an iterate with a trailing
+        ground column of zeros."""
+        return self.batch_kernel(x[:, list(self.node_index)], card)
 
     def stamp_pattern(self, mode: str = "dc") -> List[Tuple[int, int]]:
         """Matrix positions this element *may* write in ``mode``.

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..errors import NetlistError
 from .netlist import Element, conductance_pattern
 
@@ -74,6 +76,38 @@ class VoltageControlledSwitch(Element):
         correction = -gm * vc
         stamper.add(self, ctx, (g, -g, -g, g, gm, -gm, -gm, gm,
                                 -correction, correction, 0.0, 0.0))
+
+    def batch_card(self, samples=None, states=None) -> np.ndarray:
+        """Parameter rows of :meth:`batch_kernel`: this switch's own, as
+        one column (a switch takes no per-sample card)."""
+        if samples is not None or states is not None:
+            raise NetlistError(f"{self.name}: a switch takes no "
+                               "per-sample card or state")
+        log_off = math.log(self.g_off)
+        return np.array([[self.g_on], [self.g_off], [self.v_off],
+                         [self.v_on - self.v_off], [log_off],
+                         [math.log(self.g_on) - log_off]])
+
+    @staticmethod
+    def batch_kernel(v: np.ndarray, card: np.ndarray) -> np.ndarray:
+        """:meth:`stamp`'s values for terminal voltages ``v[..., (p, n,
+        cp, cn)]`` and :meth:`batch_card` rows, along any leading axes."""
+        g_on, g_off, v_off, width, log_off, log_span = card
+        vc = v[..., 2] - v[..., 3]
+        v_pn = v[..., 0] - v[..., 1]
+        frac = (vc - v_off) / width
+        # Evaluated inside the window only; outside it the clamp holds.
+        inner = np.clip(frac, 0.0, 1.0)
+        smooth = inner * inner * (3.0 - 2.0 * inner)
+        g_inner = np.exp(log_off + smooth * log_span)
+        outside = (frac <= 0.0) | (frac >= 1.0)
+        g = np.where(frac <= 0.0, g_off, np.where(frac >= 1.0, g_on, g_inner))
+        smooth_d = 6.0 * inner * (1.0 - inner) / width
+        gm = np.where(outside, 0.0, g_inner * smooth_d * log_span) * v_pn
+        correction = -gm * vc
+        zero = np.zeros_like(g)
+        return np.stack((g, -g, -g, g, gm, -gm, -gm, gm,
+                         -correction, correction, zero, zero), axis=-1)
 
     def stamp_pattern(self, mode: str = "dc"):
         """Channel conductance block plus the control-voltage VCCS."""

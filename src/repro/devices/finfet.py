@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from ..errors import DeviceError
 from ..circuit.netlist import Element
 from ..units import THERMAL_VOLTAGE_300K
@@ -149,6 +151,18 @@ def _interp_f_prime(u: float) -> float:
         log_term = math.log1p(e)
         sigmoid = e / (1.0 + e)
     return log_term * sigmoid
+
+
+def _interp_arrays(u: np.ndarray):
+    """``(F(u), dF/du)`` over an array: :func:`_interp_f` and
+    :func:`_interp_f_prime` with the same branch at ``u/2 > 40``."""
+    half = 0.5 * u
+    big = half > 40.0
+    e = np.exp(np.where(big, -half, half))
+    log_term = np.log1p(e)
+    log_term = np.where(big, half + log_term, log_term)
+    sigmoid = np.where(big, 1.0, e / (1.0 + e))
+    return log_term * log_term, log_term * sigmoid
 
 
 def _softabs(x: float) -> float:
@@ -274,6 +288,56 @@ class FinFET(Element):
         """
         d, g, s = self.node_index
         return [(row, col) for row in (d, s) for col in (d, g, s)]
+
+    # -- array kernel (repro.analysis.batch) --------------------------------
+    def batch_card(self, samples=None, states=None) -> np.ndarray:
+        """Parameter rows of :meth:`batch_kernel`, one column per sample.
+
+        ``samples`` holds one :class:`FinFETParams` per sample; ``None``
+        gives one column with this device's own card.  The rows carry
+        the fin count and the terms :meth:`_evaluate` derives from the
+        card alone, computed as it does.
+        """
+        if states is not None:
+            raise DeviceError(f"{self.name}: a FinFET has no state")
+        cards = [self.params] if samples is None else samples
+        pol, vth0, n, i_spec, dibl, vt = np.array(
+            [(p.polarity, p.vth0, p.slope_factor, p.i_spec, p.dibl,
+              p.vt_thermal) for p in cards], dtype=float).T
+        return np.array([pol, vth0, n, i_spec * self.nfin, dibl, vt,
+                         1.0 - 1.0 / n, 1.0 / (n * vt)])
+
+    @staticmethod
+    def batch_kernel(v: np.ndarray, card: np.ndarray) -> np.ndarray:
+        """:meth:`stamp`'s values for terminal voltages ``v[..., (d, g,
+        s)]`` and :meth:`batch_card` rows, along any leading axes: the
+        arithmetic of :meth:`_evaluate` over arrays."""
+        pol, vth0, n, scale, dibl, vt, one_m, du_dmg = card
+        vd, vg, vs = v[..., 0], v[..., 1], v[..., 2]
+        md, mg, ms = pol * vd, pol * vg, pol * vs
+        dx = md - ms
+        root = np.sqrt(dx * dx + _SOFTABS_EPS * _SOFTABS_EPS)
+        sa = root - _SOFTABS_EPS
+        sa_p = dx / root
+        vth_eff = vth0 - dibl * sa
+        vmin = 0.5 * (md + ms - sa)
+        dvmin_dmd = 0.5 * (1.0 - sa_p)
+        dvmin_dms = 0.5 * (1.0 + sa_p)
+        vp = (mg - vmin - vth_eff) / n + vmin
+        # Forward (source) and reverse (drain) terms in one evaluation.
+        (f_f, f_r), (fp_f, fp_r) = _interp_arrays(
+            (vp - np.stack((ms, md))) / vt)
+
+        i = pol * (scale * (f_f - f_r))
+        dvp_dmd = dvmin_dmd * one_m + dibl * sa_p / n
+        dvp_dms = dvmin_dms * one_m - dibl * sa_p / n
+        g_g = scale * (fp_f * du_dmg - fp_r * du_dmg)
+        g_d = scale * (fp_f * (dvp_dmd / vt) - fp_r * ((dvp_dmd - 1.0) / vt))
+        g_s = scale * (fp_f * ((dvp_dms - 1.0) / vt) - fp_r * (dvp_dms / vt))
+        residual = i - (g_d * vd + g_g * vg + g_s * vs)
+        return np.stack((g_d, g_g, g_s, -g_d, -g_g, -g_s,
+                         -residual, np.zeros_like(residual), residual),
+                        axis=-1)
 
     def __repr__(self) -> str:
         kind = "n" if self.params.polarity > 0 else "p"

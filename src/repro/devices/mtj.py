@@ -36,6 +36,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
+import numpy as np
+
 from ..errors import DeviceError
 from ..circuit.netlist import Element, conductance_pattern
 
@@ -295,6 +297,53 @@ class MTJ(Element):
         """Nonlinear-resistor conductance block across free-pinned."""
         free, pinned = self.node_index
         return conductance_pattern(free, pinned)
+
+    # -- array kernel (repro.analysis.batch) ---------------------------------
+    def batch_card(self, samples=None, states=None) -> np.ndarray:
+        """Parameter rows of :meth:`batch_kernel`, one column per sample.
+
+        ``samples`` holds one :class:`MTJParams` and ``states`` one
+        :class:`MTJState` per sample; ``None`` for either takes this
+        junction's own card or state.
+        """
+        count = len(samples if samples is not None else states or [None])
+        cards = [self.params] * count if samples is None else samples
+        states = [self.state] * count if states is None else states
+        if len(states) != len(cards):
+            raise DeviceError(f"{self.name}: {len(cards)} cards but "
+                              f"{len(states)} states")
+        return np.array([(p.r_parallel, p.tmr0, p.v_half,
+                          float(state is MTJState.PARALLEL))
+                         for p, state in zip(cards, states)]).T.copy()
+
+    @staticmethod
+    def _batch_iv(v: np.ndarray, card: np.ndarray):
+        """``(V, I, dI/dV)`` for terminal voltages ``v[..., (free,
+        pinned)]``: :meth:`_current_and_derivative` over arrays."""
+        r_p, tmr0, v_half, parallel = card
+        volts = v[..., 0] - v[..., 1]
+        ratio = volts / v_half
+        rolloff = 1.0 + ratio * ratio
+        r = r_p * (1.0 + tmr0 / rolloff)
+        dr_dv = -r_p * tmr0 * (2.0 * volts / (v_half ** 2)) / (rolloff ** 2)
+        g_p = 1.0 / r_p
+        is_p = parallel > 0.5
+        i = np.where(is_p, volts * g_p, volts / r)
+        g = np.where(is_p, g_p, (r - volts * dr_dv) / (r * r))
+        return volts, i, g
+
+    @staticmethod
+    def batch_kernel(v: np.ndarray, card: np.ndarray) -> np.ndarray:
+        """:meth:`stamp`'s values for terminal voltages ``v[..., (free,
+        pinned)]`` and :meth:`batch_card` rows, along any leading axes."""
+        volts, i, g = MTJ._batch_iv(v, card)
+        norton = i - g * volts
+        return np.stack((g, -g, -g, g, -norton, norton), axis=-1)
+
+    def batch_current(self, x: np.ndarray, card: np.ndarray) -> np.ndarray:
+        """Junction current free -> pinned of every row of ``x`` (see
+        :meth:`~repro.circuit.netlist.Element.batch_values`)."""
+        return self._batch_iv(x[:, list(self.node_index)], card)[1]
 
     # -- measurements -----------------------------------------------------------
     def current(self, solution) -> float:

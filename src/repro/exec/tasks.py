@@ -12,9 +12,10 @@ builders) for the repo's own campaigns:
 * :func:`nvff_task` — one NV flip-flop characterisation (the register
   -file counterpart; the serve layer's ``/v1/nvff`` route).
 * :func:`store_yield_sample_task` / :func:`snm_sample_task` — one
-  Monte-Carlo sample of :mod:`repro.characterize.variability`.  Each
-  sample seeds its own generator from ``(seed, index)`` so serial,
-  parallel and resumed runs draw identical variates.
+  Monte-Carlo sample of :mod:`repro.characterize.variability`, run by
+  the same batched code as the serial analysis on a batch of its one
+  sample.  Each sample seeds its own generator from ``(seed, index)``
+  so serial, parallel and resumed runs draw identical variates.
 * :func:`chaos_task` — the controllable misbehaver used by the executor
   chaos harness (``repro chaos --executor``) and the stress tests.
 * :func:`demo_task` — a trivial task for CLI smoke tests and overhead
@@ -168,19 +169,23 @@ def store_yield_sample_params(index: int, seed: int, cond=None, domain=None,
 
 
 def store_yield_sample_task(params: Dict[str, Any]) -> Dict[str, Any]:
-    """One store-margin Monte-Carlo sample (see ``store_yield_analysis``)."""
-    import numpy as np
+    """One store-margin Monte-Carlo sample (see ``store_yield_analysis``).
 
-    from ..characterize.variability import _store_margin_sample
+    Raises the sample's analysis error, which the executor records as a
+    skip.
+    """
+    from ..characterize.variability import _store_margins
 
-    rng = np.random.default_rng([params["seed"], params["index"]])
-    margin = _store_margin_sample(
+    margins, errors = _store_margins(
         _cond(params.get("cond")),
         _domain(params.get("domain")),
         _variation(params.get("variation")),
-        rng,
+        params["seed"],
+        [params["index"]],
     )
-    return {"index": params["index"], "margin": float(margin)}
+    if errors:
+        raise errors[0]
+    return {"index": params["index"], "margin": float(margins[0])}
 
 
 def snm_sample_params(index: int, seed: int, cond=None, read_mode=True,
@@ -200,23 +205,27 @@ def snm_sample_params(index: int, seed: int, cond=None, read_mode=True,
 
 
 def snm_sample_task(params: Dict[str, Any]) -> Dict[str, Any]:
-    """One SNM Monte-Carlo sample (see ``read_snm_distribution``)."""
-    import numpy as np
+    """One SNM Monte-Carlo sample (see ``read_snm_distribution``).
 
-    from ..characterize.variability import _snm_sample
+    Raises the sample's analysis error, which the executor records as a
+    skip.
+    """
+    from ..characterize.variability import _snm_values
     from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
 
-    rng = np.random.default_rng([params["seed"], params["index"]])
-    snm = _snm_sample(
+    snm, errors = _snm_values(
         _cond(params.get("cond")),
         bool(params.get("read_mode", True)),
         _variation(params.get("variation")),
-        rng,
+        params["seed"],
+        [params["index"]],
         int(params.get("points", 41)),
         _fet(params.get("nfet")) or NFET_20NM_HP,
         _fet(params.get("pfet")) or PFET_20NM_HP,
     )
-    return {"index": params["index"], "snm": float(snm)}
+    if errors:
+        raise errors[0]
+    return {"index": params["index"], "snm": float(snm[0])}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tests for the Monte-Carlo variability analyses."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -122,6 +125,29 @@ class TestSnmDistribution:
         with pytest.raises(CharacterizationError):
             read_snm_distribution(COND, n_samples=0)
 
+    def test_stamp_error_skips_sample_like_campaign(self, monkeypatch):
+        """A sample whose solve raises StampError (a NaN threshold in its
+        first card) is NaN plus a skip, serially as in a campaign."""
+        real = VariationModel.sample_fet
+        draws = {"n": 0}
+
+        def broken_first(self, params, rng):
+            card = real(self, params, rng)
+            draws["n"] += 1
+            return card.with_(vth0=float("nan")) if draws["n"] == 1 else card
+
+        monkeypatch.setattr(VariationModel, "sample_fet", broken_first)
+        serial = read_snm_distribution(COND, n_samples=2, seed=5)
+        draws["n"] = 0
+        routed = read_snm_distribution(COND, n_samples=2, seed=5,
+                                       workers=0)
+        for result in (serial, routed):
+            assert np.isnan(result.snm).tolist() == [True, False]
+            assert result.n_failed == 1
+            assert result.skips[0].index == 0
+            assert result.skips[0].error_type == "StampError"
+        assert serial.snm[1] == routed.snm[1]
+
 
 class TestAsymmetricButterfly:
     def test_reduces_to_symmetric(self):
@@ -149,3 +175,36 @@ class TestAsymmetricButterfly:
         snm, lobes = _butterfly_snm_two(vin, curve.vout, shifted)
         assert abs(lobes[0] - lobes[1]) > 1e-3
         assert snm == pytest.approx(min(lobes))
+
+
+#: The end-to-end benchmark's Monte-Carlo references (read only).
+EXPECTED = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / \
+    "expected.json"
+
+
+@pytest.mark.parametrize("seed", [7, 2015])
+def test_monte_carlo_matches_benchmark_references(seed):
+    """100-sample runs reproduce the mc-dc references under their kinds:
+    yields exact, failure counts exact, means within their tolerance."""
+    from repro.verify.equiv import TOLERANCES
+
+    ref = json.loads(EXPECTED.read_text())["mc-dc"]
+    store = store_yield_analysis(n_samples=100, seed=seed)
+    snm = read_snm_distribution(n_samples=100, seed=seed)
+    got = {
+        "switching_yield": store.switching_yield,
+        "margin_yield": store.margin_yield,
+        "store_n_failed": store.n_failed,
+        "mean_margin": float(np.nanmean(store.margins)),
+        "stability_yield": snm.stability_yield,
+        "snm_n_failed": snm.n_failed,
+        "snm_mean": snm.mean,
+    }
+    want = ref["seeds"][str(seed)]
+    for kinds in ref["kinds"].values():
+        for field, kind in kinds.items():
+            if kind == "exact":
+                assert got[field] == want[field], field
+            else:
+                assert TOLERANCES[kind].allows(got[field], want[field]), (
+                    field, got[field], want[field])

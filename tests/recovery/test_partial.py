@@ -142,19 +142,36 @@ class TestCharacterizeDrivers:
         assert sweep.smallest_nfsw_for(0.9) is not None
 
     def test_store_yield_counts_failed_samples(self, monkeypatch):
+        from repro.analysis import dc as dc_mod
         from repro.characterize import variability as var_mod
 
-        real_op = var_mod.operating_point
+        # The samples run as one batch.  A NaN threshold in the first
+        # drawn card makes the batch reject sample 0's stamp, so sample 0
+        # alone leaves the batch for the scalar path: the per-sample
+        # fallback seam, where the failure is injected.
+        real_fet = var_mod.VariationModel.sample_fet
+        draws = {"n": 0}
+
+        def broken_first(self, params, rng):
+            card = real_fet(self, params, rng)
+            draws["n"] += 1
+            return card.with_(vth0=float("nan")) if draws["n"] == 1 else card
+
+        real_op = dc_mod.operating_point
         calls = {"n": 0}
 
-        def flaky(circuit, **kwargs):
+        def flaky(circuit, *args, **kwargs):
             calls["n"] += 1
             if calls["n"] == 1:    # first sample fails outright
                 raise ConvergenceError("injected failure")
-            return real_op(circuit, **kwargs)
+            return real_op(circuit, *args, **kwargs)
 
-        monkeypatch.setattr(var_mod, "operating_point", flaky)
+        monkeypatch.setattr(var_mod.VariationModel, "sample_fet",
+                            broken_first)
+        monkeypatch.setattr(dc_mod, "operating_point", flaky)
         result = var_mod.store_yield_analysis(n_samples=3, seed=11)
+        assert calls["n"] == 1
+        assert result.skips[0].index == 0
         assert result.n_failed == 1
         assert len(result.margins) == 3
         assert np.isnan(result.margins).sum() == 1
