@@ -284,14 +284,15 @@ def _lint_alias_circuit(alias: str):
 
 
 def _lint_config(args):
-    """Layered lint policy: pyproject < REPRO_LINT_DISABLE < --disable."""
-    from .verify.config import effective_config
+    """Lint policy: the rules disabled by ``REPRO_LINT_DISABLE`` and by
+    every ``--disable`` flag."""
+    from .verify import VerifyConfig
 
     disable = frozenset(
         token.strip() for spec in args.disable
         for token in spec.split(",") if token.strip()
     )
-    return effective_config(cli_disable=disable)
+    return VerifyConfig(disable=VerifyConfig.from_env().disable | disable)
 
 
 def _list_rules() -> int:
@@ -304,49 +305,10 @@ def _list_rules() -> int:
 
 
 def _finish_lint(args, report) -> int:
-    """Apply the baseline flags, print ``report``, return the exit code.
+    """Print ``report``, return the exit code (``lint`` and
+    ``lint-source`` share this tail)."""
+    from .verify import render_json, render_sarif, render_text
 
-    The tail shared by ``lint`` and ``lint-source``.
-    ``--update-baseline`` records the current findings and exits 0;
-    ``--baseline`` filters known findings out (reporting how many were
-    suppressed and how many baseline entries are stale); ``--prune``
-    first deletes stale entries from the baseline file in place (it
-    never adds any, so regressions stay visible — unlike re-recording).
-    """
-    from .verify import (apply_baseline, load_baseline, prune_baseline,
-                         render_json, render_sarif, render_text,
-                         write_baseline)
-
-    if getattr(args, "update_baseline", None):
-        count = write_baseline(args.update_baseline, report)
-        print(f"recorded {count} finding(s) into {args.update_baseline}")
-        return 0
-    if getattr(args, "prune", False):
-        if not getattr(args, "baseline", None):
-            print("repro lint: --prune requires --baseline FILE",
-                  file=sys.stderr)
-            return 2
-        try:
-            removed = prune_baseline(args.baseline, report)
-        except ValueError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-        print(f"baseline: pruned {removed} stale entr(y/ies) from "
-              f"{args.baseline}", file=sys.stderr)
-    if getattr(args, "baseline", None):
-        try:
-            fingerprints = load_baseline(args.baseline)
-        except ValueError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-        report, suppressed, stale = apply_baseline(report, fingerprints)
-        if suppressed:
-            print(f"baseline: suppressed {suppressed} known finding(s)",
-                  file=sys.stderr)
-        if stale:
-            print(f"baseline: {stale} entr(y/ies) matched nothing — "
-                  "fixed findings, prune them with --update-baseline",
-                  file=sys.stderr)
     renderer = {"text": render_text, "json": render_json,
                 "sarif": render_sarif}[args.format]
     print(renderer(report))
@@ -382,7 +344,6 @@ def _cmd_lint(args) -> int:
 
 def _cmd_lint_source(args) -> int:
     from .verify import default_source_paths, verify_source
-    from .verify.source import default_lint_cache_dir
 
     if args.list_rules:
         return _list_rules()
@@ -392,9 +353,7 @@ def _cmd_lint_source(args) -> int:
         print("repro lint-source: no such path: "
               + ", ".join(repr(p) for p in missing), file=sys.stderr)
         return 2
-    cache_dir = None if args.no_cache else default_lint_cache_dir()
-    report = verify_source(paths, config=_lint_config(args),
-                           cache_dir=cache_dir)
+    report = verify_source(paths, config=_lint_config(args))
     return _finish_lint(args, report)
 
 
@@ -681,15 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exit non-zero on warnings too")
         p.add_argument("--list-rules", action="store_true",
                        help="print the rule catalog and exit")
-        p.add_argument("--baseline", metavar="FILE",
-                       help="suppress findings recorded in this baseline "
-                            "file; only new findings remain")
-        p.add_argument("--update-baseline", metavar="FILE",
-                       help="record the current findings as the baseline "
-                            "and exit 0")
-        p.add_argument("--prune", action="store_true",
-                       help="with --baseline: delete stale entries from "
-                            "the file in place (never adds entries)")
 
     common(sub.add_parser("table1", help="regenerate Table I"),
            domain=False)
@@ -764,8 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Python files or directories "
                         "(default: the installed repro package)")
     lint_opts(p)
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the incremental result cache")
 
     p = sub.add_parser("equiv",
                        help="solver-equivalence gate: golden corpus + "

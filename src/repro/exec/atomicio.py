@@ -1,11 +1,11 @@
 """One atomic durable-write protocol for every store in the repo.
 
-Three writers grew their own copy of the stage-then-rename dance (the
-characterisation cache, the lint cache envelope, the journal's sibling
-artifacts); this module is the single shared implementation (the
-cache envelope, :mod:`repro.exec.envelope`, writes through it), and
-the instrumented boundary the crash-injection harness
-(:mod:`repro.verify.crashcheck`) kills children at.
+The characterisation cache and the journal's sibling artifacts once
+each grew their own copy of the stage-then-rename dance; this module is
+the single shared implementation (the cache envelope,
+:mod:`repro.exec.envelope`, writes through it), and the instrumented
+boundary the crash-injection harness (:mod:`repro.verify.crashcheck`)
+kills children at.
 
 The protocol, in order:
 
@@ -21,8 +21,8 @@ The protocol, in order:
    at any earlier point.
 
 Failures propagate as ``OSError`` after the staged file is removed;
-callers own their degrade policy (the caches warn once and disable
-themselves, the CLI surfaces the error).
+callers own their degrade policy (the cache warns once and disables
+itself, the CLI surfaces the error).
 """
 
 from __future__ import annotations

@@ -1,12 +1,11 @@
-"""One integrity envelope for the on-disk result caches.
+"""The integrity envelope of the on-disk characterisation cache.
 
-Two caches keep one JSON file per entry, ``<dir>/<key>.json``: the
-characterisation cache (:mod:`repro.characterize.cache`, under
-``$REPRO_CACHE_DIR``) and the incremental source-lint cache
-(:mod:`repro.verify.source`, under ``$REPRO_CACHE_DIR/lint``).  Each file
-is an envelope ``{"schema", "sha256", "payload"}``: the store's schema
-number, the sha256 of the canonical payload (``json.dumps(payload,
-sort_keys=True)``) and the payload dict itself.
+The characterisation cache (:mod:`repro.characterize.cache`, under
+``$REPRO_CACHE_DIR``) keeps one JSON file per entry,
+``<dir>/<key>.json``.  Each file is an envelope ``{"schema", "sha256",
+"payload"}``: the store's schema number, the sha256 of the canonical
+payload (``json.dumps(payload, sort_keys=True)``) and the payload dict
+itself.
 
 A :func:`load` that finds unparseable JSON, a file that is not an
 envelope, a stale schema or a checksum mismatch moves the file to

@@ -14,10 +14,7 @@ checks are now RV001..RV005) into a rule-registry framework:
   simulator itself (RV4xx): float equality on physical quantities,
   NaN/skip hazards over partial sweep results, raw SPICE quantity
   strings, swallowed solver forensics, mutable default arguments;
-  :mod:`repro.verify.source` runs them module by module behind an
-  incremental cache;
-* :mod:`repro.verify.baseline` — record-and-suppress of pre-existing
-  findings so new rules gate only new regressions;
+  :mod:`repro.verify.source` runs them module by module;
 * :mod:`repro.verify.emit` — text / JSON / SARIF output.
 
 Entry points: :func:`verify_circuit`, :func:`verify_deck`,
@@ -26,6 +23,8 @@ Entry points: :func:`verify_circuit`, :func:`verify_deck`,
 :func:`assert_clean` is the lint-before-simulate hook used by the cell
 builders and characterization runners (disable globally with
 ``REPRO_LINT=0``, per-rule with ``REPRO_LINT_DISABLE=RV104,...``).
+That environment variable, the CLI's ``--disable`` and inline
+``# lint: skip=`` pragmas are the whole lint policy.
 """
 
 from __future__ import annotations
@@ -54,19 +53,11 @@ from . import rules_power     # noqa: F401
 from . import rules_mna       # noqa: F401
 from . import rules_deck      # noqa: F401
 from . import rules_source    # noqa: F401
-from .baseline import (
-    apply_baseline,
-    baseline_fingerprint,
-    load_baseline,
-    prune_baseline,
-    write_baseline,
-)
 from .emit import render_json, render_sarif, render_text
 from .rules_deck import DeckSource
 from .source import (
     SourceModule,
     default_source_paths,
-    module_name_for,
     verify_source,
     verify_source_file,
     verify_source_text,
@@ -92,17 +83,12 @@ __all__ = [
     "StampCheckResult",
     "VerificationError",
     "VerifyConfig",
-    "apply_baseline",
     "assert_clean",
-    "baseline_fingerprint",
     "assert_stamps_clean",
     "check_circuit_stamps",
     "check_element_stamp",
     "default_source_paths",
     "lint_enabled",
-    "load_baseline",
-    "module_name_for",
-    "prune_baseline",
     "render_json",
     "render_sarif",
     "render_text",
@@ -114,7 +100,6 @@ __all__ = [
     "verify_source",
     "verify_source_file",
     "verify_source_text",
-    "write_baseline",
 ]
 
 

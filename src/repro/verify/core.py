@@ -6,9 +6,8 @@ pluggable static-analysis pass:
 * a :class:`Rule` couples a stable code (``RV001``...), a human-readable
   slug, a default :class:`Severity` and a check callable;
 * checks yield lightweight :class:`Finding` objects; the engine wraps
-  them into :class:`Diagnostic` records, applying per-run
-  :class:`VerifyConfig` policy (disable lists, severity overrides,
-  subject suppressions);
+  them into :class:`Diagnostic` records, running only the rules the
+  per-run :class:`VerifyConfig` enables (disable and only lists);
 * a :class:`Report` aggregates diagnostics for one or more targets and
   feeds the emitters in :mod:`repro.verify.emit`.
 
@@ -31,10 +30,9 @@ one Python module.
 from __future__ import annotations
 
 import enum
-import fnmatch
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import VerificationError
 
@@ -69,10 +67,10 @@ class SourceLocation:
 
 @dataclass(frozen=True)
 class Finding:
-    """Raw output of a rule check, before policy is applied.
+    """Raw output of a rule check.
 
     Checks yield these; the engine attaches the rule code/name and the
-    configured severity to produce a :class:`Diagnostic`.
+    severity to produce a :class:`Diagnostic`.
     """
 
     subject: str
@@ -115,7 +113,7 @@ class Rule:
     code:
         Stable identifier (``RVnnn``); never reused once published.
     name:
-        Kebab-case slug used in human output and suppression patterns.
+        Kebab-case slug used in human output and disable lists.
     scope:
         ``"circuit"`` (checks a compiled :class:`repro.circuit.Circuit`),
         ``"deck"`` (checks a tokenised SPICE deck source),
@@ -203,7 +201,7 @@ def rule(code: str, name: str, scope: str, severity: "str | Severity",
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Per-run policy: which rules run and how severe their findings are.
+    """Per-run policy: which rules run.
 
     Attributes
     ----------
@@ -211,20 +209,10 @@ class VerifyConfig:
         Rule codes or names to skip entirely.
     only:
         If non-empty, run *only* these rules (codes or names).
-    severity_overrides:
-        Mapping of rule code/name to a replacement severity.
-    suppress:
-        ``"CODE:glob"`` patterns; matching findings are dropped.  The
-        glob is tried against the finding's subject and against its
-        target (e.g. ``"RV001:tb.*"`` silences floating-node findings
-        on testbench scaffolding nodes; ``"RV404:src/repro/legacy/*"``
-        silences a source rule for one subtree).
     """
 
     disable: frozenset = frozenset()
     only: frozenset = frozenset()
-    severity_overrides: Mapping[str, Severity] = field(default_factory=dict)
-    suppress: Tuple[str, ...] = ()
 
     @classmethod
     def from_env(cls) -> "VerifyConfig":
@@ -244,65 +232,6 @@ class VerifyConfig:
         if self.only and not self._matches(rule_, self.only):
             return False
         return not self._matches(rule_, self.disable)
-
-    def severity_for(self, rule_: Rule,
-                     finding: Finding) -> Severity:
-        """Severity of ``finding``, after per-rule overrides."""
-        for key, sev in self.severity_overrides.items():
-            if key.upper() == rule_.code or key.lower() == rule_.name:
-                return Severity.parse(sev)
-        return finding.severity or rule_.severity
-
-    def suppressed(self, diag: Diagnostic) -> bool:
-        """True if a ``CODE:glob`` suppression matches ``diag``.
-
-        The glob is matched against the finding's subject and its
-        target, so one syntax covers netlist-node suppressions and
-        per-path source-lint suppressions.
-        """
-        for pattern in self.suppress:
-            code, _, glob = pattern.partition(":")
-            if code.upper() not in (diag.code, diag.name.upper()):
-                continue
-            if (not glob or fnmatch.fnmatch(diag.subject, glob)
-                    or (diag.target and fnmatch.fnmatch(diag.target, glob))):
-                return True
-        return False
-
-    def digest(self) -> str:
-        """Stable content hash of the policy, for lint-cache keying.
-
-        Two configs with the same digest produce the same diagnostics
-        for the same input, so cached results keyed on it are safe to
-        reuse across runs (and are invalidated the moment a disable
-        list, severity override or suppression changes).
-        """
-        import hashlib
-        import json
-        blob = json.dumps({
-            "disable": sorted(self.disable),
-            "only": sorted(self.only),
-            "severity": {k: v.value for k, v
-                         in sorted(self.severity_overrides.items())},
-            "suppress": list(self.suppress),
-        }, sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-    def merge(self, other: "VerifyConfig") -> "VerifyConfig":
-        """Layer ``other`` on top of this config (additive).
-
-        Disable/only/suppress sets union; ``other``'s severity
-        overrides win on conflict.  Used to stack pyproject policy,
-        environment, and command-line flags.
-        """
-        overrides = dict(self.severity_overrides)
-        overrides.update(other.severity_overrides)
-        return VerifyConfig(
-            disable=frozenset(self.disable) | frozenset(other.disable),
-            only=frozenset(self.only) | frozenset(other.only),
-            severity_overrides=overrides,
-            suppress=tuple(dict.fromkeys(self.suppress + other.suppress)),
-        )
 
 
 @dataclass
@@ -372,16 +301,14 @@ def run_rules(target_obj, scope: str, target_name: str = "",
         if not config.rule_enabled(rule_):
             continue
         for finding in rule_.check(target_obj):
-            diag = Diagnostic(
+            report.diagnostics.append(Diagnostic(
                 code=rule_.code,
                 name=rule_.name,
-                severity=config.severity_for(rule_, finding),
+                severity=finding.severity or rule_.severity,
                 message=finding.message,
                 subject=finding.subject,
                 target=target_name,
                 location=finding.location,
-            )
-            if not config.suppressed(diag):
-                report.diagnostics.append(diag)
+            ))
     report.diagnostics.sort(key=Diagnostic.sort_key)
     return report

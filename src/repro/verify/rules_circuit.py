@@ -11,14 +11,12 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Tuple
 
-import networkx as nx
-
 from ..circuit.netlist import Circuit
 from ..circuit.passives import Capacitor
 from ..circuit.sources import VoltageSource
 from ..errors import NetlistError
 from .core import Finding, rule
-from .topology import canon
+from .topology import canon, independent_loops
 
 
 @rule("RV006", "netlist-compile", "circuit", "error",
@@ -104,24 +102,25 @@ def check_shorted_elements(circuit: Circuit) -> Iterator[Finding]:
             )
 
 
-def _voltage_source_multigraph(circuit: Circuit) -> "nx.MultiGraph":
-    """Multigraph of ideal voltage sources (ground aliases merged)."""
-    graph = nx.MultiGraph()
+def _voltage_source_edges(circuit: Circuit) -> List[Tuple[str, str, str]]:
+    """``(p, n, name)`` of every ideal voltage source, ground aliases
+    merged."""
+    edges = []
     for element in circuit.elements():
         if isinstance(element, VoltageSource):
             p, n = (canon(x) for x in element.node_names)
-            graph.add_edge(p, n, name=element.name)
-    return graph
+            edges.append((p, n, element.name))
+    return edges
 
 
-def _parallel_groups(graph: "nx.MultiGraph") -> Dict[Tuple[str, str],
-                                                     List[str]]:
+def _parallel_groups(edges: List[Tuple[str, str, str]]
+                     ) -> Dict[Tuple[str, str], List[str]]:
     """Node pairs joined by two or more distinct sources."""
     pairs: Dict[Tuple[str, str], List[str]] = {}
-    for p, n, data in graph.edges(data=True):
+    for p, n, name in edges:
         if p == n:
             continue
-        pairs.setdefault(tuple(sorted((p, n))), []).append(data["name"])
+        pairs.setdefault(tuple(sorted((p, n))), []).append(name)
     return {pair: sorted(names) for pair, names in pairs.items()
             if len(names) > 1}
 
@@ -135,42 +134,35 @@ def check_voltage_loops(circuit: Circuit) -> Iterator[Finding]:
 
     The cycle space of the multigraph decomposes into (a) self-loop
     sources, (b) one loop per extra parallel source on a node pair, and
-    (c) simple cycles of three or more nodes.  Group (b) is reported by
-    ``parallel-sources`` (RV005), so here it is only *counted*, keeping
-    the two rules deduplicated while no loop goes unreported — the seed
-    linter collapsed the multigraph and silently dropped group (a) and
-    miscounted (b).
+    (c) a cycle basis of the graph with parallel sources collapsed.
+    Group (b) is reported by ``parallel-sources`` (RV005), so here it
+    is only *counted*, keeping the two rules deduplicated while no loop
+    goes unreported — the seed linter collapsed the multigraph and
+    silently dropped group (a) and miscounted (b).
     """
     if not _compiles(circuit):
         return
-    graph = _voltage_source_multigraph(circuit)
+    edges = _voltage_source_edges(circuit)
 
     # (a) self-loops: a source with both terminals on one node.
-    for p, n, data in graph.edges(data=True):
+    for p, n, name in edges:
         if p == n:
             yield Finding(
-                subject=data["name"],
-                message=(f"voltage source {data['name']} is shorted on "
+                subject=name,
+                message=(f"voltage source {name} is shorted on "
                          f"node {p!r}: a one-element voltage loop"),
             )
 
-    # (c) simple cycles of length >= 3 on the collapsed graph.  Parallel
-    # pairs (group (b)) are RV005's findings and are not repeated here.
-    collapsed = nx.Graph(
-        (p, n) for p, n in graph.edges() if p != n
-    )
-    try:
-        cycles = nx.cycle_basis(collapsed)
-    except nx.NetworkXError:   # pragma: no cover - defensive
-        cycles = []
-    for cycle in cycles:
-        if len(cycle) >= 3:
-            members = sorted(cycle)
-            yield Finding(
-                subject=members[0],
-                message=("voltage sources form a loop through nodes "
-                         + " -> ".join(repr(n) for n in cycle)),
-            )
+    # (c) the collapsed node pairs in element order.  Parallel pairs
+    # (group (b)) are RV005's findings and are not repeated here.
+    collapsed = dict.fromkeys(tuple(sorted((p, n)))
+                              for p, n, _ in edges if p != n)
+    for loop in independent_loops(collapsed):
+        yield Finding(
+            subject=min(loop),
+            message=("voltage sources form a loop through nodes "
+                     + " -> ".join(repr(n) for n in loop)),
+        )
 
 
 @rule("RV005", "parallel-sources", "circuit", "error",
@@ -181,8 +173,8 @@ def check_parallel_sources(circuit: Circuit) -> Iterator[Finding]:
     """Flag groups of sources wired across the same two nodes."""
     if not _compiles(circuit):
         return
-    graph = _voltage_source_multigraph(circuit)
-    for (p, n), names in sorted(_parallel_groups(graph).items()):
+    edges = _voltage_source_edges(circuit)
+    for (p, n), names in sorted(_parallel_groups(edges).items()):
         yield Finding(
             subject=names[0],
             message=(f"voltage sources {', '.join(names)} are in "

@@ -4,14 +4,8 @@
 (``scope="source"``) run Python-``ast`` checks over one module at a
 time — float equality on physical quantities, NaN-unsafe reductions,
 raw SPICE quantity strings, swallowed solver forensics, mutable
-defaults.
-
-The engine is incremental: with a ``cache_dir``, every module's
-diagnostics persist keyed by its text, path, dotted name and the policy
-hash, one :mod:`repro.exec.envelope` entry per module; a warm run over
-an unchanged tree parses nothing, and after an edit only the edited
-modules are parsed again.  Modules are parsed serially on the calling
-thread: CPython 3.11's AST constructor is not thread-safe.
+defaults.  Modules are parsed serially on the calling thread: CPython
+3.11's AST constructor is not thread-safe.
 
 The target object handed to every ``scope="source"`` rule is a
 :class:`SourceModule`: the module text, its parsed AST and the
@@ -24,76 +18,26 @@ right artifact).
 
 Suppressing a finding:
 
-* inline, for one line: ``x = spice_magic()  # lint: skip=RV404`` (use
-  sparingly — the pragma is the audit trail for a deliberate violation);
-* by policy, for a path: a ``"RV404:src/repro/legacy/*"`` entry in the
-  shared ``suppress`` list (see :mod:`repro.verify.config`);
-* run-over-run, for a whole tree: a baseline file
-  (:mod:`repro.verify.baseline`) recording today's findings so only
-  *new* ones fail CI.
+* inline, for one line: ``x = spice_magic()  # lint: skip=RV404 reason``
+  (comma-separated codes, then the reason; use sparingly — the pragma
+  is the audit trail for a deliberate violation);
+* for a whole run: ``--disable RV404`` or ``REPRO_LINT_DISABLE=RV404``.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 from pathlib import Path
-from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Set)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
-from ..exec import envelope
-from .core import (
-    Diagnostic,
-    Report,
-    Severity,
-    SourceLocation,
-    VerifyConfig,
-    run_rules,
-)
+from .core import Diagnostic, Report, SourceLocation, VerifyConfig, run_rules
 
-#: Inline suppression pragma: ``# lint: skip=RV401`` or
-#: ``# lint: skip=RV401,RV404`` at the end of the offending line.
-_PRAGMA_RE = re.compile(r"#\s*lint:\s*skip=([A-Za-z0-9_,\s]+)")
-
-#: Schema of the lint-cache entries; bump when the stored payload
-#: (``path``, ``name``, ``source_diags``) changes shape.
-CACHE_SCHEMA_VERSION = 7
-
-
-def default_lint_cache_dir() -> Path:
-    """The ``lint/`` subdirectory of :func:`repro.exec.envelope.cache_root`."""
-    return envelope.cache_root() / "lint"
-
-
-def module_name_for(path: "str | Path") -> str:
-    """Dotted module name of a file, walking ``__init__.py`` packages up.
-
-    ``src/repro/pg/energy.py`` -> ``repro.pg.energy``; a loose file (no
-    enclosing package) is just its stem.
-    """
-    p = Path(path)
-    parts: List[str] = [] if p.name == "__init__.py" else [p.stem]
-    directory = p.parent
-    while (directory / "__init__.py").exists():
-        parts.append(directory.name)
-        parent = directory.parent
-        if parent == directory:
-            break
-        directory = parent
-    return ".".join(reversed(parts)) or p.stem
-
-
-def entry_key(text: str, config_digest: str, path: str, name: str) -> str:
-    """Lint-cache key of one module: its text, path and dotted name, the
-    policy, the schema.  The path is part of the key because the cached
-    findings carry it."""
-    blob = hashlib.sha256()
-    for part in (text, config_digest, path, name):
-        blob.update(part.encode())
-        blob.update(b"\0")
-    blob.update(f"schema={CACHE_SCHEMA_VERSION}".encode())
-    return blob.hexdigest()[:24]
+#: Inline suppression pragma at the end of the offending line:
+#: ``# lint: skip=RV401`` or ``# lint: skip=RV401,RV404``; whatever
+#: follows the codes is the reason.
+_PRAGMA_RE = re.compile(r"#\s*lint:\s*skip=\s*(RV\d{3}(?:\s*,\s*RV\d{3})*)",
+                        re.IGNORECASE)
 
 
 class SourceModule:
@@ -135,10 +79,8 @@ class SourceModule:
         for lineno, line in enumerate(lines, start=1):
             match = _PRAGMA_RE.search(line)
             if match is not None:
-                codes = {tok.strip().upper()
-                         for tok in match.group(1).split(",") if tok.strip()}
-                if codes:
-                    out[lineno] = codes
+                out[lineno] = {tok.strip().upper()
+                               for tok in match.group(1).split(",")}
         return out
 
     def line_text(self, lineno: int) -> str:
@@ -180,79 +122,27 @@ def iter_source_files(paths: Iterable[str]) -> Iterator[Path]:
 
 
 # ---------------------------------------------------------------------------
-# diagnostic (de)serialisation for the incremental cache
-# ---------------------------------------------------------------------------
-
-
-def _diag_to_json(diag: Diagnostic) -> Dict[str, Any]:
-    out: Dict[str, Any] = {
-        "code": diag.code, "name": diag.name,
-        "severity": diag.severity.value, "message": diag.message,
-        "subject": diag.subject, "target": diag.target,
-    }
-    if diag.location is not None:
-        out["line"] = diag.location.line
-        out["text"] = diag.location.text
-    return out
-
-
-def _diag_from_json(data: Dict[str, Any]) -> Diagnostic:
-    location = None
-    if "line" in data:
-        location = SourceLocation(line=int(data["line"]),
-                                  text=str(data.get("text", "")))
-    return Diagnostic(
-        code=str(data["code"]), name=str(data["name"]),
-        severity=Severity.parse(str(data["severity"])),
-        message=str(data["message"]), subject=str(data["subject"]),
-        target=str(data.get("target", "")), location=location,
-    )
-
-
-# ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
 
 
 def verify_source(paths: Iterable[str],
-                  config: Optional[VerifyConfig] = None,
-                  *,
-                  cache_dir: Optional[Path] = None) -> Report:
+                  config: Optional[VerifyConfig] = None) -> Report:
     """Lint every module under ``paths``; one merged report.
 
     Each diagnostic keeps its own module path as ``target``, so the
     merged report renders and serialises with correct per-file
     locations.
-
-    Parameters
-    ----------
-    cache_dir:
-        Directory for the incremental result cache; ``None`` (the
-        default) disables caching.  The CLI passes
-        :func:`default_lint_cache_dir`.
     """
     if config is None:
         config = VerifyConfig.from_env()
     roots = [str(p) for p in paths]
     files: List[Path] = list(iter_source_files(roots))
-    config_digest = config.digest()
     merged = Report(
         target=f"{', '.join(roots) or 'source'} ({len(files)} modules)")
     for path in files:
-        text = path.read_text()
-        name = module_name_for(path)
-        key = entry_key(text, config_digest, str(path), name)
-        payload, _ = envelope.load(cache_dir, key, CACHE_SCHEMA_VERSION)
-        if payload is not None:
-            diags = [_diag_from_json(d) for d in payload["source_diags"]]
-        else:
-            diags = verify_source_text(text, path=str(path),
-                                       config=config).diagnostics
-            envelope.store(cache_dir, key, CACHE_SCHEMA_VERSION, {
-                "path": str(path), "name": name,
-                "source_diags": [_diag_to_json(d) for d in diags],
-            })
-        merged.diagnostics.extend(diags)
+        merged.diagnostics.extend(verify_source_text(
+            path.read_text(), path=str(path), config=config).diagnostics)
     merged.diagnostics.sort(key=Diagnostic.sort_key)
     return merged
 

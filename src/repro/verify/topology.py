@@ -144,6 +144,38 @@ def reachable(start: str, adj: Dict[str, List[ConductionEdge]],
     return seen
 
 
+def independent_loops(pairs: Iterable[Tuple[str, str]]) -> List[List[str]]:
+    """A cycle basis of the simple graph whose edges are ``pairs``.
+
+    Walks the distinct node pairs in order and grows a spanning forest:
+    a pair whose two ends are already connected closes one loop,
+    returned as the forest path between its ends (the pair itself joins
+    the last node back to the first).  That gives E - V + C loops.
+    """
+    forest: Dict[str, List[str]] = {}
+    loops: List[List[str]] = []
+    for a, b in pairs:
+        parent: Dict[str, Optional[str]] = {a: None}
+        frontier = [a]
+        while frontier and b not in parent:
+            node = frontier.pop()
+            for peer in forest.get(node, ()):
+                if peer not in parent:
+                    parent[peer] = node
+                    frontier.append(peer)
+        if b not in parent:
+            forest.setdefault(a, []).append(b)
+            forest.setdefault(b, []).append(a)
+            continue
+        path: List[str] = []
+        node: Optional[str] = b
+        while node is not None:
+            path.append(node)
+            node = parent[node]
+        loops.append(path[::-1])
+    return loops
+
+
 def storage_nodes(circuit: Circuit) -> Set[str]:
     """Nodes that are both a FinFET gate and a FinFET channel terminal.
 

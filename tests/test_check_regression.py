@@ -14,11 +14,17 @@ check_regression = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(check_regression)
 
 
-LINT_PAYLOAD = {
-    "schema": 5, "modules": 111, "cold_s": 4.4, "warm_s": 0.1,
-    "speedup": 44.0,
-    "diagnostics": {"total": 0, "by_band": {}},
+SERVE_PAYLOAD = {
+    "schema": 1,
+    "route": "demo (inline workers; serving overhead only)",
+    "cold": {"latency_ms": 1.33},
+    "warm": {"latency_ms": 0.767, "speedup": 1.73},
+    "coalesce": {"clients": 8, "backend_executions": 1, "factor": 8.0},
 }
+
+
+def serve_payload():
+    return json.loads(json.dumps(SERVE_PAYLOAD))
 
 
 def write_pair(tmp_path, name, base, fresh):
@@ -35,48 +41,50 @@ def run(tmp_path):
 
 
 def test_identical_files_pass(tmp_path):
-    write_pair(tmp_path, "BENCH_lint.json", LINT_PAYLOAD, LINT_PAYLOAD)
+    write_pair(tmp_path, "BENCH_serve.json", SERVE_PAYLOAD, SERVE_PAYLOAD)
     ok, rows = run(tmp_path)
     assert ok, check_regression.render(rows, ok)
 
 
 def test_timing_noise_tolerated(tmp_path):
-    fresh = dict(LINT_PAYLOAD, cold_s=9.9, warm_s=0.3, speedup=33.0)
-    write_pair(tmp_path, "BENCH_lint.json", LINT_PAYLOAD, fresh)
+    fresh = serve_payload()
+    fresh["cold"]["latency_ms"] = 9.9
+    fresh["warm"].update(latency_ms=3.0, speedup=1.2)
+    write_pair(tmp_path, "BENCH_serve.json", SERVE_PAYLOAD, fresh)
     ok, _rows = run(tmp_path)
-    assert ok          # raw seconds are not compared; ratio held up
+    assert ok          # raw latencies are not compared; ratio held up
 
 
 def test_speedup_collapse_fails(tmp_path):
-    fresh = dict(LINT_PAYLOAD, speedup=4.0)      # < 0.4 x 44
-    write_pair(tmp_path, "BENCH_lint.json", LINT_PAYLOAD, fresh)
+    fresh = serve_payload()
+    fresh["warm"]["speedup"] = 0.3      # < 0.2 x 1.73
+    write_pair(tmp_path, "BENCH_serve.json", SERVE_PAYLOAD, fresh)
     ok, rows = run(tmp_path)
     assert not ok
-    assert any(r["metric"] == "speedup" and r["status"] == "FAIL"
+    assert any(r["metric"] == "warm.speedup" and r["status"] == "FAIL"
                for r in rows)
 
 
 def test_new_findings_fail_exactly(tmp_path):
-    fresh = json.loads(json.dumps(LINT_PAYLOAD))
-    fresh["diagnostics"]["total"] = 2
-    write_pair(tmp_path, "BENCH_lint.json", LINT_PAYLOAD, fresh)
+    fresh = serve_payload()
+    fresh["coalesce"]["backend_executions"] = 2
+    write_pair(tmp_path, "BENCH_serve.json", SERVE_PAYLOAD, fresh)
     ok, rows = run(tmp_path)
     assert not ok
-    assert any(r["metric"] == "diagnostics.total" for r in rows
+    assert any(r["metric"] == "coalesce.backend_executions" for r in rows
                if r["status"] == "FAIL")
 
 
 def test_vanished_metric_fails_new_metric_passes(tmp_path):
-    base = json.loads(json.dumps(LINT_PAYLOAD))
-    del base["modules"]                 # baseline predating the metric
-    fresh = json.loads(json.dumps(LINT_PAYLOAD))
-    del fresh["diagnostics"]            # bench dropped coverage
-    base["schema"] = fresh["schema"]
-    write_pair(tmp_path, "BENCH_lint.json", base, fresh)
+    base = serve_payload()
+    del base["warm"]["speedup"]         # baseline predating the metric
+    fresh = serve_payload()
+    del fresh["coalesce"]               # bench dropped coverage
+    write_pair(tmp_path, "BENCH_serve.json", base, fresh)
     ok, rows = run(tmp_path)
     verdicts = {r["metric"]: r["status"] for r in rows}
-    assert verdicts["modules"] == "new"
-    assert verdicts["diagnostics.total"] == "FAIL"
+    assert verdicts["warm.speedup"] == "new"
+    assert verdicts["coalesce.backend_executions"] == "FAIL"
     assert not ok
 
 
@@ -113,7 +121,7 @@ def test_nothing_compared_is_a_failure(tmp_path):
 
 def test_cli_roundtrip(tmp_path, capsys):
     base_dir, fresh_dir = write_pair(
-        tmp_path, "BENCH_lint.json", LINT_PAYLOAD, LINT_PAYLOAD)
+        tmp_path, "BENCH_serve.json", SERVE_PAYLOAD, SERVE_PAYLOAD)
     code = check_regression.main(["--baseline-dir", str(base_dir),
                                   "--fresh-dir", str(fresh_dir)])
     assert code == 0
@@ -122,7 +130,7 @@ def test_cli_roundtrip(tmp_path, capsys):
 
 def test_strict_missing_flags_unregenerated(tmp_path):
     base_dir, fresh_dir = write_pair(
-        tmp_path, "BENCH_lint.json", LINT_PAYLOAD, LINT_PAYLOAD)
+        tmp_path, "BENCH_serve.json", SERVE_PAYLOAD, SERVE_PAYLOAD)
     (base_dir / "BENCH_engine.json").write_text(json.dumps({"schema": 1}))
     ok, rows = check_regression.run_checks(base_dir, fresh_dir,
                                            strict_missing=True)

@@ -301,14 +301,6 @@ class TestLintSourceCommand:
             "artifactLocation"]["uri"]
         assert uri.endswith("bad.py")
 
-    def test_pyproject_policy_honored(self, tmp_path, monkeypatch):
-        mod = tmp_path / "bad.py"
-        mod.write_text(self.RV404_MODULE)
-        (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro.verify]\ndisable = [\"RV404\"]\n")
-        monkeypatch.chdir(tmp_path)
-        assert main(["lint-source", str(mod)]) == 0
-
     def test_directory_walk(self, tmp_path, capsys):
         (tmp_path / "pkg").mkdir()
         (tmp_path / "pkg" / "a.py").write_text(self.RV404_MODULE)

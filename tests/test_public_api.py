@@ -121,6 +121,37 @@ def test_repro_imports_and_solves_without_scipy():
     assert 1.0 <= cond < float("inf")
 
 
+#: Blocks networkx, imports the same entry points, runs the
+#: lint-before-simulate hook on the nv testbench and counts the RV004
+#: loops of a three-source ring.
+WITHOUT_NETWORKX = """
+import sys
+sys.modules["networkx"] = None
+import repro, repro.cli, repro.experiments.summary
+import repro.characterize.variability, repro.verify, repro.exec
+import repro.serve, repro.spice
+from repro import Circuit, Resistor, VoltageSource, build_cell_testbench
+from repro.verify import assert_clean, verify_circuit
+assert_clean(build_cell_testbench("nv").circuit)
+c = Circuit()
+c.add(VoltageSource("v1", "a", "0", dc=1.0))
+c.add(VoltageSource("v2", "b", "a", dc=0.5))
+c.add(VoltageSource("v3", "b", "0", dc=1.5))
+c.add(Resistor("r", "b", "0", 1e3))
+print(sum(d.code == "RV004" for d in verify_circuit(c)))
+"""
+
+
+def test_repro_imports_and_lints_without_networkx():
+    src = Path(repro.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "REPRO_LINT": "1"}
+    env.pop("REPRO_LINT_DISABLE", None)
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_NETWORKX], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
+
+
 def _walk_modules():
     for info in pkgutil.walk_packages(repro.__path__,
                                       prefix="repro."):

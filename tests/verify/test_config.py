@@ -1,137 +1,28 @@
-"""Shared lint policy: pyproject loading, layering, suppression globs."""
+"""The lint policy of both CLI commands: ``REPRO_LINT_DISABLE``
+together with every ``--disable`` flag."""
 
-import pytest
+import argparse
 
-from repro.verify import Severity, VerifyConfig, verify_source_text
-from repro.verify.config import (
-    config_from_table,
-    effective_config,
-    find_pyproject,
-    load_project_config,
-)
-from repro.verify.core import Diagnostic
+from repro.cli import _lint_config
+from repro.verify import verify_source_text
 
 RV401_TEXT = "def f(v):\n    return v == 0.9\n"
 
 
-def make_diag(code="RV401", subject="f", target="src/repro/pg/bet.py"):
-    return Diagnostic(code=code, name="float-equality",
-                      severity=Severity.WARNING, message="m",
-                      subject=subject, target=target)
-
-
-class TestMerge:
-    def test_sets_union_and_overrides_layer(self):
-        base = VerifyConfig(disable=frozenset({"RV001"}),
-                            suppress=("RV401:a*",),
-                            severity_overrides={"RV402": Severity.WARNING})
-        top = VerifyConfig(disable=frozenset({"RV104"}),
-                           suppress=("RV404:b*",),
-                           severity_overrides={"RV402": Severity.INFO})
-        merged = base.merge(top)
-        assert merged.disable == {"RV001", "RV104"}
-        assert merged.suppress == ("RV401:a*", "RV404:b*")
-        # Later layer wins on severity conflicts.
-        assert merged.severity_overrides["RV402"] is Severity.INFO
-
-    def test_merge_dedups_suppressions(self):
-        base = VerifyConfig(suppress=("RV401:a*",))
-        merged = base.merge(VerifyConfig(suppress=("RV401:a*",)))
-        assert merged.suppress == ("RV401:a*",)
-
-
-class TestSuppressionGlobs:
-    def test_subject_glob_still_matches(self):
-        config = VerifyConfig(suppress=("RV401:f",))
-        assert config.suppressed(make_diag())
-
-    def test_target_path_glob_matches(self):
-        config = VerifyConfig(suppress=("RV401:src/repro/pg/*",))
-        assert config.suppressed(make_diag())
-
-    def test_other_path_does_not_match(self):
-        config = VerifyConfig(suppress=("RV401:src/repro/devices/*",))
-        assert not config.suppressed(make_diag())
-
-    def test_code_must_match_too(self):
-        config = VerifyConfig(suppress=("RV404:src/repro/pg/*",))
-        assert not config.suppressed(make_diag())
-
-
-class TestPyprojectLoading:
-    def test_table_parsing(self):
-        config = config_from_table({
-            "disable": ["RV104"],
-            "suppress": ["RV401:src/repro/legacy/*"],
-            "severity": {"RV406": "info"},
-        })
-        assert config.disable == {"RV104"}
-        assert config.suppress == ("RV401:src/repro/legacy/*",)
-        assert config.severity_overrides["RV406"] is Severity.INFO
-
-    def test_bad_severity_raises(self):
-        with pytest.raises(ValueError):
-            config_from_table({"severity": {"RV406": "loud"}})
-
-    def test_load_from_file(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro.verify]\ndisable = [\"RV401\"]\n")
-        config = load_project_config(tmp_path / "pyproject.toml")
-        assert config.disable == {"RV401"}
-
-    def test_search_walks_upward(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro.verify]\ndisable = [\"RV401\"]\n")
-        nested = tmp_path / "a" / "b"
-        nested.mkdir(parents=True)
-        assert find_pyproject(nested) == tmp_path / "pyproject.toml"
-        assert load_project_config(nested).disable == {"RV401"}
-
-    def test_missing_table_is_permissive(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text("[project]\nname = \"x\"\n")
-        config = load_project_config(tmp_path / "pyproject.toml")
-        assert config == VerifyConfig()
-
-    def test_missing_file_is_permissive(self, tmp_path):
-        assert load_project_config(tmp_path) == VerifyConfig()
+def lint_config(*disable):
+    return _lint_config(argparse.Namespace(disable=list(disable)))
 
 
 class TestEffectiveConfig:
-    def test_policy_disables_rule_end_to_end(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro.verify]\ndisable = [\"RV401\"]\n")
-        config = effective_config(project_path=tmp_path)
+    def test_env_layer_adds_disables(self, monkeypatch):
+        monkeypatch.setenv("REPRO_LINT_DISABLE", "RV401")
+        config = lint_config("RV104")
+        assert {"RV104", "RV401"} <= set(config.disable)
         report = verify_source_text(RV401_TEXT, path="mod.py",
                                     config=config)
         assert list(report) == []
 
-    def test_policy_suppresses_by_path_end_to_end(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro.verify]\nsuppress = [\"RV401:legacy/*\"]\n")
-        config = effective_config(project_path=tmp_path)
-        flagged = verify_source_text(RV401_TEXT, path="fresh/mod.py",
-                                     config=config)
-        assert [d.code for d in flagged] == ["RV401"]
-        quiet = verify_source_text(RV401_TEXT, path="legacy/mod.py",
-                                   config=config)
-        assert list(quiet) == []
-
-    def test_env_layer_adds_disables(self, tmp_path, monkeypatch):
-        (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro.verify]\ndisable = [\"RV104\"]\n")
-        monkeypatch.setenv("REPRO_LINT_DISABLE", "RV401")
-        config = effective_config(project_path=tmp_path)
-        assert {"RV104", "RV401"} <= set(config.disable)
-
-    def test_cli_layer_adds_disables(self, tmp_path):
-        config = effective_config(cli_disable=frozenset({"RV406"}),
-                                  project_path=tmp_path)
-        assert "RV406" in config.disable
-
-    def test_severity_override_downgrades_finding(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro.verify.severity]\nRV401 = \"info\"\n")
-        config = effective_config(project_path=tmp_path)
-        report = verify_source_text(RV401_TEXT, path="mod.py",
-                                    config=config)
-        assert [d.severity.value for d in report] == ["info"]
+    def test_cli_layer_adds_disables(self, monkeypatch):
+        monkeypatch.delenv("REPRO_LINT_DISABLE", raising=False)
+        config = lint_config("RV406,RV404", "RV401")
+        assert config.disable == {"RV401", "RV404", "RV406"}

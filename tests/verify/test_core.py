@@ -90,26 +90,6 @@ class TestVerifyConfig:
         )
         assert {d.code for d in report} == {"RV005"}
 
-    def test_severity_override(self):
-        c = divider_with_dangle()
-        report = verify_circuit(
-            c, config=VerifyConfig(severity_overrides={"RV001": "error"})
-        )
-        assert report.has_errors
-        assert report.errors()[0].code == "RV001"
-
-    def test_subject_glob_suppression(self):
-        c = divider_with_dangle()
-        report = verify_circuit(
-            c, config=VerifyConfig(suppress=("RV001:dang*",))
-        )
-        assert "RV001" not in {d.code for d in report}
-        # A non-matching glob leaves the finding alone.
-        report = verify_circuit(
-            c, config=VerifyConfig(suppress=("RV001:tb.*",))
-        )
-        assert "RV001" in {d.code for d in report}
-
     def test_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_LINT_DISABLE", "RV001, rv104")
         config = VerifyConfig.from_env()

@@ -1,5 +1,10 @@
 """Tests for the RV0xx hygiene rules, including the multigraph fix."""
 
+import re
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.circuit import Capacitor, Circuit, Resistor, VoltageSource
 from repro.verify import verify_circuit
 
@@ -103,3 +108,68 @@ class TestHygiene:
         c.add(Resistor("rshort", "a", "a", 1e3))
         c.add(Resistor("rload", "a", "0", 1e3))
         assert by_code(verify_circuit(c), "RV003")
+
+
+#: Node names of the random graphs: ground under two spellings plus
+#: five others, so at most six distinct nodes once ground is merged.
+NODES = ["0", "gnd", "a", "b", "c", "d", "e"]
+
+
+def canon(node):
+    return "0" if node == "gnd" else node
+
+
+def cycle_rank(pairs):
+    """E - V + C of the simple graph on ``pairs``, by union-find."""
+    root = {}
+
+    def find(x):
+        while root.setdefault(x, x) != x:
+            x = root[x]
+        return x
+
+    rank = 0
+    for p, n in pairs:
+        rp, rn = find(p), find(n)
+        if rp == rn:
+            rank += 1
+        else:
+            root[rp] = rn
+    return rank
+
+
+class TestVoltageLoopProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(NODES),
+                              st.sampled_from(NODES)),
+                    min_size=1, max_size=12))
+    def test_rv004_counts_every_independent_loop(self, ends):
+        c = Circuit()
+        for i, (p, n) in enumerate(ends):
+            c.add(VoltageSource(f"v{i}", p, n, dc=0.1 * i))
+        for node in {canon(x) for pair in ends for x in pair} - {"0"}:
+            c.add(Resistor(f"r{node}", node, "0", 1e3))
+        c.add(Resistor("rg", "0", "a", 1e3))   # ground always present
+        report = verify_circuit(c)
+        assert "RV006" not in codes(report)
+
+        edges = [(canon(p), canon(n)) for p, n in ends]
+        self_loops = sum(p == n for p, n in edges)
+        multiplicity = {}
+        for p, n in edges:
+            if p != n:
+                key = frozenset((p, n))
+                multiplicity[key] = multiplicity.get(key, 0) + 1
+        collapsed = [tuple(pair) for pair in multiplicity]
+
+        loops = by_code(report, "RV004")
+        assert len(loops) == self_loops + cycle_rank(collapsed)
+        for diag in loops:
+            if diag.message.startswith("voltage source "):
+                continue   # a self-loop source
+            ring = re.findall(r"'([^']*)'", diag.message)
+            assert len(set(ring)) == len(ring) >= 3
+            for p, n in zip(ring, ring[1:] + ring[:1]):
+                assert frozenset((p, n)) in multiplicity
+        assert len(by_code(report, "RV005")) == sum(
+            count >= 2 for count in multiplicity.values())
