@@ -54,6 +54,7 @@ SPECS: Dict[str, List[Tuple[str, str, float]]] = {
         ("read_burst_transient.accepted_steps", "rel", 0.25),
         ("certification.worst_residual_norm_a", "max-growth", 1e3),
         ("certification.defended_steps", "exact", 0.0),
+        ("certification.condest_inversions", "exact", 0.0),
     ],
     "BENCH_fig7.json": [
         ("schema", "exact", 0.0),

@@ -16,12 +16,12 @@ design curves:
 
 Each analysis solves its samples as one
 :class:`~repro.analysis.batch.CircuitBatch`: the store as one batch of
-nv testbenches, the SNM as one batch of two half-cells per sample.  A
-campaign task runs the same code on a batch of its one sample, and no
-batched operation mixes samples, so serial, parallel and resumed runs
-agree bit for bit.  A sample the batch cannot finish takes the scalar
-path with the whole recovery ladder; one that fails there too carries
-NaN and a :class:`~repro.recovery.partial.SkipRecord`.
+nv testbenches, the SNM as one batch of two half-cells per sample.  No
+batched operation mixes samples and each sample seeds its own
+generator, so a sample's result does not depend on how many others run
+beside it.  A sample the batch cannot finish takes the scalar path with
+the whole recovery ladder; one that fails there too carries NaN and a
+:class:`~repro.recovery.partial.SkipRecord`.
 """
 
 from __future__ import annotations
@@ -91,9 +91,8 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
 
     Seeding each Monte-Carlo sample independently (instead of drawing
     from one sequential stream) makes the variates a function of the
-    sample index alone — so a serial run, a parallel campaign and a
-    ``--resume`` that re-executes only the missing samples all see
-    identical draws, and their aggregate statistics are bit-identical.
+    sample index alone, so a larger run repeats a smaller one's samples
+    bit for bit before it adds its own.
     """
     return np.random.default_rng([seed, index])
 
@@ -201,37 +200,12 @@ class StoreYieldResult:
         return float(np.nanpercentile(self.margins, q))
 
 
-def store_yield_campaign(
-    cond: Optional[OperatingConditions] = None,
-    domain: Optional[PowerDomain] = None,
-    n_samples: int = 200,
-    variation: VariationModel = VariationModel(),
-    seed: int = 2015,
-):
-    """The :class:`~repro.exec.Campaign` behind ``store_yield_analysis``."""
-    from ..exec import Campaign, make_task
-    from ..exec.tasks import store_yield_sample_params
-
-    cond = cond or OperatingConditions()
-    domain = domain or PowerDomain()
-    tasks = [
-        make_task(store_yield_sample_params(i, seed, cond, domain, variation),
-                  label=f"sample {i}")
-        for i in range(n_samples)
-    ]
-    return Campaign(name="store-yield",
-                    fn="repro.exec.tasks:store_yield_sample_task",
-                    tasks=tasks)
-
-
 def store_yield_analysis(
     cond: Optional[OperatingConditions] = None,
     domain: Optional[PowerDomain] = None,
     n_samples: int = 200,
     variation: VariationModel = VariationModel(),
     seed: int = 2015,
-    workers: Optional[int] = None,
-    journal=None,
 ) -> StoreYieldResult:
     """Monte-Carlo the two-step store against sampled device corners.
 
@@ -239,28 +213,13 @@ def store_yield_analysis(
     an independent parameter draw; the H-store and L-store operating
     points are solved and the worst of the two current-over-(sampled)-Ic
     ratios is recorded.  Each sample seeds its own generator from
-    ``(seed, index)`` (see :func:`sample_rng`), so the result is
-    independent of execution order.
-
-    With ``workers`` set, the samples run as a fault-tolerant
-    :mod:`repro.exec` campaign (process isolation, retry, optional
-    ``journal`` checkpointing) and produce the same margins array.
+    ``(seed, index)`` (see :func:`sample_rng`), so sample ``i`` has the
+    same margin in every run of more than ``i`` samples.
     """
     cond = cond or OperatingConditions()
     domain = domain or PowerDomain()
     if n_samples < 1:
         raise CharacterizationError("n_samples must be >= 1")
-
-    if workers is not None:
-        margins, skips = _run_variability_campaign(
-            store_yield_campaign(cond, domain, n_samples, variation, seed),
-            n_samples, "margin", workers, journal)
-        return StoreYieldResult(
-            margins=margins,
-            target_margin=cond.store_margin,
-            n_samples=n_samples,
-            skips=skips,
-        )
 
     indices = range(n_samples)
     margins, errors = _store_margins(cond, domain, variation, seed, indices)
@@ -270,46 +229,6 @@ def store_yield_analysis(
         n_samples=n_samples,
         skips=_skips(errors, indices, "store_yield_analysis"),
     )
-
-
-def _run_variability_campaign(campaign, n_samples: int, value_key: str,
-                              workers: int, journal):
-    """Run a per-sample campaign and reassemble the values array.
-
-    Completed tasks contribute their ``value_key`` payload entry at
-    their sample index; skipped tasks (deterministic analysis failures)
-    and quarantined tasks (exhausted retries / poison) contribute NaN
-    plus a :class:`~repro.recovery.partial.SkipRecord`, matching the
-    serial path's "an unverified corner is a failing corner" accounting.
-    """
-    from ..exec import COMPLETED, SKIPPED, CampaignOptions, run_campaign
-
-    options = CampaignOptions(workers=workers,
-                              resume=journal is not None)
-    result = run_campaign(campaign, journal=journal, options=options)
-
-    values = np.full(n_samples, float("nan"))
-    skips: List[SkipRecord] = []
-    for task in campaign.tasks:
-        outcome = result.outcome(task.task_id)
-        if outcome is None:
-            continue
-        index = task.params["index"]
-        if outcome.status == COMPLETED:
-            values[index] = outcome.result[value_key]
-        elif outcome.status == SKIPPED and outcome.skip:
-            skip = SkipRecord.from_dict(outcome.skip)
-            skip.index = index
-            skips.append(skip)
-        else:   # quarantined: crashed/hung through the retry budget
-            last = outcome.failures[-1] if outcome.failures else {}
-            skips.append(SkipRecord(
-                index=index, label=task.label, stage=campaign.name,
-                reason=last.get("detail", "quarantined"),
-                error_type=last.get("kind", "quarantined"),
-            ))
-    skips.sort(key=lambda s: s.index)
-    return values, skips
 
 
 @dataclass
@@ -396,32 +315,6 @@ def _snm_values(cond: OperatingConditions, read_mode: bool,
     return snm, errors
 
 
-def snm_campaign(
-    cond: Optional[OperatingConditions] = None,
-    n_samples: int = 100,
-    variation: VariationModel = VariationModel(),
-    read_mode: bool = True,
-    points: int = 41,
-    seed: int = 2015,
-    nfet: FinFETParams = NFET_20NM_HP,
-    pfet: FinFETParams = PFET_20NM_HP,
-):
-    """The :class:`~repro.exec.Campaign` behind ``read_snm_distribution``."""
-    from ..exec import Campaign, make_task
-    from ..exec.tasks import snm_sample_params
-
-    cond = cond or OperatingConditions()
-    tasks = [
-        make_task(snm_sample_params(i, seed, cond, read_mode, points,
-                                    variation, nfet, pfet),
-                  label=f"sample {i}")
-        for i in range(n_samples)
-    ]
-    return Campaign(name="snm",
-                    fn="repro.exec.tasks:snm_sample_task",
-                    tasks=tasks)
-
-
 def read_snm_distribution(
     cond: Optional[OperatingConditions] = None,
     n_samples: int = 100,
@@ -431,8 +324,6 @@ def read_snm_distribution(
     seed: int = 2015,
     nfet: FinFETParams = NFET_20NM_HP,
     pfet: FinFETParams = PFET_20NM_HP,
-    workers: Optional[int] = None,
-    journal=None,
 ) -> SnmDistribution:
     """Monte-Carlo the (a)symmetric butterfly SNM under mismatch.
 
@@ -440,24 +331,12 @@ def read_snm_distribution(
     cross-coupled inverters differ — that is what mismatch does to a
     real cell) and computes the asymmetric-butterfly SNM: the smaller of
     the two eye margins.  Samples are independently seeded (see
-    :func:`sample_rng`), so serial, parallel (``workers``) and resumed
-    runs produce identical distributions.
+    :func:`sample_rng`), so sample ``i`` has the same SNM in every run
+    of more than ``i`` samples.
     """
     cond = cond or OperatingConditions()
     if n_samples < 1:
         raise CharacterizationError("n_samples must be >= 1")
-
-    if workers is not None:
-        values, skips = _run_variability_campaign(
-            snm_campaign(cond, n_samples, variation, read_mode, points,
-                         seed, nfet, pfet),
-            n_samples, "snm", workers, journal)
-        return SnmDistribution(
-            snm=values,
-            mode="read" if read_mode else "hold",
-            n_samples=n_samples,
-            skips=skips,
-        )
 
     indices = range(n_samples)
     values, errors = _snm_values(cond, read_mode, variation, seed, indices,

@@ -20,10 +20,8 @@ Usage::
     python -m repro chaos --crashpoints     # crash-safety validation
     python -m repro chaos --serve           # serving-layer chaos suite
     python -m repro serve --port 8023 --journal serve.jsonl
-    python -m repro campaign run demo --workers 2 --journal run.jsonl
-    python -m repro campaign resume demo --journal run.jsonl
-    python -m repro campaign status run.jsonl
     python -m repro fig7b --workers 4 --journal fig7b.jsonl
+    python -m repro campaign status fig7b.jsonl
 
 Every subcommand prints the same rows/series the paper reports; see
 ``benchmarks/`` for the timed versions with archived artifacts.
@@ -190,8 +188,7 @@ def _cmd_variability(args) -> int:
 
     cond = _conditions(args)
     yield_result = store_yield_analysis(cond, _domain(args),
-                                        n_samples=args.samples,
-                                        **_campaign_kwargs(args))
+                                        n_samples=args.samples)
     print(f"store-yield Monte Carlo ({args.samples} samples):")
     print(f"  switching yield (I > Ic):   "
           f"{yield_result.switching_yield:.1%}")
@@ -204,8 +201,7 @@ def _cmd_variability(args) -> int:
     if yield_result.n_failed:
         print(f"  !! {yield_result.n_failed} sample(s) skipped after "
               "recovery-ladder exhaustion (counted as failing)")
-    snm = read_snm_distribution(cond, n_samples=args.samples,
-                                **_campaign_kwargs(args))
+    snm = read_snm_distribution(cond, n_samples=args.samples)
     print(f"read-SNM Monte Carlo: mean {snm.mean * 1e3:.0f} mV, "
           f"sigma {snm.std * 1e3:.0f} mV, "
           f"bistable yield {snm.stability_yield:.1%}")
@@ -448,65 +444,17 @@ def _diagnose_demo() -> int:
 
 
 def _cmd_campaign(args) -> int:
-    from .exec import (
-        CampaignError,
-        CampaignInterrupted,
-        CampaignOptions,
-        available_campaigns,
-        build_campaign,
-        journal_status,
-        render_status,
-        run_campaign,
-    )
+    """``repro campaign status``: summarise a campaign journal."""
+    from .exec import CampaignError, journal_status, render_status
 
-    if args.action == "list":
-        for name in available_campaigns():
-            print(name)
-        return 0
-    if args.action == "status":
-        try:
-            status = journal_status(args.journal)
-        except (OSError, CampaignError) as exc:
-            print(f"repro campaign status: cannot read {args.journal!r}: "
-                  f"{exc}", file=sys.stderr)
-            return 2
-        print(render_status(status))
-        return 0
-
-    # run / resume
-    resume = args.action == "resume" or args.resume
-    if resume and not args.journal:
-        print("repro campaign: --resume needs --journal PATH",
-              file=sys.stderr)
-        return 2
-    options = {k: v for k, v in (
-        ("tasks", args.tasks), ("samples", args.samples),
-        ("seed", args.seed), ("scratch", args.scratch),
-    ) if v is not None}
     try:
-        campaign = build_campaign(args.name, **options)
-    except CampaignError as exc:
-        print(f"repro campaign: {exc}", file=sys.stderr)
+        status = journal_status(args.journal)
+    except (OSError, CampaignError) as exc:
+        print(f"repro campaign status: cannot read {args.journal!r}: "
+              f"{exc}", file=sys.stderr)
         return 2
-    opts = CampaignOptions(
-        workers=args.workers,
-        task_timeout=args.timeout,
-        max_retries=args.retries,
-        forensics_dir=args.forensics_dir,
-        resume=resume,
-        progress=print,
-    )
-    try:
-        result = run_campaign(campaign, journal=args.journal, options=opts)
-    except CampaignInterrupted as exc:
-        print(exc.result.render())
-        if args.journal:
-            print(f"\ninterrupted — resume with: python -m repro campaign "
-                  f"resume {args.name} --journal {args.journal}",
-                  file=sys.stderr)
-        return 130
-    print(result.render())
-    return 1 if result.quarantined else 0
+    print(render_status(status))
+    return 0
 
 
 def _cmd_chaos(args) -> int:
@@ -689,7 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("variability", help="Monte-Carlo yield analysis")
     common(p)
     p.add_argument("--samples", type=int, default=100)
-    campaign_opts(p)
 
     p = sub.add_parser("ff", help="NV flip-flop characterisation")
     common(p, domain=False)
@@ -800,7 +747,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interactive-slots", type=int, default=4,
                    help="concurrent interactive executions (default 4)")
     p.add_argument("--campaign-slots", type=int, default=1,
-                   help="concurrent campaign runs (default 1)")
+                   help="concurrent campaign-class executions "
+                        "(default 1)")
     p.add_argument("--drain-grace", type=float, default=10.0,
                    help="seconds in-flight work gets after SIGTERM "
                         "(default 10)")
@@ -809,44 +757,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also mount the demo/chaos test routes")
 
     p = sub.add_parser("campaign",
-                       help="run / inspect fault-tolerant task campaigns")
+                       help="inspect fault-tolerant campaign journals")
     csub = p.add_subparsers(dest="action", required=True)
-    csub.add_parser("list", help="list the named campaigns")
     pc = csub.add_parser("status",
                          help="summarise a campaign journal")
     pc.add_argument("journal", help="journal JSONL path")
-    for action in ("run", "resume"):
-        pc = csub.add_parser(
-            action,
-            help=("execute a named campaign" if action == "run"
-                  else "continue a journalled campaign run"))
-        pc.add_argument("name", help="campaign name (see: campaign list)")
-        pc.add_argument("--workers", type=int, default=2,
-                        help="worker processes (0 = in-process, "
-                             "default 2)")
-        pc.add_argument("--journal", default=None, metavar="PATH",
-                        help="append-only JSONL journal for "
-                             "checkpoint/resume")
-        pc.add_argument("--timeout", type=float, default=None,
-                        help="per-task wall-clock watchdog in seconds")
-        pc.add_argument("--retries", type=int, default=2,
-                        help="retry budget per task (default 2)")
-        pc.add_argument("--forensics-dir", default=None, metavar="DIR",
-                        help="dump per-failure forensics JSON here")
-        pc.add_argument("--tasks", type=int, default=None,
-                        help="task count (demo / chaos campaigns)")
-        pc.add_argument("--samples", type=int, default=None,
-                        help="sample count (store-yield / snm campaigns)")
-        pc.add_argument("--seed", type=int, default=None,
-                        help="Monte-Carlo seed (default 2015)")
-        pc.add_argument("--scratch", default=None, metavar="DIR",
-                        help="scratch directory (chaos campaign)")
-        if action == "run":
-            pc.add_argument("--resume", action="store_true",
-                            help="replay finished tasks from --journal "
-                                 "and run only the rest")
-        else:
-            pc.set_defaults(resume=True)
 
     p = sub.add_parser("wer", help="MTJ write-error-rate model")
     common(p, domain=False)

@@ -1,12 +1,12 @@
 """repro.exec: fault-tolerant, checkpointed campaign execution.
 
 A *campaign* is a named, content-hashed list of independent tasks (one
-per sweep/characterisation/Monte-Carlo point) executed by
-process-isolated workers with watchdog timeouts, classified failure
-handling (skip / retry-with-backoff / quarantine), an append-only JSONL
-journal for crash-safe ``--resume``, and graceful SIGINT/SIGTERM
-draining.  See ``docs/ROBUSTNESS.md`` ("Campaigns") for the failure
-taxonomy and journal format.
+per characterisation point of a figure prewarm, or one per served
+request) executed by process-isolated workers with watchdog timeouts,
+classified failure handling (skip / retry-with-backoff / quarantine),
+an append-only JSONL journal for crash-safe resume, and graceful
+SIGINT/SIGTERM draining.  See ``docs/ROBUSTNESS.md`` ("Campaigns") for
+the failure taxonomy and journal format.
 """
 
 from .campaign import (
@@ -30,7 +30,6 @@ from .executor import (
     run_campaign,
 )
 from .journal import Journal, journal_status, render_status
-from .registry import available_campaigns, build_campaign
 
 __all__ = [
     "COMPLETED",
@@ -45,8 +44,6 @@ __all__ = [
     "Journal",
     "TaskOutcome",
     "TaskSpec",
-    "available_campaigns",
-    "build_campaign",
     "journal_status",
     "make_task",
     "render_status",

@@ -94,12 +94,6 @@ class CampaignOptions:
         key) instead of re-executing them.
     progress:
         Optional callable receiving one-line progress strings.
-    on_outcome:
-        Optional tap called with every *terminal* :class:`TaskOutcome`
-        right after it is journalled (replayed outcomes are not
-        re-announced).  Exceptions from the tap are swallowed — an
-        observer must never take down the run.  The serve layer feeds
-        campaign progress streams from this.
     stop_requested:
         Optional external-drain poll returning the desired interrupt
         level (``0`` = keep running, ``1`` = graceful drain, ``2`` =
@@ -120,7 +114,6 @@ class CampaignOptions:
     forensics_dir: Optional[Union[str, Path]] = None
     resume: bool = False
     progress: Optional[Callable[[str], None]] = None
-    on_outcome: Optional[Callable[[TaskOutcome], None]] = None
     stop_requested: Optional[Callable[[], int]] = None
 
     def __post_init__(self):
@@ -264,11 +257,6 @@ class _CampaignRun:
         self.outcomes[outcome.task_id] = outcome
         if self.journal is not None:
             self.journal.task_end(self.key, outcome)
-        if self.options.on_outcome is not None:
-            try:
-                self.options.on_outcome(outcome)
-            except Exception:  # lint: skip=RV405 — observer taps must never take down the run; the outcome is already journalled
-                pass
         if outcome.status in (SKIPPED, QUARANTINED):
             self._dump_forensics(outcome)
         self._progress(

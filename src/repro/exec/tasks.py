@@ -3,19 +3,15 @@
 Spawn-based workers resolve the campaign's task function from a
 ``"module:function"`` string, so every function a campaign runs must
 live at module top level and take exactly one JSON dict of parameters.
-This module collects the task functions (and the matching params
-builders) for the repo's own campaigns:
+This module collects the task functions the repo's own campaigns and
+the serve routes run (and :func:`characterize_params`, the params
+builder of the first):
 
 * :func:`characterize_task` — one cell characterisation (the unit of
   work behind the Fig. 7/8/9 sweeps; results fold back into the
   experiment context's memo and the disk cache).
 * :func:`nvff_task` — one NV flip-flop characterisation (the register
   -file counterpart; the serve layer's ``/v1/nvff`` route).
-* :func:`store_yield_sample_task` / :func:`snm_sample_task` — one
-  Monte-Carlo sample of :mod:`repro.characterize.variability`, run by
-  the same batched code as the serial analysis on a batch of its one
-  sample.  Each sample seeds its own generator from ``(seed, index)``
-  so serial, parallel and resumed runs draw identical variates.
 * :func:`chaos_task` — the controllable misbehaver used by the executor
   chaos harness (``repro chaos --executor``) and the stress tests.
 * :func:`demo_task` — a trivial task for CLI smoke tests and overhead
@@ -59,11 +55,6 @@ def _fet(payload: Optional[Dict[str, Any]]):
 def _mtj(payload: Optional[Dict[str, Any]]):
     from ..devices.mtj import MTJParams
     return None if payload is None else MTJParams(**payload)
-
-
-def _variation(payload: Optional[Dict[str, Any]]):
-    from ..characterize.variability import VariationModel
-    return VariationModel(**payload) if payload else VariationModel()
 
 
 def _asdict(value) -> Optional[Dict[str, Any]]:
@@ -117,19 +108,6 @@ def characterize_task(params: Dict[str, Any]) -> Dict[str, Any]:
     return _json.loads(result.to_json())
 
 
-def nvff_params(cond=None, nfet=None, pfet=None, mtj_params=None,
-                cache_dir: Optional[Union[str, Path]] = None,
-                ) -> Dict[str, Any]:
-    """Params dict for :func:`nvff_task` from the dataclasses."""
-    return {
-        "cond": _asdict(cond),
-        "nfet": _asdict(nfet),
-        "pfet": _asdict(pfet),
-        "mtj": _asdict(mtj_params),
-        "cache_dir": None if cache_dir is None else str(cache_dir),
-    }
-
-
 def nvff_task(params: Dict[str, Any]) -> Dict[str, Any]:
     """Run one NV flip-flop characterisation; returns its data payload.
 
@@ -150,82 +128,6 @@ def nvff_task(params: Dict[str, Any]) -> Dict[str, Any]:
         cache_dir=params.get("cache_dir"),
     )
     return _json.loads(result.to_json())
-
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo variability samples
-# ---------------------------------------------------------------------------
-
-def store_yield_sample_params(index: int, seed: int, cond=None, domain=None,
-                              variation=None) -> Dict[str, Any]:
-    """Params dict for :func:`store_yield_sample_task` from the dataclasses."""
-    return {
-        "index": index,
-        "seed": seed,
-        "cond": _asdict(cond),
-        "domain": _asdict(domain),
-        "variation": _asdict(variation),
-    }
-
-
-def store_yield_sample_task(params: Dict[str, Any]) -> Dict[str, Any]:
-    """One store-margin Monte-Carlo sample (see ``store_yield_analysis``).
-
-    Raises the sample's analysis error, which the executor records as a
-    skip.
-    """
-    from ..characterize.variability import _store_margins
-
-    margins, errors = _store_margins(
-        _cond(params.get("cond")),
-        _domain(params.get("domain")),
-        _variation(params.get("variation")),
-        params["seed"],
-        [params["index"]],
-    )
-    if errors:
-        raise errors[0]
-    return {"index": params["index"], "margin": float(margins[0])}
-
-
-def snm_sample_params(index: int, seed: int, cond=None, read_mode=True,
-                      points: int = 41, variation=None, nfet=None,
-                      pfet=None) -> Dict[str, Any]:
-    """Params dict for :func:`snm_sample_task` from the dataclasses."""
-    return {
-        "index": index,
-        "seed": seed,
-        "cond": _asdict(cond),
-        "read_mode": bool(read_mode),
-        "points": int(points),
-        "variation": _asdict(variation),
-        "nfet": _asdict(nfet),
-        "pfet": _asdict(pfet),
-    }
-
-
-def snm_sample_task(params: Dict[str, Any]) -> Dict[str, Any]:
-    """One SNM Monte-Carlo sample (see ``read_snm_distribution``).
-
-    Raises the sample's analysis error, which the executor records as a
-    skip.
-    """
-    from ..characterize.variability import _snm_values
-    from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
-
-    snm, errors = _snm_values(
-        _cond(params.get("cond")),
-        bool(params.get("read_mode", True)),
-        _variation(params.get("variation")),
-        params["seed"],
-        [params["index"]],
-        int(params.get("points", 41)),
-        _fet(params.get("nfet")) or NFET_20NM_HP,
-        _fet(params.get("pfet")) or PFET_20NM_HP,
-    )
-    if errors:
-        raise errors[0]
-    return {"index": params["index"], "snm": float(snm[0])}
 
 
 # ---------------------------------------------------------------------------

@@ -83,23 +83,6 @@ class SkipRecord:
                 record.ladder_trace = list(err.cause.ladder_trace)
         return record
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "SkipRecord":
-        """Inverse of :meth:`to_dict` (journal / forensics replay)."""
-        return cls(
-            index=int(payload.get("index", 0)),
-            label=payload.get("label", ""),
-            stage=payload.get("stage", ""),
-            reason=payload.get("reason", ""),
-            error_type=payload.get("error_type", ""),
-            time=float(payload.get("time", float("nan"))),
-            residual=float(payload.get("residual", float("nan"))),
-            worst_nodes=[(n, float(v))
-                         for n, v in payload.get("worst_nodes") or []],
-            ladder_trace=list(payload.get("ladder_trace") or []),
-            extra=dict(payload.get("extra") or {}),
-        )
-
     def to_dict(self) -> dict:
         return {
             "index": self.index,

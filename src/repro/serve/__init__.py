@@ -1,9 +1,9 @@
 """Characterisation-as-a-service: the hardened async serving layer.
 
-``repro.serve`` fronts :func:`repro.characterize.runner.characterize_cell`,
-:func:`repro.characterize.ff_runner.characterize_nvff` and campaign
-submission with a dependency-free asyncio HTTP/JSON server.  The
-robustness contract (see ``docs/SERVICE.md``):
+``repro.serve`` fronts :func:`repro.characterize.runner.characterize_cell`
+and :func:`repro.characterize.ff_runner.characterize_nvff` with a
+dependency-free asyncio HTTP/JSON server.  The robustness contract (see
+``docs/SERVICE.md``):
 
 * **Single-flight coalescing** — requests are canonicalised and
   content-hashed with the campaign ``task_id`` rules; concurrent

@@ -3,7 +3,7 @@
 Used by the chaos harness, the serve benchmark and the tests; it is
 also the reference for how to talk to the server from anywhere else.
 One connection per call (the server closes after each response), JSON
-in / JSON out, and a line iterator over the chunked campaign stream.
+in / JSON out.
 
 ``ServeResponse`` keeps the HTTP code and the decoded body together so
 callers can assert on either without re-parsing.
@@ -14,7 +14,7 @@ from __future__ import annotations
 import http.client
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Optional
 
 from ..errors import ReproError
 
@@ -95,45 +95,3 @@ class ServeClient:
 
     def nvff(self, **body: Any) -> ServeResponse:
         return self.task("nvff", body)
-
-    # -- campaigns -------------------------------------------------------
-
-    def campaign(self, name: str, *, options: Optional[Dict[str, Any]] = None,
-                 **extra: Any) -> ServeResponse:
-        """Submit a campaign without streaming; blocks until terminal."""
-        body = {"name": name, "options": options or {}, "stream": False}
-        body.update(extra)
-        return self._request("POST", "/v1/campaign", body)
-
-    def campaign_stream(self, name: str, *,
-                        options: Optional[Dict[str, Any]] = None,
-                        **extra: Any) -> Iterator[Dict[str, Any]]:
-        """Submit a campaign and yield its JSONL progress records.
-
-        Yields ``stream_begin``, one ``task_end`` per terminal task,
-        then ``stream_end`` (or a plain error/shed response body if the
-        submission never got a stream).  The connection closes when the
-        iterator is exhausted.
-        """
-        body = {"name": name, "options": options or {}, "stream": True}
-        body.update(extra)
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
-        try:
-            conn.request("POST", "/v1/campaign", body=json.dumps(body),
-                         headers={"Content-Type": "application/json"})
-            resp = conn.getresponse()
-            if resp.getheader("Transfer-Encoding", "").lower() != "chunked":
-                raw = resp.read()
-                yield json.loads(raw.decode("utf-8")) if raw else {}
-                return
-            # http.client de-chunks transparently; records are lines
-            while True:
-                line = resp.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if line:
-                    yield json.loads(line.decode("utf-8"))
-        finally:
-            conn.close()

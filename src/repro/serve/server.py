@@ -2,7 +2,7 @@
 
 Dependency-free by construction (stdlib ``asyncio`` plus a minimal
 handwritten HTTP/1.1 layer): one connection per request, JSON bodies,
-``Connection: close`` everywhere except the chunked campaign stream.
+``Connection: close`` everywhere.
 
 The request path for ``POST /v1/<route>``:
 
@@ -38,18 +38,12 @@ import asyncio
 import json
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Set, Tuple, Union
 
 from ..errors import ReproError
-from ..exec.campaign import (
-    COMPLETED,
-    QUARANTINED,
-    SKIPPED,
-    CampaignError,
-)
-from ..exec.executor import CampaignInterrupted, CampaignOptions, run_campaign
+from ..exec.campaign import COMPLETED, QUARANTINED, SKIPPED
 from .admission import AdmissionController
 from .backend import ROUTE_FNS, ExecBackend
 from .breaker import OPEN, CircuitBreaker
@@ -108,7 +102,6 @@ class ServeOptions:
     breaker_cooldown_s: float = 5.0
     drain_grace: float = 10.0
     drain_settle_s: float = 0.05    # readyz-503 window before socket close
-    campaign_queue_s: float = 60.0
     memo_size: int = 512
     max_body_bytes: int = 1_000_000
     progress: Optional[Callable[[str], None]] = None
@@ -352,8 +345,6 @@ class ReproServer:
             body = json.loads(raw.decode("utf-8")) if raw else {}
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise ProtocolError(f"body is not valid JSON: {err}") from err
-        if target == "/v1/campaign":
-            return await self._handle_campaign(body, writer)
         if target.startswith("/v1/"):
             route = target[len("/v1/"):]
             if route in self.backend.routes:
@@ -527,149 +518,6 @@ class ReproServer:
                     "detail": "execution interrupted by server stop"}
         return {"status": "error",
                 "detail": summary.get("detail", "backend error")}
-
-    # -- campaign submission --------------------------------------------
-
-    async def _handle_campaign(self, body: Any,
-                               writer: asyncio.StreamWriter) -> None:
-        loop = asyncio.get_running_loop()
-        self.requests_by_route["campaign"] = (
-            self.requests_by_route.get("campaign", 0) + 1)
-        if self._drain_level > 0:
-            return await self._respond(
-                writer, "draining", {"detail": "server is draining"})
-        if not isinstance(body, dict) or not isinstance(
-                body.get("name"), str):
-            return await self._respond(
-                writer, "bad-request",
-                {"detail": "campaign submission needs a 'name' string"})
-        name = body["name"]
-        options_dict = body.get("options", {})
-        if not isinstance(options_dict, dict):
-            return await self._respond(
-                writer, "bad-request",
-                {"detail": "'options' must be a JSON object"})
-        stream = bool(body.get("stream", True))
-        resume = bool(body.get("resume", False))
-        workers = int(body.get("workers", self.options.workers))
-        task_timeout = body.get("task_timeout")
-
-        reason = self.admission.try_admit(CAMPAIGN)
-        if reason is not None:
-            return await self._respond(
-                writer, "shed", {"detail": reason},
-                retry_after_s=self.admission.retry_after_s(CAMPAIGN))
-        acquired = False
-        try:
-            from ..exec.registry import build_campaign
-            try:
-                campaign = build_campaign(name, **options_dict)
-            except (CampaignError, TypeError, ValueError) as err:
-                return await self._respond(writer, "bad-request",
-                                           {"detail": str(err)})
-            sem = self._slots[CAMPAIGN]
-            try:
-                await asyncio.wait_for(
-                    sem.acquire(), timeout=self.options.campaign_queue_s)
-            except asyncio.TimeoutError:
-                return await self._respond(
-                    writer, "shed",
-                    {"detail": "no campaign slot within "
-                               f"{self.options.campaign_queue_s:g}s"},
-                    retry_after_s=self.admission.retry_after_s(CAMPAIGN))
-            acquired = True
-            if self._drain_level > 0:
-                return await self._respond(
-                    writer, "draining", {"detail": "server is draining"})
-
-            queue: "asyncio.Queue" = asyncio.Queue()
-
-            def _tap(outcome) -> None:
-                # called on the campaign thread; hop onto the loop
-                try:
-                    loop.call_soon_threadsafe(
-                        queue.put_nowait,
-                        {"kind": "task_end", **outcome.to_dict()})
-                except RuntimeError:
-                    pass    # loop closed mid-hard-stop
-
-            copts = CampaignOptions(
-                workers=workers,
-                task_timeout=(None if task_timeout is None
-                              else float(task_timeout)),
-                max_retries=int(body.get("max_retries",
-                                         self.options.max_retries)),
-                forensics_dir=self.options.forensics_dir,
-                resume=resume,
-                on_outcome=_tap if stream else None,
-                # campaigns honour the *graceful* drain level too: a
-                # SIGTERM stops dispatch and journals an interrupt record
-                stop_requested=lambda: self._drain_level,
-            )
-            fut = _spawn_blocking(loop, self._run_campaign_blocking,
-                                  campaign, copts)
-            if not stream:
-                kind, summary = await fut
-                status = "error" if kind == "error" else "ok"
-                return await self._respond(
-                    writer, status,
-                    {"campaign": name, "outcome": kind, "summary": summary})
-            await self._stream_campaign(writer, name, campaign, queue, fut)
-        finally:
-            if acquired:
-                self._slots[CAMPAIGN].release()
-            self.admission.release(CAMPAIGN)
-
-    def _run_campaign_blocking(self, campaign, copts):
-        try:
-            result = run_campaign(campaign, journal=self.backend.journal,
-                                  options=copts)
-        except CampaignInterrupted as err:
-            partial = err.result.to_dict()
-            partial["n_replayed"] = err.result.n_replayed
-            return "interrupted", partial
-        except Exception as err:  # lint: skip=RV405 — the stream must still emit its terminal record; detail rides it
-            return "error", {"detail": repr(err)}
-        summary = result.to_dict()
-        summary["n_replayed"] = result.n_replayed
-        return "completed", summary
-
-    async def _stream_campaign(self, writer, name, campaign, queue,
-                               fut) -> None:
-        head = ("HTTP/1.1 200 OK\r\n"
-                "Content-Type: application/jsonl\r\n"
-                "Transfer-Encoding: chunked\r\n"
-                "Connection: close\r\n\r\n")
-        writer.write(head.encode())
-
-        def chunk(record: Dict[str, Any]) -> bytes:
-            data = (json.dumps(record, sort_keys=True) + "\n").encode()
-            return f"{len(data):X}\r\n".encode() + data + b"\r\n"
-
-        writer.write(chunk({"kind": "stream_begin", "campaign": name,
-                            "key": campaign.key,
-                            "n_tasks": len(campaign)}))
-        await writer.drain()
-        self.responses["ok"] = self.responses.get("ok", 0) + 1
-
-        sentinel = object()
-        fut.add_done_callback(lambda _f: queue.put_nowait(sentinel))
-        while True:
-            item = await queue.get()
-            if item is sentinel:
-                break
-            writer.write(chunk(item))
-            await writer.drain()
-        kind, summary = await fut
-        # drain any records that raced the sentinel
-        while not queue.empty():
-            item = queue.get_nowait()
-            if item is not sentinel:
-                writer.write(chunk(item))
-        writer.write(chunk({"kind": "stream_end", "status": kind,
-                            "summary": summary}))
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
 
     # -- observability ---------------------------------------------------
 

@@ -127,7 +127,9 @@ class TestSnmDistribution:
 
     def test_stamp_error_skips_sample_like_campaign(self, monkeypatch):
         """A sample whose solve raises StampError (a NaN threshold in its
-        first card) is NaN plus a skip, serially as in a campaign."""
+        first card) is NaN plus a skip; the sample beside it keeps the
+        SNM it has in a clean run."""
+        clean = read_snm_distribution(COND, n_samples=2, seed=5)
         real = VariationModel.sample_fet
         draws = {"n": 0}
 
@@ -137,16 +139,23 @@ class TestSnmDistribution:
             return card.with_(vth0=float("nan")) if draws["n"] == 1 else card
 
         monkeypatch.setattr(VariationModel, "sample_fet", broken_first)
-        serial = read_snm_distribution(COND, n_samples=2, seed=5)
-        draws["n"] = 0
-        routed = read_snm_distribution(COND, n_samples=2, seed=5,
-                                       workers=0)
-        for result in (serial, routed):
-            assert np.isnan(result.snm).tolist() == [True, False]
-            assert result.n_failed == 1
-            assert result.skips[0].index == 0
-            assert result.skips[0].error_type == "StampError"
-        assert serial.snm[1] == routed.snm[1]
+        result = read_snm_distribution(COND, n_samples=2, seed=5)
+        assert np.isnan(result.snm).tolist() == [True, False]
+        assert result.n_failed == 1
+        assert result.skips[0].index == 0
+        assert result.skips[0].error_type == "StampError"
+        assert result.snm[1] == clean.snm[1]
+
+
+def test_larger_run_extends_a_smaller_one():
+    """Per-index seeding: the first samples of a larger run are the
+    smaller run's samples, bit for bit, for both analyses."""
+    small = store_yield_analysis(n_samples=4, seed=11)
+    large = store_yield_analysis(n_samples=9, seed=11)
+    assert np.array_equal(small.margins, large.margins[:4], equal_nan=True)
+    small = read_snm_distribution(n_samples=3, seed=11)
+    large = read_snm_distribution(n_samples=7, seed=11)
+    assert np.array_equal(small.snm, large.snm[:3], equal_nan=True)
 
 
 class TestAsymmetricButterfly:

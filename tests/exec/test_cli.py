@@ -1,35 +1,21 @@
-"""CLI surface of the campaign engine: ``repro campaign`` and friends."""
+"""CLI surface of the campaign engine: ``repro campaign status``, the
+figure prewarm flags and ``repro chaos --executor``."""
 
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.exec import Campaign, CampaignOptions, make_task, run_campaign
 
 
 class TestParsing:
-    def test_campaign_actions_parse(self):
-        args = build_parser().parse_args(
-            ["campaign", "run", "demo", "--workers", "0",
-             "--journal", "j.jsonl", "--resume"])
-        assert args.command == "campaign"
-        assert args.action == "run"
-        assert args.name == "demo"
-        assert args.workers == 0
-        assert args.resume is True
-
-    def test_resume_action_implies_resume(self):
-        args = build_parser().parse_args(
-            ["campaign", "resume", "demo", "--journal", "j.jsonl"])
-        assert args.resume is True
-
     def test_campaign_requires_action(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign"])
 
     def test_figures_accept_campaign_flags(self):
-        for command in ("fig7a", "fig7b", "fig7c", "fig8", "fig9",
-                        "variability"):
+        for command in ("fig7a", "fig7b", "fig7c", "fig8", "fig9"):
             args = build_parser().parse_args(
                 [command, "--workers", "2", "--journal", "j.jsonl"])
             assert args.workers == 2
@@ -43,56 +29,33 @@ class TestParsing:
 
 
 class TestCampaignCommand:
-    def test_list(self, capsys):
-        assert main(["campaign", "list"]) == 0
-        out = capsys.readouterr().out
-        assert "demo" in out
-        assert "store-yield" in out
-
-    def test_unknown_name_is_usage_error(self, capsys):
-        assert main(["campaign", "run", "nope", "--workers", "0"]) == 2
-        assert "unknown campaign" in capsys.readouterr().err
-
-    def test_resume_without_journal_is_usage_error(self, capsys):
-        assert main(["campaign", "resume", "demo"]) == 2
-        assert "--journal" in capsys.readouterr().err
-
     def test_run_status_resume_round_trip(self, tmp_path, capsys):
+        """A journalled 3-task demo campaign reads back as complete, and a
+        resumed rerun replays all three tasks from the journal."""
         journal = str(tmp_path / "demo.jsonl")
-        assert main(["campaign", "run", "demo", "--tasks", "3",
-                     "--workers", "0", "--journal", journal]) == 0
-        out = capsys.readouterr().out
-        assert "3/3 completed" in out
+        campaign = Campaign(
+            name="demo", fn="repro.exec.tasks:demo_task",
+            tasks=[make_task({"x": float(i)}, label=f"square {i}")
+                   for i in range(3)])
+        first = run_campaign(campaign, journal=journal,
+                             options=CampaignOptions(workers=0))
+        assert first.counts()["completed"] == 3
 
         assert main(["campaign", "status", journal]) == 0
         out = capsys.readouterr().out
         assert "demo" in out
         assert "complete" in out
 
-        assert main(["campaign", "resume", "demo", "--tasks", "3",
-                     "--workers", "0", "--journal", journal]) == 0
-        out = capsys.readouterr().out
-        assert "3 replayed from journal" in out
+        again = run_campaign(campaign, journal=journal,
+                             options=CampaignOptions(workers=0, resume=True))
+        assert again.n_replayed == 3
+        assert again.counts()["completed"] == 3
 
     def test_status_on_missing_journal_is_usage_error(self, tmp_path,
                                                       capsys):
         missing = str(tmp_path / "none.jsonl")
         assert main(["campaign", "status", missing]) == 2
         assert "cannot read" in capsys.readouterr().err
-
-    def test_quarantine_exits_nonzero(self, tmp_path, capsys, monkeypatch):
-        """A campaign ending with quarantined tasks fails the exit code."""
-        from repro.exec import Campaign, make_task, registry
-
-        def build_poison(options):
-            return Campaign(
-                name="poison", fn="repro.exec.tasks:chaos_task",
-                tasks=[make_task({"index": 0, "fault": "task_error",
-                                  "scratch": str(tmp_path)})])
-
-        monkeypatch.setitem(registry._BUILDERS, "poison", build_poison)
-        assert main(["campaign", "run", "poison", "--workers", "0"]) == 1
-        assert "quarantined" in capsys.readouterr().out
 
 
 class TestChaosExecutorCommand:

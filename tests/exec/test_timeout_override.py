@@ -50,34 +50,13 @@ class TestTimeoutOverride:
         assert elapsed < 30.0    # nowhere near the 60 s global
 
 
-class TestOnOutcomeTap:
-    def test_tap_sees_every_terminal_outcome_in_order(self):
-        seen = []
-        campaign = Campaign(
-            name="tap", fn=DEMO_FN,
-            tasks=[make_task({"x": float(i)}) for i in range(3)])
-        run_campaign(campaign, options=CampaignOptions(
-            workers=0, on_outcome=seen.append))
-        assert [o.result["x"] for o in seen] == [0.0, 1.0, 2.0]
-
-    def test_broken_tap_does_not_break_the_run(self):
-        def explode(outcome):
-            raise RuntimeError("observer bug")
-
-        campaign = Campaign(name="tap", fn=DEMO_FN,
-                            tasks=[make_task({"x": 1.0})])
-        result = run_campaign(campaign, options=CampaignOptions(
-            workers=0, on_outcome=explode))
-        assert result.counts()["completed"] == 1
-
-
 class TestExternalStop:
     def test_stop_poll_interrupts_between_inline_tasks(self):
         level = {"value": 0}
         seen = []
 
-        def tap(outcome):
-            seen.append(outcome)
+        def progress(message):
+            seen.append(message)
             level["value"] = 1    # request a graceful stop after task 1
 
         campaign = Campaign(
@@ -85,7 +64,7 @@ class TestExternalStop:
             tasks=[make_task({"x": float(i)}) for i in range(4)])
         with pytest.raises(CampaignInterrupted) as excinfo:
             run_campaign(campaign, options=CampaignOptions(
-                workers=0, on_outcome=tap,
+                workers=0, progress=progress,
                 stop_requested=lambda: level["value"]))
         partial = excinfo.value.result
         assert partial.counts()["completed"] == len(seen) == 1

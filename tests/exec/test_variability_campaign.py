@@ -1,26 +1,14 @@
-"""Campaign-routed Monte Carlo must match the serial loops bit-for-bit.
+"""Per-sample seeding of the Monte-Carlo analyses.
 
-The per-sample seeding (``sample_rng``) makes each sample's variates a
-function of its index alone, so the serial loop, the campaign executor
-and a journal resume all see identical draws — the property that makes
-``--workers`` and ``--resume`` safe for published statistics.
+``sample_rng`` makes each sample's variates a function of its index
+alone, so a larger run repeats a smaller one's samples bit for bit
+(``tests/characterize/test_variability.py`` checks the analyses end to
+end).
 """
 
 import numpy as np
-import pytest
 
-from repro.cells import PowerDomain
-from repro.characterize.variability import (
-    read_snm_distribution,
-    sample_rng,
-    snm_campaign,
-    store_yield_analysis,
-    store_yield_campaign,
-)
-from repro.pg.modes import OperatingConditions
-
-COND = OperatingConditions()
-DOMAIN = PowerDomain(64, 32)
+from repro.characterize.variability import sample_rng
 
 
 class TestSampleRng:
@@ -30,57 +18,3 @@ class TestSampleRng:
         c = sample_rng(2015, 4).standard_normal(4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
-
-
-class TestCampaignBuilders:
-    def test_store_yield_campaign_shape(self):
-        campaign = store_yield_campaign(COND, DOMAIN, n_samples=5, seed=7)
-        assert len(campaign) == 5
-        assert campaign.fn == "repro.exec.tasks:store_yield_sample_task"
-        # same definition -> same key; different seed -> different key
-        assert campaign.key == store_yield_campaign(
-            COND, DOMAIN, n_samples=5, seed=7).key
-        assert campaign.key != store_yield_campaign(
-            COND, DOMAIN, n_samples=5, seed=8).key
-
-    def test_snm_campaign_shape(self):
-        campaign = snm_campaign(COND, n_samples=3, seed=7)
-        assert len(campaign) == 3
-        assert campaign.fn == "repro.exec.tasks:snm_sample_task"
-
-
-class TestStoreYieldEquivalence:
-    def test_campaign_matches_serial(self):
-        serial = store_yield_analysis(COND, DOMAIN, n_samples=4, seed=11)
-        routed = store_yield_analysis(COND, DOMAIN, n_samples=4, seed=11,
-                                      workers=0)
-        assert np.array_equal(serial.margins, routed.margins)
-
-    def test_journalled_run_and_replay_match_serial(self, tmp_path):
-        journal = tmp_path / "yield.jsonl"
-        serial = store_yield_analysis(COND, DOMAIN, n_samples=4, seed=11)
-        first = store_yield_analysis(COND, DOMAIN, n_samples=4, seed=11,
-                                     workers=0, journal=journal)
-        replayed = store_yield_analysis(COND, DOMAIN, n_samples=4, seed=11,
-                                        workers=0, journal=journal)
-        assert np.array_equal(serial.margins, first.margins)
-        assert np.array_equal(serial.margins, replayed.margins)
-
-
-class TestSnmEquivalence:
-    def test_campaign_matches_serial(self):
-        serial = read_snm_distribution(COND, n_samples=3, seed=5)
-        routed = read_snm_distribution(COND, n_samples=3, seed=5,
-                                       workers=0)
-        assert np.array_equal(serial.snm, routed.snm)
-
-
-@pytest.mark.stress
-class TestSpawnEquivalence:
-    """Same equality through real spawn workers (slower: worker imports)."""
-
-    def test_store_yield_parallel_matches_serial(self):
-        serial = store_yield_analysis(COND, DOMAIN, n_samples=6, seed=7)
-        parallel = store_yield_analysis(COND, DOMAIN, n_samples=6, seed=7,
-                                        workers=2)
-        assert np.array_equal(serial.margins, parallel.margins)

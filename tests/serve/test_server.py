@@ -137,40 +137,12 @@ class TestTaskRequests:
         assert after - before == 1
 
 
-class TestCampaigns:
-    def test_stream_emits_begin_tasks_end(self, client):
-        records = list(client.campaign_stream(
-            "demo", options={"tasks": 3}))
-        kinds = [r["kind"] for r in records]
-        assert kinds[0] == "stream_begin"
-        assert kinds.count("task_end") == 3
-        assert kinds[-1] == "stream_end"
-        assert records[0]["n_tasks"] == 3
-        end = records[-1]
-        assert end["status"] == "completed"
-        assert end["summary"]["counts"]["completed"] == 3
-
-    def test_non_stream_blocks_to_summary(self, client):
-        resp = client.campaign("demo", options={"tasks": 2})
-        assert resp.code == 200
-        assert resp.body["outcome"] == "completed"
-        assert resp.body["summary"]["counts"]["completed"] == 2
-
-    def test_resume_replays_from_the_shared_journal(self, client):
-        first = client.campaign("demo", options={"tasks": 4, "work": 0.0})
-        assert first.body["outcome"] == "completed"
-        again = client.campaign("demo", options={"tasks": 4, "work": 0.0},
-                                resume=True)
-        assert again.body["outcome"] == "completed"
-        assert again.body["summary"]["n_replayed"] == 4
-
-    def test_unknown_campaign_is_400(self, client):
-        resp = client.campaign("does-not-exist")
-        assert resp.code == 400
-
-    def test_bad_options_are_400(self, client):
-        resp = client.campaign("demo", options=7)
-        assert resp.code == 400
+def test_campaign_route_is_gone(client):
+    """``POST /v1/campaign`` answers 404: the server takes single
+    requests on its task routes, never a named campaign."""
+    resp = client.task("campaign", {"name": "demo", "stream": False})
+    assert resp.code == 404
+    assert resp.status == "not-found"
 
 
 class TestShedding:
