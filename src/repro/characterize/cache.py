@@ -15,8 +15,8 @@ caching off instead of killing a long campaign.
 
 Every load/store lands in process-wide :class:`CacheStats` counters
 (hits, misses, quarantines, served-entry ages) so the serve layer's
-``/metrics`` endpoint and degraded-mode decisions can see cache health
-without touching cache behaviour.
+``/metrics`` endpoint can report cache health without touching cache
+behaviour.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ _Result = TypeVar("_Result")
 class CacheStats:
     """Process-wide cache observability counters.
 
-    Pure telemetry for ``/metrics`` and degraded-mode decisions in the
-    serve layer: hits, misses, quarantines, stores, and the age of the
-    entries actually served.  Counters never influence what a load
+    Pure telemetry for the serve layer's ``/metrics`` (its circuit
+    breaker decides on backend outcomes only): hits, misses,
+    quarantines, stores, and the age of the entries actually served.  Counters never influence what a load
     returns — a process with the counters zeroed behaves identically.
 
     Thread-safe: the serve layer probes the cache from request threads

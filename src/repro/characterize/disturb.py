@@ -17,7 +17,7 @@ the paper's architecture comparison implies but does not plot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -25,11 +25,11 @@ from ..analysis import transient
 from ..analysis.transient import TransientOptions
 from ..cells import PowerDomain
 from ..devices.finfet import FinFETParams
-from ..devices.mtj import MTJParams, MTJState, MTJ_TABLE1
+from ..devices.mtj import MTJParams, MTJ_TABLE1
 from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
 from ..pg.modes import Mode, OperatingConditions
 from ..pg.scheduler import Schedule, ScheduleStep
-from .testbench import build_cell_testbench
+from .testbench import build_cell_testbench, mtj_current
 
 
 @dataclass
@@ -62,14 +62,6 @@ class DisturbReport:
         return not self.flipped and self.peak_current_ratio < 0.95
 
 
-def _mtj_current_trace(result, mtj) -> np.ndarray:
-    free_idx, pinned_idx = mtj.node_index
-    v_free = result.states[:, free_idx] if free_idx >= 0 else 0.0
-    v_pinned = result.states[:, pinned_idx] if pinned_idx >= 0 else 0.0
-    v = np.asarray(v_free - v_pinned)
-    return np.array([mtj.current_at(float(vi), mtj.state) for vi in v])
-
-
 def nof_access_disturb(
     mode: Mode,
     cond: Optional[OperatingConditions] = None,
@@ -92,51 +84,9 @@ def nof_access_disturb(
     The MTJ states are set consistent with the stored data (the NOF
     steady state), so any switching event is a genuine disturb.
     """
-    cond = cond or OperatingConditions()
-    domain = domain or PowerDomain()
-    if mode not in (Mode.READ, Mode.WRITE):
-        raise ValueError("disturb analysis takes Mode.READ or Mode.WRITE")
-
-    tb = build_cell_testbench("nv", cond, domain, nfet=nfet, pfet=pfet,
-                              mtj_params=mtj_params)
-    t_cyc = cond.t_cycle
-    steps: List[ScheduleStep] = [ScheduleStep(Mode.STANDBY, t_cyc)]
-    toggle = data
-    for _ in range(cycles):
-        if mode is Mode.READ:
-            steps.append(ScheduleStep(Mode.READ, t_cyc))
-        else:
-            toggle = not toggle
-            steps.append(ScheduleStep(Mode.WRITE, t_cyc, data=toggle))
-    steps.append(ScheduleStep(Mode.STANDBY, t_cyc))
-    schedule = Schedule(steps, cond, volatile=False)
-
-    waves = schedule.line_waveforms()
-    tb.apply_waveforms(waves)
-    # NOF: retention engaged during normal operation.
-    tb.circuit["vsr"].set_level(cond.v_sr)
-    tb.circuit["vctrl"].set_level(cond.v_ctrl_normal)
-    tb.set_mtj_data(data)
-
-    result = transient(
-        tb.circuit, schedule.total_duration,
-        ic=tb.initial_conditions(data),
-        options=TransientOptions(dt_initial=min(20e-12, t_cyc / 200.0)),
-    )
-
-    cell = tb.nv_cell
-    ratios = []
-    progresses = []
-    for mtj in (cell.mtj_q(tb.circuit), cell.mtj_qb(tb.circuit)):
-        trace = np.abs(_mtj_current_trace(result, mtj))
-        ratios.append(float(trace.max()) / mtj.params.critical_current)
-        progresses.append(mtj.progress)
-    return DisturbReport(
-        mode=mode.value,
-        peak_current_ratio=max(ratios),
-        peak_progress=max(progresses),
-        flipped=len(result.events) > 0,
-    )
+    return _access_disturb(mode, cond, domain, cycles, data, retention=True,
+                           build=dict(nfet=nfet, pfet=pfet,
+                                      mtj_params=mtj_params))
 
 
 def nvpg_access_disturb(
@@ -149,14 +99,27 @@ def nvpg_access_disturb(
 
     The PS-FinFETs isolate the junctions, so the peak current ratio is
     essentially zero — the contrast that motivates the separation.
+    ``kwargs`` go to :func:`~repro.characterize.testbench.build_cell_testbench`.
     """
+    return _access_disturb(mode, cond, domain, cycles=4, data=True,
+                           retention=False, build=kwargs)
+
+
+def _access_disturb(mode: Mode, cond: Optional[OperatingConditions],
+                    domain: Optional[PowerDomain], cycles: int, data: bool,
+                    retention: bool, build: dict) -> DisturbReport:
+    """Burst ``cycles`` accesses of ``mode`` over MTJs holding ``data``;
+    ``retention`` holds SR and CTRL at their NOF levels throughout."""
     cond = cond or OperatingConditions()
     domain = domain or PowerDomain()
-    tb = build_cell_testbench("nv", cond, domain, **kwargs)
+    if mode not in (Mode.READ, Mode.WRITE):
+        raise ValueError("disturb analysis takes Mode.READ or Mode.WRITE")
+
+    tb = build_cell_testbench("nv", cond, domain, **build)
     t_cyc = cond.t_cycle
-    steps = [ScheduleStep(Mode.STANDBY, t_cyc)]
-    toggle = True
-    for _ in range(4):
+    steps: List[ScheduleStep] = [ScheduleStep(Mode.STANDBY, t_cyc)]
+    toggle = data
+    for _ in range(cycles):
         if mode is Mode.READ:
             steps.append(ScheduleStep(Mode.READ, t_cyc))
         else:
@@ -164,24 +127,28 @@ def nvpg_access_disturb(
             steps.append(ScheduleStep(Mode.WRITE, t_cyc, data=toggle))
     steps.append(ScheduleStep(Mode.STANDBY, t_cyc))
     schedule = Schedule(steps, cond, volatile=False)
+
     tb.apply_waveforms(schedule.line_waveforms())
-    tb.set_mtj_data(True)
+    if retention:
+        tb.circuit["vsr"].set_level(cond.v_sr)
+        tb.circuit["vctrl"].set_level(cond.v_ctrl_normal)
+    tb.set_mtj_data(data)
+
+    # Not CellTestbench.run, which would re-apply the schedule's SR and
+    # CTRL waveforms over the DC retention levels; the burst also keeps
+    # the default dt_max.
     result = transient(
         tb.circuit, schedule.total_duration,
-        ic=tb.initial_conditions(True),
+        ic=tb.initial_conditions(data),
         options=TransientOptions(dt_initial=min(20e-12, t_cyc / 200.0)),
     )
-    cell = tb.nv_cell
-    ratios = []
-    for mtj in (cell.mtj_q(tb.circuit), cell.mtj_qb(tb.circuit)):
-        trace = np.abs(_mtj_current_trace(result, mtj))
-        ratios.append(float(trace.max()) / mtj.params.critical_current)
+
+    mtjs = (tb.nv_cell.mtj_q(tb.circuit), tb.nv_cell.mtj_qb(tb.circuit))
     return DisturbReport(
         mode=mode.value,
-        peak_current_ratio=max(ratios),
-        peak_progress=max(
-            cell.mtj_q(tb.circuit).progress,
-            cell.mtj_qb(tb.circuit).progress,
-        ),
+        peak_current_ratio=max(
+            float(np.abs(mtj_current(result, mtj, mtj.state)).max())
+            / mtj.params.critical_current for mtj in mtjs),
+        peak_progress=max(mtj.progress for mtj in mtjs),
         flipped=len(result.events) > 0,
     )

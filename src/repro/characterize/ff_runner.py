@@ -131,16 +131,14 @@ def characterize_nvff(
     pfet: FinFETParams = PFET_20NM_HP,
     mtj_params: MTJParams = MTJ_TABLE1,
     cache_dir: "Optional[Path] | str" = "auto",
-    validate: bool = True,
-    lint: bool = True,
 ) -> FlipFlopCharacterization:
     """Characterise the NV-FF under ``cond``.
 
     Runs: clocked-toggle and clocked-hold transients (per-cycle energy,
     clk-to-Q delay), static operating points (normal and super-cutoff
-    shutdown), a two-step store and a collapsed-rail restore.  With
-    ``lint=True`` (default) the bench netlist is statically analysed
-    first (:func:`repro.verify.assert_clean`); error findings raise
+    shutdown), a two-step store and a collapsed-rail restore.  The bench
+    netlist is statically analysed first (:func:`repro.verify.assert_clean`;
+    ``REPRO_LINT=0`` disables it); error findings raise
     :class:`~repro.errors.VerificationError`.
     """
     if cache_dir == "auto":
@@ -154,16 +152,14 @@ def characterize_nvff(
     result = FlipFlopCharacterization(
         vdd=cond.vdd, clock_frequency=cond.frequency,
     )
-    if lint:
-        from ..verify import assert_clean
-        bench, _ = _build_ff_bench(cond, nfet, pfet, mtj_params)
-        assert_clean(bench, target="cell:nvff")
+    from ..verify import assert_clean
+    bench, _ = _build_ff_bench(cond, nfet, pfet, mtj_params)
+    assert_clean(bench, target="cell:nvff")
     _extract_static(cond, nfet, pfet, mtj_params, result)
     _extract_clocking(cond, nfet, pfet, mtj_params, result)
     _extract_store(cond, nfet, pfet, mtj_params, result)
     _extract_restore(cond, nfet, pfet, mtj_params, result)
-    if validate:
-        result.validate()
+    result.validate()
     cache.store(cache_dir, key, result)
     return result
 

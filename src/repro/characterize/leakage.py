@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..analysis import dc_sweep, operating_point
+from ..analysis import dc_sweep
 from ..errors import ConvergenceError
 from ..recovery.partial import SkipRecord
 from ..cells import PowerDomain
@@ -84,9 +84,7 @@ def leakage_vs_vctrl(
     i_nv = sweep.measure(lambda sol: _cell_leakage_current(tb, sol))
 
     tb6 = build_cell_testbench("6t", cond, domain, nfet=nfet, pfet=pfet)
-    tb6.apply_mode(Mode.STANDBY)
-    sol6 = operating_point(tb6.circuit, ic=tb6.initial_conditions(data))
-    i_6t = _cell_leakage_current(tb6, sol6)
+    i_6t = _cell_leakage_current(tb6, tb6.settle(Mode.STANDBY, data))
 
     values = np.asarray(list(v_ctrl_values), dtype=float)
     if np.all(np.isnan(i_nv)):

@@ -20,14 +20,12 @@ Results are cached on disk (see :mod:`repro.characterize.cache`).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..errors import CharacterizationError
-from ..analysis import operating_point, transient
 from ..analysis.results import TransientResult
-from ..analysis.transient import TransientOptions
 from ..analysis.trust import TrustAccumulator
 from ..cells import PowerDomain
 from ..devices.finfet import FinFETParams
@@ -38,7 +36,12 @@ from ..pg.scheduler import PhaseWindow, Schedule, ScheduleStep
 from ..exec.envelope import cache_root
 from . import cache
 from .data import CellCharacterization
-from .testbench import SUPPLY_SOURCES, CellTestbench, build_cell_testbench
+from .testbench import (
+    SUPPLY_SOURCES,
+    CellTestbench,
+    build_cell_testbench,
+    mtj_current,
+)
 
 #: Bitline differential treated as a completed read (volts).
 READ_SENSE_THRESHOLD = 0.10
@@ -60,8 +63,6 @@ def characterize_cell(
     pfet: FinFETParams = PFET_20NM_HP,
     mtj_params: MTJParams = MTJ_TABLE1,
     cache_dir: "Optional[Path] | str" = "auto",
-    validate: bool = True,
-    lint: bool = True,
 ) -> CellCharacterization:
     """Characterise one cell flavour under the given conditions.
 
@@ -73,13 +74,11 @@ def characterize_cell(
         Directory for the JSON result cache; the default ``"auto"``
         resolves :func:`repro.exec.envelope.cache_root` (which honours
         ``REPRO_CACHE_DIR``) at call time; ``None`` disables caching.
-    validate:
-        Run the physical sanity checks on the result (recommended).
-    lint:
-        Statically analyse the testbench netlist before simulating
-        (:func:`repro.verify.assert_clean`); error findings raise
-        :class:`~repro.errors.VerificationError`.  ``REPRO_LINT=0``
-        disables the check globally.
+
+    The testbench netlist is linted before simulating
+    (:func:`repro.verify.assert_clean`; ``REPRO_LINT=0`` disables it) and
+    the result is validated (:meth:`CellCharacterization.validate`)
+    before it is cached.
     """
     if cache_dir == "auto":
         cache_dir = cache_root()
@@ -101,9 +100,8 @@ def characterize_cell(
         return build_cell_testbench(kind, cond, domain, nfet=nfet,
                                     pfet=pfet, mtj_params=mtj_params)
 
-    if lint:
-        from ..verify import assert_clean
-        assert_clean(fresh_tb().circuit, target=f"cell:{kind}")
+    from ..verify import assert_clean
+    assert_clean(fresh_tb().circuit, target=f"cell:{kind}")
     # Worst-case numerical-trust aggregate over every solve of the
     # extraction; travels with the cached result (see analysis.trust).
     trust = TrustAccumulator()
@@ -114,8 +112,7 @@ def characterize_cell(
         _extract_store(fresh_tb(), result, trust)
         _extract_restore(fresh_tb(), result, trust)
     result.extras.update(trust.as_extras())
-    if validate:
-        result.validate()
+    result.validate()
     cache.store(cache_dir, key, result)
     return result
 
@@ -124,22 +121,10 @@ def characterize_cell(
 # static powers
 # ---------------------------------------------------------------------------
 
-def _static_power_of_mode(tb: CellTestbench, mode: Mode,
-                          data: bool = True,
-                          pg_override: Optional[float] = None,
-                          trust: Optional[TrustAccumulator] = None) -> float:
-    tb.apply_mode(mode)
-    if pg_override is not None:
-        tb.circuit["vpg"].set_level(pg_override)
-    if mode is Mode.SHUTDOWN:
-        ic = None  # the latch holds no state when powered off
-    else:
-        rail = tb.cond.v_sleep_rail if mode is Mode.SLEEP else tb.cond.vdd
-        ic = tb.core.initial_conditions(data, rail)
-        ic["vvdd"] = rail
-    sol = operating_point(tb.circuit, ic=ic)
-    if trust is not None:
-        trust.note(sol)
+def _static_power(tb: CellTestbench, mode: Mode, trust: TrustAccumulator,
+                  pg_override: Optional[float] = None) -> float:
+    sol = tb.settle(mode, pg_override=pg_override)
+    trust.note(sol)
     power = sum(
         tb.circuit[name].delivered_power(sol) for name in SUPPLY_SOURCES
     )
@@ -147,13 +132,13 @@ def _static_power_of_mode(tb: CellTestbench, mode: Mode,
 
 
 def _extract_static_powers(tb: CellTestbench, out: CellCharacterization,
-                           trust: Optional[TrustAccumulator] = None) -> None:
-    out.p_normal = _static_power_of_mode(tb, Mode.STANDBY, trust=trust)
-    out.p_sleep = _static_power_of_mode(tb, Mode.SLEEP, trust=trust)
+                           trust: TrustAccumulator) -> None:
+    out.p_normal = _static_power(tb, Mode.STANDBY, trust)
+    out.p_sleep = _static_power(tb, Mode.SLEEP, trust)
     if tb.kind == "nv":
-        out.p_shutdown = _static_power_of_mode(tb, Mode.SHUTDOWN, trust=trust)
-        out.p_shutdown_nominal = _static_power_of_mode(
-            tb, Mode.SHUTDOWN, pg_override=tb.cond.vdd, trust=trust
+        out.p_shutdown = _static_power(tb, Mode.SHUTDOWN, trust)
+        out.p_shutdown_nominal = _static_power(
+            tb, Mode.SHUTDOWN, trust, pg_override=tb.cond.vdd
         )
     else:
         # The volatile cell cannot shut down without losing data; its
@@ -162,36 +147,8 @@ def _extract_static_powers(tb: CellTestbench, out: CellCharacterization,
         out.p_shutdown_nominal = out.p_sleep
 
 
-# ---------------------------------------------------------------------------
-# transient helpers
-# ---------------------------------------------------------------------------
-
-def _run_schedule(tb: CellTestbench, schedule: Schedule, data: bool,
-                  mtj_data: Optional[bool] = None,
-                  collapsed: bool = False,
-                  trust: Optional[TrustAccumulator] = None) -> TransientResult:
-    tb.apply_waveforms(schedule.line_waveforms())
-    if tb.kind == "nv" and mtj_data is not None:
-        tb.set_mtj_data(mtj_data)
-    if collapsed:
-        ic = {tb.core.q: 0.0, tb.core.qb: 0.0, "vvdd": 0.0}
-    else:
-        ic = tb.initial_conditions(data)
-    options = TransientOptions(
-        dt_initial=min(20e-12, tb.cond.t_cycle / 200.0),
-        dt_max=schedule.total_duration / 40.0,
-    )
-    result = transient(tb.circuit, schedule.total_duration, ic=ic,
-                       options=options)
-    if trust is not None:
-        trust.note(result)
-    return result
-
-
-def _window_energy(result: TransientResult, window: PhaseWindow,
-                   t_extra: float = 0.0) -> float:
-    return result.energy(SUPPLY_SOURCES, window.t_start,
-                         window.t_end + t_extra)
+def _window_energy(result: TransientResult, window: PhaseWindow) -> float:
+    return result.energy(SUPPLY_SOURCES, window.t_start, window.t_end)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +156,7 @@ def _window_energy(result: TransientResult, window: PhaseWindow,
 # ---------------------------------------------------------------------------
 
 def _extract_read(tb: CellTestbench, out: CellCharacterization,
-                  trust: Optional[TrustAccumulator] = None) -> None:
+                  trust: TrustAccumulator) -> None:
     cond = tb.cond
     t_cyc = cond.t_cycle
     schedule = Schedule(
@@ -213,8 +170,8 @@ def _extract_read(tb: CellTestbench, out: CellCharacterization,
         cond,
         volatile=tb.kind == "6t",
     )
-    result = _run_schedule(tb, schedule, data=True, mtj_data=False,
-                           trust=trust)
+    result = tb.run(schedule, mtj_data=False)
+    trust.note(result)
     window = schedule.windows_of(Mode.READ)[1]
     out.e_read = _window_energy(result, window)
     out.read_delay = _read_delay(result, tb, window)
@@ -238,7 +195,7 @@ def _read_delay(result: TransientResult, tb: CellTestbench,
 
 
 def _extract_write(tb: CellTestbench, out: CellCharacterization,
-                   trust: Optional[TrustAccumulator] = None) -> None:
+                   trust: TrustAccumulator) -> None:
     cond = tb.cond
     t_cyc = cond.t_cycle
     schedule = Schedule(
@@ -252,8 +209,8 @@ def _extract_write(tb: CellTestbench, out: CellCharacterization,
         cond,
         volatile=tb.kind == "6t",
     )
-    result = _run_schedule(tb, schedule, data=True, mtj_data=False,
-                           trust=trust)
+    result = tb.run(schedule, mtj_data=False)
+    trust.note(result)
     window = schedule.windows_of(Mode.WRITE)[1]  # writes True
     out.e_write = _window_energy(result, window)
 
@@ -271,27 +228,9 @@ def _extract_write(tb: CellTestbench, out: CellCharacterization,
 # store / restore
 # ---------------------------------------------------------------------------
 
-def _mtj_peak_current(result: TransientResult, mtj: MTJ,
-                      window: PhaseWindow, before: float,
-                      state: "MTJState") -> float:
-    """Peak |I| of an MTJ inside ``window`` at samples earlier than
-    ``before`` — i.e. before its switching event — evaluated with the
-    ``state`` the junction held during that interval."""
-    free_idx, pinned_idx = mtj.node_index
-    mask = (result.time >= window.t_start) & (result.time <= min(window.t_end, before))
-    if not np.any(mask):
-        return 0.0
-    v_free = result.states[mask][:, free_idx] if free_idx >= 0 else 0.0
-    v_pinned = result.states[mask][:, pinned_idx] if pinned_idx >= 0 else 0.0
-    v = np.asarray(v_free - v_pinned)
-    currents = [abs(mtj.current_at(float(vi), state)) for vi in v]
-    return max(currents)
-
-
-def _extract_store(tb: CellTestbench, out: CellCharacterization,
-                   trust: Optional[TrustAccumulator] = None) -> None:
-    cond = tb.cond
-    schedule = Schedule(
+def store_schedule(cond: OperatingConditions) -> Schedule:
+    """The two-step store: H-store, then L-store, then shutdown."""
+    return Schedule(
         [
             ScheduleStep(Mode.STANDBY, 1e-9),
             ScheduleStep(Mode.STORE_H, cond.t_store_step),
@@ -301,9 +240,40 @@ def _extract_store(tb: CellTestbench, out: CellCharacterization,
         cond,
         volatile=False,
     )
+
+
+def restore_schedule(cond: OperatingConditions) -> Schedule:
+    """Wake-up from shutdown: the restore window, then standby."""
+    return Schedule(
+        [
+            ScheduleStep(Mode.SHUTDOWN, 2e-9),
+            ScheduleStep(Mode.RESTORE, cond.t_restore),
+            ScheduleStep(Mode.STANDBY, 3e-9),
+        ],
+        cond,
+        volatile=False,
+    )
+
+
+def _mtj_peak_current(result: TransientResult, mtj: MTJ,
+                      window: PhaseWindow, before: float,
+                      state: MTJState) -> float:
+    """Peak |I| of an MTJ inside ``window`` at samples earlier than
+    ``before`` — i.e. before its switching event — evaluated with the
+    ``state`` the junction held during that interval."""
+    mask = (result.time >= window.t_start) & (result.time <= min(window.t_end, before))
+    if not np.any(mask):
+        return 0.0
+    return float(np.abs(mtj_current(result, mtj, state, mask)).max())
+
+
+def _extract_store(tb: CellTestbench, out: CellCharacterization,
+                   trust: TrustAccumulator) -> None:
+    cond = tb.cond
+    schedule = store_schedule(cond)
     # Data = True; the MTJs start holding the complement so both must flip.
-    result = _run_schedule(tb, schedule, data=True, mtj_data=False,
-                           trust=trust)
+    result = tb.run(schedule, mtj_data=False)
+    trust.note(result)
     cell = tb.nv_cell
 
     win_h, win_l = (schedule.windows_of(Mode.STORE_H)[0],
@@ -333,19 +303,11 @@ def _extract_store(tb: CellTestbench, out: CellCharacterization,
 
 
 def _extract_restore(tb: CellTestbench, out: CellCharacterization,
-                     trust: Optional[TrustAccumulator] = None) -> None:
+                     trust: TrustAccumulator) -> None:
     cond = tb.cond
-    schedule = Schedule(
-        [
-            ScheduleStep(Mode.SHUTDOWN, 2e-9),
-            ScheduleStep(Mode.RESTORE, cond.t_restore),
-            ScheduleStep(Mode.STANDBY, 3e-9),
-        ],
-        cond,
-        volatile=False,
-    )
-    result = _run_schedule(tb, schedule, data=True, mtj_data=True,
-                           collapsed=True, trust=trust)
+    schedule = restore_schedule(cond)
+    result = tb.run(schedule, mtj_data=True, collapsed=True)
+    trust.note(result)
     window = schedule.windows_of(Mode.RESTORE)[0]
     out.e_restore = _window_energy(result, window)
     out.t_restore = cond.t_restore

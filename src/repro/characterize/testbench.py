@@ -23,7 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+import numpy as np
+
 from ..errors import CharacterizationError
+from ..analysis import operating_point, transient
+from ..analysis.results import Solution, TransientResult
+from ..analysis.transient import TransientOptions
 from ..circuit import (
     Capacitor,
     Circuit,
@@ -32,12 +37,13 @@ from ..circuit import (
 )
 from ..circuit.waveforms import Waveform
 from ..devices.finfet import FinFETParams
-from ..devices.mtj import MTJParams, MTJState, MTJ_TABLE1
+from ..devices.mtj import MTJ, MTJParams, MTJState, MTJ_TABLE1
 from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
 from ..cells import PowerDomain, add_nvsram, add_power_switch, add_sram6t
 from ..cells.nvsram import NvSramCell
 from ..cells.sram6t import Sram6TCell
 from ..pg.modes import Mode, OperatingConditions, bias_for_mode
+from ..pg.scheduler import Schedule
 
 #: Precharge-device on resistance (ohms).
 _R_PRECHARGE = 4e3
@@ -111,6 +117,64 @@ class CellTestbench:
         else:
             cell.set_mtj_states(self.circuit, MTJState.PARALLEL,
                                 MTJState.ANTIPARALLEL)
+
+    # -- recipes --------------------------------------------------------
+    def settle(self, mode: Mode, data: bool = True,
+               pg_override: Optional[float] = None) -> Solution:
+        """DC operating point of the cell held in ``mode``.
+
+        The latch is pinned to ``data`` at the mode's rail level (VVDD
+        at the rail) as a nodeset; in shutdown nothing is pinned, since
+        the powered-off latch holds no state.  ``pg_override`` replaces
+        the power-switch gate level of the mode.
+        """
+        self.apply_mode(mode)
+        if pg_override is not None:
+            self.circuit["vpg"].set_level(pg_override)
+        if mode is Mode.SHUTDOWN:
+            ic = None
+        else:
+            rail = (self.cond.v_sleep_rail if mode is Mode.SLEEP
+                    else self.cond.vdd)
+            ic = self.core.initial_conditions(data, rail)
+            ic["vvdd"] = rail
+        return operating_point(self.circuit, ic=ic)
+
+    def run(self, schedule: Schedule, data: bool = True,
+            mtj_data: Optional[bool] = None, collapsed: bool = False,
+            dt_max: Optional[float] = None) -> TransientResult:
+        """Transient of the cell driven through ``schedule``.
+
+        ``mtj_data`` programs the MTJ pair first (NV cells only).  The
+        run starts from the latch holding ``data`` at full rail, or with
+        ``collapsed`` from a fully discharged cell and rail.  ``dt_max``
+        defaults to 1/40 of the schedule.
+        """
+        self.apply_waveforms(schedule.line_waveforms())
+        if self.kind == "nv" and mtj_data is not None:
+            self.set_mtj_data(mtj_data)
+        if collapsed:
+            ic = {self.core.q: 0.0, self.core.qb: 0.0, "vvdd": 0.0}
+        else:
+            ic = self.initial_conditions(data)
+        span = schedule.total_duration
+        options = TransientOptions(
+            dt_initial=min(20e-12, self.cond.t_cycle / 200.0),
+            dt_max=span / 40.0 if dt_max is None else dt_max,
+        )
+        return transient(self.circuit, span, ic=ic, options=options)
+
+
+def mtj_current(result: TransientResult, mtj: MTJ, state: MTJState,
+                mask: "np.ndarray | slice" = slice(None)) -> np.ndarray:
+    """Current through ``mtj`` at the samples ``mask`` selects (all by
+    default), evaluated with the junction in ``state``."""
+    free_idx, pinned_idx = mtj.node_index
+    states = result.states[mask]
+    v_free = states[:, free_idx] if free_idx >= 0 else 0.0
+    v_pinned = states[:, pinned_idx] if pinned_idx >= 0 else 0.0
+    v = np.asarray(v_free - v_pinned)
+    return np.array([mtj.current_at(float(vi), state) for vi in v])
 
 
 def build_cell_testbench(

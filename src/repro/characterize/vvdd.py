@@ -14,10 +14,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..analysis import operating_point
 from ..recovery.partial import SkipRecord, run_point
 from ..cells import PowerDomain
-from ..devices.mtj import MTJState
 from ..devices.finfet import FinFETParams
 from ..devices.mtj import MTJParams, MTJ_TABLE1
 from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
@@ -80,17 +78,15 @@ def vvdd_vs_nfsw(
         tb = build_cell_testbench("nv", cond, domain, nfsw=int(nfsw),
                                   nfet=nfet, pfet=pfet,
                                   mtj_params=mtj_params)
-        ic = tb.initial_conditions(True)
 
         def normal_point():
-            tb.apply_mode(Mode.STANDBY)
-            return operating_point(tb.circuit, ic=ic).voltage("vvdd")
+            return tb.settle(Mode.STANDBY).voltage("vvdd")
 
         def store_point():
-            tb.apply_mode(Mode.STORE_H)
-            tb.nv_cell.set_mtj_states(tb.circuit, MTJState.PARALLEL,
-                                      MTJState.ANTIPARALLEL)
-            return operating_point(tb.circuit, ic=ic).voltage("vvdd")
+            # The junctions hold the complement of Q, so the H-store
+            # current flows.
+            tb.set_mtj_data(False)
+            return tb.settle(Mode.STORE_H).voltage("vvdd")
 
         value, skip = run_point(normal_point, index=i,
                                 label=f"nfsw={int(nfsw)} (normal)",

@@ -515,7 +515,6 @@ def _cmd_serve(args) -> int:
         cache_dir=None if args.no_cache else (args.cache_dir or "auto"),
         forensics_dir=args.forensics_dir,
         interactive_slots=args.interactive_slots,
-        campaign_slots=args.campaign_slots,
         drain_grace=args.drain_grace,
         progress=print,
     )
@@ -745,10 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forensics-dir", default=None, metavar="DIR",
                    help="dump per-failure forensics JSON here")
     p.add_argument("--interactive-slots", type=int, default=4,
-                   help="concurrent interactive executions (default 4)")
-    p.add_argument("--campaign-slots", type=int, default=1,
-                   help="concurrent campaign-class executions "
-                        "(default 1)")
+                   help="concurrent executions (default 4)")
     p.add_argument("--drain-grace", type=float, default=10.0,
                    help="seconds in-flight work gets after SIGTERM "
                         "(default 10)")

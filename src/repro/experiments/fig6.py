@@ -12,15 +12,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..analysis import transient
-from ..analysis.transient import TransientOptions
 from ..cells import PowerDomain
-from ..pg.modes import Mode, OperatingConditions
 from ..pg.sequences import Architecture, BenchmarkSpec, benchmark_sequence
 from ..characterize.testbench import SUPPLY_SOURCES, build_cell_testbench
 from .context import ExperimentContext
@@ -95,15 +92,8 @@ def run_fig6(ctx: Optional[ExperimentContext] = None,
         kind = "6t" if arch.is_volatile else "nv"
         tb = build_cell_testbench(kind, cond, domain, nfet=ctx.nfet,
                                   pfet=ctx.pfet, mtj_params=ctx.mtj_params)
-        tb.apply_waveforms(schedule.line_waveforms())
-        if kind == "nv":
-            tb.set_mtj_data(False)
-        options = TransientOptions(
-            dt_initial=min(20e-12, cond.t_cycle / 200.0),
-            dt_max=schedule.total_duration / 50.0,
-        )
-        result = transient(tb.circuit, schedule.total_duration,
-                           ic=tb.initial_conditions(True), options=options)
+        result = tb.run(schedule, mtj_data=False,
+                        dt_max=schedule.total_duration / 50.0)
         power = result.delivered_power(SUPPLY_SOURCES)
         time, power = _downsample(result.time, power, max_samples)
         traces[arch.value] = PowerTrace(

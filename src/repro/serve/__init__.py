@@ -8,9 +8,9 @@ dependency-free asyncio HTTP/JSON server.  The robustness contract (see
 * **Single-flight coalescing** — requests are canonicalised and
   content-hashed with the campaign ``task_id`` rules; concurrent
   identical requests attach to one in-flight execution.
-* **Admission control** — bounded per-class (interactive vs. campaign)
-  admission with explicit ``429 + Retry-After`` load shedding; memory
-  is bounded everywhere (queues, coalesce groups, result memo).
+* **Admission control** — one bounded admission budget with explicit
+  ``429 + Retry-After`` load shedding; memory is bounded everywhere
+  (queues, coalesce groups, result memo).
 * **Deadlines end-to-end** — each request's deadline becomes the
   executor watchdog timeout for its task, and the waiter's own timer;
   one of them always fires, so every request gets a terminal answer.
@@ -26,23 +26,15 @@ from .admission import AdmissionController
 from .backend import ExecBackend
 from .breaker import CircuitBreaker
 from .coalesce import Coalescer
-from .protocol import (
-    CAMPAIGN,
-    INTERACTIVE,
-    ProtocolError,
-    ServeRequest,
-    canonicalize,
-)
+from .protocol import ProtocolError, ServeRequest, canonicalize
 from .server import ReproServer, ServeOptions, ServerHandle
 from .client import ServeClient
 
 __all__ = [
     "AdmissionController",
-    "CAMPAIGN",
     "CircuitBreaker",
     "Coalescer",
     "ExecBackend",
-    "INTERACTIVE",
     "ProtocolError",
     "ReproServer",
     "ServeClient",

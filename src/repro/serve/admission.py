@@ -1,13 +1,10 @@
-"""Admission control: bounded per-class load with explicit shedding.
+"""Admission control: one bounded load budget with explicit shedding.
 
 The server admits a request *group* (one coalesced execution) into a
-per-class budget before scheduling it; when a class is at its limit the
+bounded budget before scheduling it; when the budget is full the
 request is shed with ``429`` and a ``Retry-After`` hint instead of
-queueing unboundedly.  Interactive and campaign traffic have separate
-budgets so a long campaign can never starve interactive
-characterisation queries of admission — the only shared resource left
-is the executor itself, which the per-class concurrency slots in the
-server partition the same way.
+queueing unboundedly.  Admitted groups then wait for one of the
+server's execution slots.
 
 Single-threaded by design: every call happens on the server's event
 loop, so plain integers are race-free.
@@ -17,65 +14,47 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .protocol import REQUEST_CLASSES
-
 
 class AdmissionController:
-    """Bounded admitted-group accounting per request class."""
+    """Bounded admitted-group accounting."""
 
-    def __init__(self, limits: Dict[str, int],
-                 retry_after_s: float = 1.0):
-        for klass in limits:
-            if klass not in REQUEST_CLASSES:
-                raise ValueError(f"unknown request class {klass!r}")
-        self._limits = {k: int(v) for k, v in limits.items()}
-        self._pending = {k: 0 for k in self._limits}
+    def __init__(self, limit: int, retry_after_s: float = 1.0):
+        self._limit = int(limit)
+        self._pending = 0
         self._retry_after_s = float(retry_after_s)
-        self.admitted = {k: 0 for k in self._limits}
-        self.shed = {k: 0 for k in self._limits}
-        self.peak = {k: 0 for k in self._limits}
+        self.admitted = 0
+        self.shed = 0
+        self.peak = 0
 
-    def try_admit(self, klass: str) -> Optional[str]:
+    def try_admit(self) -> Optional[str]:
         """Admit one group, or return the shed reason.
 
         The caller owns exactly one :meth:`release` per successful
         admission (the serve layer does it in the group's ``finally``).
         """
-        limit = self._limits.get(klass)
-        if limit is None:
-            return f"unknown request class {klass!r}"
-        if self._pending[klass] >= limit:
-            self.shed[klass] += 1
-            return (f"{klass} admission budget full "
-                    f"({self._pending[klass]}/{limit} in flight)")
-        self._pending[klass] += 1
-        self.admitted[klass] += 1
-        self.peak[klass] = max(self.peak[klass], self._pending[klass])
+        if self._pending >= self._limit:
+            self.shed += 1
+            return (f"admission budget full "
+                    f"({self._pending}/{self._limit} in flight)")
+        self._pending += 1
+        self.admitted += 1
+        self.peak = max(self.peak, self._pending)
         return None
 
-    def release(self, klass: str) -> None:
-        if self._pending.get(klass, 0) > 0:
-            self._pending[klass] -= 1
+    def release(self) -> None:
+        if self._pending > 0:
+            self._pending -= 1
 
-    def pending(self, klass: Optional[str] = None) -> int:
-        if klass is not None:
-            return self._pending.get(klass, 0)
-        return sum(self._pending.values())
-
-    def retry_after_s(self, klass: str) -> float:
+    def retry_after_s(self) -> float:
         """Retry-After hint: the base backoff, scaled by saturation."""
-        limit = max(self._limits.get(klass, 1), 1)
-        depth = self._pending.get(klass, 0)
-        return self._retry_after_s * (1.0 + depth / limit)
+        return self._retry_after_s * (1.0 + self._pending
+                                      / max(self._limit, 1))
 
-    def snapshot(self) -> Dict[str, Dict[str, int]]:
+    def snapshot(self) -> Dict[str, int]:
         return {
-            klass: {
-                "limit": self._limits[klass],
-                "pending": self._pending[klass],
-                "admitted": self.admitted[klass],
-                "shed": self.shed[klass],
-                "peak": self.peak[klass],
-            }
-            for klass in self._limits
+            "limit": self._limit,
+            "pending": self._pending,
+            "admitted": self.admitted,
+            "shed": self.shed,
+            "peak": self.peak,
         }

@@ -59,7 +59,7 @@ def _settle(client: ServeClient, timeout_s: float = 15.0) -> None:
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
         m = client.metrics()
-        if (m["admission"]["interactive"]["pending"] == 0
+        if (m["admission"]["pending"] == 0
                 and m["backend"]["inflight"] == 0
                 and m["coalesce"]["inflight"] == 0):
             return

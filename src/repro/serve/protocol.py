@@ -24,11 +24,6 @@ from typing import Any, Dict, Mapping, Optional
 from ..errors import ReproError
 from ..exec.campaign import stable_hash
 
-#: Request classes for admission priorities.
-INTERACTIVE = "interactive"
-CAMPAIGN = "campaign"
-REQUEST_CLASSES = (INTERACTIVE, CAMPAIGN)
-
 #: Terminal response statuses and their HTTP codes.  ``ok`` and
 #: ``degraded`` both carry a result payload (``degraded`` stamps it as
 #: cache-only, served while the breaker is open); ``skipped`` is a
@@ -54,7 +49,7 @@ STATUS_HTTP: Dict[str, int] = {
 CELL_KINDS = ("nv", "6t")
 
 #: Fields every request may carry in addition to route-specific ones.
-_COMMON_FIELDS = frozenset({"deadline_s", "class"})
+_COMMON_FIELDS = frozenset({"deadline_s"})
 
 _ROUTE_FIELDS: Dict[str, frozenset] = {
     "characterize": frozenset({"kind", "cond", "domain", "nfet", "pfet",
@@ -75,15 +70,14 @@ class ServeRequest:
 
     ``key`` is the content hash of ``(route, params)`` — the coalescing
     identity, the backend task id, and the cache-memo key, all one
-    value.  ``deadline_s`` and ``klass`` are execution policy and stay
-    out of the hash (two clients asking the same question with
-    different patience still share one execution).
+    value.  ``deadline_s`` is execution policy and stays out of the
+    hash (two clients asking the same question with different patience
+    still share one execution).
     """
 
     route: str
     params: Dict[str, Any]
     key: str
-    klass: str = INTERACTIVE
     deadline_s: float = 30.0
 
 
@@ -176,10 +170,6 @@ def canonicalize(route: str, body: Mapping[str, Any], *,
             f"unknown request field(s) {unknown}; "
             f"{route!r} accepts {sorted(allowed | _COMMON_FIELDS)}")
 
-    klass = body.get("class", INTERACTIVE)
-    if klass not in REQUEST_CLASSES:
-        raise ProtocolError(f"class must be one of {REQUEST_CLASSES}, "
-                            f"got {klass!r}")
     try:
         deadline_s = float(body.get("deadline_s", default_deadline_s))
     except (TypeError, ValueError) as err:
@@ -195,4 +185,4 @@ def canonicalize(route: str, body: Mapping[str, Any], *,
 
     key = stable_hash({"route": route, "params": params}, length=24)
     return ServeRequest(route=route, params=params, key=key,
-                        klass=klass, deadline_s=deadline_s)
+                        deadline_s=deadline_s)

@@ -11,11 +11,11 @@ The request path for ``POST /v1/<route>``:
    unknown fields rejected, content key computed.
 3. **coalesce** (:mod:`repro.serve.coalesce`) — identical in-flight
    requests share one group; only a group *leader* passes admission.
-4. **admission** (:mod:`repro.serve.admission`) — bounded per-class
-   budget; full means ``429`` with ``Retry-After``.
+4. **admission** (:mod:`repro.serve.admission`) — one bounded budget;
+   full means ``429`` with ``Retry-After``.
 5. **probe / breaker / execute** — cache first; breaker open means
-   cache-only degraded mode; otherwise the group takes a per-class
-   concurrency slot and runs on the executor with the request deadline
+   cache-only degraded mode; otherwise the group takes an execution
+   slot and runs on the executor with the request deadline
    as its watchdog (:mod:`repro.serve.backend`).
 6. **respond** — every waiter gets exactly one terminal status from
    :data:`repro.serve.protocol.STATUS_HTTP`; a waiter whose own
@@ -28,7 +28,7 @@ closes — so a load balancer stops routing before the server stops
 answering.  ``GET /metrics`` exposes every subsystem's counters.
 
 Blocking executor work runs on dedicated daemon threads (bounded by
-the per-class slots), so a hung inline task can never block process
+the execution slots), so a hung inline task can never block process
 exit after a hard stop.
 """
 
@@ -49,8 +49,6 @@ from .backend import ROUTE_FNS, ExecBackend
 from .breaker import OPEN, CircuitBreaker
 from .coalesce import Coalescer
 from .protocol import (
-    CAMPAIGN,
-    INTERACTIVE,
     STATUS_HTTP,
     ProtocolError,
     ServeRequest,
@@ -90,10 +88,8 @@ class ServeOptions:
     default_deadline_s: float = 30.0
     min_deadline_s: float = 0.05
     max_deadline_s: float = 300.0
-    interactive_slots: int = 4
-    campaign_slots: int = 1
-    max_pending_interactive: int = 64
-    max_pending_campaign: int = 4
+    interactive_slots: int = 4          # concurrent executions
+    max_pending_interactive: int = 64   # admitted groups before shedding
     max_group_waiters: int = 64
     retry_after_s: float = 0.5
     breaker_window: int = 16
@@ -112,7 +108,7 @@ def _spawn_blocking(loop: asyncio.AbstractEventLoop,
     """Run ``fn(*args)`` on a fresh daemon thread; await the result.
 
     Deliberately not a thread *pool*: concurrency is already bounded by
-    the per-class slots, and daemon threads guarantee a hard stop is
+    the execution slots, and daemon threads guarantee a hard stop is
     never blocked by a hung inline task (a non-daemon pool thread
     would pin the process in its atexit join).
     """
@@ -171,10 +167,7 @@ class ReproServer:
             stop_level=lambda: self._drain_level,
         )
         self.admission = AdmissionController(
-            {INTERACTIVE: opts.max_pending_interactive,
-             CAMPAIGN: opts.max_pending_campaign},
-            retry_after_s=opts.retry_after_s,
-        )
+            opts.max_pending_interactive, retry_after_s=opts.retry_after_s)
         self.coalescer = Coalescer(max_waiters=opts.max_group_waiters)
         self.breaker = CircuitBreaker(
             window=opts.breaker_window,
@@ -189,7 +182,7 @@ class ReproServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._stopped: Optional[asyncio.Event] = None
         self._drain_task: Optional["asyncio.Future"] = None
-        self._slots: Dict[str, asyncio.Semaphore] = {}
+        self._slots: Optional[asyncio.Semaphore] = None
         self._group_tasks: Set["asyncio.Task"] = set()
         self._started_at: Optional[float] = None
         self.responses: Dict[str, int] = {}
@@ -200,10 +193,7 @@ class ReproServer:
     async def start(self) -> None:
         loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
-        self._slots = {
-            INTERACTIVE: asyncio.Semaphore(self.options.interactive_slots),
-            CAMPAIGN: asyncio.Semaphore(self.options.campaign_slots),
-        }
+        self._slots = asyncio.Semaphore(self.options.interactive_slots)
         self._server = await asyncio.start_server(
             self._handle, self.options.host, self.options.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -404,14 +394,14 @@ class ReproServer:
                 writer, "shed",
                 {"detail": "coalesce group is at its waiter cap",
                  "key": req.key},
-                retry_after_s=self.admission.retry_after_s(req.klass))
+                retry_after_s=self.admission.retry_after_s())
         if created:
-            reason = self.admission.try_admit(req.klass)
+            reason = self.admission.try_admit()
             if reason is not None:
                 self.coalescer.abort(req.key)
                 return await self._respond(
                     writer, "shed", {"detail": reason, "key": req.key},
-                    retry_after_s=self.admission.retry_after_s(req.klass))
+                    retry_after_s=self.admission.retry_after_s())
             runner = loop.create_task(
                 self._run_group(group, req, deadline_at))
             self._group_tasks.add(runner)
@@ -431,7 +421,7 @@ class ReproServer:
         status = payload.pop("status")
         payload["key"] = req.key
         payload["coalesced"] = not created
-        retry_after = (self.admission.retry_after_s(req.klass)
+        retry_after = (self.admission.retry_after_s()
                        if status in ("shed", "unavailable") else None)
         await self._respond(writer, status, payload,
                             retry_after_s=retry_after)
@@ -455,7 +445,7 @@ class ReproServer:
             outcome = {"status": "error", "detail": repr(err)}
         finally:
             self.coalescer.finish(req.key, outcome)
-            self.admission.release(req.klass)
+            self.admission.release()
 
     def _degraded_outcome(self, hit) -> Dict[str, Any]:
         if hit is not None:
@@ -470,10 +460,9 @@ class ReproServer:
     async def _execute_group(self, req: ServeRequest,
                              deadline_at: float) -> Dict[str, Any]:
         loop = asyncio.get_running_loop()
-        sem = self._slots[req.klass]
         remaining = deadline_at - loop.time()
         try:
-            await asyncio.wait_for(sem.acquire(),
+            await asyncio.wait_for(self._slots.acquire(),
                                    timeout=max(remaining, 0.001))
         except asyncio.TimeoutError:
             return {"status": "deadline", "stage": "queued",
@@ -497,7 +486,7 @@ class ReproServer:
                 self.breaker.record(False)
             return self._wire_outcome(summary)
         finally:
-            sem.release()
+            self._slots.release()
 
     @staticmethod
     def _wire_outcome(summary: Dict[str, Any]) -> Dict[str, Any]:

@@ -133,18 +133,9 @@ def _cell_dc_case(kind: str, mode_name: str) -> Dict[str, Quantity]:
     """Operating point of the single-cell testbench in one mode."""
     from ..characterize.testbench import build_cell_testbench
     from ..pg.modes import Mode
-    from ..analysis import operating_point
 
     tb = build_cell_testbench(kind)
-    mode = Mode(mode_name)
-    tb.apply_mode(mode)
-    if mode is Mode.SHUTDOWN:
-        ic = None    # the latch holds no state when powered off
-    else:
-        rail = tb.cond.v_sleep_rail if mode is Mode.SLEEP else tb.cond.vdd
-        ic = tb.core.initial_conditions(True, rail)
-        ic["vvdd"] = rail
-    sol = operating_point(tb.circuit, ic=ic)
+    sol = tb.settle(Mode(mode_name))
     core = tb.core
     out = {
         f"v({node})": Quantity(sol.voltage(node), "voltage")
@@ -179,34 +170,13 @@ def _nvff_dc_case() -> Dict[str, Quantity]:
 
 def _nv_store_case() -> Dict[str, Quantity]:
     """Two-step store transient of the NV-SRAM cell (H then L store)."""
+    from ..characterize.runner import store_schedule
     from ..characterize.testbench import SUPPLY_SOURCES, build_cell_testbench
     from ..pg.modes import Mode
-    from ..pg.scheduler import Schedule, ScheduleStep
-    from ..analysis import transient
-    from ..analysis.transient import TransientOptions
 
     tb = build_cell_testbench("nv")
-    cond = tb.cond
-    schedule = Schedule(
-        [
-            ScheduleStep(Mode.STANDBY, 1e-9),
-            ScheduleStep(Mode.STORE_H, cond.t_store_step),
-            ScheduleStep(Mode.STORE_L, cond.t_store_step),
-            ScheduleStep(Mode.SHUTDOWN, 2e-9),
-        ],
-        cond,
-        volatile=False,
-    )
-    tb.apply_waveforms(schedule.line_waveforms())
-    tb.set_mtj_data(False)   # both MTJs must flip during the store
-    result = transient(
-        tb.circuit, schedule.total_duration,
-        ic=tb.initial_conditions(True),
-        options=TransientOptions(
-            dt_initial=min(20e-12, cond.t_cycle / 200.0),
-            dt_max=schedule.total_duration / 40.0,
-        ),
-    )
+    schedule = store_schedule(tb.cond)
+    result = tb.run(schedule, mtj_data=False)  # both MTJs must flip
     win_h = schedule.windows_of(Mode.STORE_H)[0]
     win_l = schedule.windows_of(Mode.STORE_L)[0]
     final = result.final_solution()
@@ -227,33 +197,13 @@ def _nv_store_case() -> Dict[str, Quantity]:
 
 def _nv_restore_case() -> Dict[str, Quantity]:
     """Collapsed-rail wake-up recall of the NV-SRAM cell."""
+    from ..characterize.runner import restore_schedule
     from ..characterize.testbench import SUPPLY_SOURCES, build_cell_testbench
     from ..pg.modes import Mode
-    from ..pg.scheduler import Schedule, ScheduleStep
-    from ..analysis import transient
-    from ..analysis.transient import TransientOptions
 
     tb = build_cell_testbench("nv")
-    cond = tb.cond
-    schedule = Schedule(
-        [
-            ScheduleStep(Mode.SHUTDOWN, 2e-9),
-            ScheduleStep(Mode.RESTORE, cond.t_restore),
-            ScheduleStep(Mode.STANDBY, 3e-9),
-        ],
-        cond,
-        volatile=False,
-    )
-    tb.apply_waveforms(schedule.line_waveforms())
-    tb.set_mtj_data(True)
-    result = transient(
-        tb.circuit, schedule.total_duration,
-        ic={tb.core.q: 0.0, tb.core.qb: 0.0, "vvdd": 0.0},
-        options=TransientOptions(
-            dt_initial=min(20e-12, cond.t_cycle / 200.0),
-            dt_max=schedule.total_duration / 40.0,
-        ),
-    )
+    schedule = restore_schedule(tb.cond)
+    result = tb.run(schedule, mtj_data=True, collapsed=True)
     window = schedule.windows_of(Mode.RESTORE)[0]
     final = result.final_solution()
     return {
@@ -263,7 +213,7 @@ def _nv_restore_case() -> Dict[str, Quantity]:
         "v(q,final)": Quantity(final.voltage(tb.core.q), "voltage"),
         "v(qb,final)": Quantity(final.voltage(tb.core.qb), "voltage"),
         "restored-1": Quantity(
-            float(tb.core.read_data(final, cond.vdd)), "flag"),
+            float(tb.core.read_data(final, tb.cond.vdd)), "flag"),
     }
 
 

@@ -69,6 +69,10 @@ class TestNvpgIsolation:
         assert report.peak_current_ratio < 1e-2
         assert not report.flipped
 
+    def test_mode_validated(self):
+        with pytest.raises(ValueError):
+            nvpg_access_disturb(Mode.SLEEP, COND, DOMAIN)
+
     def test_contrast_with_nof(self, nof_read, nvpg_read):
         assert nof_read.peak_current_ratio > \
             50 * max(nvpg_read.peak_current_ratio, 1e-6)

@@ -14,6 +14,7 @@ from repro.experiments import (
     run_fig3,
     run_fig4,
     run_fig5,
+    run_fig6,
     run_fig7a,
     run_fig7b,
     run_fig7c,
@@ -77,6 +78,34 @@ class TestFig5:
             assert arch in text
         # NOF pass is longer than OSR's by wake+store overheads.
         assert result.durations[2] > result.durations[0]
+
+
+class TestFig6:
+    """The Fig. 6 headline numbers EXPERIMENTS.md states (n_RW = 2)."""
+
+    @pytest.fixture(scope="class")
+    def result(self, ctx, domain):
+        return run_fig6(ctx, domain)
+
+    def test_total_energy_order(self, result):
+        e = {name: trace.total_energy for name, trace in result.traces.items()}
+        assert e["osr"] < e["nvpg"] < e["nof"]
+        assert e["osr"] == pytest.approx(86.96e-15, rel=1e-3)
+        assert e["nvpg"] == pytest.approx(404.06e-15, rel=1e-3)
+        assert e["nof"] == pytest.approx(763.11e-15, rel=1e-3)
+
+    def test_mtj_events(self, result):
+        events = {name: len(trace.events)
+                  for name, trace in result.traces.items()}
+        assert events == {"osr": 0, "nvpg": 2, "nof": 2}
+
+    def test_effective_cycle(self, result, ctx, nv_char):
+        t_cyc = ctx.cond.t_cycle
+        cyc = result.effective_cycle
+        assert cyc["6T/OSR"] == cyc["NVPG"] == t_cyc
+        assert cyc["NOF"] == t_cyc + nv_char.t_restore + nv_char.t_store
+        assert cyc["NOF"] == pytest.approx(25.33e-9, rel=1e-3)
+        assert cyc["NOF"] / t_cyc == pytest.approx(7.6, rel=1e-2)
 
 
 class TestFig7:

@@ -123,9 +123,10 @@ class TestSweepSkips:
 
 class TestCharacterizeDrivers:
     def test_vvdd_sweep_records_skips(self, monkeypatch):
+        from repro.characterize import testbench as tb_mod
         from repro.characterize import vvdd as vvdd_mod
 
-        real_op = vvdd_mod.operating_point
+        real_op = tb_mod.operating_point
         calls = {"n": 0}
 
         def flaky(circuit, **kwargs):
@@ -134,7 +135,7 @@ class TestCharacterizeDrivers:
                 raise ConvergenceError("injected failure")
             return real_op(circuit, **kwargs)
 
-        monkeypatch.setattr(vvdd_mod, "operating_point", flaky)
+        monkeypatch.setattr(tb_mod, "operating_point", flaky)
         sweep = vvdd_mod.vvdd_vs_nfsw(nfsw_values=(6, 7, 8))
         assert len(sweep.skips) == 1
         assert np.isnan(sweep.vvdd_normal).sum() == 1

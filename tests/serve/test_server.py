@@ -75,6 +75,15 @@ class TestTaskRequests:
         assert resp.status == "bad-request"
         assert "bogus" in resp.body["detail"]
 
+    def test_request_class_field_is_400(self, client):
+        """Admission has one budget, so a body naming a request class
+        is rejected like any other unknown field."""
+        resp = client.task("demo", {"params": {"x": 1.0},
+                                    "class": "interactive"})
+        assert resp.code == 400
+        assert resp.status == "bad-request"
+        assert "class" in resp.body["detail"]
+
     def test_unknown_route_is_404(self, client):
         assert client.task("tarnish", {}).code == 404
 
@@ -167,8 +176,7 @@ class TestShedding:
                 deadline = ServeClient(port=h.port)
                 # wait until the slow request holds the only budget slot
                 for _ in range(100):
-                    if deadline.metrics()["admission"]["interactive"][
-                            "pending"] == 1:
+                    if deadline.metrics()["admission"]["pending"] == 1:
                         break
                     import time
                     time.sleep(0.01)

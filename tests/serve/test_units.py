@@ -2,12 +2,9 @@
 
 import asyncio
 
-import pytest
-
 from repro.serve.admission import AdmissionController
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.serve.coalesce import Coalescer
-from repro.serve.protocol import CAMPAIGN, INTERACTIVE
 
 
 class FakeClock:
@@ -23,41 +20,31 @@ class FakeClock:
 
 class TestAdmission:
     def test_admits_until_limit_then_sheds(self):
-        adm = AdmissionController({INTERACTIVE: 2})
-        assert adm.try_admit(INTERACTIVE) is None
-        assert adm.try_admit(INTERACTIVE) is None
-        reason = adm.try_admit(INTERACTIVE)
+        adm = AdmissionController(2)
+        assert adm.try_admit() is None
+        assert adm.try_admit() is None
+        reason = adm.try_admit()
         assert reason is not None and "budget full" in reason
-        assert adm.snapshot()[INTERACTIVE]["shed"] == 1
+        assert adm.snapshot()["shed"] == 1
 
     def test_release_reopens_budget(self):
-        adm = AdmissionController({INTERACTIVE: 1})
-        assert adm.try_admit(INTERACTIVE) is None
-        assert adm.try_admit(INTERACTIVE) is not None
-        adm.release(INTERACTIVE)
-        assert adm.try_admit(INTERACTIVE) is None
-
-    def test_classes_have_independent_budgets(self):
-        adm = AdmissionController({INTERACTIVE: 1, CAMPAIGN: 1})
-        assert adm.try_admit(CAMPAIGN) is None
-        # a saturated campaign budget never blocks interactive work
-        assert adm.try_admit(INTERACTIVE) is None
+        adm = AdmissionController(1)
+        assert adm.try_admit() is None
+        assert adm.try_admit() is not None
+        adm.release()
+        assert adm.try_admit() is None
 
     def test_retry_after_scales_with_saturation(self):
-        adm = AdmissionController({INTERACTIVE: 2}, retry_after_s=1.0)
-        empty = adm.retry_after_s(INTERACTIVE)
-        adm.try_admit(INTERACTIVE)
-        adm.try_admit(INTERACTIVE)
-        assert adm.retry_after_s(INTERACTIVE) > empty
-
-    def test_unknown_class_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown request class"):
-            AdmissionController({"batch": 4})
+        adm = AdmissionController(2, retry_after_s=1.0)
+        empty = adm.retry_after_s()
+        adm.try_admit()
+        adm.try_admit()
+        assert adm.retry_after_s() > empty
 
     def test_release_never_goes_negative(self):
-        adm = AdmissionController({INTERACTIVE: 1})
-        adm.release(INTERACTIVE)
-        assert adm.pending(INTERACTIVE) == 0
+        adm = AdmissionController(1)
+        adm.release()
+        assert adm.snapshot()["pending"] == 0
 
 
 class TestCoalescer:
