@@ -3,10 +3,9 @@
 The executor's contract is "cheap when you don't need it": routing a
 task list through the campaign machinery inline (``workers=0``) must
 cost within a few percent of the plain serial loop, because the engine
-adds only classification, journaling hooks and bookkeeping around each
-task.  With real spawn workers the fixed cost is the per-worker
-interpreter start + import (~1 s), so parallel pays off once the work
-dwarfs the warmup.
+adds only classification and bookkeeping around each task.  With real
+spawn workers the fixed cost is the per-worker interpreter start +
+import (~1 s), so parallel pays off once the work dwarfs the warmup.
 
 The workload is 12 ``demo_task`` tasks of 10 ms each: short enough that
 per-task executor cost would show against the serial loop, about as

@@ -99,7 +99,7 @@ class Certificate:
     """Numerical-trust annotation of one accepted solve.
 
     All fields are plain data; :meth:`to_dict` is JSON-safe so the
-    certificate travels through campaign journals and result caches.
+    certificate travels through forensics and the result caches.
     """
 
     residual_norm: float = float("nan")
@@ -432,7 +432,7 @@ class TrustAccumulator:
         self.solves += 1
 
     def as_extras(self) -> Dict[str, float]:
-        """Flat float dict for ``CellCharacterization.extras`` / journals."""
+        """Flat float dict for ``CellCharacterization.extras``."""
         return {
             "trust_residual_norm_max": float(self.residual_norm_max),
             "trust_cond_estimate_max": float(self.cond_estimate_max),

@@ -19,9 +19,8 @@ Usage::
     python -m repro chaos --executor --workers 2
     python -m repro chaos --crashpoints     # crash-safety validation
     python -m repro chaos --serve           # serving-layer chaos suite
-    python -m repro serve --port 8023 --journal serve.jsonl
-    python -m repro fig7b --workers 4 --journal fig7b.jsonl
-    python -m repro campaign status fig7b.jsonl
+    python -m repro serve --port 8023
+    python -m repro fig7b --workers 4     # rerun resumes from the cache
 
 Every subcommand prints the same rows/series the paper reports; see
 ``benchmarks/`` for the timed versions with archived artifacts.
@@ -104,12 +103,6 @@ def _cmd_fig6(args) -> int:
     return 0
 
 
-def _campaign_kwargs(args) -> dict:
-    """``--workers/--journal`` pass-through for campaign-aware runners."""
-    return {"workers": getattr(args, "workers", None),
-            "journal": getattr(args, "journal", None)}
-
-
 def _cmd_fig7(args, panel: str) -> int:
     from .experiments import (
         ExperimentContext,
@@ -121,9 +114,9 @@ def _cmd_fig7(args, panel: str) -> int:
     ctx = ExperimentContext(cond=_conditions(args))
     runner = {"a": run_fig7a, "b": run_fig7b, "c": run_fig7c}[panel]
     if panel == "b":
-        print(runner(ctx, **_campaign_kwargs(args)).render())
+        print(runner(ctx, workers=args.workers).render())
     else:
-        print(runner(ctx, _domain(args), **_campaign_kwargs(args)).render())
+        print(runner(ctx, _domain(args), workers=args.workers).render())
     return 0
 
 
@@ -131,7 +124,7 @@ def _cmd_fig8(args) -> int:
     from .experiments import ExperimentContext, run_fig8
 
     ctx = ExperimentContext(cond=_conditions(args))
-    print(run_fig8(ctx, _domain(args), **_campaign_kwargs(args)).render())
+    print(run_fig8(ctx, _domain(args), workers=args.workers).render())
     return 0
 
 
@@ -139,8 +132,7 @@ def _cmd_fig9(args) -> int:
     from .experiments import ExperimentContext, run_fig9
 
     ctx = ExperimentContext(cond=_conditions(args))
-    print(run_fig9(ctx, panel=args.panel,
-                   **_campaign_kwargs(args)).render())
+    print(run_fig9(ctx, panel=args.panel, workers=args.workers).render())
     return 0
 
 
@@ -443,20 +435,6 @@ def _diagnose_demo() -> int:
     return 1
 
 
-def _cmd_campaign(args) -> int:
-    """``repro campaign status``: summarise a campaign journal."""
-    from .exec import CampaignError, journal_status, render_status
-
-    try:
-        status = journal_status(args.journal)
-    except (OSError, CampaignError) as exc:
-        print(f"repro campaign status: cannot read {args.journal!r}: "
-              f"{exc}", file=sys.stderr)
-        return 2
-    print(render_status(status))
-    return 0
-
-
 def _cmd_chaos(args) -> int:
     """``repro chaos``: run one fault-injection suite and audit it."""
     import tempfile
@@ -497,8 +475,7 @@ def _cmd_serve(args) -> int:
     """``repro serve``: run the characterisation HTTP service.
 
     First SIGTERM/SIGINT starts a graceful drain (``/readyz`` flips,
-    in-flight work finishes, the journal is flushed); a second signal
-    stops immediately.
+    in-flight work finishes); a second signal stops immediately.
     """
     import asyncio
     import signal
@@ -511,7 +488,6 @@ def _cmd_serve(args) -> int:
         extra_routes=tuple(args.extra_routes),
         workers=args.workers,
         max_retries=args.retries,
-        journal=args.journal,
         cache_dir=None if args.no_cache else (args.cache_dir or "auto"),
         forensics_dir=args.forensics_dir,
         interactive_slots=args.interactive_slots,
@@ -572,9 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="prewarm characterisations through a "
                             "fault-tolerant parallel campaign with N "
                             "workers (default: serial)")
-        p.add_argument("--journal", default=None, metavar="PATH",
-                       help="campaign journal (JSONL) for crash-safe "
-                            "checkpoint/resume")
 
     def lint_opts(p):
         p.add_argument("--format", choices=("text", "json", "sarif"),
@@ -733,9 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "fast but no crash isolation; default 1)")
     p.add_argument("--retries", type=int, default=1,
                    help="retry budget per request (default 1)")
-    p.add_argument("--journal", default=None, metavar="PATH",
-                   help="append-only JSONL journal shared by all "
-                        "served executions")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="characterisation disk cache "
                         "(default: the repo cache)")
@@ -751,13 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extra-routes", nargs="*", default=(),
                    choices=("demo", "chaos"),
                    help="also mount the demo/chaos test routes")
-
-    p = sub.add_parser("campaign",
-                       help="inspect fault-tolerant campaign journals")
-    csub = p.add_subparsers(dest="action", required=True)
-    pc = csub.add_parser("status",
-                         help="summarise a campaign journal")
-    pc.add_argument("journal", help="journal JSONL path")
 
     p = sub.add_parser("wer", help="MTJ write-error-rate model")
     common(p, domain=False)
@@ -793,15 +756,27 @@ _HANDLERS = {
     "equiv": _cmd_equiv,
     "diagnose": _cmd_diagnose,
     "chaos": _cmd_chaos,
-    "campaign": _cmd_campaign,
     "serve": _cmd_serve,
 }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A prewarm drained by SIGINT/SIGTERM prints its campaign summary to
+    stderr and exits 130; its finished characterizations are already in
+    the cache, so rerunning the command simulates only the rest.
+    """
+    from .exec import CampaignInterrupted
+
     args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    try:
+        return _HANDLERS[args.command](args)
+    except CampaignInterrupted as err:
+        print(err.result.render(), file=sys.stderr)
+        print("rerun the same command to finish from the "
+              "characterization cache", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,12 +1,14 @@
-"""repro.exec: fault-tolerant, checkpointed campaign execution.
+"""repro.exec: fault-tolerant campaign execution.
 
 A *campaign* is a named, content-hashed list of independent tasks (one
 per characterisation point of a figure prewarm, or one per served
 request) executed by process-isolated workers with watchdog timeouts,
-classified failure handling (skip / retry-with-backoff / quarantine),
-an append-only JSONL journal for crash-safe resume, and graceful
-SIGINT/SIGTERM draining.  See ``docs/ROBUSTNESS.md`` ("Campaigns") for
-the failure taxonomy and journal format.
+classified failure handling (skip / retry-with-backoff / quarantine)
+and graceful SIGINT/SIGTERM draining.  The campaign keeps no record of
+its own: a finished characterisation is durable in the characterisation
+cache, so rerunning an interrupted prewarm simulates only the missing
+points.  See ``docs/ROBUSTNESS.md`` ("Campaigns") for the failure
+taxonomy and resume semantics.
 """
 
 from .campaign import (
@@ -29,7 +31,6 @@ from .executor import (
     retry_delay,
     run_campaign,
 )
-from .journal import Journal, journal_status, render_status
 
 __all__ = [
     "COMPLETED",
@@ -41,12 +42,9 @@ __all__ = [
     "CampaignInterrupted",
     "CampaignOptions",
     "CampaignResult",
-    "Journal",
     "TaskOutcome",
     "TaskSpec",
-    "journal_status",
     "make_task",
-    "render_status",
     "resolve_task_fn",
     "retry_delay",
     "run_campaign",

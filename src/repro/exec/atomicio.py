@@ -1,11 +1,11 @@
 """One atomic durable-write protocol for every store in the repo.
 
-The characterisation cache and the journal's sibling artifacts once
-each grew their own copy of the stage-then-rename dance; this module is
-the single shared implementation (the cache envelope,
-:mod:`repro.exec.envelope`, writes through it), and the instrumented
-boundary the crash-injection harness (:mod:`repro.verify.crashcheck`)
-kills children at.
+Every durable file the repo writes (the characterisation cache, the
+golden corpus, ``BENCH_*.json``) is replaced through this one
+stage-then-rename implementation (the cache envelope,
+:mod:`repro.exec.envelope`, writes through it), and it is the
+instrumented boundary the crash-injection harness
+(:mod:`repro.verify.crashcheck`) kills children at.
 
 The protocol, in order:
 

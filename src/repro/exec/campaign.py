@@ -8,10 +8,7 @@ of :class:`TaskSpec` entries whose parameters are plain JSON data.
 Everything is content-addressed: each task gets a deterministic
 ``task_id`` hashed from its parameters, and the campaign as a whole gets
 a :attr:`Campaign.key` hashed from the name, the function reference and
-every task.  The journal (:mod:`repro.exec.journal`) stamps that key on
-every record, so a ``--resume`` can only ever replay results that came
-from the *same* campaign definition — edit one parameter and the key
-changes, and stale journal entries are ignored.
+every task, which names the campaign in its result and forensics.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ TERMINAL_STATES = (COMPLETED, SKIPPED, QUARANTINED)
 
 
 class CampaignError(ReproError):
-    """A campaign definition or journal is malformed."""
+    """A campaign definition is malformed."""
 
 
 def _normalise(value: Any) -> Any:
@@ -74,9 +71,8 @@ class TaskSpec:
         Per-task watchdog override in seconds.  ``None`` falls back to
         :attr:`~repro.exec.executor.CampaignOptions.task_timeout`.  Like
         ``label`` it is execution policy, not content: it does not enter
-        the task id or the campaign key, so a journal written under one
-        deadline still resumes a run submitted under another (the serve
-        layer maps per-request deadlines here).
+        the task id or the campaign key (the serve layer maps
+        per-request deadlines here).
     """
 
     task_id: str
@@ -139,7 +135,7 @@ class Campaign:
     Attributes
     ----------
     name:
-        Campaign name (used for journal records and summaries).
+        Campaign name (used in summaries and forensics).
     fn:
         ``"module:function"`` reference to the pure task function; it
         receives one task's ``params`` dict and returns a
@@ -206,8 +202,6 @@ class TaskOutcome:
     result: Optional[Any] = None
     skip: Optional[Dict[str, Any]] = None
     failures: List[Dict[str, Any]] = field(default_factory=list)
-    #: True when the outcome was replayed from a journal, not executed.
-    replayed: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -221,25 +215,10 @@ class TaskOutcome:
             "failures": list(self.failures),
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any],
-                  replayed: bool = False) -> "TaskOutcome":
-        return cls(
-            task_id=payload["task_id"],
-            status=payload["status"],
-            attempts=int(payload.get("attempts", 1)),
-            elapsed=float(payload.get("elapsed", 0.0)),
-            label=payload.get("label", ""),
-            result=payload.get("result"),
-            skip=payload.get("skip"),
-            failures=list(payload.get("failures") or []),
-            replayed=replayed,
-        )
-
 
 @dataclass
 class CampaignResult:
-    """Aggregate outcome of one campaign run (or resume).
+    """Aggregate outcome of one campaign run.
 
     ``outcomes`` holds one entry per *terminal* task; an interrupted run
     leaves unfinished tasks absent, and :attr:`interrupted` is set.
@@ -275,10 +254,6 @@ class CampaignResult:
         return [tid for tid in self.order if tid not in self.outcomes]
 
     @property
-    def n_replayed(self) -> int:
-        return sum(1 for o in self.outcomes.values() if o.replayed)
-
-    @property
     def retries(self) -> int:
         """Total extra attempts spent across all tasks."""
         return sum(o.attempts - 1 for o in self.outcomes.values())
@@ -293,54 +268,12 @@ class CampaignResult:
         """``task_id -> result payload`` for the completed tasks."""
         return {o.task_id: o.result for o in self.completed}
 
-    def trust_summary(self) -> Dict[str, float]:
-        """Worst-case numerical-trust aggregate over completed results.
-
-        Scans each completed task's result payload for the ``trust_*``
-        extras the characterisation runner records (worst KCL residual,
-        worst condition estimate, defended/certified solve counts — see
-        :mod:`repro.analysis.trust`) and folds them into one campaign
-        -level summary.  Returns ``{}`` when no completed result carries
-        trust data, so untrusting task functions cost nothing.
-        """
-        residual_max = 0.0
-        cond_max = 0.0
-        defended = 0.0
-        certified = 0.0
-        found = 0
-        for outcome in self.completed:
-            payload = outcome.result
-            if not isinstance(payload, dict):
-                continue
-            extras = payload.get("extras")
-            source = extras if isinstance(extras, dict) else payload
-            if "trust_certified_solves" not in source:
-                continue
-            found += 1
-            residual_max = max(residual_max, float(
-                source.get("trust_residual_norm_max", 0.0)))
-            cond_max = max(cond_max, float(
-                source.get("trust_cond_estimate_max", 0.0)))
-            defended += float(source.get("trust_defended_solves", 0.0))
-            certified += float(source.get("trust_certified_solves", 0.0))
-        if not found:
-            return {}
-        return {
-            "trust_residual_norm_max": residual_max,
-            "trust_cond_estimate_max": cond_max,
-            "trust_defended_solves": defended,
-            "trust_certified_solves": certified,
-            "trust_tasks": float(found),
-        }
-
     def outcome(self, task_id: str) -> Optional[TaskOutcome]:
         return self.outcomes.get(task_id)
 
     def summary(self) -> str:
         counts = self.counts()
         parts = [f"{counts[COMPLETED]}/{len(self.order)} completed"]
-        if self.n_replayed:
-            parts.append(f"{self.n_replayed} replayed from journal")
         if counts[SKIPPED]:
             parts.append(f"{counts[SKIPPED]} skipped")
         if counts[QUARANTINED]:
@@ -372,8 +305,7 @@ class CampaignResult:
                               f"{last.get('detail')}")
                 lines.append(f"    [{o.attempts} attempt(s)] {label}{detail}")
         if self.interrupted and self.remaining:
-            lines.append(f"  not executed: {len(self.remaining)} task(s) "
-                         "(resume with --resume)")
+            lines.append(f"  not executed: {len(self.remaining)} task(s)")
         return "\n".join(lines)
 
     def to_dict(self) -> dict:

@@ -13,20 +13,20 @@ with a pool of persistent spawn-started worker processes.  The contract:
   *retried* with exponential backoff + deterministic jitter up to a
   bounded budget, then quarantined.  A task raising any other exception
   is a *poison task* and quarantined immediately.
-* **Every terminal outcome is journalled before the run moves on**
-  (append-only JSONL, fsync'd), so a killed campaign resumes from its
-  journal re-executing only incomplete points, and a resumed run's
-  aggregate results are identical to an uninterrupted one.
+* **The executor keeps no record of its own.**  A task that must
+  survive the run makes itself durable: a characterisation task writes
+  its result to the characterisation cache before it returns, so a
+  rerun of a killed prewarm finds every finished point there and
+  simulates only the missing ones.
 * **SIGINT/SIGTERM drain gracefully.**  The first signal stops dispatch
-  and lets in-flight tasks finish within a grace period (flushing their
-  results to the journal); a second signal, or grace expiry, terminates
-  the workers.  The partial result is raised as
-  :class:`CampaignInterrupted` so callers can print a summary and exit
-  non-zero.
+  and lets in-flight tasks finish within a grace period; a second
+  signal, or grace expiry, terminates the workers.  The partial result
+  is raised as :class:`CampaignInterrupted` so callers can print a
+  summary and exit non-zero.
 
 ``workers=0`` runs the tasks inline in the calling process — same
-classification and journal semantics, no isolation (used for overhead
-baselines and cheap campaigns).
+classification semantics, no isolation (used for overhead baselines
+and cheap campaigns).
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .campaign import (
     TaskOutcome,
     TaskSpec,
 )
-from .journal import Journal
 
 
 class CampaignInterrupted(ReproError):
@@ -89,9 +88,6 @@ class CampaignOptions:
     forensics_dir:
         When set, every skip/quarantine dumps a JSON post-mortem here
         via :func:`repro.recovery.forensics.dump_failure`.
-    resume:
-        Replay terminal outcomes from the journal (matched by campaign
-        key) instead of re-executing them.
     progress:
         Optional callable receiving one-line progress strings.
     stop_requested:
@@ -112,7 +108,6 @@ class CampaignOptions:
     backoff_cap: float = 5.0
     drain_grace: float = 10.0
     forensics_dir: Optional[Union[str, Path]] = None
-    resume: bool = False
     progress: Optional[Callable[[str], None]] = None
     stop_requested: Optional[Callable[[], int]] = None
 
@@ -222,10 +217,8 @@ def _kill_worker(worker: _Worker) -> None:
 class _CampaignRun:
     """State machine for one campaign execution."""
 
-    def __init__(self, campaign: Campaign, journal: Optional[Journal],
-                 options: CampaignOptions):
+    def __init__(self, campaign: Campaign, options: CampaignOptions):
         self.campaign = campaign
-        self.journal = journal
         self.options = options
         self.key = campaign.key
         self.tasks = {t.task_id: t for t in campaign.tasks}
@@ -246,17 +239,8 @@ class _CampaignRun:
         if self.options.progress is not None:
             self.options.progress(message)
 
-    def _replay_from_journal(self) -> None:
-        if not (self.options.resume and self.journal is not None):
-            return
-        for task_id, outcome in self.journal.outcomes_for(self.key).items():
-            if task_id in self.tasks:
-                self.outcomes[task_id] = outcome
-
     def _record(self, outcome: TaskOutcome) -> None:
         self.outcomes[outcome.task_id] = outcome
-        if self.journal is not None:
-            self.journal.task_end(self.key, outcome)
         if outcome.status in (SKIPPED, QUARANTINED):
             self._dump_forensics(outcome)
         self._progress(
@@ -351,7 +335,6 @@ class _CampaignRun:
 
 
 def run_campaign(campaign: Campaign,
-                 journal: Optional[Union[Journal, str, Path]] = None,
                  options: Optional[CampaignOptions] = None) -> CampaignResult:
     """Execute a campaign; see the module docstring for the contract.
 
@@ -360,20 +343,10 @@ def run_campaign(campaign: Campaign,
     signal drain.
     """
     options = options or CampaignOptions()
-    if journal is not None and not isinstance(journal, Journal):
-        journal = Journal(journal)
     campaign.resolve_fn()   # fail fast in the parent on a bad reference
 
-    run = _CampaignRun(campaign, journal, options)
-    run._replay_from_journal()
+    run = _CampaignRun(campaign, options)
     started = time.time()
-    if journal is not None:
-        journal.begin(campaign, options.workers,
-                      resumed=len(run.outcomes))
-    if run.outcomes:
-        run._progress(f"resuming: {len(run.outcomes)} outcome(s) replayed "
-                      f"from {journal.path if journal else 'journal'}")
-
     for task_id in run.pending():
         run.ready_tasks.append(task_id)
         run.attempts[task_id] = 1
@@ -388,14 +361,6 @@ def run_campaign(campaign: Campaign,
 
     interrupted = run.interrupt_level > 0 and run.pending()
     result = run.result(bool(interrupted), elapsed)
-    if journal is not None:
-        if interrupted:
-            journal.interrupted(run.key, run.interrupt_signal,
-                                completed=len(run.outcomes),
-                                remaining=len(run.pending()))
-        else:
-            journal.end(run.key, _count(run), elapsed,
-                        trust=result.trust_summary())
     if interrupted:
         raise CampaignInterrupted(
             f"campaign {campaign.name!r} interrupted by "
@@ -404,13 +369,6 @@ def run_campaign(campaign: Campaign,
             result,
         )
     return result
-
-
-def _count(run: _CampaignRun) -> Dict[str, int]:
-    counts = {COMPLETED: 0, SKIPPED: 0, QUARANTINED: 0}
-    for outcome in run.outcomes.values():
-        counts[outcome.status] = counts.get(outcome.status, 0) + 1
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +458,8 @@ def _run_pooled(run: _CampaignRun) -> None:
                 drain_deadline = now + options.drain_grace
                 run._progress(
                     f"{run.interrupt_signal}: draining — in-flight "
-                    f"tasks get {options.drain_grace:g}s, journal will "
-                    "be flushed (signal again to stop now)"
+                    f"tasks get {options.drain_grace:g}s (signal again "
+                    "to stop now)"
                 )
             hard_stop = run.interrupt_level >= 2 or (
                 drain_deadline is not None and now >= drain_deadline)

@@ -110,8 +110,7 @@ class ExperimentContext:
                             tasks=list(tasks.values()))
         return campaign, meta
 
-    def prewarm(self, points, workers: int = 2, journal=None,
-                name: str = "prewarm"):
+    def prewarm(self, points, workers: int = 2, name: str = "prewarm"):
         """Characterise ``points`` through a fault-tolerant campaign.
 
         Completed characterisations are folded into this context's
@@ -120,7 +119,10 @@ class ExperimentContext:
         follows never re-simulates them — which is what makes a
         campaign-accelerated figure identical to the serial one by
         construction.  Failed points are simply *not* folded; the serial
-        pass re-attempts them and surfaces the real error.
+        pass re-attempts them and surfaces the real error.  The disk
+        cache is also what resumes an interrupted prewarm: a rerun finds
+        every finished point there (with ``cache_dir=None`` it
+        simulates everything again).
 
         Returns the :class:`~repro.exec.CampaignResult`.
         """
@@ -128,9 +130,7 @@ class ExperimentContext:
         from ..exec import COMPLETED, CampaignOptions, run_campaign
 
         campaign, meta = self.prewarm_campaign(points, name=name)
-        options = CampaignOptions(workers=workers,
-                                  resume=journal is not None)
-        result = run_campaign(campaign, journal=journal, options=options)
+        result = run_campaign(campaign, CampaignOptions(workers=workers))
         for task_id, (kind, domain, cond, mtj_params) in meta.items():
             outcome = result.outcome(task_id)
             if (outcome is not None and outcome.status == COMPLETED

@@ -80,20 +80,18 @@ def run_fig7a(ctx: Optional[ExperimentContext] = None,
               domain: Optional[PowerDomain] = None,
               n_rw_values: Sequence[int] = DEFAULT_N_RW,
               t_sl_values: Sequence[float] = (0.0, 10e-9, 100e-9, 1e-6),
-              workers: Optional[int] = None,
-              journal=None) -> Fig7Result:
+              workers: Optional[int] = None) -> Fig7Result:
     """Fig. 7(a): t_SD = 0, t_SL varied from 0 to 1 us.
 
     With ``workers``, the underlying cell characterisations are
-    prewarmed through a fault-tolerant :mod:`repro.exec` campaign
-    (optionally checkpointed via ``journal``); the figure assembly stays
-    serial, so the numbers are identical either way.
+    prewarmed through a fault-tolerant :mod:`repro.exec` campaign; the
+    figure assembly stays serial, so the numbers are identical either
+    way.
     """
     ctx = ctx or ExperimentContext()
     domain = domain or PowerDomain()
     if workers is not None:
-        ctx.prewarm([(domain, None, None)], workers=workers,
-                    journal=journal, name="fig7a")
+        ctx.prewarm([(domain, None, None)], workers=workers, name="fig7a")
     sweeps = [
         _sweep(ctx, domain, f"t_SL = {t_sl * 1e9:g} ns, t_SD = 0",
                n_rw_values, t_sl, 0.0)
@@ -107,8 +105,7 @@ def run_fig7b(ctx: Optional[ExperimentContext] = None,
               word_bits: int = 32,
               n_rw_values: Sequence[int] = DEFAULT_N_RW,
               t_sl: float = 100e-9,
-              workers: Optional[int] = None,
-              journal=None) -> Fig7Result:
+              workers: Optional[int] = None) -> Fig7Result:
     """Fig. 7(b): M = 32, N varied 32..2048 (128 B .. 8 kB domains).
 
     The seven domain depths are independent characterisation points —
@@ -119,7 +116,7 @@ def run_fig7b(ctx: Optional[ExperimentContext] = None,
                for n in n_values]
     if workers is not None:
         ctx.prewarm([(d, None, None) for d in domains], workers=workers,
-                    journal=journal, name="fig7b")
+                    name="fig7b")
     sweeps = []
     for n, domain in zip(n_values, domains):
         label = (
@@ -135,14 +132,12 @@ def run_fig7c(ctx: Optional[ExperimentContext] = None,
               n_rw_values: Sequence[int] = DEFAULT_N_RW,
               t_sd_values: Sequence[float] = (10e-6, 100e-6, 1e-3, 10e-3),
               t_sl: float = 100e-9,
-              workers: Optional[int] = None,
-              journal=None) -> Fig7Result:
+              workers: Optional[int] = None) -> Fig7Result:
     """Fig. 7(c): t_SD varied from 10 us to 10 ms."""
     ctx = ctx or ExperimentContext()
     domain = domain or PowerDomain()
     if workers is not None:
-        ctx.prewarm([(domain, None, None)], workers=workers,
-                    journal=journal, name="fig7c")
+        ctx.prewarm([(domain, None, None)], workers=workers, name="fig7c")
     sweeps = [
         _sweep(ctx, domain,
                f"t_SD = {t_sd * 1e6:g} us, t_SL = {t_sl * 1e9:g} ns",

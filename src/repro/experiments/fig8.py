@@ -79,8 +79,7 @@ def run_fig8(ctx: Optional[ExperimentContext] = None,
              t_sl: float = 100e-9,
              t_sd_points: int = 61,
              t_sd_max: float = 100e-3,
-             workers: Optional[int] = None,
-             journal=None) -> Fig8Result:
+             workers: Optional[int] = None) -> Fig8Result:
     """Regenerate Fig. 8.
 
     ``workers`` prewarms the cell characterisations through a
@@ -90,8 +89,7 @@ def run_fig8(ctx: Optional[ExperimentContext] = None,
     ctx = ctx or ExperimentContext()
     domain = domain or PowerDomain()
     if workers is not None:
-        ctx.prewarm([(domain, None, None)], workers=workers,
-                    journal=journal, name="fig8")
+        ctx.prewarm([(domain, None, None)], workers=workers, name="fig8")
     model = ctx.energy_model(domain)
     t_sd = np.logspace(-6, np.log10(t_sd_max), t_sd_points)
 

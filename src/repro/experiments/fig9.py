@@ -93,8 +93,7 @@ def run_fig9(ctx: Optional[ExperimentContext] = None,
              n_rw_values: Sequence[int] = (10, 100, 1000),
              word_bits: int = 32,
              t_sl: float = 100e-9,
-             workers: Optional[int] = None,
-             journal=None) -> Fig9Result:
+             workers: Optional[int] = None) -> Fig9Result:
     """Regenerate Fig. 9(a) or 9(b).
 
     Panel "a" uses the Table I configuration with and without store-free
@@ -128,7 +127,7 @@ def run_fig9(ctx: Optional[ExperimentContext] = None,
         domains = [PowerDomain(n_wordlines=int(n), word_bits=word_bits)
                    for n in n_values]
         ctx.prewarm([(d, cond, mtj) for d in domains], workers=workers,
-                    journal=journal, name=f"fig9{panel}")
+                    name=f"fig9{panel}")
     series = [
         _bet_series(ctx, cond, mtj, n_values, n_rw, store_free,
                     word_bits, t_sl)

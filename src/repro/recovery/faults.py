@@ -371,8 +371,12 @@ def build_executor_chaos_campaign(scratch, n_healthy: int = 4,
     """Campaign mixing healthy tasks with one task per executor fault.
 
     ``scratch`` is a writable directory the ``flaky_crash`` tasks use
-    for their crash-once markers; it also namespaces the campaign key,
-    so each chaos run journals as its own campaign.
+    for their crash-once markers; it also namespaces the campaign key.
+    The ``worker_hang`` task carries its own 1 s watchdog: it counts
+    from the worker's start message, so the spawn import is not
+    charged, and the hung task is still killed on every attempt and
+    quarantined without the run waiting out the campaign-wide
+    ``task_timeout``.
     """
     from ..exec import Campaign, make_task
 
@@ -382,7 +386,9 @@ def build_executor_chaos_campaign(scratch, n_healthy: int = 4,
         params = {"index": index, "fault": kind, "scratch": str(scratch)}
         if kind == "slow_task":
             params["delay"] = 0.2
-        tasks.append(make_task(params, label=f"fault:{kind}"))
+        timeout = 1.0 if kind == "worker_hang" else None
+        tasks.append(make_task(params, label=f"fault:{kind}",
+                               timeout=timeout))
         index += 1
     rng = np.random.default_rng(seed)
     for _ in range(n_healthy):
@@ -397,7 +403,7 @@ def build_executor_chaos_campaign(scratch, n_healthy: int = 4,
 
 def chaos_executor(scratch, n_healthy: int = 4, workers: int = 2,
                    seed: int = 2015, task_timeout: float = 5.0,
-                   max_retries: int = 1, journal=None,
+                   max_retries: int = 1,
                    kinds: Sequence[str] = EXEC_FAULT_KINDS,
                    progress=None) -> dict:
     """Run the executor chaos campaign and audit the outcomes.
@@ -420,10 +426,9 @@ def chaos_executor(scratch, n_healthy: int = 4, workers: int = 2,
         max_retries=max_retries,
         backoff_base=0.05,
         backoff_cap=0.5,
-        resume=journal is not None,
         progress=progress,
     )
-    result = run_campaign(campaign, journal=journal, options=options)
+    result = run_campaign(campaign, options)
 
     records = []
     for task in campaign.tasks:

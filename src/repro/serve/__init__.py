@@ -17,9 +17,9 @@ dependency-free asyncio HTTP/JSON server.  The robustness contract (see
 * **Degraded mode** — a circuit breaker over backend quarantines trips
   the server to cache-only serving: stale-but-stamped results carry
   ``degraded: true``; novel requests get ``503`` until recovery.
-* **Graceful drain** — SIGTERM flips ``/readyz``, stops admission,
-  drains in-flight work through the executor's two-stage drain and
-  flushes the journal before the socket closes.
+* **Graceful drain** — SIGTERM flips ``/readyz``, stops admission and
+  drains in-flight work through the executor's two-stage drain before
+  the socket closes.
 """
 
 from .admission import AdmissionController

@@ -37,7 +37,6 @@ from ..exec.campaign import (
     TaskSpec,
 )
 from ..exec.executor import CampaignInterrupted, CampaignOptions, run_campaign
-from ..exec.journal import Journal
 from .protocol import ServeRequest
 
 #: Task function behind each servable route.  ``demo`` and ``chaos``
@@ -92,7 +91,6 @@ class ExecBackend:
                  workers: int = 0,
                  max_retries: int = 1,
                  warmup_grace: float = 30.0,
-                 journal: Optional[Union[Journal, str, Path]] = None,
                  cache_dir: Optional[Union[str, Path]] = None,
                  forensics_dir: Optional[Union[str, Path]] = None,
                  memo_size: int = 512,
@@ -101,9 +99,6 @@ class ExecBackend:
         self.workers = int(workers)
         self.max_retries = int(max_retries)
         self.warmup_grace = float(warmup_grace)
-        if journal is not None and not isinstance(journal, Journal):
-            journal = Journal(journal)
-        self.journal = journal
         self.cache_dir = None if cache_dir is None else Path(cache_dir)
         self.forensics_dir = forensics_dir
         self.memo_size = int(memo_size)
@@ -197,8 +192,7 @@ class ExecBackend:
             self.inflight += 1
         try:
             try:
-                result = run_campaign(campaign, journal=self.journal,
-                                      options=options)
+                result = run_campaign(campaign, options)
                 outcome = result.outcome(request.key)
             except CampaignInterrupted as err:
                 outcome = err.result.outcome(request.key)

@@ -17,7 +17,6 @@ clients and injected backend faults, phase by phase:
 * **drain** — graceful drain under load; asserts ``/readyz`` flips
   while in-flight work completes, new work is refused and the socket
   then closes.
-* **journal** — the journal replays cleanly after the server is gone.
 * **conservation** — every request sent got exactly one response.
 
 Each phase is one record of the ``serve``
@@ -46,8 +45,7 @@ from .server import ServeOptions, ServerHandle
 
 
 #: The suite's records, in order; conservation is always last.
-PHASES = ("coalesce", "storm", "shed", "breaker", "drain", "journal",
-          "conservation")
+PHASES = ("coalesce", "storm", "shed", "breaker", "drain", "conservation")
 
 
 def _settle(client: ServeClient, timeout_s: float = 15.0) -> None:
@@ -82,11 +80,9 @@ def chaos_serve(scratch: str, n_clients: int = 24, n_unique: int = 6,
     rng = random.Random(seed)
     scratch_dir = Path(scratch)
     scratch_dir.mkdir(parents=True, exist_ok=True)
-    journal_path = scratch_dir / "serve-journal.jsonl"
     options = ServeOptions(
         extra_routes=("demo", "chaos"),
         workers=workers,
-        journal=journal_path,
         cache_dir=scratch_dir / "cache",
         interactive_slots=2,
         max_pending_interactive=8,
@@ -305,13 +301,6 @@ def chaos_serve(scratch: str, n_clients: int = 24, n_unique: int = 6,
         handle.stop(hard=True)
         handle.join(timeout=15.0)
 
-    # -- journal replay after the server is gone ------------------------
-    from ..exec.journal import Journal
-
-    journal = Journal(journal_path)
-    replayed = journal.replay()
-    replay_ok = journal_path.exists() and isinstance(replayed, list)
-    phase("journal", replay_ok, replayed=len(replayed))
     phase("conservation", sent == received, requests_sent=sent,
           responses_received=received)
     return chaos_report("serve", records, len(PHASES), seed=seed,

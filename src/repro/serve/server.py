@@ -82,7 +82,6 @@ class ServeOptions:
     workers: int = 0                    # executor processes per execution
     max_retries: int = 1
     warmup_grace: float = 30.0
-    journal: Optional[Union[str, Path]] = None
     cache_dir: Optional[Union[str, Path]] = "auto"
     forensics_dir: Optional[Union[str, Path]] = None
     default_deadline_s: float = 30.0
@@ -160,7 +159,6 @@ class ReproServer:
             workers=opts.workers,
             max_retries=opts.max_retries,
             warmup_grace=opts.warmup_grace,
-            journal=opts.journal,
             cache_dir=cache_dir,
             forensics_dir=opts.forensics_dir,
             memo_size=opts.memo_size,
@@ -242,7 +240,7 @@ class ReproServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        self._progress("drained: socket closed, journal flushed")
+        self._progress("drained: socket closed")
         self._stopped.set()
 
     def _progress(self, message: str) -> None:

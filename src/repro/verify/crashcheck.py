@@ -15,9 +15,6 @@ survivor's view of the file:
   (:func:`repro.exec.atomicio.atomic_write_text`).  At every
   crashpoint the reader must see *either* the complete old value or
   the complete new value — never a mixture.
-* **journal-append** — a child is killed halfway through appending a
-  record; :meth:`repro.exec.journal.Journal.replay` must recover every
-  fully-appended record and drop at most the torn tail.
 
 Process death does **not** empty the OS page cache, so the
 fsync-ordering hazard (rename durable, data blocks not) cannot be
@@ -50,7 +47,6 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from ..exec import atomicio
-from ..exec.journal import Journal
 from ..recovery.forensics import chaos_report
 
 #: Child exit status at an armed crashpoint — distinguishable from a
@@ -68,7 +64,7 @@ NEW_PAYLOAD = {"value": "new", "rev": 2}
 #: and die only where it is told to), arms the crash hook, and runs one
 #: writer.  argv: atomicio_path scenario crashpoint target payload.
 _CHILD_SCRIPT = r"""
-import importlib.util, json, os, sys
+import importlib.util, os, sys
 atomicio_path, scenario, point, target, payload = sys.argv[1:6]
 spec = importlib.util.spec_from_file_location("_atomicio", atomicio_path)
 atomicio = importlib.util.module_from_spec(spec)
@@ -87,12 +83,6 @@ if scenario == "bare-overwrite":
 elif scenario == "atomic-replace":
     atomicio._CRASH_HOOK = die
     atomicio.atomic_write_text(target, payload)
-elif scenario == "journal-append":
-    line = json.dumps({"event": "torn", "seq": 99}) + "\n"
-    with open(target, "a", encoding="utf-8") as fh:
-        fh.write(line[: len(line) // 2])
-        fh.flush()
-        die("post-write")
 else:
     sys.exit(2)
 sys.exit(0)
@@ -165,21 +155,6 @@ def _check_atomic_replace(scratch: Path, point: str) -> Dict[str, Any]:
                    code=code)
 
 
-def _check_journal_append(scratch: Path) -> Dict[str, Any]:
-    """Torn append: replay keeps every complete record, drops the tail."""
-    path = scratch / "crash.journal"
-    journal = Journal(path)
-    journal.append({"event": "begin", "seq": 1})
-    journal.append({"event": "task_end", "seq": 2})
-    code = _spawn_child("journal-append", "post-write", path, "")
-    seqs = [r.get("seq") for r in journal.replay()]
-    # The reader must see exactly the two complete records, in order.
-    state = "2 records" if seqs == [1, 2] else f"records {seqs}"
-    return _record(
-        "journal-append", "post-write", state, "2 records", code=code,
-        detail="crash mid-append loses at most the torn record")
-
-
 def _disk_model_rename(scratch: Path, *, fsync: bool) -> Dict[str, Any]:
     """Fsync-ordering disk model: stage + rename, power lost right after.
 
@@ -217,7 +192,6 @@ def run_crashpoints(scratch: Optional[str] = None) -> Dict[str, Any]:
     checks = [partial(_check_bare_overwrite, root),
               *(partial(_check_atomic_replace, root, point)
                 for point in atomicio.CRASHPOINTS),
-              partial(_check_journal_append, root),
               partial(_disk_model_rename, root, fsync=False),
               partial(_disk_model_rename, root, fsync=True)]
     return chaos_report("crashpoints", [check() for check in checks],

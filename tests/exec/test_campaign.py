@@ -98,28 +98,24 @@ class TestResolveTaskFn:
 
 class TestTaskOutcome:
     def test_round_trip(self):
+        """``to_dict`` is the forensics payload: JSON with every field."""
+        import json
+
         outcome = TaskOutcome(task_id="t1", status=QUARANTINED, attempts=3,
                               elapsed=1.5, label="point 1",
                               failures=[{"kind": "crash", "detail": "x"}])
-        back = TaskOutcome.from_dict(outcome.to_dict(), replayed=True)
-        assert back.task_id == "t1"
-        assert back.status == QUARANTINED
-        assert back.attempts == 3
-        assert back.failures == outcome.failures
-        assert back.replayed is True
-        assert outcome.replayed is False
-
-    def test_from_dict_tolerates_missing_optionals(self):
-        back = TaskOutcome.from_dict({"task_id": "t", "status": COMPLETED})
-        assert back.attempts == 1
-        assert back.failures == []
+        back = json.loads(json.dumps(outcome.to_dict()))
+        assert back == {"task_id": "t1", "status": QUARANTINED,
+                        "attempts": 3, "elapsed": 1.5, "label": "point 1",
+                        "result": None, "skip": None,
+                        "failures": [{"kind": "crash", "detail": "x"}]}
 
 
 class TestCampaignResult:
     def _result(self):
         outcomes = {
             "a": TaskOutcome(task_id="a", status=COMPLETED,
-                             result={"y": 1.0}, replayed=True),
+                             result={"y": 1.0}),
             "b": TaskOutcome(task_id="b", status=SKIPPED,
                              skip={"error_type": "ConvergenceError",
                                    "reason": "no"}),
@@ -135,7 +131,6 @@ class TestCampaignResult:
         assert result.counts() == {COMPLETED: 1, SKIPPED: 1, QUARANTINED: 1}
         assert [o.task_id for o in result.completed] == ["a"]
         assert result.remaining == ["d"]
-        assert result.n_replayed == 1
         assert result.retries == 2
         assert result.results() == {"a": {"y": 1.0}}
 
@@ -146,7 +141,8 @@ class TestCampaignResult:
         assert "INTERRUPTED" in summary
         rendered = result.render()
         assert "quarantined" in rendered
-        assert "resume with --resume" in rendered
+        assert "not executed: 1 task(s)" in rendered
+        assert "--resume" not in rendered
 
     def test_to_dict_is_json_able(self):
         import json

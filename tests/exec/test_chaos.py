@@ -28,6 +28,15 @@ class TestCampaignBuilder:
         b = build_executor_chaos_campaign(tmp_path / "b")
         assert a.key != b.key
 
+    def test_only_the_hang_carries_its_own_watchdog(self, tmp_path):
+        """The hung task is killed after 1 s from its start, not after
+        the campaign-wide ``task_timeout`` the other tasks keep."""
+        campaign = build_executor_chaos_campaign(tmp_path, n_healthy=1)
+        timeouts = {t.params.get("fault"): t.timeout
+                    for t in campaign.tasks}
+        assert timeouts.pop("worker_hang") == 1.0
+        assert set(timeouts.values()) == {None}
+
     def test_every_kind_has_an_expectation(self):
         for kind in EXEC_FAULT_KINDS:
             assert kind in EXEC_FAULT_EXPECTED
@@ -63,16 +72,3 @@ class TestFullChaosMatrix:
         by_label = {row["name"]: row for row in report["records"]}
         assert by_label["fault:flaky_crash"]["attempts"] >= 2
         assert by_label["fault:worker_hang"]["actual"] == "quarantined"
-
-    def test_journalled_chaos_resumes(self, tmp_path):
-        """A second run over the same journal replays every verdict."""
-        journal = tmp_path / "chaos.jsonl"
-        first = chaos_executor(tmp_path, n_healthy=1, workers=2,
-                               task_timeout=5.0, max_retries=1,
-                               journal=journal)
-        assert first["ok"]
-        again = chaos_executor(tmp_path, n_healthy=1, workers=2,
-                               task_timeout=5.0, max_retries=1,
-                               journal=journal)
-        assert again["ok"]
-        assert again["counts"] == first["counts"]

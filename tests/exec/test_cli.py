@@ -1,12 +1,17 @@
-"""CLI surface of the campaign engine: ``repro campaign status``, the
-figure prewarm flags and ``repro chaos --executor``."""
+"""CLI surface of the campaign engine: the figure prewarm flag and
+``repro chaos --executor``."""
 
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.exec import Campaign, CampaignOptions, make_task, run_campaign
+
+#: The option deleted with the campaign journal, and the commands that
+#: took it: the characterization cache is a prewarm's one durable record.
+REMOVED_OPTION = "journal"
+REMOVED_OPTION_COMMANDS = ("fig7a", "fig7b", "fig7c", "fig8", "fig9",
+                           "serve")
 
 
 class TestParsing:
@@ -16,46 +21,28 @@ class TestParsing:
 
     def test_figures_accept_campaign_flags(self):
         for command in ("fig7a", "fig7b", "fig7c", "fig8", "fig9"):
-            args = build_parser().parse_args(
-                [command, "--workers", "2", "--journal", "j.jsonl"])
+            args = build_parser().parse_args([command, "--workers", "2"])
             assert args.workers == 2
-            assert args.journal == "j.jsonl"
+
+    @pytest.mark.parametrize("command", REMOVED_OPTION_COMMANDS)
+    def test_removed_option_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                [command, f"--{REMOVED_OPTION}", "j.jsonl"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+
+    def test_campaign_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["campaign", "status", "j.jsonl"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
 
     def test_chaos_executor_flags(self):
         args = build_parser().parse_args(
             ["chaos", "--executor", "--workers", "3", "--scratch", "/tmp/x"])
         assert args.executor is True
         assert args.workers == 3
-
-
-class TestCampaignCommand:
-    def test_run_status_resume_round_trip(self, tmp_path, capsys):
-        """A journalled 3-task demo campaign reads back as complete, and a
-        resumed rerun replays all three tasks from the journal."""
-        journal = str(tmp_path / "demo.jsonl")
-        campaign = Campaign(
-            name="demo", fn="repro.exec.tasks:demo_task",
-            tasks=[make_task({"x": float(i)}, label=f"square {i}")
-                   for i in range(3)])
-        first = run_campaign(campaign, journal=journal,
-                             options=CampaignOptions(workers=0))
-        assert first.counts()["completed"] == 3
-
-        assert main(["campaign", "status", journal]) == 0
-        out = capsys.readouterr().out
-        assert "demo" in out
-        assert "complete" in out
-
-        again = run_campaign(campaign, journal=journal,
-                             options=CampaignOptions(workers=0, resume=True))
-        assert again.n_replayed == 3
-        assert again.counts()["completed"] == 3
-
-    def test_status_on_missing_journal_is_usage_error(self, tmp_path,
-                                                      capsys):
-        missing = str(tmp_path / "none.jsonl")
-        assert main(["campaign", "status", missing]) == 2
-        assert "cannot read" in capsys.readouterr().err
 
 
 class TestChaosExecutorCommand:

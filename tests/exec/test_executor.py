@@ -1,4 +1,4 @@
-"""Executor semantics: classification, retry policy, resume, pooling."""
+"""Executor semantics: classification, retry policy, pooling."""
 
 import json
 
@@ -12,8 +12,6 @@ from repro.exec import (
     Campaign,
     CampaignError,
     CampaignOptions,
-    Journal,
-    TaskOutcome,
     make_task,
     retry_delay,
     run_campaign,
@@ -112,55 +110,6 @@ class TestInline:
         payload = json.loads(dump.read_text())
         assert payload["kind"] == "task_failure"
         assert payload["status"] == QUARANTINED
-
-
-class TestResume:
-    def test_second_run_replays_everything(self, tmp_path):
-        journal = tmp_path / "j.jsonl"
-        campaign = demo_campaign()
-        first = run_campaign(campaign, journal=journal,
-                             options=CampaignOptions(workers=0))
-        second = run_campaign(campaign, journal=journal,
-                              options=CampaignOptions(workers=0,
-                                                      resume=True))
-        assert second.n_replayed == 4
-        assert second.results() == first.results()
-
-    def test_resume_executes_only_missing_tasks(self, tmp_path):
-        campaign = demo_campaign()
-        journal = Journal(tmp_path / "j.jsonl")
-        done = campaign.tasks[0]
-        journal.task_end(campaign.key, TaskOutcome(
-            task_id=done.task_id, status=COMPLETED,
-            result={"x": 0.0, "y": 0.0}))
-        result = run_campaign(campaign, journal=journal,
-                              options=CampaignOptions(workers=0,
-                                                      resume=True))
-        assert result.n_replayed == 1
-        assert result.counts()[COMPLETED] == 4
-        executed = [o for o in result.completed if not o.replayed]
-        assert len(executed) == 3
-
-    def test_resume_ignores_other_campaign_keys(self, tmp_path):
-        campaign = demo_campaign()
-        journal = Journal(tmp_path / "j.jsonl")
-        journal.task_end("some-other-campaign-key", TaskOutcome(
-            task_id=campaign.tasks[0].task_id, status=COMPLETED,
-            result={"x": 99.0, "y": 99.0}))
-        result = run_campaign(campaign, journal=journal,
-                              options=CampaignOptions(workers=0,
-                                                      resume=True))
-        assert result.n_replayed == 0
-        assert result.results()[campaign.tasks[0].task_id]["y"] == 0.0
-
-    def test_without_resume_flag_journal_is_write_only(self, tmp_path):
-        journal = tmp_path / "j.jsonl"
-        campaign = demo_campaign(n=2)
-        run_campaign(campaign, journal=journal,
-                     options=CampaignOptions(workers=0))
-        again = run_campaign(campaign, journal=journal,
-                             options=CampaignOptions(workers=0))
-        assert again.n_replayed == 0
 
 
 class TestPooled:

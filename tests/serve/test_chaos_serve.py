@@ -16,12 +16,12 @@ def test_serve_chaos_suite_passes(tmp_path, capsys):
     assert conservation["requests_sent"] == conservation["responses_received"]
     names = [p["name"] for p in report["records"]]
     assert names == ["coalesce", "storm", "shed", "breaker", "drain",
-                     "journal", "conservation"]
+                     "conservation"]
     assert report["n_in"] == report["n_out"] == len(names)
     dump_failure(report, tmp_path / "report.json")
     capsys.readouterr()
     assert main(["diagnose", str(tmp_path / "report.json")]) == 0
-    assert "chaos report: serve — 7 in, 7 out — PASS" in capsys.readouterr().out
+    assert "chaos report: serve — 6 in, 6 out — PASS" in capsys.readouterr().out
     coalesce = report["records"][0]
     assert coalesce["backend_executions"] == 1
     assert coalesce["leaders"] == 1

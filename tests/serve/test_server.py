@@ -17,7 +17,6 @@ def handle(tmp_path_factory):
     scratch = tmp_path_factory.mktemp("serve")
     options = ServeOptions(
         extra_routes=("demo", "chaos"),
-        journal=scratch / "journal.jsonl",
         cache_dir=scratch / "cache",
         drain_grace=3.0,
         drain_settle_s=0.0,

@@ -43,10 +43,8 @@ def test_full_run_passes(tmp_path):
     (fsync,) = scenarios["fsync-rename"]
     assert nofsync["state"] == "torn" and nofsync["emulated"]
     assert fsync["state"] == "new"
-
-    # Journal: a torn append costs at most the torn record.
-    (journal,) = scenarios["journal-append"]
-    assert journal["state"] == "2 records"
+    assert sorted(scenarios) == ["atomic-replace", "bare-overwrite",
+                                 "fsync-rename", "nofsync-rename"]
 
 
 def test_children_died_at_armed_points(tmp_path):
@@ -73,7 +71,7 @@ def test_cli_chaos_crashpoints(tmp_path, capsys):
                  "--scratch", str(tmp_path / "scratch"),
                  "--json", str(out_json)])
     assert code == 0
-    assert "chaos report: crashpoints — 8 in, 8 out — PASS" \
+    assert "chaos report: crashpoints — 7 in, 7 out — PASS" \
         in capsys.readouterr().out
     payload = json.loads(out_json.read_text())
     assert payload["ok"] is True
@@ -89,7 +87,7 @@ def test_diagnose_renders_the_json_report(tmp_path, capsys):
     capsys.readouterr()
     assert main(["diagnose", str(out_json)]) == 0
     out = capsys.readouterr().out
-    assert "chaos report: crashpoints — 8 in, 8 out — PASS" in out
+    assert "chaos report: crashpoints — 7 in, 7 out — PASS" in out
     assert "[ok ] atomic-replace@post-rename: new" in out
 
 
