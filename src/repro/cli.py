@@ -21,6 +21,7 @@ Usage::
     python -m repro chaos --serve           # serving-layer chaos suite
     python -m repro serve --port 8023
     python -m repro fig7b --workers 4     # rerun resumes from the cache
+    python -m repro all                   # prewarms on the usable CPUs
 
 Every subcommand prints the same rows/series the paper reports; see
 ``benchmarks/`` for the timed versions with archived artifacts.
@@ -236,12 +237,25 @@ def _cmd_wer(args) -> int:
     return 0
 
 
+def _default_pool() -> Optional[int]:
+    """Workers of ``repro all`` run as the program: the usable CPUs, or
+    ``None`` (serial) on one CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return cpus if cpus > 1 else None
+
+
 def _cmd_all(args) -> int:
     from .experiments import ExperimentContext
     from .experiments.summary import run_summary
 
     ctx = ExperimentContext(cond=_conditions(args))
-    result = run_summary(ctx, include_figures=not args.scorecard_only)
+    result = run_summary(ctx, include_figures=not args.scorecard_only,
+                         workers=args.workers)
+    if result.prewarm is not None:
+        print(result.prewarm.summary(), file=sys.stderr)
     print(result.render())
     return 0 if result.all_passed else 1
 
@@ -543,11 +557,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--word-bits", type=int, default=32,
                            help="word length M in bits (default 32)")
 
-    def campaign_opts(p):
+    def campaign_opts(p, default="serial"):
         p.add_argument("--workers", type=int, default=None,
                        help="prewarm characterisations through a "
                             "fault-tolerant parallel campaign with N "
-                            "workers (default: serial)")
+                            f"workers (default: {default}; 0 runs it "
+                            "inline)")
 
     def lint_opts(p):
         p.add_argument("--format", choices=("text", "json", "sarif"),
@@ -619,6 +634,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, domain=False)
     p.add_argument("--scorecard-only", action="store_true",
                    help="skip the per-figure bodies")
+    campaign_opts(p, default="the usable CPU count when run as "
+                             "`python -m repro` or `repro`, serial on one "
+                             "CPU or from `repro.cli.main(argv)`")
 
     p = sub.add_parser("lint", help="static-analyse decks / cell benches")
     p.add_argument("targets", nargs="*", metavar="TARGET",
@@ -766,10 +784,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     A prewarm drained by SIGINT/SIGTERM prints its campaign summary to
     stderr and exits 130; its finished characterizations are already in
     the cache, so rerunning the command simulates only the rest.
+
+    With ``argv`` omitted, ``main`` parses the process's own command
+    line: repro is the program, and the spawn workers of a campaign
+    re-import its guarded ``__main__``.  Only then does ``all`` prewarm
+    on the usable CPUs by default.  A host program that passes ``argv``
+    runs ``all`` serially unless it passes ``--workers N``, because the
+    workers would re-import the host's own ``__main__``, which must then
+    be guarded as well.
     """
     from .exec import CampaignInterrupted
 
     args = build_parser().parse_args(argv)
+    if argv is None and args.command == "all" and args.workers is None:
+        args.workers = _default_pool()
     try:
         return _HANDLERS[args.command](args)
     except CampaignInterrupted as err:

@@ -221,7 +221,9 @@ class CampaignResult:
     """Aggregate outcome of one campaign run.
 
     ``outcomes`` holds one entry per *terminal* task; an interrupted run
-    leaves unfinished tasks absent, and :attr:`interrupted` is set.
+    leaves unfinished tasks absent, and :attr:`interrupted` is set.  So
+    does a pool whose workers died before they were ready, and
+    :attr:`pool_error` says which.
     """
 
     campaign: str
@@ -230,6 +232,7 @@ class CampaignResult:
     order: List[str] = field(default_factory=list)
     interrupted: bool = False
     elapsed: float = 0.0
+    pool_error: str = ""
 
     def _by_status(self, status: str) -> List[TaskOutcome]:
         return [self.outcomes[tid] for tid in self.order
@@ -250,7 +253,8 @@ class CampaignResult:
 
     @property
     def remaining(self) -> List[str]:
-        """Task ids with no terminal outcome (interrupt leftovers)."""
+        """Task ids with no terminal outcome (interrupt or pool-error
+        leftovers)."""
         return [tid for tid in self.order if tid not in self.outcomes]
 
     @property
@@ -273,7 +277,9 @@ class CampaignResult:
 
     def summary(self) -> str:
         counts = self.counts()
-        parts = [f"{counts[COMPLETED]}/{len(self.order)} completed"]
+        task_time = sum(o.elapsed for o in self.outcomes.values())
+        parts = [f"{counts[COMPLETED]}/{len(self.order)} completed in "
+                 f"{self.elapsed:.1f} s ({task_time:.1f} s of task time)"]
         if counts[SKIPPED]:
             parts.append(f"{counts[SKIPPED]} skipped")
         if counts[QUARANTINED]:
@@ -282,6 +288,9 @@ class CampaignResult:
             parts.append(f"{self.retries} retried attempt(s)")
         if self.interrupted:
             parts.append(f"INTERRUPTED ({len(self.remaining)} remaining)")
+        if self.pool_error:
+            parts.append(f"{len(self.remaining)} not executed after the "
+                         f"pool stopped: {self.pool_error}")
         return f"campaign {self.campaign!r}: " + ", ".join(parts)
 
     def render(self) -> str:
@@ -304,7 +313,7 @@ class CampaignResult:
                     detail = (f" — {last.get('kind')}: "
                               f"{last.get('detail')}")
                 lines.append(f"    [{o.attempts} attempt(s)] {label}{detail}")
-        if self.interrupted and self.remaining:
+        if self.remaining:
             lines.append(f"  not executed: {len(self.remaining)} task(s)")
         return "\n".join(lines)
 
@@ -315,6 +324,7 @@ class CampaignResult:
             "key": self.key,
             "interrupted": self.interrupted,
             "elapsed": self.elapsed,
+            "pool_error": self.pool_error,
             "counts": self.counts(),
             "outcomes": [self.outcomes[tid].to_dict()
                          for tid in self.order if tid in self.outcomes],

@@ -13,6 +13,12 @@ with a pool of persistent spawn-started worker processes.  The contract:
   *retried* with exponential backoff + deterministic jitter up to a
   bounded budget, then quarantined.  A task raising any other exception
   is a *poison task* and quarantined immediately.
+* **A worker that dies before it is ready is the pool's fault.**  Its
+  task goes back to the queue uncharged, no further worker is spawned,
+  and the workers still alive finish what they can; with none left the
+  campaign returns with the rest unexecuted and
+  :attr:`~repro.exec.campaign.CampaignResult.pool_error` set, for the
+  caller's serial pass.
 * **The executor keeps no record of its own.**  A task that must
   survive the run makes itself durable: a characterisation task writes
   its result to the characterisation cache before it returns, so a
@@ -163,7 +169,10 @@ class _Worker:
     #                 write lock) can never wedge the other workers'
     #                 message streams — the failure that a single shared
     #                 result queue cannot survive.
-    ready: bool = False
+    ready: Any      # event the worker sets once its imports finished; set
+    #                 at once, unlike a queued message, so a worker that
+    #                 dies in its first task is never mistaken for one
+    #                 that failed to start
     inflight: Optional[_Inflight] = None
 
     def deadline(self, options: CampaignOptions) -> Optional[float]:
@@ -174,7 +183,7 @@ class _Worker:
             return None
         if self.inflight.started_at is not None:
             return self.inflight.started_at + timeout
-        grace = 0.0 if self.ready else options.warmup_grace
+        grace = 0.0 if self.ready.is_set() else options.warmup_grace
         return self.inflight.dispatched_at + grace + timeout
 
 
@@ -183,15 +192,16 @@ def _spawn_worker(ctx, worker_id: int, fn_ref: str) -> _Worker:
 
     task_queue = ctx.Queue()
     result_queue = ctx.Queue()
+    ready = ctx.Event()
     process = ctx.Process(
         target=worker_main,
-        args=(worker_id, fn_ref, task_queue, result_queue),
+        args=(worker_id, fn_ref, task_queue, result_queue, ready),
         name=f"repro-campaign-w{worker_id}",
         daemon=True,
     )
     process.start()
     return _Worker(worker_id=worker_id, process=process, queue=task_queue,
-                   rqueue=result_queue)
+                   rqueue=result_queue, ready=ready)
 
 
 def _kill_worker(worker: _Worker) -> None:
@@ -232,6 +242,7 @@ class _CampaignRun:
         self._retry_seq = 0
         self.interrupt_level = 0
         self.interrupt_signal = ""
+        self.pool_error = ""
 
     # -- helpers ---------------------------------------------------------
 
@@ -331,6 +342,7 @@ class _CampaignRun:
             order=list(self.order),
             interrupted=interrupted,
             elapsed=elapsed,
+            pool_error=self.pool_error,
         )
 
 
@@ -468,7 +480,7 @@ def _run_pooled(run: _CampaignRun) -> None:
                 break
             if not draining:
                 # top up the pool and dispatch
-                while len(workers) < want_workers():
+                while not run.pool_error and len(workers) < want_workers():
                     worker = _spawn_worker(ctx, next_worker_id,
                                            run.campaign.fn)
                     workers[worker.worker_id] = worker
@@ -486,6 +498,8 @@ def _run_pooled(run: _CampaignRun) -> None:
             inflight = [w for w in workers.values() if w.inflight]
             if draining and not inflight:
                 break  # drained: nothing running, stop dispatching
+            if run.pool_error and not workers:
+                break  # no worker could start; the rest stays unexecuted
             if not run.pending():
                 break
             if (not draining and not inflight and not run.ready_tasks
@@ -508,9 +522,7 @@ def _run_pooled(run: _CampaignRun) -> None:
                     except (EOFError, OSError):
                         break
                     got_any = True
-                    if kind == "ready":
-                        worker.ready = True
-                    elif kind == "start":
+                    if kind == "start":
                         if (worker.inflight is not None
                                 and worker.inflight.task.task_id
                                 == task_id):
@@ -563,13 +575,19 @@ def _run_pooled(run: _CampaignRun) -> None:
                     continue
                 if not worker.process.is_alive():
                     del workers[worker.worker_id]
-                    if current is not None:
-                        exitcode = worker.process.exitcode
+                    exitcode = worker.process.exitcode
+                    if not worker.ready.is_set():
+                        if current is not None:
+                            run.ready_tasks.appendleft(current.task.task_id)
+                        run.pool_error = run.pool_error or (
+                            f"worker {worker.worker_id} died before it was "
+                            f"ready, exit code {exitcode}")
+                    elif current is not None:
                         run._fail_attempt(
                             current.task, "crash",
                             f"worker {worker.worker_id} died with exit "
                             f"code {exitcode}", now)
-                    # idle deaths (failed spawn) are just replaced by the
+                    # an idle ready worker that died is replaced by the
                     # top-up above on the next iteration
     finally:
         for worker in workers.values():

@@ -5,12 +5,13 @@ the campaign's task function once, then loop pulling ``(task_id,
 params, attempt)`` items from a dedicated dispatch queue and pushing
 outcome messages onto the shared result queue.
 
+Once its imports finish, the worker sets its ``ready`` event: the
+parent stops applying the warm-up grace to its watchdog deadlines, and
+charges a later death to the task it was running.
+
 Message protocol (worker -> parent), all tuples
 ``(kind, worker_id, task_id, payload)``:
 
-``("ready", id, None, {})``
-    Sent once after imports finish — the parent uses it to stop applying
-    the warm-up grace to this worker's watchdog deadlines.
 ``("start", id, task_id, {"attempt": n})``
     The task function is about to run; the parent arms the watchdog.
 ``("done", id, task_id, {"result": ..., "elapsed": s})``
@@ -39,7 +40,7 @@ from typing import Any, Dict
 
 
 def worker_main(worker_id: int, fn_ref: str, task_queue,
-                result_queue) -> None:
+                result_queue, ready) -> None:
     """Entry point of one spawned campaign worker."""
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -48,13 +49,13 @@ def worker_main(worker_id: int, fn_ref: str, task_queue,
 
     # Heavy imports happen here, inside the worker, so the parent's
     # dispatch loop never pays for them and the watchdog can tell
-    # "warming up" from "hung" via the ready message below.
+    # "warming up" from "hung" via the ready event below.
     from ..errors import AnalysisError
     from ..recovery.partial import SkipRecord
     from .campaign import resolve_task_fn
 
     fn = resolve_task_fn(fn_ref)
-    result_queue.put(("ready", worker_id, None, {}))
+    ready.set()
 
     while True:
         item = task_queue.get()

@@ -15,7 +15,8 @@ from typing import Dict, Optional, Tuple
 
 from ..cells import PowerDomain
 from ..characterize.data import CellCharacterization
-from ..characterize.runner import characterize_cell
+from ..characterize import cache
+from ..characterize.runner import cell_cache_key, characterize_cell
 from ..devices.finfet import FinFETParams
 from ..devices.mtj import MTJParams, MTJ_TABLE1
 from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
@@ -48,6 +49,16 @@ class ExperimentContext:
     _memo: Dict[Tuple, CellCharacterization] = field(
         default_factory=dict, repr=False
     )
+    _store_biases: Dict[Tuple, OperatingConditions] = field(
+        default_factory=dict, repr=False
+    )
+
+    def memo_key(self, kind: str, domain: PowerDomain,
+                 cond: Optional[OperatingConditions] = None,
+                 mtj_params: Optional[MTJParams] = None) -> Tuple:
+        """Key of one characterisation in this context's memo."""
+        return (kind, domain.n_wordlines, domain.word_bits,
+                cond or self.cond, mtj_params or self.mtj_params)
 
     def characterization(self, kind: str,
                          domain: PowerDomain,
@@ -57,7 +68,7 @@ class ExperimentContext:
         """Memoised cell characterisation."""
         cond = cond or self.cond
         mtj_params = mtj_params or self.mtj_params
-        key = (kind, domain.n_wordlines, domain.word_bits, cond, mtj_params)
+        key = self.memo_key(kind, domain, cond, mtj_params)
         if key not in self._memo:
             self._memo[key] = characterize_cell(
                 kind, cond, domain,
@@ -76,42 +87,36 @@ class ExperimentContext:
         volatile = self.characterization("6t", domain, cond, mtj_params)
         return CellEnergyModel(nv, volatile, cond, domain)
 
-    def prewarm_campaign(self, points, name: str = "prewarm"):
-        """Characterisation campaign covering ``points``.
+    def store_biases(self, cond: OperatingConditions, domain: PowerDomain,
+                     mtj_params: MTJParams) -> OperatingConditions:
+        """Memoised :func:`~repro.characterize.store.derive_store_biases`.
+
+        Fig. 9(b) reads the derived conditions, and so does the report
+        that declares Fig. 9(b)'s points before it runs the figure; the
+        bias sweeps behind them run once per context.
+        """
+        key = (cond, domain.n_wordlines, domain.word_bits, mtj_params)
+        if key not in self._store_biases:
+            from ..characterize import store
+
+            self._store_biases[key] = store.derive_store_biases(
+                cond, domain, nfet=self.nfet, pfet=self.pfet,
+                mtj_params=mtj_params)
+        return self._store_biases[key]
+
+    def prewarm(self, points, workers: int = 2, name: str = "prewarm"):
+        """Characterise ``points`` through a fault-tolerant campaign.
 
         ``points`` is an iterable of ``(domain, cond, mtj_params)``
         tuples (``cond``/``mtj_params`` may be ``None`` for the context
         defaults).  Each point needs both the "nv" and "6t" cell
-        characterised (that is what :meth:`energy_model` consumes);
-        duplicate combinations collapse to one task via the
-        content-derived task id.
-        """
-        from ..exec import Campaign, make_task
-        from ..exec.tasks import characterize_params
+        characterised (that is what :meth:`energy_model` consumes).
 
-        tasks: Dict[str, object] = {}
-        meta: Dict[str, Tuple] = {}
-        for domain, cond, mtj_params in points:
-            cond = cond or self.cond
-            mtj_params = mtj_params or self.mtj_params
-            for kind in ("nv", "6t"):
-                task = make_task(
-                    characterize_params(kind, cond, domain, self.nfet,
-                                        self.pfet, mtj_params,
-                                        self.cache_dir),
-                    label=f"{kind} N={domain.n_wordlines}"
-                          f"x{domain.word_bits}",
-                )
-                if task.task_id not in tasks:
-                    tasks[task.task_id] = task
-                    meta[task.task_id] = (kind, domain, cond, mtj_params)
-        campaign = Campaign(name=name,
-                            fn="repro.exec.tasks:characterize_task",
-                            tasks=list(tasks.values()))
-        return campaign, meta
-
-    def prewarm(self, points, workers: int = 2, name: str = "prewarm"):
-        """Characterise ``points`` through a fault-tolerant campaign.
+        Cells already in the memo or the disk cache are folded here, in
+        the calling process: only the misses become campaign tasks, so a
+        prewarm over a full cache spawns no worker and returns an empty
+        result.  Every "nv" miss is dispatched before every "6t" one, the
+        longer kind first, so each worker ends on a short task.
 
         Completed characterisations are folded into this context's
         in-memory memo (and were already written through the shared disk
@@ -126,16 +131,43 @@ class ExperimentContext:
 
         Returns the :class:`~repro.exec.CampaignResult`.
         """
-        from ..characterize.data import CellCharacterization
-        from ..exec import COMPLETED, CampaignOptions, run_campaign
+        from ..exec import (COMPLETED, Campaign, CampaignOptions,
+                            CampaignResult, make_task, run_campaign)
+        from ..exec.tasks import characterize_params
 
-        campaign, meta = self.prewarm_campaign(points, name=name)
+        misses: Dict[Tuple, Tuple] = {}
+        for domain, cond, mtj_params in points:
+            cond = cond or self.cond
+            mtj_params = mtj_params or self.mtj_params
+            for kind in ("nv", "6t"):
+                key = self.memo_key(kind, domain, cond, mtj_params)
+                if key in self._memo or key in misses:
+                    continue
+                cached = cache.load(self.cache_dir, cell_cache_key(
+                    kind, cond, domain, self.nfet, self.pfet, mtj_params))
+                if cached is not None:
+                    self._memo[key] = cached
+                else:
+                    misses[key] = (kind, domain, cond, mtj_params)
+
+        keys = sorted(misses, key=lambda k: k[0] != "nv")
+        tasks = []
+        for key in keys:
+            kind, domain, cond, mtj_params = misses[key]
+            tasks.append(make_task(
+                characterize_params(kind, cond, domain, self.nfet,
+                                    self.pfet, mtj_params, self.cache_dir),
+                label=f"{kind} N={domain.n_wordlines}x{domain.word_bits}",
+            ))
+        campaign = Campaign(name=name,
+                            fn="repro.exec.tasks:characterize_task",
+                            tasks=tasks)
+        if not tasks:
+            return CampaignResult(campaign=name, key=campaign.key)
         result = run_campaign(campaign, CampaignOptions(workers=workers))
-        for task_id, (kind, domain, cond, mtj_params) in meta.items():
-            outcome = result.outcome(task_id)
+        for key, task in zip(keys, tasks):
+            outcome = result.outcome(task.task_id)
             if (outcome is not None and outcome.status == COMPLETED
                     and outcome.result):
-                key = (kind, domain.n_wordlines, domain.word_bits, cond,
-                       mtj_params)
                 self._memo[key] = CellCharacterization(**outcome.result)
         return result

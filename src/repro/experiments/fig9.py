@@ -87,9 +87,33 @@ def _bet_series(ctx: ExperimentContext,
     )
 
 
+#: Fig. 9's domain depths; Fig. 7(b) sweeps the same seven.
+N_VALUES = (32, 64, 128, 256, 512, 1024, 2048)
+
+
+def panel_card(ctx: ExperimentContext, panel: str,
+               first_depth: int = N_VALUES[0], word_bits: int = 32,
+               ) -> Tuple[OperatingConditions, Optional[MTJParams]]:
+    """``(cond, mtj_params)`` that Fig. 9 panel ``panel`` characterises.
+
+    Panel "a" is the context's Table I card.  Panel "b" is 1 GHz
+    operation with the relaxed Jc = 1e6 A/cm^2 card, whose store biases
+    are re-derived (once per context) at the sweep's first depth.
+    """
+    if panel == "a":
+        return ctx.cond, None
+    if panel == "b":
+        domain = PowerDomain(n_wordlines=int(first_depth),
+                             word_bits=word_bits)
+        return (ctx.store_biases(ctx.cond.fast_variant(), domain,
+                                 MTJ_FIG9B),
+                MTJ_FIG9B)
+    raise ValueError(f"unknown Fig. 9 panel: {panel!r}")
+
+
 def run_fig9(ctx: Optional[ExperimentContext] = None,
              panel: str = "a",
-             n_values: Sequence[int] = (32, 64, 128, 256, 512, 1024, 2048),
+             n_values: Sequence[int] = N_VALUES,
              n_rw_values: Sequence[int] = (10, 100, 1000),
              word_bits: int = 32,
              t_sl: float = 100e-9,
@@ -106,22 +130,8 @@ def run_fig9(ctx: Optional[ExperimentContext] = None,
     assembly is serial either way, so the numbers are identical.
     """
     ctx = ctx or ExperimentContext()
-    if panel == "a":
-        cond = ctx.cond
-        mtj = None
-        store_free_options = (False, True)
-    elif panel == "b":
-        from ..characterize.store import derive_store_biases
-
-        mtj = MTJ_FIG9B
-        cond = derive_store_biases(
-            ctx.cond.fast_variant(),
-            PowerDomain(n_wordlines=int(n_values[0]), word_bits=word_bits),
-            nfet=ctx.nfet, pfet=ctx.pfet, mtj_params=mtj,
-        )
-        store_free_options = (False,)
-    else:
-        raise ValueError(f"unknown Fig. 9 panel: {panel!r}")
+    cond, mtj = panel_card(ctx, panel, n_values[0], word_bits)
+    store_free_options = (False, True) if panel == "a" else (False,)
 
     if workers is not None:
         domains = [PowerDomain(n_wordlines=int(n), word_bits=word_bits)

@@ -205,11 +205,12 @@ class ExecBackend:
                 with self._lock:
                     self.outcomes["error"] += 1
                 return {"status": "error", "detail": repr(err)}
-            if outcome is None:     # defensive; single task should be terminal
+            if outcome is None:     # no worker could start
                 with self._lock:
                     self.outcomes["error"] += 1
                 return {"status": "error",
-                        "detail": "executor returned no outcome"}
+                        "detail": result.pool_error
+                        or "executor returned no outcome"}
             with self._lock:
                 self.outcomes[outcome.status] = (
                     self.outcomes.get(outcome.status, 0) + 1)

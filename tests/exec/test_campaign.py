@@ -115,8 +115,8 @@ class TestCampaignResult:
     def _result(self):
         outcomes = {
             "a": TaskOutcome(task_id="a", status=COMPLETED,
-                             result={"y": 1.0}),
-            "b": TaskOutcome(task_id="b", status=SKIPPED,
+                             elapsed=12.5, result={"y": 1.0}),
+            "b": TaskOutcome(task_id="b", status=SKIPPED, elapsed=7.1,
                              skip={"error_type": "ConvergenceError",
                                    "reason": "no"}),
             "c": TaskOutcome(task_id="c", status=QUARANTINED, attempts=3,
@@ -124,7 +124,8 @@ class TestCampaignResult:
         }
         return CampaignResult(campaign="demo", key="k" * 24,
                               outcomes=outcomes,
-                              order=["a", "b", "c", "d"], interrupted=True)
+                              order=["a", "b", "c", "d"], interrupted=True,
+                              elapsed=10.44)
 
     def test_counts_and_views(self):
         result = self._result()
@@ -139,6 +140,8 @@ class TestCampaignResult:
         summary = result.summary()
         assert "1/4 completed" in summary
         assert "INTERRUPTED" in summary
+        # campaign wall time, then the summed time of its tasks
+        assert "completed in 10.4 s (19.6 s of task time)" in summary
         rendered = result.render()
         assert "quarantined" in rendered
         assert "not executed: 1 task(s)" in rendered

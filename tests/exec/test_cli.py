@@ -32,6 +32,31 @@ class TestParsing:
         assert exit_info.value.code == 2
         capsys.readouterr()
 
+    def test_all_pools_by_default_only_as_the_program(self, monkeypatch,
+                                                      capsys):
+        """``main()`` parsing the process's own command line prewarms
+        ``all`` on the usable CPUs; a host passing ``argv`` stays serial
+        unless it asks for workers."""
+        import sys
+
+        from repro import cli
+        from repro.experiments import summary
+
+        seen = []
+
+        def fake_report(ctx, include_figures, workers):
+            seen.append(workers)
+            return summary.SummaryResult(claims=[])
+
+        monkeypatch.setattr(summary, "run_summary", fake_report)
+        monkeypatch.setattr(cli, "_default_pool", lambda: 3)
+        monkeypatch.setattr(sys, "argv", ["repro", "all"])
+        assert main() == 0
+        assert main(["all"]) == 0
+        assert main(["all", "--workers", "2"]) == 0
+        assert seen == [3, None, 2]
+        capsys.readouterr()
+
     def test_campaign_command_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(["campaign", "status", "j.jsonl"])

@@ -122,6 +122,38 @@ class TestPooled:
         assert pooled.results() == inline.results()
         assert pooled.counts()[COMPLETED] == 6
 
+    @pytest.mark.parametrize("doomed, completed", [((0, 1), 0), ((0,), 4)])
+    def test_worker_dying_at_startup_charges_no_task(self, monkeypatch,
+                                                     doomed, completed):
+        """A worker that dies before it is ready (here its task function
+        cannot be imported) is the pool's fault: no task is retried or
+        quarantined, no worker replaces it, a live worker finishes the
+        queue, and with none left the rest stays for the caller."""
+        from repro.exec import executor
+
+        spawned = []
+        spawn = executor._spawn_worker
+
+        def spawn_some_doomed(ctx, worker_id, fn_ref):
+            spawned.append(worker_id)
+            if worker_id in doomed:
+                fn_ref = "repro.exec.no_such_module:fn"
+            return spawn(ctx, worker_id, fn_ref)
+
+        monkeypatch.setattr(executor, "_spawn_worker", spawn_some_doomed)
+        campaign = demo_campaign(n=4, name="doomed-pool")
+        result = run_campaign(campaign, options=CampaignOptions(workers=2))
+        assert spawned == [0, 1]
+        assert result.counts() == {COMPLETED: completed, SKIPPED: 0,
+                                   QUARANTINED: 0}
+        assert result.retries == 0
+        assert len(result.remaining) == 4 - completed
+        assert result.pool_error in {
+            f"worker {w} died before it was ready, exit code 1"
+            for w in doomed}
+        assert (f"{4 - completed} not executed after the pool stopped"
+                in result.summary())
+
     def test_flaky_crash_retried_to_completion(self, tmp_path):
         """A worker crash consumes a retry, not the campaign."""
         campaign = chaos_campaign(tmp_path, ["flaky_crash"], name="flaky")

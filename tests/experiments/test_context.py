@@ -86,3 +86,27 @@ def test_prewarm_matches_serial(tmp_path, small_domain):
     serial = ExperimentContext(cache_dir=tmp_path / "serial")
     assert run_fig7a(warm, small_domain).render() == \
         run_fig7a(serial, small_domain).render()
+
+
+def test_prewarm_sends_only_misses_to_workers(tmp_path, ctx, small_domain,
+                                              monkeypatch):
+    """Cells already in the memo or the disk cache are folded in the
+    calling process: a prewarm over a full cache spawns no worker."""
+    from repro.exec import executor
+
+    points = [(small_domain, None, None)]
+    cold = ExperimentContext(cache_dir=tmp_path / "cache")
+    assert len(cold.prewarm(points, workers=0).completed) == 2
+
+    def no_spawn(*args, **kwargs):
+        raise AssertionError("a prewarm with no misses spawned a worker")
+
+    monkeypatch.setattr(executor, "_spawn_worker", no_spawn)
+    warm = ExperimentContext(cache_dir=tmp_path / "cache")
+    for again in (warm, cold):        # disk-cache hits, then memo hits
+        result = again.prewarm(points, workers=2)
+        assert result.order == [] and result.outcomes == {}
+    assert set(warm._memo) == set(cold._memo) == {
+        warm.memo_key(kind, small_domain) for kind in ("nv", "6t")}
+    assert run_fig7a(warm, small_domain).render() == \
+        run_fig7a(ctx, small_domain).render()
