@@ -115,27 +115,31 @@ def _median_paired_ratio(certified, plain, pairs):
             float(np.median(t_plain)))
 
 
-def _count_condest(fn):
-    """``fn()`` and the number of exact condition numbers it computed.
+def _count_calls(fn, *targets):
+    """``fn()`` and how many times it called each ``(owner, name)`` target.
 
-    Counts calls of :func:`repro.analysis.trust.onenorm_condest`, the
-    one O(n³) inversion per certified solve that the condest reuse
-    exists to skip.
+    Counts calls of, e.g., :func:`repro.analysis.trust.onenorm_condest`,
+    the one O(n³) inversion per certified solve that the condest reuse
+    exists to skip, or ``numpy.linalg.solve``, one per Newton iteration
+    of a solve no defense re-solves.  Returns ``(result, count, ...)``.
     """
-    real = trust.onenorm_condest
-    calls = 0
+    counts = [0] * len(targets)
+    originals = [getattr(owner, name) for owner, name in targets]
 
-    def counted(A):
-        nonlocal calls
-        calls += 1
-        return real(A)
+    def counter(k, real):
+        def counted(*args, **kwargs):
+            counts[k] += 1
+            return real(*args, **kwargs)
+        return counted
 
-    trust.onenorm_condest = counted
     try:
+        for k, ((owner, name), real) in enumerate(zip(targets, originals)):
+            setattr(owner, name, counter(k, real))
         result = fn()
     finally:
-        trust.onenorm_condest = real
-    return result, calls
+        for (owner, name), real in zip(targets, originals):
+            setattr(owner, name, real)
+    return (result, *counts)
 
 
 def bench_trust_certification_overhead(benchmark, publish):
@@ -150,7 +154,9 @@ def bench_trust_certification_overhead(benchmark, publish):
     ``BENCH_engine.json``; the timing assertion bounds the transient
     overhead loosely enough for CI noise.  The mechanism it guards is
     asserted exactly: the certified transient inverts at most one
-    matrix in four of its certified solves.
+    matrix in four of its certified solves.  The file also records the
+    transient's Newton iterations (``numpy.linalg.solve`` calls) and its
+    uncertified time per iteration.
     """
     op_ratio, op_cert, op_plain = _median_paired_ratio(
         lambda: _trust_op(True), lambda: _trust_op(False), pairs=9)
@@ -158,7 +164,9 @@ def bench_trust_certification_overhead(benchmark, publish):
         lambda: _trust_tran(True), lambda: _trust_tran(False), pairs=9)
 
     benchmark(lambda: _trust_tran(True))
-    result, inversions = _count_condest(lambda: _trust_tran(True))
+    result, inversions, iterations = _count_calls(
+        lambda: _trust_tran(True),
+        (trust, "onenorm_condest"), (np.linalg, "solve"))
     assert math.isfinite(result.residual_norm)
     assert math.isfinite(result.cond_estimate)
     assert result.stats["defended_steps"] == 0, \
@@ -184,6 +192,8 @@ def bench_trust_certification_overhead(benchmark, publish):
             "uncertified_ms": round(tran_plain * 1e3, 4),
             "overhead_pct": round(pct(tran_ratio), 1),
             "accepted_steps": int(result.stats["accepted_steps"]),
+            "newton_iterations": iterations,
+            "us_per_iteration": round(tran_plain * 1e6 / iterations, 2),
         },
         "certification": {
             "worst_residual_norm_a": float(result.residual_norm),

@@ -52,6 +52,8 @@ SPECS: Dict[str, List[Tuple[str, str, float]]] = {
         ("operating_point.overhead_pct", "abs", 30.0),
         ("read_burst_transient.overhead_pct", "abs", 30.0),
         ("read_burst_transient.accepted_steps", "rel", 0.25),
+        # a change that keeps the solver numerics moves it by 0
+        ("read_burst_transient.newton_iterations", "rel", 0.02),
         ("certification.worst_residual_norm_a", "max-growth", 1e3),
         ("certification.defended_steps", "exact", 0.0),
         ("certification.condest_inversions", "exact", 0.0),

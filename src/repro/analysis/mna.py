@@ -20,10 +20,10 @@ Two stampers take the same ``Element.stamp()`` calls:
   provenance.
 
 The device kernels of a single circuit stay scalar Python.  Evaluating
-the nv testbench's 9 FinFETs over numpy arrays took 41 µs against 20 µs
-for the scalar kernels, before any gather or scatter (Python 3.11, numpy
-2.4, 2 vCPUs): at this size numpy's per-call overhead outweighs the
-arithmetic.  Arrays pay off along a batch axis instead:
+the nv testbench's 9 FinFETs over numpy arrays took 66 µs against 14 µs
+for the scalar kernels, before any gather or scatter (one process,
+Python 3.11, numpy 2.4, 2 vCPUs): at this size numpy's per-call overhead
+outweighs the arithmetic.  Arrays pay off along a batch axis instead:
 :mod:`repro.analysis.batch` evaluates each device class's array kernel
 over every sample of a Monte-Carlo batch and adds the values to the
 :class:`PlanStamper` base with one ``np.bincount`` over the same plan
@@ -139,9 +139,9 @@ class PlanStamper(Stamper):
         self.plan = plan
         # A and b are views of one buffer in the plan's flat layout
         # (matrix row-major, then RHS), so one bincount fills both.
-        self._flat = np.zeros(size * size + size)
-        self.A = self._flat[:size * size].reshape(size, size)
-        self.b = self._flat[size * size:]
+        self.flat = np.zeros(size * size + size)
+        self.A = self.flat[:size * size].reshape(size, size)
+        self.b = self.flat[size * size:]
         self._length = plan.trash + 1
         self._where, linear, self._slots = plan.layout(ctx.mode)
         # The base: the linear elements at this solve's ctx, plus gmin
@@ -150,7 +150,7 @@ class PlanStamper(Stamper):
         _stamp_each(plan.linear, self, ctx)
         self._fold(linear)
         #: The flat system of the linear elements and gmin.
-        self.base = self._flat.copy()
+        self.base = self.flat.copy()
         self.base[:plan.num_nodes * (size + 1):size + 1] += gmin
         # From here on add() collects the nonlinear elements' values.
         self._zeros = [0.0] * len(self._slots)
@@ -175,8 +175,8 @@ class PlanStamper(Stamper):
         # ``struct`` packs a list of floats about three times faster than
         # ``np.array`` converts it.
         weights = np.frombuffer(struct.pack(f"{len(values)}d", *values))
-        self._flat += np.bincount(slots, weights=weights,
-                                  minlength=self._length)[:-1]
+        self.flat += np.bincount(slots, weights=weights,
+                                 minlength=self._length)[:-1]
 
     def restamp(self, ctx: "Context", x: np.ndarray,
                 extra_stamps=None) -> None:
@@ -187,7 +187,7 @@ class PlanStamper(Stamper):
         if extra_stamps is not None:
             extra_stamps(self, ctx)
         self._fold(self._slots)
-        self._flat += self.base
+        self.flat += self.base
 
 
 class Context:

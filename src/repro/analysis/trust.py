@@ -114,8 +114,9 @@ class Certificate:
     @property
     def rcond(self) -> float:
         """Reciprocal condition estimate (NaN when not estimated)."""
+        import math
         cond = self.cond_estimate
-        if not np.isfinite(cond) or cond <= 0.0:
+        if not math.isfinite(cond) or cond <= 0.0:
             return float("nan")
         return 1.0 / cond
 
@@ -189,15 +190,15 @@ def _condest_with_reuse(A: np.ndarray, opts: "TrustOptions") -> float:
     is one BLAS dot — the check must stay negligible against the
     Python-loop stamp assembly or the cache defeats its own purpose.
     """
+    import math
     cache = opts._condest_cache
     n = A.shape[0]
     if (cache is not None
             and cache.snapshot.shape == A.shape
-            and np.isfinite(cache.estimate) and cache.estimate > 0.0
+            and math.isfinite(cache.estimate) and cache.estimate > 0.0
             and 1.0 / cache.estimate > 1e4 * opts.rcond_threshold):
-        np.subtract(A, cache.snapshot, out=cache.scratch)
-        flat = cache.scratch.ravel()
-        fro_sq = float(np.dot(flat, flat))
+        drift = np.subtract(A, cache.snapshot, out=cache.scratch).ravel()
+        fro_sq = float(drift @ drift)
         if fro_sq * n <= (_CONDEST_REUSE_RTOL * cache.norm) ** 2:
             return cache.estimate
     estimate = onenorm_condest(A)
@@ -274,7 +275,9 @@ def residual_inf_norm(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
     """``‖A·x − b‖∞`` (amps on MNA node rows)."""
     if x.size == 0:
         return 0.0
-    return float(np.max(np.abs(A @ x - b)))
+    residual = A @ x
+    residual -= b
+    return float(np.abs(residual, out=residual).max())
 
 
 def certify(A: np.ndarray, b: np.ndarray, x: np.ndarray,
@@ -288,6 +291,7 @@ def certify(A: np.ndarray, b: np.ndarray, x: np.ndarray,
     re-solved through exact power-of-two row/column equilibration and
     polished with iterative refinement.
     """
+    import math
     opts = options or TrustOptions()
     cert = Certificate()
     if not opts.certify:
@@ -301,9 +305,9 @@ def certify(A: np.ndarray, b: np.ndarray, x: np.ndarray,
     suspect = (
         opts.always_equilibrate
         or cert.residual_norm > _RESIDUAL_THRESHOLD
-        or not np.isfinite(cert.residual_norm)
-        or (np.isfinite(rcond) and rcond < opts.rcond_threshold)
-        or (opts.condest and not np.isfinite(cert.cond_estimate))
+        or not math.isfinite(cert.residual_norm)
+        or (math.isfinite(rcond) and rcond < opts.rcond_threshold)
+        or (opts.condest and not math.isfinite(cert.cond_estimate))
     )
     if not suspect:
         return x, cert
@@ -319,7 +323,7 @@ def certify(A: np.ndarray, b: np.ndarray, x: np.ndarray,
             # it is strictly no worse.
             if (residual_inf_norm(A, b, candidate)
                     <= 4.0 * max(cert.residual_norm, 0.0)
-                    or not np.isfinite(cert.residual_norm)):
+                    or not math.isfinite(cert.residual_norm)):
                 defended = candidate
                 cert.equilibrated = True
     except np.linalg.LinAlgError:

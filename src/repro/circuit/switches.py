@@ -41,38 +41,42 @@ class VoltageControlledSwitch(Element):
         self.g_off = 1.0 / r_off
         self.v_on = float(v_on)
         self.v_off = float(v_off)
+        # The log-conductance window, shared with batch_card.
+        self._log_off = math.log(self.g_off)
+        self._log_span = math.log(self.g_on) - self._log_off
+
+    def _conductance(self, vc: float):
+        """``(g, dg/dvc)`` at the control voltage ``vc``."""
+        # Normalised position in the transition window, clamped to [0, 1].
+        width = self.v_on - self.v_off
+        frac = (vc - self.v_off) / width
+        if frac <= 0.0:
+            return self.g_off, 0.0
+        if frac >= 1.0:
+            return self.g_on, 0.0
+        # Smoothstep in log-conductance: C1-continuous at both ends.
+        smooth = frac * frac * (3.0 - 2.0 * frac)
+        g = math.exp(self._log_off + smooth * self._log_span)
+        smooth_d = 6.0 * frac * (1.0 - frac) / width
+        return g, g * smooth_d * self._log_span
 
     def conductance_at(self, vc: float) -> float:
         """Smooth conductance as a function of the control voltage."""
-        # Normalised position in the transition window, clamped to [0, 1].
-        frac = (vc - self.v_off) / (self.v_on - self.v_off)
-        if frac <= 0.0:
-            return self.g_off
-        if frac >= 1.0:
-            return self.g_on
-        # Smoothstep in log-conductance: C1-continuous at both ends.
-        smooth = frac * frac * (3.0 - 2.0 * frac)
-        log_g = math.log(self.g_off) + smooth * (math.log(self.g_on) - math.log(self.g_off))
-        return math.exp(log_g)
+        return self._conductance(vc)[0]
 
     def _dconductance(self, vc: float) -> float:
-        frac = (vc - self.v_off) / (self.v_on - self.v_off)
-        if frac <= 0.0 or frac >= 1.0:
-            return 0.0
-        smooth_d = 6.0 * frac * (1.0 - frac) / (self.v_on - self.v_off)
-        g = self.conductance_at(vc)
-        return g * smooth_d * (math.log(self.g_on) - math.log(self.g_off))
+        return self._conductance(vc)[1]
 
     def stamp(self, stamper, ctx) -> None:
         p, n, cp, cn = self.node_index
         x = ctx.xlist
         vc = x[cp] - x[cn]
         v_pn = x[p] - x[n]
-        g = self.conductance_at(vc)
+        g, dg = self._conductance(vc)
         # I = g(vc) * v_pn, linearised in both v_pn and vc: the channel
         # conductance, the cross terms dI/dvc as a VCCS, and the residual
         # I0 - g*v_pn - gm*vc = -gm*vc as a p -> n current.
-        gm = self._dconductance(vc) * v_pn
+        gm = dg * v_pn
         correction = -gm * vc
         stamper.add(self, ctx, (g, -g, -g, g, gm, -gm, -gm, gm,
                                 -correction, correction, 0.0, 0.0))
@@ -83,10 +87,9 @@ class VoltageControlledSwitch(Element):
         if samples is not None or states is not None:
             raise NetlistError(f"{self.name}: a switch takes no "
                                "per-sample card or state")
-        log_off = math.log(self.g_off)
         return np.array([[self.g_on], [self.g_off], [self.v_off],
-                         [self.v_on - self.v_off], [log_off],
-                         [math.log(self.g_on) - log_off]])
+                         [self.v_on - self.v_off], [self._log_off],
+                         [self._log_span]])
 
     @staticmethod
     def batch_kernel(v: np.ndarray, card: np.ndarray) -> np.ndarray:

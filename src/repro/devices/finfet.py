@@ -130,32 +130,22 @@ class FinFETParams:
         )
 
 
-def _interp_f(u: float) -> float:
-    """EKV interpolation function F(u) = ln^2(1 + exp(u/2)), overflow-safe."""
+def _interp(u: float):
+    """EKV interpolation ``F(u) = ln^2(1 + e^(u/2))`` and its slope
+    ``dF/du = ln(1 + e^(u/2)) * sigmoid(u/2)``, from one ``exp`` and one
+    ``log1p``; overflow-safe past ``u/2 > 40``."""
     half = 0.5 * u
     if half > 40.0:
         log_term = half + math.log1p(math.exp(-half))
-    else:
-        log_term = math.log1p(math.exp(half))
-    return log_term * log_term
-
-
-def _interp_f_prime(u: float) -> float:
-    """dF/du = ln(1 + e^(u/2)) * sigmoid(u/2)."""
-    half = 0.5 * u
-    if half > 40.0:
-        log_term = half + math.log1p(math.exp(-half))
-        sigmoid = 1.0
-    else:
-        e = math.exp(half)
-        log_term = math.log1p(e)
-        sigmoid = e / (1.0 + e)
-    return log_term * sigmoid
+        return log_term * log_term, log_term
+    e = math.exp(half)
+    log_term = math.log1p(e)
+    return log_term * log_term, log_term * (e / (1.0 + e))
 
 
 def _interp_arrays(u: np.ndarray):
-    """``(F(u), dF/du)`` over an array: :func:`_interp_f` and
-    :func:`_interp_f_prime` with the same branch at ``u/2 > 40``."""
+    """``(F(u), dF/du)`` over an array: :func:`_interp` with the same
+    branch at ``u/2 > 40``."""
     half = 0.5 * u
     big = half > 40.0
     e = np.exp(np.where(big, -half, half))
@@ -163,14 +153,6 @@ def _interp_arrays(u: np.ndarray):
     log_term = np.where(big, half + log_term, log_term)
     sigmoid = np.where(big, 1.0, e / (1.0 + e))
     return log_term * log_term, log_term * sigmoid
-
-
-def _softabs(x: float) -> float:
-    return math.sqrt(x * x + _SOFTABS_EPS * _SOFTABS_EPS) - _SOFTABS_EPS
-
-
-def _softabs_prime(x: float) -> float:
-    return x / math.sqrt(x * x + _SOFTABS_EPS * _SOFTABS_EPS)
 
 
 class FinFET(Element):
@@ -212,8 +194,10 @@ class FinFET(Element):
         vt = p.vt_thermal
         n = p.slope_factor
         dx = md - ms
-        sa = _softabs(dx)
-        sa_p = _softabs_prime(dx)
+        # Smoothed |dx| and its slope, C1 through dx = 0.
+        root = math.sqrt(dx * dx + _SOFTABS_EPS * _SOFTABS_EPS)
+        sa = root - _SOFTABS_EPS
+        sa_p = dx / root
         vth_eff = p.vth0 - p.dibl * sa
 
         # Effective source potential: smooth minimum of the two channel
@@ -229,17 +213,16 @@ class FinFET(Element):
 
         u_f = (vp - ms) / vt
         u_r = (vp - md) / vt
-        f_f = _interp_f(u_f)
-        f_r = _interp_f(u_r)
-        fp_f = _interp_f_prime(u_f)
-        fp_r = _interp_f_prime(u_r)
+        f_f, fp_f = _interp(u_f)
+        f_r, fp_r = _interp(u_r)
 
         scale = p.i_spec * self.nfin
         i_core = scale * (f_f - f_r)
 
         one_m = 1.0 - 1.0 / n
-        dvp_dmd = dvmin_dmd * one_m + p.dibl * sa_p / n
-        dvp_dms = dvmin_dms * one_m - p.dibl * sa_p / n
+        dibl_slope = p.dibl * sa_p / n
+        dvp_dmd = dvmin_dmd * one_m + dibl_slope
+        dvp_dms = dvmin_dms * one_m - dibl_slope
         du_f_dmg = 1.0 / (n * vt)
         du_r_dmg = du_f_dmg
         du_f_dms = (dvp_dms - 1.0) / vt

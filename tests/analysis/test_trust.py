@@ -334,6 +334,84 @@ class TestStampGuard:
             newton_solve(c, Context(), guess)
 
 
+class _BadConductance(Resistor):
+    """A resistor that stamps ``bad`` as its conductance."""
+
+    def __init__(self, name, p, n, bad):
+        super().__init__(name, p, n, 1e3)
+        self.bad = bad
+
+    def stamp(self, stamper, ctx):
+        p, n = self.node_index
+        stamper.conductance(p, n, self.bad)
+
+
+def _bad_element(kind):
+    """Element ``bad`` stamping one kind of non-finite value."""
+    if kind == "rhs-inf":
+        return CurrentSource("bad", "b", "0", dc=float("inf"))
+    value = {"nan": float("nan"), "+inf": float("inf"),
+             "-inf": float("-inf")}[kind]
+    return _BadConductance("bad", "b", "0", value)
+
+
+class TestFinitenessGuards:
+    """Each finiteness test of ``newton_solve`` (the assembled system, the
+    initial guess, the solution) sees NaN, +inf and -inf alike and keeps
+    its error type and message."""
+
+    KINDS = ["nan", "+inf", "-inf", "rhs-inf"]
+
+    @staticmethod
+    def _deck(bad=None):
+        c = Circuit("guarded")
+        c.add(VoltageSource("v", "a", "0", dc=1.0))
+        c.add(Resistor("r", "a", "b", 1e3))
+        if bad is not None:
+            c.add(bad)
+        c.compile()
+        return c
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_dc_stamp_error_names_the_element(self, kind):
+        c = self._deck(_bad_element(kind))
+        with pytest.raises(StampError) as info:
+            newton_solve(c, Context(), np.zeros(c.size))
+        assert "non-finite MNA stamp rejected before solve" in str(info.value)
+        assert [o["element"] for o in info.value.offenders] == ["bad"]
+        assert "b" in info.value.offenders[0]["rows"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_transient_stamp_stays_convergence_error(self, kind):
+        c = self._deck(_bad_element(kind))
+        ctx = Context(mode="tran", time=1e-9, dt=1e-12, x=np.zeros(c.size))
+        with pytest.raises(ConvergenceError) as info:
+            newton_solve(c, ctx, np.zeros(c.size))
+        assert not isinstance(info.value, StampError)
+        assert "non-finite MNA stamp at iteration 0" in str(info.value)
+        assert "bad" in str(info.value)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")],
+                             ids=["+inf", "-inf"])
+    def test_infinite_initial_guess_rejected(self, value):
+        c = self._deck()
+        guess = np.zeros(c.size)
+        guess[1] = value
+        with pytest.raises(ConvergenceError, match="non-finite initial guess"):
+            newton_solve(c, Context(), guess)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")],
+                             ids=["inf", "nan"])
+    def test_nonfinite_solution_rejected(self, value, monkeypatch):
+        c = self._deck()
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda A, b: np.full(len(b), value))
+        with pytest.raises(ConvergenceError) as info:
+            newton_solve(c, Context(), np.zeros(c.size))
+        assert not isinstance(info.value, StampError)
+        assert "non-finite solution at iteration 0" in str(info.value)
+
+
 class TestAccumulator:
     def test_folds_solutions_and_certificates(self):
         acc = TrustAccumulator()

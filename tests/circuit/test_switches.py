@@ -1,5 +1,7 @@
 """Tests for the smooth voltage-controlled switch."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,6 +53,17 @@ class TestConductanceLaw:
         s = _switch()
         assert s._dconductance(-0.1) == 0.0
         assert s._dconductance(1.1) == 0.0
+
+    def test_batch_card_and_stamp_share_the_construction_logs(self):
+        s = _switch()
+        log_off = math.log(s.g_off)
+        log_span = math.log(s.g_on) - log_off
+        card = s.batch_card()
+        assert card[4, 0] == log_off
+        assert card[5, 0] == log_span
+        # Mid-window the smoothstep is 0.5: the law is exp(log_off +
+        # 0.5 * log_span), bit for bit.
+        assert s.conductance_at(0.5) == math.exp(log_off + 0.5 * log_span)
 
     def test_validation(self):
         with pytest.raises(NetlistError):

@@ -1,11 +1,14 @@
 """Tests for the EKV-style FinFET compact model."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import DeviceError
-from repro.devices.finfet import FinFET, FinFETParams
+from repro.devices.finfet import (FinFET, FinFETParams, _interp,
+                                  _interp_arrays)
 from repro.devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
 
 bias = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -170,6 +173,21 @@ class TestJacobian:
         for vg in np.linspace(0, 0.9, 10):
             _, _, gg, _ = d._evaluate(0.9, vg, 0.0)
             assert gg > 0
+
+
+class TestInterpolation:
+    """The scalar EKV interpolation against the array kernel's, on both
+    sides of the ``u/2 > 40`` branch (no shipped bias reaches it: it needs
+    vp - vs above 2 V)."""
+
+    @pytest.mark.parametrize("u", [-400.0, -20.0, 0.0, 20.0, 79.99, 80.0,
+                                   80.01, 400.0, 2000.0])
+    def test_scalar_matches_array_kernel(self, u):
+        f, f_prime = _interp(u)
+        (f_arr,), (f_prime_arr,) = _interp_arrays(np.array([u]))
+        assert math.isfinite(f) and math.isfinite(f_prime)
+        assert f == pytest.approx(f_arr, rel=1e-15, abs=0.0)
+        assert f_prime == pytest.approx(f_prime_arr, rel=1e-15, abs=0.0)
 
 
 class TestRepr:
