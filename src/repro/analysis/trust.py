@@ -143,19 +143,25 @@ def onenorm_condest(A: np.ndarray) -> float:
     Returns ``inf`` for a singular matrix, or one whose inverse is not
     finite, and never NaN.
     """
+    return _condest_and_norm(A)[0]
+
+
+def _condest_and_norm(A: np.ndarray) -> Tuple[float, float]:
+    """:func:`onenorm_condest` and the ``‖A‖₁`` it computed on the way
+    (0.0 for an empty matrix), so a caller never takes the norm twice."""
     if A.shape[0] == 0:
-        return 1.0
+        return 1.0, 0.0
     norm_a = float(np.linalg.norm(A, 1))
     if norm_a == 0.0:
-        return float("inf")
+        return float("inf"), norm_a
     try:
         with np.errstate(all="ignore"):
             inv = np.linalg.inv(A)
     except np.linalg.LinAlgError:
-        return float("inf")
+        return float("inf"), norm_a
     if not np.all(np.isfinite(inv)):
-        return float("inf")
-    return norm_a * float(np.max(np.sum(np.abs(inv), axis=0)))
+        return float("inf"), norm_a
+    return norm_a * float(np.max(np.sum(np.abs(inv), axis=0))), norm_a
 
 
 @dataclass
@@ -201,8 +207,7 @@ def _condest_with_reuse(A: np.ndarray, opts: "TrustOptions") -> float:
         fro_sq = float(drift @ drift)
         if fro_sq * n <= (_CONDEST_REUSE_RTOL * cache.norm) ** 2:
             return cache.estimate
-    estimate = onenorm_condest(A)
-    norm_a = float(np.linalg.norm(A, 1)) if A.size else 0.0
+    estimate, norm_a = _condest_and_norm(A)
     opts._condest_cache = _CondestCache(A.copy(), norm_a, estimate)
     return estimate
 
@@ -403,12 +408,17 @@ def describe_offenders(offenders: List[Dict[str, object]]) -> str:
 
 @dataclass
 class TrustAccumulator:
-    """Running worst-case certification over many solves.
+    """Running worst-case certification over many analyses.
 
     Characterisation runners and campaign aggregation use this to fold
-    the per-solve certificates of a whole extraction into three numbers
-    that travel with the cached result: the worst KCL residual, the
-    worst condition estimate, and how many solves needed defenses.
+    the certificates of a whole extraction into the numbers that travel
+    with the cached result: the worst KCL residual, the worst condition
+    estimate, how many solves needed defenses, and how many analyses
+    were folded.  Each :meth:`note` folds one analysis, not one Newton
+    solve: ``solves`` (``trust_certified_solves``) counts the analyses,
+    4 for a ``6t`` cell and 8 for ``nv``, and ``defended_solves``
+    (``trust_defended_solves``) adds 0 or 1 per operating point and a
+    transient's whole count of defended steps.
     """
 
     residual_norm_max: float = 0.0

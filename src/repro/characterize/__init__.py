@@ -5,7 +5,8 @@ distils the numbers the energy composition of Figs. 7-9 needs:
 
 * :func:`~repro.characterize.runner.characterize_cell` — read/write/store/
   restore energies, per-mode static powers, delays and functional checks,
-  returned as a :class:`~repro.characterize.data.CellCharacterization`.
+  returned as a :class:`~repro.characterize.data.CellCharacterization`
+  and cached under its :class:`~repro.characterize.cache.CellPoint`.
 * :mod:`~repro.characterize.leakage` — the Fig. 3(a) leakage-vs-V_CTRL
   sweeps.
 * :mod:`~repro.characterize.store` — the Fig. 3(b)/(c) store-current
@@ -15,8 +16,9 @@ distils the numbers the energy composition of Figs. 7-9 needs:
   (the design constraint the paper cites for the (1,1) fin choice).
 """
 
-from .data import CellCharacterization
+from .data import CellCharacterization, FlipFlopCharacterization
 from .testbench import CellTestbench, build_cell_testbench
+from .cache import CellPoint
 from .runner import characterize_cell
 from .leakage import leakage_vs_vctrl
 from .store import (
@@ -33,11 +35,12 @@ from .variability import (
     store_yield_analysis,
     read_snm_distribution,
 )
-from .ff_runner import FlipFlopCharacterization, characterize_nvff
+from .ff_runner import characterize_nvff
 from .disturb import DisturbReport, nof_access_disturb, nvpg_access_disturb
 
 __all__ = [
     "CellCharacterization",
+    "CellPoint",
     "CellTestbench",
     "build_cell_testbench",
     "characterize_cell",

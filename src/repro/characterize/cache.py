@@ -2,9 +2,10 @@
 
 Characterising a cell costs several transient simulations; the figure
 sweeps (Fig. 7-9) reuse the same characterisations across dozens of
-parameter points.  Results are cached as JSON keyed by a hash of every
-input that affects them (cell kind, operating conditions, domain
-geometry, device cards), one file per key under ``$REPRO_CACHE_DIR``
+parameter points.  A :class:`CellPoint` names one characterisation (the
+kind and every input that affects its result: operating conditions,
+domain geometry, device cards); results are cached as JSON under its
+:attr:`~CellPoint.key`, one file per key under ``$REPRO_CACHE_DIR``
 (see :func:`repro.exec.envelope.cache_root`); pass ``cache_dir=None``
 through the runner to disable caching entirely.
 
@@ -21,14 +22,20 @@ behaviour.
 
 from __future__ import annotations
 
-import json
 import threading
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Dict, Optional, Type, TypeVar
+from typing import Any, Callable, Dict, Mapping, Optional, Type, TypeVar
 
+from ..cells import PowerDomain
+from ..devices.finfet import FinFETParams
+from ..devices.mtj import MTJ_TABLE1, MTJParams
+from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
+from ..errors import CharacterizationError, ReproError
 from ..exec import envelope
 from ..exec.campaign import stable_hash
-from .data import CellCharacterization
+from ..pg.modes import OperatingConditions
+from .data import CellCharacterization, FlipFlopCharacterization
 
 #: Bump when characterisation semantics change to invalidate old entries.
 #: 5: integrity envelope (schema + payload checksum) around each entry.
@@ -143,10 +150,139 @@ def load(cache_dir: Optional[Path], key: str,
 
 
 def store(cache_dir: Optional[Path], key: str, result: Any) -> None:
-    """Persist a characterisation result (a dataclass with ``to_json``)."""
+    """Persist a characterisation result (a dataclass record)."""
     if cache_dir is None:
         return
     outcome = envelope.store(cache_dir, key, CACHE_SCHEMA_VERSION,
-                             json.loads(result.to_json()))
+                             asdict(result))
     if outcome is not None:
         STATS.note(outcome)
+
+
+# ---------------------------------------------------------------------------
+# the characterisation point
+# ---------------------------------------------------------------------------
+
+#: Kinds of :func:`~repro.characterize.runner.characterize_cell`.
+CELL_KINDS = ("nv", "6t")
+
+#: A point's parts after ``kind``: name, the parameter dataclass its
+#: JSON object rebuilds, and its Table I default.
+_PARTS = (("cond", OperatingConditions, OperatingConditions()),
+          ("domain", PowerDomain, PowerDomain()),
+          ("nfet", FinFETParams, NFET_20NM_HP),
+          ("pfet", FinFETParams, PFET_20NM_HP),
+          ("mtj", MTJParams, MTJ_TABLE1))
+
+
+@dataclass(frozen=True)
+class CellPoint:
+    """One characterisation: a kind and every input its result reads.
+
+    ``kind`` is a cell (``"nv"``, ``"6t"``) or the NV flip-flop
+    (``"nvff"``, whose ``domain`` stays ``None``).  A part given as
+    ``None`` takes its Table I default.  :attr:`key` is the disk-cache
+    key, and :meth:`to_params` / :meth:`from_params` are the one JSON
+    form of a campaign task and a serve request.
+    """
+
+    kind: str
+    cond: Optional[OperatingConditions] = None
+    domain: Optional[PowerDomain] = None
+    nfet: Optional[FinFETParams] = None
+    pfet: Optional[FinFETParams] = None
+    mtj: Optional[MTJParams] = None
+
+    def __post_init__(self):
+        if self.kind not in CELL_KINDS + ("nvff",):
+            raise CharacterizationError(
+                f"unknown characterisation kind {self.kind!r}")
+        if self.kind == "nvff" and self.domain is not None:
+            raise CharacterizationError("an 'nvff' point has no domain")
+        for name, _, default in _PARTS:
+            if getattr(self, name) is None and (
+                    name != "domain" or self.kind != "nvff"):
+                object.__setattr__(self, name, default)
+
+    def _parts(self) -> Dict[str, Any]:
+        return {name: getattr(self, name) for name, _, _ in _PARTS
+                if getattr(self, name) is not None}
+
+    @property
+    def key(self) -> str:
+        """Hash of ``kind`` and every part the point has."""
+        return cache_key(kind=self.kind, **self._parts())
+
+    @property
+    def result_type(self) -> type:
+        """The record a characterisation of this point returns."""
+        if self.kind == "nvff":
+            return FlipFlopCharacterization
+        return CellCharacterization
+
+    def to_params(self) -> Dict[str, Any]:
+        """The JSON form: ``kind`` and each part's ``asdict``."""
+        return {"kind": self.kind,
+                **{name: asdict(part) for name, part in self._parts().items()}}
+
+    @classmethod
+    def from_params(cls, params: Mapping[str, Any]) -> "CellPoint":
+        """Rebuild a point from :meth:`to_params`' form: the one check of
+        outside input.
+
+        Each part is a JSON object of its dataclass's fields (absent or
+        null: the default); other keys are ignored.  An integral number
+        on a float field becomes a float, an int field takes only
+        integral numbers and a boolean is no number, so ``300000000``
+        and ``3e8`` name one point.  Raises
+        :class:`~repro.errors.CharacterizationError` naming the part.
+        """
+        return cls(params.get("kind"),
+                   **{name: _rebuild(name, factory, params.get(name))
+                      for name, factory, _ in _PARTS})
+
+
+def _rebuild(name: str, factory: type, payload: Any) -> Any:
+    """``factory`` from the JSON object ``payload``, numbers fitted."""
+    if payload is None:
+        return None
+    if not isinstance(payload, Mapping):
+        raise CharacterizationError(f"{name!r} must be a JSON object")
+    types = {f.name: f.type for f in fields(factory)}
+    try:
+        return factory(**{field: _fit(field, types.get(field), value)
+                          for field, value in payload.items()})
+    except (TypeError, ValueError, OverflowError, ReproError) as err:
+        raise CharacterizationError(f"bad {name!r}: {err}") from err
+
+
+def _fit(field: str, ftype: Optional[str], value: Any) -> Any:
+    """``value`` as a ``float``, ``int`` or ``str`` field takes it."""
+    if ftype == "str" and not isinstance(value, str):
+        raise TypeError(f"{field} must be a string, got {value!r}")
+    if ftype not in ("float", "int"):
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{field} must be a number, got {value!r}")
+    if ftype == "float":
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
+def characterized(point: CellPoint, cache_dir: "Optional[Path] | str",
+                  extract: Callable[[CellPoint], _Result]) -> _Result:
+    """The cached result of ``point``, or ``extract(point)`` validated
+    and stored.  ``cache_dir="auto"`` resolves
+    :func:`~repro.exec.envelope.cache_root` at call time."""
+    if cache_dir == "auto":
+        cache_dir = envelope.cache_root()
+    key = point.key
+    cached = load(cache_dir, key, point.result_type)
+    if cached is not None:
+        return cached
+    result = extract(point)
+    result.validate()
+    store(cache_dir, key, result)
+    return result

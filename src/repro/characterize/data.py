@@ -10,8 +10,19 @@ from typing import Dict, Optional
 from ..errors import CharacterizationError
 
 
+class _Record:
+    """The JSON text form both result records share."""
+
+    def to_json(self) -> str:
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls(**json.loads(text))
+
+
 @dataclass
-class CellCharacterization:
+class CellCharacterization(_Record):
     """Per-mode energies, static powers and delays of one cell flavour.
 
     All energies are joules *per cell*; powers are watts per cell.  The
@@ -113,11 +124,52 @@ class CellCharacterization:
                 f"characterisation failed sanity checks: {failed}"
             )
 
-    # -- serialisation ---------------------------------------------------
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "CellCharacterization":
-        payload = json.loads(text)
-        return cls(**payload)
+@dataclass
+class FlipFlopCharacterization(_Record):
+    """Per-mode energies and delays of the NV-FF (joules / seconds).
+
+    ``e_clock_toggle`` / ``e_clock_hold`` are per-clock-cycle energies
+    with the data input toggling every cycle / held constant; real
+    activity factors interpolate between them.
+    """
+
+    vdd: float
+    clock_frequency: float
+    e_clock_toggle: float = 0.0
+    e_clock_hold: float = 0.0
+    clk_to_q_delay: float = 0.0
+    p_normal: float = 0.0
+    p_shutdown: float = 0.0
+    e_store: float = 0.0
+    t_store: float = 0.0
+    e_restore: float = 0.0
+    t_restore: float = 0.0
+    store_events: int = 0
+    restore_ok: bool = True
+    extras: Dict[str, float] = field(default_factory=dict)
+
+    def e_clock(self, activity: float) -> float:
+        """Per-cycle energy at a data activity factor in [0, 1]."""
+        if not (0.0 <= activity <= 1.0):
+            raise CharacterizationError("activity must be in [0, 1]")
+        return (self.e_clock_hold
+                + activity * (self.e_clock_toggle - self.e_clock_hold))
+
+    def validate(self) -> None:
+        checks = [
+            ("e_clock_toggle", self.e_clock_toggle > 0),
+            ("toggle >= hold", self.e_clock_toggle >= self.e_clock_hold),
+            ("p_normal", self.p_normal > 0),
+            ("shutdown < normal", self.p_shutdown < self.p_normal),
+            ("e_store", self.e_store > 0),
+            ("store switched both MTJs", self.store_events >= 2),
+            ("restore recovered data", self.restore_ok),
+            ("clk-q delay", 0 < self.clk_to_q_delay < 1.0 /
+             self.clock_frequency),
+        ]
+        failed = [name for name, ok in checks if not ok]
+        if failed:
+            raise CharacterizationError(
+                f"NV-FF characterisation failed sanity checks: {failed}"
+            )

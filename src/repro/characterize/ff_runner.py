@@ -9,13 +9,8 @@ register-state power-gating figures (BET of a flip-flop bank).
 
 from __future__ import annotations
 
-import dataclasses
-import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional
-
-import numpy as np
+from typing import Optional
 
 from ..errors import CharacterizationError
 from ..analysis import operating_point, transient
@@ -28,77 +23,19 @@ from ..circuit import (
     VoltageSource,
 )
 from ..cells import add_nvff, add_power_switch
-from ..cells.nvff import NvFlipFlop
 from ..devices.finfet import FinFETParams
 from ..devices.mtj import MTJParams, MTJ_TABLE1
 from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
 from ..pg.modes import OperatingConditions
-from ..exec.envelope import cache_root
 from . import cache
+from .cache import CellPoint
+from .data import FlipFlopCharacterization
 
 #: Sources whose delivered energy constitutes the FF energy.
 FF_SUPPLY_SOURCES = ("vdd", "vclk", "vd", "vctrl")
 
 #: Power-switch width for a flip-flop (16 transistors vs 6-8 in a cell).
 FF_NFSW = 14
-
-
-@dataclass
-class FlipFlopCharacterization:
-    """Per-mode energies and delays of the NV-FF (joules / seconds).
-
-    ``e_clock_toggle`` / ``e_clock_hold`` are per-clock-cycle energies
-    with the data input toggling every cycle / held constant; real
-    activity factors interpolate between them.
-    """
-
-    vdd: float
-    clock_frequency: float
-    e_clock_toggle: float = 0.0
-    e_clock_hold: float = 0.0
-    clk_to_q_delay: float = 0.0
-    p_normal: float = 0.0
-    p_shutdown: float = 0.0
-    e_store: float = 0.0
-    t_store: float = 0.0
-    e_restore: float = 0.0
-    t_restore: float = 0.0
-    store_events: int = 0
-    restore_ok: bool = True
-    extras: Dict[str, float] = field(default_factory=dict)
-
-    def e_clock(self, activity: float) -> float:
-        """Per-cycle energy at a data activity factor in [0, 1]."""
-        if not (0.0 <= activity <= 1.0):
-            raise CharacterizationError("activity must be in [0, 1]")
-        return (self.e_clock_hold
-                + activity * (self.e_clock_toggle - self.e_clock_hold))
-
-    def validate(self) -> None:
-        checks = [
-            ("e_clock_toggle", self.e_clock_toggle > 0),
-            ("toggle >= hold", self.e_clock_toggle >= self.e_clock_hold),
-            ("p_normal", self.p_normal > 0),
-            ("shutdown < normal", self.p_shutdown < self.p_normal),
-            ("e_store", self.e_store > 0),
-            ("store switched both MTJs", self.store_events >= 2),
-            ("restore recovered data", self.restore_ok),
-            ("clk-q delay", 0 < self.clk_to_q_delay < 1.0 /
-             self.clock_frequency),
-        ]
-        failed = [name for name, ok in checks if not ok]
-        if failed:
-            raise CharacterizationError(
-                f"NV-FF characterisation failed sanity checks: {failed}"
-            )
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2,
-                          sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FlipFlopCharacterization":
-        return cls(**json.loads(text))
 
 
 def _build_ff_bench(cond: OperatingConditions,
@@ -118,13 +55,6 @@ def _build_ff_bench(cond: OperatingConditions,
     return c, ff
 
 
-def nvff_cache_key(cond: OperatingConditions, nfet: FinFETParams,
-                   pfet: FinFETParams, mtj_params: MTJParams) -> str:
-    """Disk-cache key of one :func:`characterize_nvff` result."""
-    return cache.cache_key(kind="nvff", cond=cond, nfet=nfet, pfet=pfet,
-                           mtj=mtj_params)
-
-
 def characterize_nvff(
     cond: Optional[OperatingConditions] = None,
     nfet: FinFETParams = NFET_20NM_HP,
@@ -139,28 +69,26 @@ def characterize_nvff(
     shutdown), a two-step store and a collapsed-rail restore.  The bench
     netlist is statically analysed first (:func:`repro.verify.assert_clean`;
     ``REPRO_LINT=0`` disables it); error findings raise
-    :class:`~repro.errors.VerificationError`.
+    :class:`~repro.errors.VerificationError`.  It is cached under its
+    ``"nvff"`` :class:`~repro.characterize.cache.CellPoint`.
     """
-    if cache_dir == "auto":
-        cache_dir = cache_root()
-    cond = cond or OperatingConditions()
-    key = nvff_cache_key(cond, nfet, pfet, mtj_params)
-    cached = cache.load(cache_dir, key, FlipFlopCharacterization)
-    if cached is not None:
-        return cached
+    point = CellPoint("nvff", cond, None, nfet, pfet, mtj_params)
+    return cache.characterized(point, cache_dir, _extract_nvff)
 
+
+def _extract_nvff(point: CellPoint) -> FlipFlopCharacterization:
+    cond = point.cond
+    devices = (point.nfet, point.pfet, point.mtj)
     result = FlipFlopCharacterization(
         vdd=cond.vdd, clock_frequency=cond.frequency,
     )
     from ..verify import assert_clean
-    bench, _ = _build_ff_bench(cond, nfet, pfet, mtj_params)
+    bench, _ = _build_ff_bench(cond, *devices)
     assert_clean(bench, target="cell:nvff")
-    _extract_static(cond, nfet, pfet, mtj_params, result)
-    _extract_clocking(cond, nfet, pfet, mtj_params, result)
-    _extract_store(cond, nfet, pfet, mtj_params, result)
-    _extract_restore(cond, nfet, pfet, mtj_params, result)
-    result.validate()
-    cache.store(cache_dir, key, result)
+    _extract_static(cond, *devices, result)
+    _extract_clocking(cond, *devices, result)
+    _extract_store(cond, *devices, result)
+    _extract_restore(cond, *devices, result)
     return result
 
 

@@ -33,8 +33,8 @@ from ..devices.mtj import MTJ, MTJParams, MTJState, MTJ_TABLE1
 from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
 from ..pg.modes import Mode, OperatingConditions
 from ..pg.scheduler import PhaseWindow, Schedule, ScheduleStep
-from ..exec.envelope import cache_root
 from . import cache
+from .cache import CELL_KINDS, CellPoint
 from .data import CellCharacterization
 from .testbench import (
     SUPPLY_SOURCES,
@@ -45,14 +45,6 @@ from .testbench import (
 
 #: Bitline differential treated as a completed read (volts).
 READ_SENSE_THRESHOLD = 0.10
-
-
-def cell_cache_key(kind: str, cond: OperatingConditions,
-                   domain: PowerDomain, nfet: FinFETParams,
-                   pfet: FinFETParams, mtj_params: MTJParams) -> str:
-    """Disk-cache key of one :func:`characterize_cell` result."""
-    return cache.cache_key(kind=kind, cond=cond, domain=domain, nfet=nfet,
-                           pfet=pfet, mtj=mtj_params)
 
 
 def characterize_cell(
@@ -78,17 +70,16 @@ def characterize_cell(
     The testbench netlist is linted before simulating
     (:func:`repro.verify.assert_clean`; ``REPRO_LINT=0`` disables it) and
     the result is validated (:meth:`CellCharacterization.validate`)
-    before it is cached.
+    before it is cached under its :class:`~repro.characterize.cache.CellPoint`.
     """
-    if cache_dir == "auto":
-        cache_dir = cache_root()
-    cond = cond or OperatingConditions()
-    domain = domain or PowerDomain()
-    key = cell_cache_key(kind, cond, domain, nfet, pfet, mtj_params)
-    cached = cache.load(cache_dir, key)
-    if cached is not None:
-        return cached
+    if kind not in CELL_KINDS:
+        raise CharacterizationError(f"unknown cell kind: {kind}")
+    point = CellPoint(kind, cond, domain, nfet, pfet, mtj_params)
+    return cache.characterized(point, cache_dir, _extract_cell)
 
+
+def _extract_cell(point: CellPoint) -> CellCharacterization:
+    kind, cond, domain = point.kind, point.cond, point.domain
     result = CellCharacterization(
         kind=kind,
         n_wordlines=domain.n_wordlines,
@@ -97,8 +88,8 @@ def characterize_cell(
     )
 
     def fresh_tb() -> CellTestbench:
-        return build_cell_testbench(kind, cond, domain, nfet=nfet,
-                                    pfet=pfet, mtj_params=mtj_params)
+        return build_cell_testbench(kind, cond, domain, nfet=point.nfet,
+                                    pfet=point.pfet, mtj_params=point.mtj)
 
     from ..verify import assert_clean
     assert_clean(fresh_tb().circuit, target=f"cell:{kind}")
@@ -112,8 +103,6 @@ def characterize_cell(
         _extract_store(fresh_tb(), result, trust)
         _extract_restore(fresh_tb(), result, trust)
     result.extras.update(trust.as_extras())
-    result.validate()
-    cache.store(cache_dir, key, result)
     return result
 
 

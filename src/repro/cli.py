@@ -688,21 +688,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2015)
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also dump the chaos report as JSON")
-    p.add_argument("--transient", action="store_true",
-                   help="run shortened store transients instead of DC "
-                        "operating points (slower; NV only)")
-    p.add_argument("--executor", action="store_true",
-                   help="fault-inject the campaign engine itself "
-                        "(worker crash/hang/slow/flaky faults) instead "
-                        "of the solver")
-    p.add_argument("--crashpoints", action="store_true",
-                   help="kill child writers at each atomic-write "
-                        "protocol boundary and assert reader-side "
-                        "recovery (torn writes, unsynced renames)")
-    p.add_argument("--serve", action="store_true",
-                   help="chaos-test the serving layer: coalescing, "
-                        "storm, shedding, breaker and drain phases "
-                        "against an in-process server")
+    suite = p.add_mutually_exclusive_group()
+    suite.add_argument("--transient", action="store_true",
+                       help="run shortened store transients instead of "
+                            "DC operating points (slower; NV only)")
+    suite.add_argument("--executor", action="store_true",
+                       help="fault-inject the campaign engine itself "
+                            "(worker crash/hang/slow/flaky faults) "
+                            "instead of the solver")
+    suite.add_argument("--crashpoints", action="store_true",
+                       help="kill child writers at each atomic-write "
+                            "protocol boundary and assert reader-side "
+                            "recovery (torn writes, unsynced renames)")
+    suite.add_argument("--serve", action="store_true",
+                       help="chaos-test the serving layer: coalescing, "
+                            "storm, shedding, breaker and drain phases "
+                            "against an in-process server")
     p.add_argument("--clients", type=int, default=24,
                    help="concurrent clients for --serve (default 24)")
     p.add_argument("--workers", type=int, default=None,

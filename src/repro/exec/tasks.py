@@ -4,22 +4,21 @@ Spawn-based workers resolve the campaign's task function from a
 ``"module:function"`` string, so every function a campaign runs must
 live at module top level and take exactly one JSON dict of parameters.
 This module collects the task functions the repo's own campaigns and
-the serve routes run (and :func:`characterize_params`, the params
-builder of the first):
+the serve routes run:
 
-* :func:`characterize_task` — one cell characterisation (the unit of
-  work behind the Fig. 7/8/9 sweeps; results fold back into the
-  experiment context's memo and the disk cache).
-* :func:`nvff_task` — one NV flip-flop characterisation (the register
-  -file counterpart; the serve layer's ``/v1/nvff`` route).
+* :func:`characterize_task` — one cell or NV flip-flop characterisation
+  (the unit of work behind the Fig. 7/8/9 sweeps and both serve routes;
+  results fold back into the experiment context's memo and the disk
+  cache).
 * :func:`chaos_task` — the controllable misbehaver used by the executor
   chaos harness (``repro chaos --executor``) and the stress tests.
 * :func:`demo_task` — a trivial task for CLI smoke tests and overhead
   benchmarks.
 
-Everything crossing the process boundary is plain JSON: parameter
-dataclasses are sent as ``asdict`` payloads and rebuilt here, results
-are returned as dicts.
+Everything crossing the process boundary is plain JSON: a
+characterisation is sent as its point's JSON form
+(:meth:`repro.characterize.cache.CellPoint.to_params`) and rebuilt
+here, results are returned as dicts.
 """
 
 from __future__ import annotations
@@ -28,106 +27,40 @@ import os
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict
 
 from ..errors import ConvergenceError
-
-
-# ---------------------------------------------------------------------------
-# dataclass <-> JSON payload helpers
-# ---------------------------------------------------------------------------
-
-def _cond(payload: Optional[Dict[str, Any]]):
-    from ..pg.modes import OperatingConditions
-    return None if payload is None else OperatingConditions(**payload)
-
-
-def _domain(payload: Optional[Dict[str, Any]]):
-    from ..cells import PowerDomain
-    return None if payload is None else PowerDomain(**payload)
-
-
-def _fet(payload: Optional[Dict[str, Any]]):
-    from ..devices.finfet import FinFETParams
-    return None if payload is None else FinFETParams(**payload)
-
-
-def _mtj(payload: Optional[Dict[str, Any]]):
-    from ..devices.mtj import MTJParams
-    return None if payload is None else MTJParams(**payload)
-
-
-def _asdict(value) -> Optional[Dict[str, Any]]:
-    return None if value is None else asdict(value)
 
 
 # ---------------------------------------------------------------------------
 # characterisation
 # ---------------------------------------------------------------------------
 
-def characterize_params(kind: str, cond=None, domain=None, nfet=None,
-                        pfet=None, mtj_params=None,
-                        cache_dir: Optional[Union[str, Path]] = None,
-                        ) -> Dict[str, Any]:
-    """Params dict for :func:`characterize_task` from the dataclasses."""
-    return {
-        "kind": kind,
-        "cond": _asdict(cond),
-        "domain": _asdict(domain),
-        "nfet": _asdict(nfet),
-        "pfet": _asdict(pfet),
-        "mtj": _asdict(mtj_params),
-        "cache_dir": None if cache_dir is None else str(cache_dir),
-    }
-
-
 def characterize_task(params: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one cell characterisation; returns its flat data payload.
+    """Run one characterisation; returns its flat data payload.
 
-    The worker writes through the shared disk cache (when one is
+    ``params`` is a :class:`~repro.characterize.cache.CellPoint`'s JSON
+    form plus the ``cache_dir`` to write through.  The
+    worker writes through the shared disk cache (when one is
     configured), so a prewarm campaign leaves the cache hot for the
     serial figure-assembly pass that follows; the returned payload lets
     the parent fold the result into its in-memory memo even when the
     cache is disabled.
     """
-    import json as _json
-
-    from ..characterize.runner import characterize_cell
-    from ..devices.mtj import MTJ_TABLE1
-    from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
-
-    result = characterize_cell(
-        params["kind"],
-        cond=_cond(params.get("cond")),
-        domain=_domain(params.get("domain")),
-        nfet=_fet(params.get("nfet")) or NFET_20NM_HP,
-        pfet=_fet(params.get("pfet")) or PFET_20NM_HP,
-        mtj_params=_mtj(params.get("mtj")) or MTJ_TABLE1,
-        cache_dir=params.get("cache_dir"),
-    )
-    return _json.loads(result.to_json())
-
-
-def nvff_task(params: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one NV flip-flop characterisation; returns its data payload.
-
-    Register-file counterpart of :func:`characterize_task`; the serve
-    layer schedules ``/v1/nvff`` requests through this.
-    """
-    import json as _json
-
+    from ..characterize.cache import CellPoint
     from ..characterize.ff_runner import characterize_nvff
-    from ..devices.mtj import MTJ_TABLE1
-    from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
+    from ..characterize.runner import characterize_cell
 
-    result = characterize_nvff(
-        cond=_cond(params.get("cond")),
-        nfet=_fet(params.get("nfet")) or NFET_20NM_HP,
-        pfet=_fet(params.get("pfet")) or PFET_20NM_HP,
-        mtj_params=_mtj(params.get("mtj")) or MTJ_TABLE1,
-        cache_dir=params.get("cache_dir"),
-    )
-    return _json.loads(result.to_json())
+    point = CellPoint.from_params(params)
+    cache_dir = params.get("cache_dir")
+    if point.kind == "nvff":
+        result = characterize_nvff(point.cond, point.nfet, point.pfet,
+                                   point.mtj, cache_dir=cache_dir)
+    else:
+        result = characterize_cell(point.kind, point.cond, point.domain,
+                                   point.nfet, point.pfet, point.mtj,
+                                   cache_dir=cache_dir)
+    return asdict(result)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from typing import Dict, Optional, Tuple
 from ..cells import PowerDomain
 from ..characterize.data import CellCharacterization
 from ..characterize import cache
-from ..characterize.runner import cell_cache_key, characterize_cell
+from ..characterize.cache import CellPoint
+from ..characterize.runner import characterize_cell
 from ..devices.finfet import FinFETParams
 from ..devices.mtj import MTJParams, MTJ_TABLE1
 from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
@@ -46,19 +47,20 @@ class ExperimentContext:
     cache_dir: Optional[Path] = field(
         default_factory=cache_root
     )  # resolved at context creation; honours REPRO_CACHE_DIR
-    _memo: Dict[Tuple, CellCharacterization] = field(
+    _memo: Dict[CellPoint, CellCharacterization] = field(
         default_factory=dict, repr=False
     )
     _store_biases: Dict[Tuple, OperatingConditions] = field(
         default_factory=dict, repr=False
     )
 
-    def memo_key(self, kind: str, domain: PowerDomain,
-                 cond: Optional[OperatingConditions] = None,
-                 mtj_params: Optional[MTJParams] = None) -> Tuple:
-        """Key of one characterisation in this context's memo."""
-        return (kind, domain.n_wordlines, domain.word_bits,
-                cond or self.cond, mtj_params or self.mtj_params)
+    def point(self, kind: str, domain: PowerDomain,
+              cond: Optional[OperatingConditions] = None,
+              mtj_params: Optional[MTJParams] = None) -> CellPoint:
+        """The memo's key: ``kind`` under this context's conditions and
+        cards (``cond``/``mtj_params`` override them)."""
+        return CellPoint(kind, cond or self.cond, domain, self.nfet,
+                         self.pfet, mtj_params or self.mtj_params)
 
     def characterization(self, kind: str,
                          domain: PowerDomain,
@@ -66,16 +68,14 @@ class ExperimentContext:
                          mtj_params: Optional[MTJParams] = None,
                          ) -> CellCharacterization:
         """Memoised cell characterisation."""
-        cond = cond or self.cond
-        mtj_params = mtj_params or self.mtj_params
-        key = self.memo_key(kind, domain, cond, mtj_params)
-        if key not in self._memo:
-            self._memo[key] = characterize_cell(
-                kind, cond, domain,
-                nfet=self.nfet, pfet=self.pfet, mtj_params=mtj_params,
+        point = self.point(kind, domain, cond, mtj_params)
+        if point not in self._memo:
+            self._memo[point] = characterize_cell(
+                point.kind, point.cond, point.domain,
+                nfet=point.nfet, pfet=point.pfet, mtj_params=point.mtj,
                 cache_dir=self.cache_dir,
             )
-        return self._memo[key]
+        return self._memo[point]
 
     def energy_model(self, domain: PowerDomain,
                      cond: Optional[OperatingConditions] = None,
@@ -109,7 +109,7 @@ class ExperimentContext:
 
         ``points`` is an iterable of ``(domain, cond, mtj_params)``
         tuples (``cond``/``mtj_params`` may be ``None`` for the context
-        defaults).  Each point needs both the "nv" and "6t" cell
+        defaults).  Each tuple needs both the "nv" and "6t" cell
         characterised (that is what :meth:`energy_model` consumes).
 
         Cells already in the memo or the disk cache are folded here, in
@@ -133,41 +133,35 @@ class ExperimentContext:
         """
         from ..exec import (COMPLETED, Campaign, CampaignOptions,
                             CampaignResult, make_task, run_campaign)
-        from ..exec.tasks import characterize_params
 
-        misses: Dict[Tuple, Tuple] = {}
+        misses: Dict[CellPoint, None] = {}
         for domain, cond, mtj_params in points:
-            cond = cond or self.cond
-            mtj_params = mtj_params or self.mtj_params
             for kind in ("nv", "6t"):
-                key = self.memo_key(kind, domain, cond, mtj_params)
-                if key in self._memo or key in misses:
+                point = self.point(kind, domain, cond, mtj_params)
+                if point in self._memo or point in misses:
                     continue
-                cached = cache.load(self.cache_dir, cell_cache_key(
-                    kind, cond, domain, self.nfet, self.pfet, mtj_params))
+                cached = cache.load(self.cache_dir, point.key)
                 if cached is not None:
-                    self._memo[key] = cached
+                    self._memo[point] = cached
                 else:
-                    misses[key] = (kind, domain, cond, mtj_params)
+                    misses[point] = None
 
-        keys = sorted(misses, key=lambda k: k[0] != "nv")
-        tasks = []
-        for key in keys:
-            kind, domain, cond, mtj_params = misses[key]
-            tasks.append(make_task(
-                characterize_params(kind, cond, domain, self.nfet,
-                                    self.pfet, mtj_params, self.cache_dir),
-                label=f"{kind} N={domain.n_wordlines}x{domain.word_bits}",
-            ))
+        pending = sorted(misses, key=lambda point: point.kind != "nv")
+        cache_dir = None if self.cache_dir is None else str(self.cache_dir)
+        tasks = [make_task(
+            dict(point.to_params(), cache_dir=cache_dir),
+            label=(f"{point.kind} N={point.domain.n_wordlines}"
+                   f"x{point.domain.word_bits}"),
+        ) for point in pending]
         campaign = Campaign(name=name,
                             fn="repro.exec.tasks:characterize_task",
                             tasks=tasks)
         if not tasks:
             return CampaignResult(campaign=name, key=campaign.key)
         result = run_campaign(campaign, CampaignOptions(workers=workers))
-        for key, task in zip(keys, tasks):
+        for point, task in zip(pending, tasks):
             outcome = result.outcome(task.task_id)
             if (outcome is not None and outcome.status == COMPLETED
                     and outcome.result):
-                self._memo[key] = CellCharacterization(**outcome.result)
+                self._memo[point] = CellCharacterization(**outcome.result)
         return result

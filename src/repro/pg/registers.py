@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 import math
 
 from ..errors import SequenceError
-from ..characterize.ff_runner import FlipFlopCharacterization
+from ..characterize.data import FlipFlopCharacterization
 from .modes import OperatingConditions
 
 

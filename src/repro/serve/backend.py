@@ -11,8 +11,8 @@ isolation, used by unit tests and trusted deployments).
 
 The backend also owns the read side of degraded mode: a bounded
 in-memory LRU memo of recent results plus the characterisation disk
-cache (:mod:`repro.characterize.cache`), both probed before any
-execution is scheduled.
+cache (:mod:`repro.characterize.cache`, under the request point's key),
+both probed before any execution is scheduled.
 
 ``execute`` blocks and is called from a worker thread; the memo and
 counters take a lock.  ``probe`` is cheap (dict lookup + at most one
@@ -21,11 +21,10 @@ small file read) and safe from any thread.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
@@ -43,13 +42,10 @@ from .protocol import ServeRequest
 #: are test/benchmark routes, only mounted when explicitly enabled.
 ROUTE_FNS: Dict[str, str] = {
     "characterize": "repro.exec.tasks:characterize_task",
-    "nvff": "repro.exec.tasks:nvff_task",
+    "nvff": "repro.exec.tasks:characterize_task",
     "demo": "repro.exec.tasks:demo_task",
     "chaos": "repro.exec.tasks:chaos_task",
 }
-
-#: Routes whose results live in the characterisation disk cache.
-_DISK_CACHED_ROUTES = ("characterize", "nvff")
 
 
 @dataclass
@@ -59,29 +55,6 @@ class CacheHit:
     payload: Dict[str, Any]
     age_s: Optional[float]
     source: str     # "memo" | "disk"
-
-
-def _disk_entry(request: ServeRequest) -> Optional[Tuple[str, type]]:
-    """``(key, result type)`` of the disk-cache entry the request's
-    characterisation task would write, from the runner's own key
-    function; None for routes without one."""
-    from ..exec.tasks import _cond, _domain, _fet, _mtj
-
-    p = request.params
-    if request.route == "characterize":
-        from ..characterize.data import CellCharacterization
-        from ..characterize.runner import cell_cache_key
-        key = cell_cache_key(p["kind"], _cond(p["cond"]),
-                             _domain(p["domain"]), _fet(p["nfet"]),
-                             _fet(p["pfet"]), _mtj(p["mtj"]))
-        return key, CellCharacterization
-    if request.route == "nvff":
-        from ..characterize.ff_runner import (FlipFlopCharacterization,
-                                              nvff_cache_key)
-        key = nvff_cache_key(_cond(p["cond"]), _fet(p["nfet"]),
-                             _fet(p["pfet"]), _mtj(p["mtj"]))
-        return key, FlipFlopCharacterization
-    return None
 
 
 class ExecBackend:
@@ -131,19 +104,18 @@ class ExecBackend:
                 return CacheHit(payload=payload,
                                 age_s=max(0.0, time.monotonic() - stored_at),
                                 source="memo")
-        if self.cache_dir is None:
-            return None
-        entry = _disk_entry(request)
-        if entry is None:
+        point = request.point
+        if self.cache_dir is None or point is None:
             return None
         from ..characterize import cache
         from ..exec.envelope import entry_age_s
 
-        result = cache.load(self.cache_dir, *entry)
+        key = point.key
+        result = cache.load(self.cache_dir, key, point.result_type)
         if result is None:
             return None
-        payload = json.loads(result.to_json())
-        age_s = entry_age_s(self.cache_dir, entry[0])
+        payload = asdict(result)
+        age_s = entry_age_s(self.cache_dir, key)
         self.memo_put(request.key, payload)
         return CacheHit(payload=payload, age_s=age_s, source="disk")
 
@@ -152,7 +124,7 @@ class ExecBackend:
     def _campaign_for(self, request: ServeRequest,
                       timeout_s: Optional[float]) -> Campaign:
         params = dict(request.params)
-        if request.route in _DISK_CACHED_ROUTES and self.cache_dir is not None:
+        if request.point is not None and self.cache_dir is not None:
             # execution policy, injected after canonicalisation so the
             # coalescing key never depends on where the cache lives
             params["cache_dir"] = str(self.cache_dir)

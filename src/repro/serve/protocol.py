@@ -1,14 +1,14 @@
 """Wire protocol: request canonicalisation and response mapping.
 
 Coalescing only works if equivalent requests hash identically, so the
-server never hashes raw bodies.  Every characterisation request is
-rebuilt through the same parameter dataclasses the task functions use
-(:class:`~repro.pg.modes.OperatingConditions`,
-:class:`~repro.cells.PowerDomain`, device cards), which fills defaults
-and rejects unknown fields; the fully-expanded params dict is then
-content-hashed with the campaign ``stable_hash`` rules (float-repr
-normalisation included).  ``{"cond": {}}`` and an explicit
-spelled-out default condition therefore coalesce onto one execution.
+server never hashes raw bodies.  A ``characterize`` or ``nvff`` body is
+the JSON form of one :class:`~repro.characterize.cache.CellPoint`;
+:meth:`~repro.characterize.cache.CellPoint.from_params` fills its
+defaults, rejects unknown fields and fits each number to its field, and
+the point's ``to_params`` is content-hashed with the campaign
+``stable_hash`` rules.  ``{"cond": {}}``, a spelled-out default
+condition and ``{"cond": {"frequency": 300000000}}`` therefore coalesce
+onto one execution.
 
 The response side is a closed status vocabulary — every request
 terminates in exactly one of :data:`STATUS_HTTP`'s statuses (the serve
@@ -18,11 +18,14 @@ N-in/N-out invariant, chaos-tested in ``repro chaos --serve``).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
 
-from ..errors import ReproError
+from ..errors import CharacterizationError, ReproError
 from ..exec.campaign import stable_hash
+
+if TYPE_CHECKING:
+    from ..characterize.cache import CellPoint
 
 #: Terminal response statuses and their HTTP codes.  ``ok`` and
 #: ``degraded`` both carry a result payload (``degraded`` stamps it as
@@ -44,9 +47,6 @@ STATUS_HTTP: Dict[str, int] = {
     "not-found": 404,
     "method-not-allowed": 405,
 }
-
-#: Cell kinds accepted by the characterize route.
-CELL_KINDS = ("nv", "6t")
 
 #: Fields every request may carry in addition to route-specific ones.
 _COMMON_FIELDS = frozenset({"deadline_s"})
@@ -72,72 +72,29 @@ class ServeRequest:
     identity, the backend task id, and the cache-memo key, all one
     value.  ``deadline_s`` is execution policy and stays out of the
     hash (two clients asking the same question with different patience
-    still share one execution).
+    still share one execution).  ``point`` is what a ``characterize``
+    or ``nvff`` request names (``params`` is its JSON form).
     """
 
     route: str
     params: Dict[str, Any]
     key: str
     deadline_s: float = 30.0
+    point: Optional["CellPoint"] = None
 
 
-def _expand(factory, payload: Any, default, name: str) -> Optional[dict]:
-    """Rebuild a parameter dataclass and return its full ``asdict``.
+def _point(route: str, body: Mapping[str, Any]) -> "CellPoint":
+    """The :class:`~repro.characterize.cache.CellPoint` a request names."""
+    from ..characterize.cache import CELL_KINDS, CellPoint
 
-    Filling every default is what makes canonicalisation total: a body
-    that spells out the default voltage and one that omits it produce
-    byte-identical params.
-    """
-    if payload is None:
-        return None if default is None else asdict(default)
-    if not isinstance(payload, Mapping):
-        raise ProtocolError(f"{name!r} must be a JSON object")
-    try:
-        return asdict(factory(**payload))
-    except (TypeError, ReproError) as err:
-        raise ProtocolError(f"bad {name!r}: {err}") from err
-
-
-def _characterize_params(body: Mapping[str, Any]) -> Dict[str, Any]:
-    from ..cells import PowerDomain
-    from ..devices.mtj import MTJ_TABLE1, MTJParams
-    from ..devices.finfet import FinFETParams
-    from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
-    from ..pg.modes import OperatingConditions
-
-    kind = body.get("kind", "nv")
-    if kind not in CELL_KINDS:
+    kind = "nvff" if route == "nvff" else body.get("kind", "nv")
+    if route == "characterize" and kind not in CELL_KINDS:
         raise ProtocolError(f"kind must be one of {CELL_KINDS}, "
                             f"got {kind!r}")
-    return {
-        "kind": kind,
-        "cond": _expand(OperatingConditions, body.get("cond"),
-                        OperatingConditions(), "cond"),
-        "domain": _expand(PowerDomain, body.get("domain"),
-                          PowerDomain(), "domain"),
-        "nfet": _expand(FinFETParams, body.get("nfet"),
-                        NFET_20NM_HP, "nfet"),
-        "pfet": _expand(FinFETParams, body.get("pfet"),
-                        PFET_20NM_HP, "pfet"),
-        "mtj": _expand(MTJParams, body.get("mtj"), MTJ_TABLE1, "mtj"),
-    }
-
-
-def _nvff_params(body: Mapping[str, Any]) -> Dict[str, Any]:
-    from ..devices.mtj import MTJ_TABLE1, MTJParams
-    from ..devices.finfet import FinFETParams
-    from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
-    from ..pg.modes import OperatingConditions
-
-    return {
-        "cond": _expand(OperatingConditions, body.get("cond"),
-                        OperatingConditions(), "cond"),
-        "nfet": _expand(FinFETParams, body.get("nfet"),
-                        NFET_20NM_HP, "nfet"),
-        "pfet": _expand(FinFETParams, body.get("pfet"),
-                        PFET_20NM_HP, "pfet"),
-        "mtj": _expand(MTJParams, body.get("mtj"), MTJ_TABLE1, "mtj"),
-    }
+    try:
+        return CellPoint.from_params({**body, "kind": kind})
+    except CharacterizationError as err:
+        raise ProtocolError(str(err)) from err
 
 
 def _passthrough_params(body: Mapping[str, Any]) -> Dict[str, Any]:
@@ -176,13 +133,13 @@ def canonicalize(route: str, body: Mapping[str, Any], *,
         raise ProtocolError(f"bad deadline_s: {err}") from err
     deadline_s = min(max(deadline_s, min_deadline_s), max_deadline_s)
 
-    if route == "characterize":
-        params = _characterize_params(body)
-    elif route == "nvff":
-        params = _nvff_params(body)
+    point = None
+    if route in ("characterize", "nvff"):
+        point = _point(route, body)
+        params = point.to_params()
     else:
         params = _passthrough_params(body)
 
     key = stable_hash({"route": route, "params": params}, length=24)
     return ServeRequest(route=route, params=params, key=key,
-                        deadline_s=deadline_s)
+                        deadline_s=deadline_s, point=point)

@@ -79,6 +79,33 @@ class TestCondest:
     def test_empty_system(self):
         assert onenorm_condest(np.zeros((0, 0))) == pytest.approx(1.0)
 
+    def test_one_norm_per_exact_inversion(self, monkeypatch):
+        """The reuse cache keeps the ``‖A‖₁`` its exact inversion took,
+        bit for bit, instead of taking it a second time."""
+        from repro.analysis import trust
+
+        real_norm, real_inv = np.linalg.norm, np.linalg.inv
+        calls = {"norm": 0, "inv": 0}
+
+        def norm(*args, **kwargs):
+            calls["norm"] += 1
+            return real_norm(*args, **kwargs)
+
+        def inv(*args, **kwargs):
+            calls["inv"] += 1
+            return real_inv(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", norm)
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        opts = TrustOptions()
+        # The second matrix drifts too far from the first to reuse it.
+        matrices = [_spread_matrix(2.0), _spread_matrix(2.0) + np.eye(6)]
+        estimates = [trust._condest_with_reuse(A, opts) for A in matrices]
+        assert calls == {"norm": 2, "inv": 2}
+        monkeypatch.undo()
+        assert opts._condest_cache.norm == np.linalg.norm(matrices[1], 1)
+        assert estimates == [onenorm_condest(A) for A in matrices]
+
 
 class TestEquilibration:
     def test_scales_are_powers_of_two(self):

@@ -1,7 +1,7 @@
-"""Tests for the characterisation disk cache: keys, the typed load and
-store as the runners call them, and entries written by earlier versions.
-The envelope module on its own is tested in
-``tests/exec/test_envelope.py``."""
+"""Tests for the characterisation disk cache: keys, the point type that
+names an entry, the typed load and store as the runners call them, and
+entries written by earlier versions.  The envelope module on its own is
+tested in ``tests/exec/test_envelope.py``."""
 
 import json
 import os
@@ -11,11 +11,12 @@ import pytest
 
 from repro.cells import PowerDomain
 from repro.characterize import cache
+from repro.characterize.cache import CellPoint
 from repro.characterize.data import CellCharacterization
-from repro.characterize.ff_runner import nvff_cache_key
-from repro.characterize.runner import cell_cache_key, characterize_cell
-from repro.devices.mtj import MTJ_TABLE1
+from repro.characterize.runner import characterize_cell
+from repro.devices.mtj import MTJ_FIG9B, MTJ_TABLE1
 from repro.devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
+from repro.errors import CharacterizationError
 from repro.exec import atomicio, envelope
 from repro.pg.modes import OperatingConditions
 
@@ -60,11 +61,72 @@ class TestCacheKey:
         """The default cell and NV-FF keys, as the previous cache code
         computed them: entries already on disk must keep hitting."""
         cond = OperatingConditions()
-        assert cell_cache_key("nv", cond, PowerDomain(), NFET_20NM_HP,
-                              PFET_20NM_HP, MTJ_TABLE1) \
+        assert CellPoint("nv", cond, PowerDomain(), NFET_20NM_HP,
+                         PFET_20NM_HP, MTJ_TABLE1).key \
             == "c4751e156ca92d17fee3b45d"
-        assert nvff_cache_key(cond, NFET_20NM_HP, PFET_20NM_HP,
-                              MTJ_TABLE1) == "f0414b1a3dd8d25cb3d7dbb0"
+        assert CellPoint("nvff", cond, None, NFET_20NM_HP, PFET_20NM_HP,
+                         MTJ_TABLE1).key == "f0414b1a3dd8d25cb3d7dbb0"
+
+
+class TestCellPoint:
+    """One point type names a characterisation: Table I defaults, the
+    cache key and the JSON form of the task queue and the serve wire."""
+
+    POINTS = [
+        CellPoint("nv"),
+        CellPoint("6t", domain=PowerDomain(2048, 32)),
+        CellPoint("nv", OperatingConditions().fast_variant(),
+                  PowerDomain(32, 32), mtj=MTJ_FIG9B),
+        CellPoint("6t", OperatingConditions().fast_variant(),
+                  PowerDomain(32, 32), mtj=MTJ_FIG9B),
+        CellPoint("nvff"),
+    ]
+
+    @pytest.mark.parametrize("point", POINTS,
+                             ids=["nv", "6t-2048", "nv-fig9b", "6t-fig9b",
+                                  "nvff"])
+    def test_json_round_trip_keeps_point_and_key(self, point):
+        wire = json.loads(json.dumps(point.to_params()))
+        again = CellPoint.from_params(wire)
+        assert again == point
+        assert again.key == point.key
+
+    def test_none_parts_take_the_table1_defaults(self):
+        explicit = CellPoint("nv", OperatingConditions(), PowerDomain(),
+                             NFET_20NM_HP, PFET_20NM_HP, MTJ_TABLE1)
+        assert CellPoint("nv") == explicit
+        assert CellPoint.from_params({"kind": "nv"}) == explicit
+        assert CellPoint("nvff").domain is None
+
+    def test_nvff_point_has_no_domain(self):
+        with pytest.raises(CharacterizationError, match="no domain"):
+            CellPoint("nvff", domain=PowerDomain())
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(CharacterizationError, match="kind"):
+            CellPoint("sram9t")
+
+    def test_integral_numbers_fit_their_fields(self):
+        default = CellPoint("nv")
+        point = CellPoint.from_params({
+            "kind": "nv", "cond": {"frequency": 300000000, "vdd": 0.9},
+            "domain": {"n_wordlines": 512.0}})
+        assert point == default and point.key == default.key
+        assert type(point.cond.frequency) is float
+        assert type(point.domain.n_wordlines) is int
+
+    @pytest.mark.parametrize("params, match", [
+        ({"domain": {"n_wordlines": 512.5}}, "bad 'domain'"),
+        ({"cond": {"vdd": True}}, "bad 'cond'"),
+        ({"domain": {"word_bits": False}}, "bad 'domain'"),
+        ({"cond": {"vdd": "0.9"}}, "bad 'cond'"),
+        ({"mtj": {"label": 7}}, "bad 'mtj'"),
+        ({"cond": {"not_a_field": 1}}, "bad 'cond'"),
+        ({"cond": [0.9]}, "'cond' must be a JSON object"),
+    ])
+    def test_bad_parts_rejected_by_name(self, params, match):
+        with pytest.raises(CharacterizationError, match=match):
+            CellPoint.from_params({"kind": "nv", **params})
 
 
 class TestLoadStore:
@@ -184,7 +246,7 @@ class TestDefaultDir:
         (a hit, so nothing is simulated)."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         record = _record()
-        key = cell_cache_key("6t", OperatingConditions(), PowerDomain(),
-                             NFET_20NM_HP, PFET_20NM_HP, MTJ_TABLE1)
+        key = CellPoint("6t", OperatingConditions(), PowerDomain(),
+                        NFET_20NM_HP, PFET_20NM_HP, MTJ_TABLE1).key
         cache.store(tmp_path, key, record)
         assert characterize_cell("6t") == record

@@ -19,6 +19,20 @@ class TestParsing:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign"])
 
+    @pytest.mark.parametrize("flags", [
+        ["--serve", "--executor", "--crashpoints", "--transient"],
+        ["--executor", "--transient"],
+    ])
+    def test_chaos_suite_flags_are_exclusive(self, flags, capsys):
+        """``repro chaos`` runs one suite: a second suite flag is a usage
+        error, not a silently ignored request."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["chaos", *flags])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        args = build_parser().parse_args(["chaos", flags[0]])
+        assert getattr(args, flags[0][2:])
+
     def test_figures_accept_campaign_flags(self):
         for command in ("fig7a", "fig7b", "fig7c", "fig8", "fig9"):
             args = build_parser().parse_args([command, "--workers", "2"])

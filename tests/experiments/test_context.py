@@ -107,6 +107,6 @@ def test_prewarm_sends_only_misses_to_workers(tmp_path, ctx, small_domain,
         result = again.prewarm(points, workers=2)
         assert result.order == [] and result.outcomes == {}
     assert set(warm._memo) == set(cold._memo) == {
-        warm.memo_key(kind, small_domain) for kind in ("nv", "6t")}
+        warm.point(kind, small_domain) for kind in ("nv", "6t")}
     assert run_fig7a(warm, small_domain).render() == \
         run_fig7a(ctx, small_domain).render()

@@ -108,7 +108,7 @@ class TestDeclaredPoints:
             fresh, _, _ = full_report
         else:
             fresh, _, _ = _report(ctx, include_figures=False)
-        declared = {fresh.memo_key(kind, domain, cond, mtj)
+        declared = {fresh.point(kind, domain, cond, mtj)
                     for domain, cond, mtj in summary_points(
                         fresh, include_figures)
                     for kind in ("nv", "6t")}

@@ -36,13 +36,12 @@ class TestStore:
                      if p.is_file() and p.suffix == ".tmp"]
         assert leftovers == []
 
-    def test_failed_write_cleans_up(self, tmp_path, monkeypatch):
-        class Broken(CellCharacterization):
-            def to_json(self):
-                raise RuntimeError("serialisation exploded")
-
-        broken = Broken(kind="nv", n_wordlines=8, vdd=0.9, frequency=100e6)
-        with pytest.raises(RuntimeError):
+    def test_failed_write_cleans_up(self, tmp_path):
+        """A record whose serialisation fails leaves nothing on disk."""
+        broken = CellCharacterization(kind="nv", n_wordlines=8, vdd=0.9,
+                                      frequency=100e6,
+                                      extras={"not_json": object()})
+        with pytest.raises(TypeError):
             cache.store(tmp_path, "k3", broken)
         assert not (tmp_path / "k3.json").exists()
         assert [p for p in tmp_path.iterdir() if p.is_file()] == []

@@ -38,6 +38,16 @@ class TestCanonicalKeys:
         assert (canonicalize("nvff", {}).key
                 != canonicalize("characterize", {}).key)
 
+    def test_integral_float_field_shares_the_default_key(self):
+        """A JSON integer on a float field is the same point: the same
+        request key and the same disk-cache key as the default."""
+        base = canonicalize("characterize", {})
+        spelled = canonicalize("characterize",
+                               {"cond": {"frequency": 300000000}})
+        assert spelled.key == base.key
+        assert spelled.params == base.params
+        assert spelled.point.key == base.point.key
+
     def test_passthrough_params_hash_by_content(self):
         a = canonicalize("demo", {"params": {"x": 2.0}})
         b = canonicalize("demo", {"params": {"x": 2.0}})
@@ -54,6 +64,14 @@ class TestValidation:
     def test_unknown_nested_field_rejected(self):
         with pytest.raises(ProtocolError, match="bad 'cond'"):
             canonicalize("characterize", {"cond": {"not_a_field": 1}})
+
+    def test_non_integral_int_field_rejected(self):
+        with pytest.raises(ProtocolError, match="bad 'domain'"):
+            canonicalize("characterize", {"domain": {"n_wordlines": 512.5}})
+
+    def test_boolean_number_rejected(self):
+        with pytest.raises(ProtocolError, match="bad 'cond'"):
+            canonicalize("characterize", {"cond": {"vdd": True}})
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ProtocolError, match="kind"):
