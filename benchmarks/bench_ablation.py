@@ -79,10 +79,7 @@ def bench_read_write_ratio(benchmark, ctx, publish):
 def bench_vctrl_leakage_knob(benchmark, ctx, publish):
     """What the Fig. 3(a) V_CTRL optimum buys in BET terms."""
     from repro.analysis import operating_point
-    from repro.characterize.testbench import (
-        SUPPLY_SOURCES,
-        build_cell_testbench,
-    )
+    from repro.characterize.testbench import build_cell_testbench
 
     def compute():
         rows = []
@@ -93,9 +90,7 @@ def bench_vctrl_leakage_knob(benchmark, ctx, publish):
             tb.apply_mode(Mode.STANDBY)
             sol = operating_point(tb.circuit,
                                   ic=tb.initial_conditions(True))
-            power = sum(tb.circuit[s].delivered_power(sol)
-                        for s in SUPPLY_SOURCES)
-            rows.append((v_ctrl, power))
+            rows.append((v_ctrl, tb.supply_power(sol)))
         return rows
 
     rows = benchmark.pedantic(compute, rounds=1, iterations=1)

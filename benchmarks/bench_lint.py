@@ -15,11 +15,8 @@ from pathlib import Path
 import pytest
 
 from repro.cells import build_cell_array
-from repro.characterize.ff_runner import _build_ff_bench
+from repro.characterize.ff_runner import build_ff_testbench
 from repro.characterize.testbench import build_cell_testbench
-from repro.devices.mtj import MTJ_TABLE1
-from repro.devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
-from repro.pg.modes import OperatingConditions
 from repro.verify import verify_circuit, verify_deck_file
 from repro.verify.emit import render_text
 
@@ -31,10 +28,7 @@ def _bench_circuits():
     """(name, circuit) for every built-in testbench the repo ships."""
     yield "nv", build_cell_testbench("nv").circuit
     yield "6t", build_cell_testbench("6t").circuit
-    cond = OperatingConditions()
-    bench, _ = _build_ff_bench(cond, NFET_20NM_HP, PFET_20NM_HP,
-                               MTJ_TABLE1)
-    yield "nvff", bench
+    yield "nvff", build_ff_testbench()[0]
     yield "array", build_cell_array(2, 2, lint=False).circuit
 
 

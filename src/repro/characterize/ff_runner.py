@@ -10,7 +10,7 @@ register-state power-gating figures (BET of a flip-flop bank).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from ..errors import CharacterizationError
 from ..analysis import operating_point, transient
@@ -22,7 +22,7 @@ from ..circuit import (
     Step,
     VoltageSource,
 )
-from ..cells import add_nvff, add_power_switch
+from ..cells import NvFlipFlop, add_nvff, add_power_switch
 from ..devices.finfet import FinFETParams
 from ..devices.mtj import MTJParams, MTJ_TABLE1
 from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
@@ -38,9 +38,14 @@ FF_SUPPLY_SOURCES = ("vdd", "vclk", "vd", "vctrl")
 FF_NFSW = 14
 
 
-def _build_ff_bench(cond: OperatingConditions,
-                    nfet: FinFETParams, pfet: FinFETParams,
-                    mtj_params: MTJParams):
+def build_ff_testbench(cond: Optional[OperatingConditions] = None,
+                       nfet: FinFETParams = NFET_20NM_HP,
+                       pfet: FinFETParams = PFET_20NM_HP,
+                       mtj_params: MTJParams = MTJ_TABLE1,
+                       ) -> Tuple[Circuit, NvFlipFlop]:
+    """The NV-FF behind a header power switch, with ideal clock, data,
+    SR and CTRL sources; returns the circuit and the flip-flop handle."""
+    cond = cond or OperatingConditions()
     c = Circuit("nvff-characterisation")
     c.add(VoltageSource("vdd", "rail", "0", dc=cond.vdd))
     c.add(VoltageSource("vpg", "pg", "0", dc=0.0))
@@ -53,6 +58,11 @@ def _build_ff_bench(cond: OperatingConditions,
     ff = add_nvff(c, "ff", "d", "clk", "vvdd", "sr", "ctrl",
                   nfet=nfet, pfet=pfet, mtj_params=mtj_params)
     return c, ff
+
+
+def powered_ic(ff: NvFlipFlop, cond: OperatingConditions) -> Dict[str, float]:
+    """Initial conditions of ``ff`` holding a 1 on a powered rail."""
+    return {**ff.initial_conditions(True, cond.vdd), "vvdd": cond.vdd}
 
 
 def characterize_nvff(
@@ -83,7 +93,7 @@ def _extract_nvff(point: CellPoint) -> FlipFlopCharacterization:
         vdd=cond.vdd, clock_frequency=cond.frequency,
     )
     from ..verify import assert_clean
-    bench, _ = _build_ff_bench(cond, *devices)
+    bench, _ = build_ff_testbench(cond, *devices)
     assert_clean(bench, target="cell:nvff")
     _extract_static(cond, *devices, result)
     _extract_clocking(cond, *devices, result)
@@ -93,19 +103,17 @@ def _extract_nvff(point: CellPoint) -> FlipFlopCharacterization:
 
 
 def _supply_power(circuit, sol) -> float:
-    return sum(circuit[name].delivered_power(sol)
-               for name in FF_SUPPLY_SOURCES)
+    return float(sum(circuit[name].delivered_power(sol)
+                     for name in FF_SUPPLY_SOURCES))
 
 
 def _extract_static(cond, nfet, pfet, mtj_params,
                     out: FlipFlopCharacterization) -> None:
-    c, ff = _build_ff_bench(cond, nfet, pfet, mtj_params)
-    ic = dict(ff.initial_conditions(True, cond.vdd))
-    ic["vvdd"] = cond.vdd
-    sol = operating_point(c, ic=ic)
+    c, ff = build_ff_testbench(cond, nfet, pfet, mtj_params)
+    sol = operating_point(c, ic=powered_ic(ff, cond))
     out.p_normal = max(_supply_power(c, sol), 0.0)
 
-    c2, _ = _build_ff_bench(cond, nfet, pfet, mtj_params)
+    c2, _ = build_ff_testbench(cond, nfet, pfet, mtj_params)
     c2["vpg"].set_level(cond.v_pg_super)
     c2["vctrl"].set_level(0.0)
     sol = operating_point(c2)
@@ -116,7 +124,7 @@ def _clock_run(cond, nfet, pfet, mtj_params, toggle: bool):
     """Four clock cycles; D toggles each cycle or stays constant."""
     t_clk = cond.t_cycle
     cycles = 5
-    c, ff = _build_ff_bench(cond, nfet, pfet, mtj_params)
+    c, ff = build_ff_testbench(cond, nfet, pfet, mtj_params)
     c["vclk"].set_waveform(Pulse(
         0.0, cond.vdd, delay=0.5 * t_clk, rise=50e-12, fall=50e-12,
         width=0.45 * t_clk, period=t_clk,
@@ -133,9 +141,7 @@ def _clock_run(cond, nfet, pfet, mtj_params, toggle: bool):
         c["vd"].set_waveform(PiecewiseLinear(points))
     else:
         c["vd"].set_level(cond.vdd)
-    ic = dict(ff.initial_conditions(True, cond.vdd))
-    ic["vvdd"] = cond.vdd
-    result = transient(c, (cycles + 0.4) * t_clk, ic=ic,
+    result = transient(c, (cycles + 0.4) * t_clk, ic=powered_ic(ff, cond),
                        options=TransientOptions(dt_initial=20e-12))
     return c, ff, result
 
@@ -166,16 +172,14 @@ def _extract_clocking(cond, nfet, pfet, mtj_params,
 
 def _extract_store(cond, nfet, pfet, mtj_params,
                    out: FlipFlopCharacterization) -> None:
-    c, ff = _build_ff_bench(cond, nfet, pfet, mtj_params)
+    c, ff = build_ff_testbench(cond, nfet, pfet, mtj_params)
     c["vsr"].set_waveform(Step(0.0, cond.v_sr, 1e-9, 100e-12))
     c["vctrl"].set_waveform(
         Step(0.0, cond.v_ctrl_store, 1e-9 + cond.t_store_step, 100e-12)
     )
     ff.set_mtj_data(c, False)    # must flip both junctions
-    ic = dict(ff.initial_conditions(True, cond.vdd))
-    ic["vvdd"] = cond.vdd
     total = 1e-9 + cond.t_store + 1e-9
-    res = transient(c, total, ic=ic,
+    res = transient(c, total, ic=powered_ic(ff, cond),
                     options=TransientOptions(dt_initial=20e-12))
     out.e_store = res.energy(FF_SUPPLY_SOURCES, 1e-9, 1e-9 + cond.t_store)
     out.t_store = cond.t_store
@@ -186,7 +190,7 @@ def _extract_store(cond, nfet, pfet, mtj_params,
 
 def _extract_restore(cond, nfet, pfet, mtj_params,
                      out: FlipFlopCharacterization) -> None:
-    c, ff = _build_ff_bench(cond, nfet, pfet, mtj_params)
+    c, ff = build_ff_testbench(cond, nfet, pfet, mtj_params)
     c["vpg"].set_waveform(Step(cond.v_pg_super, 0.0, 1e-9, 200e-12))
     c["vsr"].set_level(cond.v_sr)
     c["vctrl"].set_level(0.0)

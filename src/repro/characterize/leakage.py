@@ -28,7 +28,7 @@ from ..devices.finfet import FinFETParams
 from ..devices.mtj import MTJParams, MTJ_TABLE1
 from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
 from ..pg.modes import Mode, OperatingConditions
-from .testbench import SUPPLY_SOURCES, build_cell_testbench
+from .testbench import build_cell_testbench
 
 
 @dataclass
@@ -56,8 +56,7 @@ class LeakageSweep:
 
 def _cell_leakage_current(tb, sol) -> float:
     """Total static current drawn by the cell, referred to VDD."""
-    power = sum(tb.circuit[name].delivered_power(sol) for name in SUPPLY_SOURCES)
-    return max(power, 0.0) / tb.cond.vdd
+    return max(tb.supply_power(sol), 0.0) / tb.cond.vdd
 
 
 def leakage_vs_vctrl(

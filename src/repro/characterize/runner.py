@@ -20,7 +20,7 @@ Results are cached on disk (see :mod:`repro.characterize.cache`).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from ..analysis.results import TransientResult
 from ..analysis.trust import TrustAccumulator
 from ..cells import PowerDomain
 from ..devices.finfet import FinFETParams
-from ..devices.mtj import MTJ, MTJParams, MTJState, MTJ_TABLE1
+from ..devices.mtj import MTJParams, MTJ_TABLE1
 from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
 from ..pg.modes import Mode, OperatingConditions
 from ..pg.scheduler import PhaseWindow, Schedule, ScheduleStep
@@ -37,6 +37,7 @@ from . import cache
 from .cache import CELL_KINDS, CellPoint
 from .data import CellCharacterization
 from .testbench import (
+    STORE_STEPS,
     SUPPLY_SOURCES,
     CellTestbench,
     build_cell_testbench,
@@ -114,10 +115,7 @@ def _static_power(tb: CellTestbench, mode: Mode, trust: TrustAccumulator,
                   pg_override: Optional[float] = None) -> float:
     sol = tb.settle(mode, pg_override=pg_override)
     trust.note(sol)
-    power = sum(
-        tb.circuit[name].delivered_power(sol) for name in SUPPLY_SOURCES
-    )
-    return max(power, 0.0)
+    return max(tb.supply_power(sol), 0.0)
 
 
 def _extract_static_powers(tb: CellTestbench, out: CellCharacterization,
@@ -136,7 +134,8 @@ def _extract_static_powers(tb: CellTestbench, out: CellCharacterization,
         out.p_shutdown_nominal = out.p_sleep
 
 
-def _window_energy(result: TransientResult, window: PhaseWindow) -> float:
+def window_energy(result: TransientResult, window: PhaseWindow) -> float:
+    """Energy the ``SUPPLY_SOURCES`` deliver inside ``window``."""
     return result.energy(SUPPLY_SOURCES, window.t_start, window.t_end)
 
 
@@ -162,7 +161,7 @@ def _extract_read(tb: CellTestbench, out: CellCharacterization,
     result = tb.run(schedule, mtj_data=False)
     trust.note(result)
     window = schedule.windows_of(Mode.READ)[1]
-    out.e_read = _window_energy(result, window)
+    out.e_read = window_energy(result, window)
     out.read_delay = _read_delay(result, tb, window)
     if not tb.core.read_data(result.final_solution(), cond.vdd):
         raise CharacterizationError("read disturbed the stored data")
@@ -201,7 +200,7 @@ def _extract_write(tb: CellTestbench, out: CellCharacterization,
     result = tb.run(schedule, mtj_data=False)
     trust.note(result)
     window = schedule.windows_of(Mode.WRITE)[1]  # writes True
-    out.e_write = _window_energy(result, window)
+    out.e_write = window_energy(result, window)
 
     t_wl = window.t_start + 0.25 * window.duration
     crossing = result.crossing_time(tb.core.q, cond.vdd / 2.0,
@@ -217,87 +216,84 @@ def _extract_write(tb: CellTestbench, out: CellCharacterization,
 # store / restore
 # ---------------------------------------------------------------------------
 
-def store_schedule(cond: OperatingConditions) -> Schedule:
-    """The two-step store: H-store, then L-store, then shutdown."""
-    return Schedule(
+def run_store(tb: CellTestbench,
+              ) -> Tuple[TransientResult, PhaseWindow, PhaseWindow]:
+    """The two-step store of a 1, from standby into shutdown.
+
+    The MTJs start holding the complement, so both must flip.  Returns
+    the transient and its H-store and L-store windows.
+    """
+    schedule = Schedule(
         [
             ScheduleStep(Mode.STANDBY, 1e-9),
-            ScheduleStep(Mode.STORE_H, cond.t_store_step),
-            ScheduleStep(Mode.STORE_L, cond.t_store_step),
+            ScheduleStep(Mode.STORE_H, tb.cond.t_store_step),
+            ScheduleStep(Mode.STORE_L, tb.cond.t_store_step),
             ScheduleStep(Mode.SHUTDOWN, 2e-9),
         ],
-        cond,
+        tb.cond,
         volatile=False,
     )
+    result = tb.run(schedule, mtj_data=False)
+    return (result, schedule.windows_of(Mode.STORE_H)[0],
+            schedule.windows_of(Mode.STORE_L)[0])
 
 
-def restore_schedule(cond: OperatingConditions) -> Schedule:
-    """Wake-up from shutdown: the restore window, then standby."""
-    return Schedule(
+def run_restore(tb: CellTestbench) -> Tuple[TransientResult, PhaseWindow]:
+    """Wake-up of a stored 1 from a collapsed rail: shutdown, the
+    restore window, then standby.  Returns the transient and its
+    restore window."""
+    schedule = Schedule(
         [
             ScheduleStep(Mode.SHUTDOWN, 2e-9),
-            ScheduleStep(Mode.RESTORE, cond.t_restore),
+            ScheduleStep(Mode.RESTORE, tb.cond.t_restore),
             ScheduleStep(Mode.STANDBY, 3e-9),
         ],
-        cond,
+        tb.cond,
         volatile=False,
     )
+    result = tb.run(schedule, mtj_data=True, collapsed=True)
+    return result, schedule.windows_of(Mode.RESTORE)[0]
 
 
-def _mtj_peak_current(result: TransientResult, mtj: MTJ,
-                      window: PhaseWindow, before: float,
-                      state: MTJState) -> float:
-    """Peak |I| of an MTJ inside ``window`` at samples earlier than
-    ``before`` — i.e. before its switching event — evaluated with the
-    ``state`` the junction held during that interval."""
-    mask = (result.time >= window.t_start) & (result.time <= min(window.t_end, before))
+def _store_peak_current(tb: CellTestbench, result: TransientResult,
+                        mode: Mode, window: PhaseWindow) -> float:
+    """Peak |I| through the junction store step ``mode`` switches,
+    inside ``window`` and before its flip, evaluated in the state that
+    junction starts from (``STORE_STEPS``)."""
+    states, side = STORE_STEPS[mode]
+    cell = tb.nv_cell
+    mtj = (cell.mtj_q, cell.mtj_qb)[side](tb.circuit)
+    flip = next((t for t, name, _ in result.events if name == mtj.name),
+                window.t_end)
+    mask = (result.time >= window.t_start) & (result.time <= min(window.t_end, flip))
     if not np.any(mask):
         return 0.0
-    return float(np.abs(mtj_current(result, mtj, state, mask)).max())
+    return float(np.abs(mtj_current(result, mtj, states[side], mask)).max())
 
 
 def _extract_store(tb: CellTestbench, out: CellCharacterization,
                    trust: TrustAccumulator) -> None:
-    cond = tb.cond
-    schedule = store_schedule(cond)
-    # Data = True; the MTJs start holding the complement so both must flip.
-    result = tb.run(schedule, mtj_data=False)
+    result, win_h, win_l = run_store(tb)
     trust.note(result)
-    cell = tb.nv_cell
-
-    win_h, win_l = (schedule.windows_of(Mode.STORE_H)[0],
-                    schedule.windows_of(Mode.STORE_L)[0])
-    out.e_store_h = _window_energy(result, win_h)
-    out.e_store_l = _window_energy(result, win_l)
+    out.e_store_h = window_energy(result, win_h)
+    out.e_store_l = window_energy(result, win_l)
     out.e_store = out.e_store_h + out.e_store_l
-    out.t_store = cond.t_store
+    out.t_store = tb.cond.t_store
     out.store_events = len(result.events)
-    if cell.stored_data(tb.circuit) is not True:
+    if tb.nv_cell.stored_data(tb.circuit) is not True:
         raise CharacterizationError(
             f"store did not encode the data: events={result.events}"
         )
-
-    mtj_q = cell.mtj_q(tb.circuit)
-    mtj_qb = cell.mtj_qb(tb.circuit)
-    flip_q = next((t for t, name, _ in result.events if name == mtj_q.name),
-                  win_h.t_end)
-    flip_qb = next((t for t, name, _ in result.events if name == mtj_qb.name),
-                   win_l.t_end)
-    # Before its flip, the Q-side MTJ is still parallel (H-store drives
-    # P -> AP) and the QB-side is antiparallel (L-store drives AP -> P).
-    out.store_current_h = _mtj_peak_current(result, mtj_q, win_h, flip_q,
-                                            MTJState.PARALLEL)
-    out.store_current_l = _mtj_peak_current(result, mtj_qb, win_l, flip_qb,
-                                            MTJState.ANTIPARALLEL)
+    out.store_current_h = _store_peak_current(tb, result, Mode.STORE_H,
+                                              win_h)
+    out.store_current_l = _store_peak_current(tb, result, Mode.STORE_L,
+                                              win_l)
 
 
 def _extract_restore(tb: CellTestbench, out: CellCharacterization,
                      trust: TrustAccumulator) -> None:
-    cond = tb.cond
-    schedule = restore_schedule(cond)
-    result = tb.run(schedule, mtj_data=True, collapsed=True)
+    result, window = run_restore(tb)
     trust.note(result)
-    window = schedule.windows_of(Mode.RESTORE)[0]
-    out.e_restore = _window_energy(result, window)
-    out.t_restore = cond.t_restore
-    out.restore_ok = tb.core.read_data(result.final_solution(), cond.vdd)
+    out.e_restore = window_energy(result, window)
+    out.t_restore = tb.cond.t_restore
+    out.restore_ok = tb.core.read_data(result.final_solution(), tb.cond.vdd)

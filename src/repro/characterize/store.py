@@ -27,12 +27,11 @@ from ..errors import CharacterizationError
 from ..analysis import dc_sweep
 from ..recovery.partial import SkipRecord
 from ..cells import PowerDomain
-from ..devices.mtj import MTJState
 from ..devices.finfet import FinFETParams
 from ..devices.mtj import MTJParams, MTJ_TABLE1
 from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
 from ..pg.modes import Mode, OperatingConditions
-from .testbench import build_cell_testbench
+from .testbench import LINE_SOURCES, build_cell_testbench
 
 
 @dataclass
@@ -78,6 +77,36 @@ def _find_margin_bias(bias: np.ndarray, current: np.ndarray,
     return float(b0 + (target - i0) * (b1 - b0) / (i1 - i0))
 
 
+def _store_sweep(mode: Mode, line: str, values: Optional[Sequence[float]],
+                 cond: Optional[OperatingConditions],
+                 domain: Optional[PowerDomain], nfet: FinFETParams,
+                 pfet: FinFETParams, mtj_params: MTJParams,
+                 ) -> StoreCurrentSweep:
+    """|I| through the junction store step ``mode`` switches, with Q
+    high and ``line`` ("sr" or "ctrl") swept over ``values``."""
+    cond = cond or OperatingConditions()
+    if values is None:
+        values = np.linspace(0.0, 0.9, 37)
+    tb = build_cell_testbench("nv", cond, domain, nfet=nfet, pfet=pfet,
+                              mtj_params=mtj_params)
+    mtj = tb.store_step(mode)
+    sweep = dc_sweep(tb.circuit, LINE_SOURCES[line], values,
+                     ic=tb.initial_conditions(True), on_error="skip")
+    current = np.abs(sweep.measure(mtj.current))
+    bias = np.asarray(list(values), dtype=float)
+    i_critical = mtj.params.critical_current
+    return StoreCurrentSweep(
+        bias_name=f"v_{line}",
+        bias=bias,
+        current=current,
+        i_critical=i_critical,
+        margin=cond.store_margin,
+        bias_at_margin=_find_margin_bias(
+            bias, current, cond.store_margin * i_critical),
+        skips=list(sweep.skips),
+    )
+
+
 def store_current_vs_vsr(
     cond: Optional[OperatingConditions] = None,
     domain: Optional[PowerDomain] = None,
@@ -87,35 +116,8 @@ def store_current_vs_vsr(
     mtj_params: MTJParams = MTJ_TABLE1,
 ) -> StoreCurrentSweep:
     """Fig. 3(b): H-store current I_MTJ(P->AP) versus V_SR."""
-    cond = cond or OperatingConditions()
-    domain = domain or PowerDomain()
-    if v_sr_values is None:
-        v_sr_values = np.linspace(0.0, 0.9, 37)
-
-    tb = build_cell_testbench("nv", cond, domain, nfet=nfet, pfet=pfet,
-                              mtj_params=mtj_params)
-    tb.apply_mode(Mode.STORE_H)          # CTRL = 0, store bias elsewhere
-    cell = tb.nv_cell
-    # H-store drives the Q-side MTJ out of the parallel state.
-    cell.set_mtj_states(tb.circuit, MTJState.PARALLEL, MTJState.ANTIPARALLEL)
-    ic = tb.initial_conditions(True)     # Q high
-
-    sweep = dc_sweep(tb.circuit, "vsr", v_sr_values, ic=ic, on_error="skip")
-    mtj = cell.mtj_q(tb.circuit)
-    current = np.abs(sweep.measure(mtj.current))
-    bias = np.asarray(list(v_sr_values), dtype=float)
-
-    return StoreCurrentSweep(
-        bias_name="v_sr",
-        bias=bias,
-        current=current,
-        i_critical=mtj.params.critical_current,
-        margin=cond.store_margin,
-        bias_at_margin=_find_margin_bias(
-            bias, current, cond.store_margin * mtj.params.critical_current
-        ),
-        skips=list(sweep.skips),
-    )
+    return _store_sweep(Mode.STORE_H, "sr", v_sr_values, cond, domain,
+                        nfet, pfet, mtj_params)
 
 
 def store_current_vs_vctrl(
@@ -127,37 +129,8 @@ def store_current_vs_vctrl(
     mtj_params: MTJParams = MTJ_TABLE1,
 ) -> StoreCurrentSweep:
     """Fig. 3(c): L-store current I_MTJ(AP->P) versus V_CTRL at fixed V_SR."""
-    cond = cond or OperatingConditions()
-    domain = domain or PowerDomain()
-    if v_ctrl_values is None:
-        v_ctrl_values = np.linspace(0.0, 0.9, 37)
-
-    tb = build_cell_testbench("nv", cond, domain, nfet=nfet, pfet=pfet,
-                              mtj_params=mtj_params)
-    tb.apply_mode(Mode.STORE_L)          # SR = v_sr, CTRL will be swept
-    cell = tb.nv_cell
-    # After the H-store, the QB-side MTJ still holds the antiparallel
-    # state the L-store must overwrite.
-    cell.set_mtj_states(tb.circuit, MTJState.ANTIPARALLEL, MTJState.ANTIPARALLEL)
-    ic = tb.initial_conditions(True)     # QB low
-
-    sweep = dc_sweep(tb.circuit, "vctrl", v_ctrl_values, ic=ic,
-                     on_error="skip")
-    mtj = cell.mtj_qb(tb.circuit)
-    current = np.abs(sweep.measure(mtj.current))
-    bias = np.asarray(list(v_ctrl_values), dtype=float)
-
-    return StoreCurrentSweep(
-        bias_name="v_ctrl",
-        bias=bias,
-        current=current,
-        i_critical=mtj.params.critical_current,
-        margin=cond.store_margin,
-        bias_at_margin=_find_margin_bias(
-            bias, current, cond.store_margin * mtj.params.critical_current
-        ),
-        skips=list(sweep.skips),
-    )
+    return _store_sweep(Mode.STORE_L, "ctrl", v_ctrl_values, cond, domain,
+                        nfet, pfet, mtj_params)
 
 
 def verify_store_bias_choice(cond: Optional[OperatingConditions] = None,

@@ -21,7 +21,7 @@ listing them is harmless but keeps the bookkeeping honest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -66,6 +66,16 @@ LINE_SOURCES = {
 #: Sources whose delivered energy constitutes the cell energy.
 SUPPLY_SOURCES = ("vrail", "vwl", "vctrl", "vbl_drv", "vblb_drv")
 
+#: The two-step CIMS store (Yamamoto and Sugahara) of a cell holding a
+#: 1: per step, the (MTJ_Q, MTJ_QB) states it starts from and the side
+#: (0 = Q, 1 = QB) whose junction it switches.  The H-store (CTRL low)
+#: drives the Q-side MTJ P -> AP; the L-store then drives the QB side
+#: AP -> P.
+STORE_STEPS: Dict[Mode, Tuple[Tuple[MTJState, MTJState], int]] = {
+    Mode.STORE_H: ((MTJState.PARALLEL, MTJState.ANTIPARALLEL), 0),
+    Mode.STORE_L: ((MTJState.ANTIPARALLEL, MTJState.ANTIPARALLEL), 1),
+}
+
 
 @dataclass
 class CellTestbench:
@@ -104,6 +114,12 @@ class CellTestbench:
         ic["vvdd"] = self.cond.vdd
         return ic
 
+    def supply_power(self, sol: Solution) -> float:
+        """Power the ``SUPPLY_SOURCES`` deliver at the operating point
+        ``sol``."""
+        return float(sum(self.circuit[name].delivered_power(sol)
+                         for name in SUPPLY_SOURCES))
+
     def set_mtj_data(self, data: bool) -> None:
         """Program the MTJ pair to encode ``data`` (NV cells only).
 
@@ -117,6 +133,16 @@ class CellTestbench:
         else:
             cell.set_mtj_states(self.circuit, MTJState.PARALLEL,
                                 MTJState.ANTIPARALLEL)
+
+    def store_step(self, mode: Mode) -> MTJ:
+        """Bias store step ``mode`` (``STORE_H`` or ``STORE_L``) with the
+        MTJ pair in the states that step starts from, and return the
+        junction it switches (see ``STORE_STEPS``)."""
+        states, side = STORE_STEPS[mode]
+        cell = self.nv_cell
+        self.apply_mode(mode)
+        cell.set_mtj_states(self.circuit, *states)
+        return (cell.mtj_q, cell.mtj_qb)[side](self.circuit)
 
     # -- recipes --------------------------------------------------------
     def settle(self, mode: Mode, data: bool = True,

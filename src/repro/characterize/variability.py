@@ -37,12 +37,12 @@ from ..analysis.batch import CircuitBatch
 from ..analysis.dc import batch_operating_point
 from ..recovery.partial import SkipRecord
 from ..cells import PowerDomain
-from ..circuit import Circuit, VoltageSource
+from ..circuit import Circuit
 from ..devices.finfet import FinFET, FinFETParams
-from ..devices.mtj import MTJ, MTJState
+from ..devices.mtj import MTJ
 from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
 from ..pg.modes import Mode, OperatingConditions
-from .snm import _butterfly_snm_two
+from .snm import _build_half_cell, _butterfly_snm_two
 from .testbench import build_cell_testbench
 
 
@@ -133,24 +133,17 @@ def _store_margins(cond: Optional[OperatingConditions],
     """
     tb = build_cell_testbench("nv", cond, domain)
     cards = _draw_cards(tb.circuit, variation, seed, indices)
-    cell = tb.nv_cell
     ic_map = tb.initial_conditions(True)      # Q high
     alive = np.ones(len(indices), dtype=bool)
     errors: Dict[int, AnalysisError] = {}
     margins = np.full(len(indices), np.inf)
-    # H-store: Q-side MTJ still parallel, CTRL grounded.  L-store:
-    # QB-side MTJ antiparallel, CTRL at the store level.
-    for mode, q_state, junction in (
-            (Mode.STORE_H, MTJState.PARALLEL, cell.mtj_q),
-            (Mode.STORE_L, MTJState.ANTIPARALLEL, cell.mtj_qb)):
-        tb.apply_mode(mode)
-        cell.set_mtj_states(tb.circuit, q_state, MTJState.ANTIPARALLEL)
+    for mode in (Mode.STORE_H, Mode.STORE_L):
+        name = tb.store_step(mode).name
         batch = CircuitBatch(tb.circuit, cards)
         point = batch_operating_point(batch, ic=ic_map, active=alive)
         for k, err in point.errors.items():
             errors[k] = err
             alive[k] = False
-        name = junction(tb.circuit).name
         i_c = np.array([card.critical_current for card in cards[name]])
         margins = np.minimum(
             margins, np.abs(batch.current(name, point.x)) / i_c)
@@ -266,21 +259,6 @@ class SnmDistribution:
         return float(np.nanpercentile(self.snm, q))
 
 
-def _half_cell(cond: OperatingConditions, read_mode: bool,
-               nfet: FinFETParams, pfet: FinFETParams) -> Circuit:
-    """One half-cell (inverter plus, in read mode, its pass-gate)."""
-    circuit = Circuit("snm-mc-half-cell")
-    circuit.add(VoltageSource("vdd", "vdd", "0", dc=cond.vdd))
-    circuit.add(VoltageSource("vin", "in", "0", dc=0.0))
-    circuit.add(FinFET("pu", "out", "in", "vdd", pfet, 1))
-    circuit.add(FinFET("pd", "out", "in", "0", nfet, 1))
-    if read_mode:
-        circuit.add(VoltageSource("vbl", "bl", "0", dc=cond.vdd))
-        circuit.add(VoltageSource("vwl", "wl", "0", dc=cond.v_wl_read))
-        circuit.add(FinFET("pg", "bl", "wl", "out", nfet, 1))
-    return circuit
-
-
 def _snm_values(cond: OperatingConditions, read_mode: bool,
                 variation: VariationModel, seed: int,
                 indices: Sequence[int], points: int, nfet: FinFETParams,
@@ -295,7 +273,7 @@ def _snm_values(cond: OperatingConditions, read_mode: bool,
     failed.  A monostable corner (butterfly with no second eye) has SNM
     0.0 — stability lost, not an analysis failure.
     """
-    circuit = _half_cell(cond, read_mode, nfet, pfet)
+    circuit = _build_half_cell(cond, read_mode, 1, 1, 1, nfet, pfet)
     batch = CircuitBatch(
         circuit, _draw_cards(circuit, variation, seed, indices, copies=2))
     vin = np.linspace(0.0, cond.vdd, points)

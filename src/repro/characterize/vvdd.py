@@ -83,9 +83,7 @@ def vvdd_vs_nfsw(
             return tb.settle(Mode.STANDBY).voltage("vvdd")
 
         def store_point():
-            # The junctions hold the complement of Q, so the H-store
-            # current flows.
-            tb.set_mtj_data(False)
+            tb.store_step(Mode.STORE_H)
             return tb.settle(Mode.STORE_H).voltage("vvdd")
 
         value, skip = run_point(normal_point, index=i,

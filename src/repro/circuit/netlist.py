@@ -153,13 +153,6 @@ class Element:
         """Advance internal state after an accepted step; may return event."""
         return None
 
-    def snapshot_state(self):
-        """Return an opaque copy of mutable internal state (for rewind)."""
-        return None
-
-    def restore_state(self, snap) -> None:
-        """Restore state captured by :meth:`snapshot_state`."""
-
     def __repr__(self) -> str:
         nodes = ",".join(self.node_names)
         return f"<{type(self).__name__} {self.name} ({nodes})>"

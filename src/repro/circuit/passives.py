@@ -119,12 +119,6 @@ class Capacitor(Element):
         self._v_prev = v_new
         return None
 
-    def snapshot_state(self):
-        return (self._v_prev, self._i_prev)
-
-    def restore_state(self, snap) -> None:
-        self._v_prev, self._i_prev = snap
-
     @property
     def voltage_history(self) -> float:
         """Voltage across the capacitor at the last committed timepoint."""

@@ -271,13 +271,9 @@ def _lint_alias_circuit(alias: str):
     if alias in ("nv", "6t"):
         return build_cell_testbench(alias).circuit
     if alias == "nvff":
-        from .characterize.ff_runner import _build_ff_bench
-        from .devices.mtj import MTJ_TABLE1
-        from .devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
+        from .characterize.ff_runner import build_ff_testbench
 
-        circuit, _ff = _build_ff_bench(OperatingConditions(), NFET_20NM_HP,
-                                       PFET_20NM_HP, MTJ_TABLE1)
-        return circuit
+        return build_ff_testbench()[0]
     if alias == "array":
         from .cells.array import build_cell_array
 

@@ -386,12 +386,6 @@ class MTJ(Element):
     def init_state(self, ctx) -> None:
         self.progress = 0.0
 
-    def snapshot_state(self):
-        return (self.state, self.progress, self.switch_count)
-
-    def restore_state(self, snap) -> None:
-        self.state, self.progress, self.switch_count = snap
-
     def set_state(self, state: MTJState) -> None:
         """Force the magnetisation state (testbench initialisation)."""
         self.state = state

@@ -20,7 +20,6 @@ from .modes import Mode, OperatingConditions, LineLevels, bias_for_mode
 from .sequences import (
     Architecture,
     BenchmarkSpec,
-    SequencePhase,
     benchmark_sequence,
 )
 from .energy import CellEnergyModel, CycleEnergyBreakdown
@@ -35,7 +34,6 @@ __all__ = [
     "bias_for_mode",
     "Architecture",
     "BenchmarkSpec",
-    "SequencePhase",
     "benchmark_sequence",
     "CellEnergyModel",
     "CycleEnergyBreakdown",

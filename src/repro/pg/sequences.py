@@ -46,15 +46,6 @@ class Architecture(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SequencePhase:
-    """A named phase for reporting (maps onto Fig. 5's boxes)."""
-
-    label: str
-    mode: Mode
-    duration: float
-
-
-@dataclass(frozen=True)
 class BenchmarkSpec:
     """Parameters of one benchmark sequence instance.
 

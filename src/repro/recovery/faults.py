@@ -199,21 +199,14 @@ def _chaos_testbench(target: str, cond=None, domain=None):
     The NV-FF bench has no cell-testbench wrapper, so its ``bench`` is
     ``None``.
     """
+    from ..characterize.ff_runner import build_ff_testbench
     from ..characterize.testbench import build_cell_testbench
 
     if target in ("nv", "6t"):
         bench = build_cell_testbench(target, cond, domain)
         return bench, bench.circuit
     if target == "nvff":
-        from ..characterize.ff_runner import _build_ff_bench
-        from ..devices.mtj import MTJ_TABLE1
-        from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
-        from ..pg.modes import OperatingConditions
-
-        circuit, _ff = _build_ff_bench(cond or OperatingConditions(),
-                                       NFET_20NM_HP, PFET_20NM_HP,
-                                       MTJ_TABLE1)
-        return None, circuit
+        return None, build_ff_testbench(cond)[0]
     raise ValueError(f"unknown chaos target: {target}")
 
 
@@ -275,7 +268,7 @@ def chaos_operating_points(
     fault.
     """
     from ..analysis import operating_point
-    from ..devices.mtj import MTJState
+    from ..characterize.testbench import STORE_STEPS
     from ..pg.modes import Mode
 
     modes = {"nv": [Mode.STANDBY, Mode.STORE_H],
@@ -286,10 +279,10 @@ def chaos_operating_points(
         for mode in modes:
             ic = None
             if mode is not None:
-                bench.apply_mode(mode)
-                if mode is Mode.STORE_H:
-                    bench.nv_cell.set_mtj_states(
-                        circuit, MTJState.PARALLEL, MTJState.ANTIPARALLEL)
+                if mode in STORE_STEPS:
+                    bench.store_step(mode)
+                else:
+                    bench.apply_mode(mode)
                 ic = {**bench.initial_conditions(True), **ic_override}
             rung = operating_point(circuit, ic=ic).recovery_rung or rung
         return rung

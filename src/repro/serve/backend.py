@@ -48,6 +48,13 @@ ROUTE_FNS: Dict[str, str] = {
 }
 
 
+#: Entries of the in-memory result memo (least recently used evicted).
+MEMO_SIZE = 512
+
+#: Extra watchdog allowance for a worker still importing (seconds).
+_WARMUP_GRACE_S = 30.0
+
+
 @dataclass
 class CacheHit:
     """A result served without executing anything."""
@@ -63,21 +70,17 @@ class ExecBackend:
     def __init__(self, routes: Dict[str, str], *,
                  workers: int = 0,
                  max_retries: int = 1,
-                 warmup_grace: float = 30.0,
                  cache_dir: Optional[Union[str, Path]] = None,
                  forensics_dir: Optional[Union[str, Path]] = None,
-                 memo_size: int = 512,
                  stop_level: Optional[Callable[[], int]] = None):
         self.routes = dict(routes)
         self.workers = int(workers)
         self.max_retries = int(max_retries)
-        self.warmup_grace = float(warmup_grace)
         self.cache_dir = None if cache_dir is None else Path(cache_dir)
         self.forensics_dir = forensics_dir
-        self.memo_size = int(memo_size)
         self._stop_level = stop_level or (lambda: 0)
         self._lock = threading.Lock()
-        # key -> (payload, stored_at monotonic); LRU bounded at memo_size
+        # key -> (payload, stored_at monotonic); LRU bounded at MEMO_SIZE
         self._memo: "OrderedDict[str, Tuple[Dict[str, Any], float]]" = (
             OrderedDict())
         self.executions = 0
@@ -91,7 +94,7 @@ class ExecBackend:
         with self._lock:
             self._memo[key] = (payload, time.monotonic())
             self._memo.move_to_end(key)
-            while len(self._memo) > self.memo_size:
+            while len(self._memo) > MEMO_SIZE:
                 self._memo.popitem(last=False)
 
     def probe(self, request: ServeRequest) -> Optional[CacheHit]:
@@ -149,7 +152,7 @@ class ExecBackend:
         options = CampaignOptions(
             workers=self.workers,
             task_timeout=None,
-            warmup_grace=self.warmup_grace,
+            warmup_grace=_WARMUP_GRACE_S,
             max_retries=self.max_retries,
             backoff_base=0.05,
             backoff_cap=1.0,
@@ -213,5 +216,5 @@ class ExecBackend:
                 "inflight": self.inflight,
                 "outcomes": dict(self.outcomes),
                 "memo_entries": len(self._memo),
-                "memo_size": self.memo_size,
+                "memo_size": MEMO_SIZE,
             }

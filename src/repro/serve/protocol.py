@@ -51,6 +51,12 @@ STATUS_HTTP: Dict[str, int] = {
 #: Fields every request may carry in addition to route-specific ones.
 _COMMON_FIELDS = frozenset({"deadline_s"})
 
+#: Deadline of a request that names none, and the range every deadline
+#: is clamped into (seconds).
+DEFAULT_DEADLINE_S = 30.0
+MIN_DEADLINE_S = 0.05
+MAX_DEADLINE_S = 300.0
+
 _ROUTE_FIELDS: Dict[str, frozenset] = {
     "characterize": frozenset({"kind", "cond", "domain", "nfet", "pfet",
                                "mtj"}),
@@ -79,7 +85,7 @@ class ServeRequest:
     route: str
     params: Dict[str, Any]
     key: str
-    deadline_s: float = 30.0
+    deadline_s: float = DEFAULT_DEADLINE_S
     point: Optional["CellPoint"] = None
 
 
@@ -108,15 +114,13 @@ def _passthrough_params(body: Mapping[str, Any]) -> Dict[str, Any]:
     return dict(params)
 
 
-def canonicalize(route: str, body: Mapping[str, Any], *,
-                 default_deadline_s: float = 30.0,
-                 min_deadline_s: float = 0.05,
-                 max_deadline_s: float = 300.0) -> ServeRequest:
+def canonicalize(route: str, body: Mapping[str, Any]) -> ServeRequest:
     """Validate and canonicalise one request body.
 
     Raises :class:`ProtocolError` on unknown fields, malformed
-    parameter objects or an unusable deadline; the deadline is clamped
-    into ``[min_deadline_s, max_deadline_s]`` rather than rejected.
+    parameter objects or an unusable deadline; the deadline (default
+    ``DEFAULT_DEADLINE_S``) is clamped into ``[MIN_DEADLINE_S,
+    MAX_DEADLINE_S]`` rather than rejected.
     """
     if not isinstance(body, Mapping):
         raise ProtocolError("request body must be a JSON object")
@@ -128,10 +132,10 @@ def canonicalize(route: str, body: Mapping[str, Any], *,
             f"{route!r} accepts {sorted(allowed | _COMMON_FIELDS)}")
 
     try:
-        deadline_s = float(body.get("deadline_s", default_deadline_s))
+        deadline_s = float(body.get("deadline_s", DEFAULT_DEADLINE_S))
     except (TypeError, ValueError) as err:
         raise ProtocolError(f"bad deadline_s: {err}") from err
-    deadline_s = min(max(deadline_s, min_deadline_s), max_deadline_s)
+    deadline_s = min(max(deadline_s, MIN_DEADLINE_S), MAX_DEADLINE_S)
 
     point = None
     if route in ("characterize", "nvff"):

@@ -66,6 +66,9 @@ _REASONS = {
 #: Seconds allowed for reading one request head/body off the socket.
 _READ_TIMEOUT_S = 10.0
 
+#: Largest request body accepted, in bytes.
+_MAX_BODY_BYTES = 1_000_000
+
 
 @dataclass
 class ServeOptions:
@@ -81,15 +84,10 @@ class ServeOptions:
     extra_routes: Tuple[str, ...] = ()  # "demo" / "chaos" test routes
     workers: int = 0                    # executor processes per execution
     max_retries: int = 1
-    warmup_grace: float = 30.0
     cache_dir: Optional[Union[str, Path]] = "auto"
     forensics_dir: Optional[Union[str, Path]] = None
-    default_deadline_s: float = 30.0
-    min_deadline_s: float = 0.05
-    max_deadline_s: float = 300.0
     interactive_slots: int = 4          # concurrent executions
     max_pending_interactive: int = 64   # admitted groups before shedding
-    max_group_waiters: int = 64
     retry_after_s: float = 0.5
     breaker_window: int = 16
     breaker_min_samples: int = 4
@@ -97,8 +95,6 @@ class ServeOptions:
     breaker_cooldown_s: float = 5.0
     drain_grace: float = 10.0
     drain_settle_s: float = 0.05    # readyz-503 window before socket close
-    memo_size: int = 512
-    max_body_bytes: int = 1_000_000
     progress: Optional[Callable[[str], None]] = None
 
 
@@ -158,15 +154,13 @@ class ReproServer:
             routes,
             workers=opts.workers,
             max_retries=opts.max_retries,
-            warmup_grace=opts.warmup_grace,
             cache_dir=cache_dir,
             forensics_dir=opts.forensics_dir,
-            memo_size=opts.memo_size,
             stop_level=lambda: self._drain_level,
         )
         self.admission = AdmissionController(
             opts.max_pending_interactive, retry_after_s=opts.retry_after_s)
-        self.coalescer = Coalescer(max_waiters=opts.max_group_waiters)
+        self.coalescer = Coalescer()
         self.breaker = CircuitBreaker(
             window=opts.breaker_window,
             min_samples=opts.breaker_min_samples,
@@ -272,10 +266,10 @@ class ReproServer:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError as err:
             raise ProtocolError(f"bad Content-Length: {err}") from err
-        if length > self.options.max_body_bytes:
+        if length > _MAX_BODY_BYTES:
             raise ProtocolError(
                 f"body of {length} bytes exceeds the "
-                f"{self.options.max_body_bytes}-byte limit")
+                f"{_MAX_BODY_BYTES}-byte limit")
         body = b""
         if length > 0:
             body = await asyncio.wait_for(reader.readexactly(length),
@@ -374,11 +368,7 @@ class ReproServer:
             return await self._respond(
                 writer, "draining", {"detail": "server is draining"})
         try:
-            req = canonicalize(
-                route, body,
-                default_deadline_s=self.options.default_deadline_s,
-                min_deadline_s=self.options.min_deadline_s,
-                max_deadline_s=self.options.max_deadline_s)
+            req = canonicalize(route, body)
         except ProtocolError as err:
             return await self._respond(writer, "bad-request",
                                        {"detail": str(err)})

@@ -159,28 +159,40 @@ def parse_deck(text: str) -> ParsedDeck:
     return parser.finish()
 
 
-def _logical_lines(text: str) -> List[str]:
-    """Strip comments, join ``+`` continuations."""
-    out: List[str] = []
-    for raw in text.splitlines():
-        line = raw.split(";")[0].split("$")[0].rstrip()
-        if not line.strip():
+def logical_cards(text: str) -> List[Tuple[int, str]]:
+    """``(first physical line, text)`` of every logical card.
+
+    Comments are stripped and ``+`` continuations joined; a ``*``
+    comment before any card holds the title's slot as an empty title.
+    Never raises: a continuation before any card stays a card that
+    starts with ``+``, which :func:`parse_deck` rejects.
+    """
+    out: List[Tuple[int, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split(";")[0].split("$")[0].strip()
+        if not stripped:
             continue
-        stripped = line.strip()
         if stripped.startswith("*"):
             if not out:
-                out.append("")  # a comment before any title: keep slot
+                out.append((lineno, ""))
             continue
-        if stripped.startswith("+"):
-            if not out:
-                raise NetlistError("continuation line before any card")
-            out[-1] += " " + stripped[1:].strip()
+        if stripped.startswith("+") and out:
+            first, card = out[-1]
+            out[-1] = (first, card + " " + stripped[1:].strip())
         else:
-            out.append(stripped)
+            out.append((lineno, stripped))
     return out
 
 
-def _tokenize(line: str) -> List[str]:
+def _logical_lines(text: str) -> List[str]:
+    """Strip comments, join ``+`` continuations."""
+    cards = [card for _line, card in logical_cards(text)]
+    if cards and cards[0].startswith("+"):
+        raise NetlistError("continuation line before any card")
+    return cards
+
+
+def tokenize(line: str) -> List[str]:
     """Split a card into tokens, keeping ``fn(...)`` groups intact."""
     tokens: List[str] = []
     buf = ""
@@ -215,7 +227,7 @@ class _DeckParser:
     def feed(self, line: str) -> None:
         if self._ended:
             return
-        tokens = _tokenize(line)
+        tokens = tokenize(line)
         if not tokens:
             return
         head = tokens[0].lower()
@@ -355,7 +367,7 @@ class _DeckParser:
         if match:
             kind = match.group(1).lower()
             body = match.group(2)
-            kwargs = self._kwargs(_tokenize(body)) if body.strip() else {}
+            kwargs = self._kwargs(tokenize(body)) if body.strip() else {}
         else:
             kind = tokens[2].lower()
             kwargs = self._kwargs(tokens[3:])
@@ -394,21 +406,10 @@ class _DeckParser:
             else self.deck.circuit
 
     def _element(self, head: str, tokens: List[str], line: str) -> None:
-        letter = head[0]
-        name = tokens[0].lower()
-        builder = {
-            "r": self._resistor,
-            "c": self._capacitor,
-            "v": self._vsource,
-            "i": self._isource,
-            "s": self._switch,
-            "m": self._finfet,
-            "y": self._mtj,
-            "x": self._subckt_instance,
-        }.get(letter)
+        builder = ELEMENT_BUILDERS.get(head[0])
         if builder is None:
             raise NetlistError(f"unsupported element card: {tokens[0]!r}")
-        builder(name, [t for t in tokens[1:]], line)
+        builder(self, tokens[0].lower(), tokens[1:], line)
 
     def _resistor(self, name, args, line):
         if len(args) != 3:
@@ -544,3 +545,16 @@ class _DeckParser:
             )
         sub.instantiate(self.deck.circuit, name,
                         dict(zip(sub.ports, nodes)))
+
+
+#: Element-card letter -> the parser method that builds that element.
+ELEMENT_BUILDERS = {
+    "r": _DeckParser._resistor,
+    "c": _DeckParser._capacitor,
+    "v": _DeckParser._vsource,
+    "i": _DeckParser._isource,
+    "s": _DeckParser._switch,
+    "m": _DeckParser._finfet,
+    "y": _DeckParser._mtj,
+    "x": _DeckParser._subckt_instance,
+}

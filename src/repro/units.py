@@ -23,7 +23,7 @@ import re
 from .errors import UnitError
 
 #: SPICE-style multiplier suffixes.  ``meg`` must be matched before ``m``.
-_SUFFIXES = [
+SPICE_MULTIPLIERS = [
     ("meg", 1e6),
     ("t", 1e12),
     ("g", 1e9),
@@ -79,7 +79,7 @@ def parse_quantity(text: "str | float | int") -> float:
     suffix = match.group(2).lower()
     if not suffix:
         return value
-    for prefix, multiplier in _SUFFIXES:
+    for prefix, multiplier in SPICE_MULTIPLIERS:
         if suffix.startswith(prefix):
             return value * multiplier
     # Unknown leading letter: SPICE treats unrecognised suffixes as unit

@@ -122,13 +122,6 @@ class Case:
     runner: Callable[[], Dict[str, Quantity]]
 
 
-def _supply_power(tb, sol) -> float:
-    from ..characterize.testbench import SUPPLY_SOURCES
-
-    return sum(tb.circuit[name].delivered_power(sol)
-               for name in SUPPLY_SOURCES)
-
-
 def _cell_dc_case(kind: str, mode_name: str) -> Dict[str, Quantity]:
     """Operating point of the single-cell testbench in one mode."""
     from ..characterize.testbench import build_cell_testbench
@@ -141,24 +134,19 @@ def _cell_dc_case(kind: str, mode_name: str) -> Dict[str, Quantity]:
         f"v({node})": Quantity(sol.voltage(node), "voltage")
         for node in (core.q, core.qb, "vvdd", "bl", "blb")
     }
-    out["p(supply)"] = Quantity(_supply_power(tb, sol), "power")
+    out["p(supply)"] = Quantity(tb.supply_power(sol), "power")
     return out
 
 
 def _nvff_dc_case() -> Dict[str, Quantity]:
     """Operating point of the NV flip-flop bench holding a 1."""
-    from ..characterize.ff_runner import _build_ff_bench
-    from ..devices.mtj import MTJ_TABLE1
-    from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
+    from ..characterize.ff_runner import build_ff_testbench, powered_ic
     from ..pg.modes import OperatingConditions
     from ..analysis import operating_point
 
     cond = OperatingConditions()
-    circuit, ff = _build_ff_bench(cond, NFET_20NM_HP, PFET_20NM_HP,
-                                  MTJ_TABLE1)
-    ic = ff.initial_conditions(True, cond.vdd)
-    ic["vvdd"] = cond.vdd
-    sol = operating_point(circuit, ic=ic)
+    circuit, ff = build_ff_testbench(cond)
+    sol = operating_point(circuit, ic=powered_ic(ff, cond))
     return {
         f"v({node})": Quantity(sol.voltage(node), "voltage")
         for node in (ff.q, ff.s, ff.s3, "vvdd")
@@ -170,23 +158,15 @@ def _nvff_dc_case() -> Dict[str, Quantity]:
 
 def _nv_store_case() -> Dict[str, Quantity]:
     """Two-step store transient of the NV-SRAM cell (H then L store)."""
-    from ..characterize.runner import store_schedule
-    from ..characterize.testbench import SUPPLY_SOURCES, build_cell_testbench
-    from ..pg.modes import Mode
+    from ..characterize.runner import run_store, window_energy
+    from ..characterize.testbench import build_cell_testbench
 
     tb = build_cell_testbench("nv")
-    schedule = store_schedule(tb.cond)
-    result = tb.run(schedule, mtj_data=False)  # both MTJs must flip
-    win_h = schedule.windows_of(Mode.STORE_H)[0]
-    win_l = schedule.windows_of(Mode.STORE_L)[0]
+    result, win_h, win_l = run_store(tb)
     final = result.final_solution()
     return {
-        "e(store_h)": Quantity(
-            result.energy(SUPPLY_SOURCES, win_h.t_start, win_h.t_end),
-            "energy"),
-        "e(store_l)": Quantity(
-            result.energy(SUPPLY_SOURCES, win_l.t_start, win_l.t_end),
-            "energy"),
+        "e(store_h)": Quantity(window_energy(result, win_h), "energy"),
+        "e(store_l)": Quantity(window_energy(result, win_l), "energy"),
         "v(q,final)": Quantity(final.voltage(tb.core.q), "voltage"),
         "v(qb,final)": Quantity(final.voltage(tb.core.qb), "voltage"),
         "mtj-events": Quantity(float(len(result.events)), "count"),
@@ -197,19 +177,14 @@ def _nv_store_case() -> Dict[str, Quantity]:
 
 def _nv_restore_case() -> Dict[str, Quantity]:
     """Collapsed-rail wake-up recall of the NV-SRAM cell."""
-    from ..characterize.runner import restore_schedule
-    from ..characterize.testbench import SUPPLY_SOURCES, build_cell_testbench
-    from ..pg.modes import Mode
+    from ..characterize.runner import run_restore, window_energy
+    from ..characterize.testbench import build_cell_testbench
 
     tb = build_cell_testbench("nv")
-    schedule = restore_schedule(tb.cond)
-    result = tb.run(schedule, mtj_data=True, collapsed=True)
-    window = schedule.windows_of(Mode.RESTORE)[0]
+    result, window = run_restore(tb)
     final = result.final_solution()
     return {
-        "e(restore)": Quantity(
-            result.energy(SUPPLY_SOURCES, window.t_start, window.t_end),
-            "energy"),
+        "e(restore)": Quantity(window_energy(result, window), "energy"),
         "v(q,final)": Quantity(final.voltage(tb.core.q), "voltage"),
         "v(qb,final)": Quantity(final.voltage(tb.core.qb), "voltage"),
         "restored-1": Quantity(
@@ -236,9 +211,7 @@ def _pg_rail_case() -> Dict[str, Quantity]:
     # Super-cutoff the header switch 1 ns in (100 ps gate ramp).
     tb.circuit["vpg"].set_waveform(PiecewiseLinear(
         [(0.0, 0.0), (1e-9, 0.0), (1.1e-9, cond.v_pg_super)]))
-    ic = tb.core.initial_conditions(True, cond.vdd)
-    ic["vvdd"] = cond.vdd
-    result = transient(tb.circuit, 8e-9, ic=ic,
+    result = transient(tb.circuit, 8e-9, ic=tb.initial_conditions(True),
                        options=TransientOptions(dt_max=0.2e-9))
     out = {
         f"v(vvdd,{t * 1e9:g}ns)": Quantity(

@@ -1,12 +1,12 @@
 """SPICE-deck text-level rules (RV3xx).
 
-These rules work on a :class:`DeckSource` — a *tolerant* scan of the
-deck text that keeps physical line numbers through ``+`` continuations
-and never raises.  That lets the linter report several problems at once
-(and point at lines), where the strict parser in
-:mod:`repro.spice.parser` stops at the first error.  RV300 still runs
-the strict parser so anything it rejects surfaces as a diagnostic
-rather than a crash.
+These rules work on a :class:`DeckSource` — the strict parser's own
+card scan (:func:`repro.spice.parser.logical_cards`), which keeps
+physical line numbers through ``+`` continuations and never raises.
+That lets the linter report several problems at once (and point at
+lines), where the strict parser in :mod:`repro.spice.parser` stops at
+the first error.  RV300 still runs the strict parser so anything it
+rejects surfaces as a diagnostic rather than a crash.
 """
 
 from __future__ import annotations
@@ -15,16 +15,16 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from ..errors import NetlistError, ReproError
+from ..spice.parser import (
+    BUILTIN_MODELS,
+    ELEMENT_BUILDERS,
+    logical_cards,
+    parse_deck,
+    tokenize,
+)
+from ..units import SPICE_MULTIPLIERS
 from .core import Finding, SourceLocation, rule
-
-#: Element-card letters the strict parser understands.
-KNOWN_CARD_LETTERS = frozenset("rcvismyx")
-
-#: Directives the strict parser understands.
-KNOWN_DIRECTIVES = frozenset({
-    ".end", ".subckt", ".ends", ".param", ".model", ".ic",
-    ".tran", ".dc", ".op", ".measure", ".meas",
-})
 
 #: Unit names accepted verbatim after a number (multiplier one); any
 #: other non-multiplier suffix is RV306-suspicious ("10x" is the classic
@@ -32,10 +32,6 @@ KNOWN_DIRECTIVES = frozenset({
 UNIT_SUFFIXES = frozenset({
     "v", "volt", "volts", "s", "sec", "hz", "ohm", "ohms", "w", "j",
 })
-
-#: SPICE multiplier prefixes recognised by :func:`repro.units.parse_quantity`.
-_MULTIPLIER_PREFIXES = ("meg", "t", "g", "k", "m", "u", "µ", "n", "p",
-                       "f", "a")
 
 _NUMERIC_TOKEN_RE = re.compile(
     r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?([a-zA-Zµ]+)$"
@@ -52,31 +48,13 @@ class DeckCard:
     text: str
 
     def tokens(self) -> List[str]:
-        """Paren-aware token split; falls back to plain whitespace split
-        when parentheses are unbalanced (the fallback keeps the scanner
-        tolerant — RV300 reports the imbalance via the strict parser).
-        """
-        tokens: List[str] = []
-        buf = ""
-        depth = 0
-        for ch in self.text:
-            if ch == "(":
-                depth += 1
-                buf += ch
-            elif ch == ")":
-                depth -= 1
-                buf += ch
-            elif ch.isspace() and depth == 0:
-                if buf:
-                    tokens.append(buf)
-                    buf = ""
-            else:
-                buf += ch
-        if depth != 0:
+        """The strict parser's paren-aware token split; a plain
+        whitespace split where it rejects unbalanced parentheses (RV300
+        reports the imbalance)."""
+        try:
+            return tokenize(self.text)
+        except NetlistError:
             return self.text.split()
-        if buf:
-            tokens.append(buf)
-        return tokens
 
 
 class DeckSource:
@@ -89,7 +67,7 @@ class DeckSource:
     path:
         Display name of the deck (file path or a synthetic label).
     title:
-        First logical line.
+        First logical line (empty when a ``*`` comment comes first).
     cards:
         All logical cards after the title, with line numbers.
     """
@@ -97,26 +75,9 @@ class DeckSource:
     def __init__(self, text: str, path: str = ""):
         self.text = text
         self.path = path
-        self.title, self.cards = self._scan(text)
-
-    @staticmethod
-    def _scan(text: str) -> Tuple[str, List[DeckCard]]:
-        logical: List[DeckCard] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split(";")[0].split("$")[0].rstrip()
-            stripped = line.strip()
-            if not stripped or stripped.startswith("*"):
-                continue
-            if stripped.startswith("+") and logical:
-                prev = logical[-1]
-                logical[-1] = DeckCard(prev.line,
-                                       prev.text + " " + stripped[1:].strip())
-            else:
-                logical.append(DeckCard(lineno, stripped.lstrip("+").strip()))
-        if not logical:
-            return "", []
-        title = logical[0].text
-        return title, logical[1:]
+        cards = [DeckCard(line, card) for line, card in logical_cards(text)]
+        self.title = cards[0].text if cards else ""
+        self.cards = cards[1:]
 
     # -- structured views used by several rules -------------------------
     def subckt_defs(self) -> Dict[str, Tuple[DeckCard, List[str]]]:
@@ -171,8 +132,6 @@ def _loc(card: DeckCard) -> SourceLocation:
       "appear next to the text-level findings instead of aborting them.")
 def check_parse(deck: DeckSource) -> Iterator[Finding]:
     """Run the strict parser; report its rejection, if any."""
-    from ..errors import ReproError
-    from ..spice.parser import parse_deck
     try:
         parse_deck(deck.text)
     except ReproError as exc:
@@ -260,7 +219,7 @@ def check_duplicate_elements(deck: DeckSource) -> Iterator[Finding]:
     # Unknown card letters are a parse error (RV300) but deserve a
     # location, which the strict parser cannot give.
     for card, _scope, tokens in deck.element_cards():
-        if tokens[0][0].lower() not in KNOWN_CARD_LETTERS:
+        if tokens[0][0].lower() not in ELEMENT_BUILDERS:
             yield Finding(
                 subject=tokens[0].lower(),
                 message=(f"unknown element card letter "
@@ -307,7 +266,7 @@ def _suspicious_suffix(token: str) -> Optional[str]:
     suffix = match.group(1).lower()
     if suffix in UNIT_SUFFIXES:
         return None
-    if any(suffix.startswith(p) for p in _MULTIPLIER_PREFIXES):
+    if any(suffix.startswith(p) for p, _ in SPICE_MULTIPLIERS):
         return None
     return suffix
 
@@ -355,7 +314,6 @@ def check_suspicious_suffixes(deck: DeckSource) -> Iterator[Finding]:
       "reports every stale reference at once, with line numbers.")
 def check_unknown_models(deck: DeckSource) -> Iterator[Finding]:
     """Flag M/Y cards whose model has no ``.model`` and is not built in."""
-    from ..spice.parser import BUILTIN_MODELS
     defined: Set[str] = set(BUILTIN_MODELS)
     for card in deck.cards:
         tokens = card.tokens()

@@ -38,8 +38,8 @@ def _randomise(circuit, rng):
     """Random capacitor histories and MTJ states."""
     for element in circuit.elements():
         if isinstance(element, Capacitor):
-            element.restore_state((rng.uniform(-1.0, 1.0),
-                                   rng.uniform(-1e-5, 1e-5)))
+            element._v_prev = rng.uniform(-1.0, 1.0)
+            element._i_prev = rng.uniform(-1e-5, 1e-5)
         elif isinstance(element, MTJ):
             element.set_state(MTJState.PARALLEL if rng.random() < 0.5
                               else MTJState.ANTIPARALLEL)

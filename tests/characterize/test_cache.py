@@ -6,6 +6,7 @@ tested in ``tests/exec/test_envelope.py``."""
 import json
 import os
 import warnings
+from dataclasses import asdict
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.cells import PowerDomain
 from repro.characterize import cache
 from repro.characterize.cache import CellPoint
 from repro.characterize.data import CellCharacterization
+from repro.characterize.ff_runner import characterize_nvff
 from repro.characterize.runner import characterize_cell
 from repro.devices.mtj import MTJ_FIG9B, MTJ_TABLE1
 from repro.devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
@@ -203,6 +205,31 @@ class TestLoadStore:
              "payload": payload},
             indent=2, sort_keys=True))
         assert cache.load(tmp_path, "old") == record
+
+
+def _typed(value):
+    """``value`` with the type of every leaf spelled out."""
+    if isinstance(value, dict):
+        return {key: _typed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_typed(item) for item in value]
+    return type(value).__name__, repr(value)
+
+
+class TestFreshEqualsCached:
+    @pytest.mark.parametrize("kind", ["nv", "6t", "nvff"])
+    def test_same_type_and_value_in_every_field(self, kind, tmp_path):
+        if kind == "nvff":
+            def run():
+                return characterize_nvff(cache_dir=tmp_path)
+        else:
+            def run():
+                return characterize_cell(kind, domain=PowerDomain(32, 32),
+                                         cache_dir=tmp_path)
+        fresh = run()
+        cached = run()
+        assert cached is not fresh
+        assert _typed(asdict(cached)) == _typed(asdict(fresh))
 
 
 class TestUnwritableDir:

@@ -11,7 +11,7 @@ from repro.characterize.testbench import (
     build_cell_testbench,
 )
 from repro.devices.mtj import MTJState
-from repro.pg.modes import Mode, OperatingConditions
+from repro.pg.modes import Mode, OperatingConditions, bias_for_mode
 
 
 class TestConstruction:
@@ -94,3 +94,34 @@ class TestMtjData:
         assert ic["vvdd"] == tb.cond.vdd
         assert ic["cell.q"] == tb.cond.vdd
         assert ic["cell.qb"] == 0.0
+
+
+class TestStoreStep:
+    @pytest.mark.parametrize("mode,states,junction", [
+        (Mode.STORE_H, (MTJState.PARALLEL, MTJState.ANTIPARALLEL), "mtj_q"),
+        (Mode.STORE_L, (MTJState.ANTIPARALLEL, MTJState.ANTIPARALLEL),
+         "mtj_qb"),
+    ])
+    def test_biases_the_step_from_its_start_states(self, mode, states,
+                                                   junction):
+        tb = build_cell_testbench("nv")
+        tb.set_mtj_data(True)        # (AP, P): neither step's start
+        switched = tb.store_step(mode)
+        cell = tb.nv_cell
+        assert (cell.mtj_q(tb.circuit).state,
+                cell.mtj_qb(tb.circuit).state) == states
+        assert switched is getattr(cell, junction)(tb.circuit)
+        for line, level in bias_for_mode(mode, tb.cond).as_dict().items():
+            assert tb.circuit[LINE_SOURCES[line]].dc == level
+
+    def test_volatile_cell_has_no_store_step(self):
+        with pytest.raises(CharacterizationError):
+            build_cell_testbench("6t").store_step(Mode.STORE_H)
+
+
+class TestSupplyPower:
+    def test_is_a_python_float(self):
+        tb = build_cell_testbench("6t")
+        power = tb.supply_power(tb.settle(Mode.STANDBY))
+        assert type(power) is float
+        assert power > 0

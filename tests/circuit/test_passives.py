@@ -86,15 +86,6 @@ class TestCapacitor:
         assert result.sample("out", 1e-9) == pytest.approx(1.0, abs=1e-3)
         assert result.sample("out", 2e-9) == pytest.approx(np.exp(-1), rel=1e-2)
 
-    def test_snapshot_restore(self):
-        cap = Capacitor("c", "a", "0", 1e-12)
-        cap._v_prev, cap._i_prev = 0.5, 1e-6
-        snap = cap.snapshot_state()
-        cap._v_prev, cap._i_prev = 0.0, 0.0
-        cap.restore_state(snap)
-        assert cap.voltage_history == 0.5
-        assert cap._i_prev == 1e-6
-
     def test_energy_conservation_rc(self):
         """Source energy = resistor dissipation + capacitor stored energy."""
         r_val, c_val, v_step = 2e3, 2e-12, 1.0

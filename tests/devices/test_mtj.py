@@ -176,15 +176,6 @@ class TestCimsDynamics:
                 break
         assert m.progress == 0.0
 
-    def test_snapshot_restore(self):
-        m = MTJ("m", "f", "p", state=MTJState.PARALLEL)
-        _committed(m, -0.15, 1e-9)
-        snap = m.snapshot_state()
-        _committed(m, -0.15, 100e-9)
-        m.restore_state(snap)
-        assert m.state is MTJState.PARALLEL
-        assert 0 < m.progress < 1
-
     def test_set_state_clears_progress(self):
         m = MTJ("m", "f", "p", state=MTJState.PARALLEL)
         _committed(m, -0.15, 1e-9)

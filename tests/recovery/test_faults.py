@@ -109,6 +109,13 @@ class TestChaosQuick:
         with pytest.raises(ValueError):
             chaos_operating_points(target="dram", n_faults=1)
 
+    def test_nvff_target(self):
+        """The NV-FF bench comes from the flip-flop runner's builder."""
+        report = chaos_operating_points(target="nvff", n_faults=3, seed=5)
+        assert report["target"] == "nvff"
+        assert len(report["records"]) == 3
+        assert all(r["actual"] in OUTCOMES for r in report["records"])
+
 
 @pytest.mark.stress
 class TestChaosStress:

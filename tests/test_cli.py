@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import LINT_ALIASES, build_parser, main
 
 
 class TestParser:
@@ -200,6 +200,13 @@ class TestLintCommand:
     def test_clean_alias_exits_zero(self, capsys):
         assert main(["lint", "nv"]) == 0
         assert "0 error(s)" in capsys.readouterr().out
+
+    def test_every_alias_builds_and_lints(self, capsys):
+        """The nvff alias goes through the NV-FF bench builder; the 6T
+        bench carries only the two unused-control-line warnings."""
+        assert main(["lint", *LINT_ALIASES]) == 0
+        out = capsys.readouterr().out
+        assert "nv, 6t, nvff, array: 0 error(s), 2 warning(s)" in out
 
     def test_bad_deck_exits_one(self, tmp_path, capsys):
         deck = tmp_path / "bad.sp"

@@ -10,11 +10,8 @@ from pathlib import Path
 import pytest
 
 from repro.cells import build_cell_array
-from repro.characterize.ff_runner import _build_ff_bench
+from repro.characterize.ff_runner import build_ff_testbench
 from repro.characterize.testbench import build_cell_testbench
-from repro.devices.mtj import MTJ_TABLE1
-from repro.devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
-from repro.pg.modes import OperatingConditions
 from repro.verify import assert_clean, lint_enabled, verify_deck_file
 
 REPO = Path(__file__).resolve().parent.parent.parent
@@ -25,10 +22,7 @@ def bench(name):
     if name in ("nv", "6t"):
         return build_cell_testbench(name).circuit
     if name == "nvff":
-        circuit, _ff = _build_ff_bench(OperatingConditions(),
-                                       NFET_20NM_HP, PFET_20NM_HP,
-                                       MTJ_TABLE1)
-        return circuit
+        return build_ff_testbench()[0]
     return build_cell_array(2, 2, lint=False).circuit
 
 

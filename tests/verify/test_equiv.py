@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import operating_point
+from repro.characterize import characterize_cell
 from repro.verify.equiv import (
     _ladder_deck,
     CASES,
@@ -182,6 +183,16 @@ class TestGateTransients:
         (entry,) = report.cases
         assert entry.error is None, entry.error
         assert entry.ok, "\n".join(d.render() for d in entry.failures)
+
+    def test_store_restore_cases_run_the_characterization_recipes(self):
+        """The gate pins the code that characterises the cell, not a
+        copy: its energies are the characterization's, bit for bit."""
+        char = characterize_cell("nv", cache_dir=None)
+        store = CASES["nv-store-tran"].runner()
+        restore = CASES["nv-restore-tran"].runner()
+        assert store["e(store_h)"].value == char.e_store_h
+        assert store["e(store_l)"].value == char.e_store_l
+        assert restore["e(restore)"].value == char.e_restore
 
 
 class TestUnitRescaleProperty:

@@ -44,6 +44,31 @@ class TestDeckSource:
         assert scopes == [("s", "r1"), ("", "r1")]
 
 
+class TestCommentTitle:
+    """A ``*`` comment on the first line holds the title's slot, so the
+    first card is linted like every other one."""
+
+    def test_scan_keeps_an_empty_title(self):
+        src = DeckSource("* title\nr1 a 0 1k\n.end\n")
+        assert src.title == ""
+        assert [(c.line, c.text) for c in src.cards] == [
+            (2, "r1 a 0 1k"), (3, ".end")]
+
+    def test_first_card_suffix_is_rv306(self):
+        report = verify_deck("* t\nR1 a 0 10x\nV1 a 0 1\n.op\n.end\n",
+                             include_circuit=False)
+        diags = by_code(report, "RV306")
+        assert diags and diags[0].location.line == 2
+
+    def test_duplicate_of_first_card_is_rv304(self):
+        report = verify_deck(
+            "* t\nR1 a 0 1k\nR1 a 0 2k\nV1 a 0 1\n.op\n.end\n",
+            include_circuit=False)
+        diags = by_code(report, "RV304")
+        assert diags and diags[0].subject == "r1"
+        assert diags[0].location.line == 3
+
+
 class TestParseError:
     def test_strict_rejection_surfaces_as_rv300(self):
         report = deck_report("v1 a 0 sin(0 1 1meg)\nr1 a 0 1k")
