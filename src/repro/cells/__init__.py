@@ -3,7 +3,8 @@
 * :func:`~repro.cells.sram6t.add_sram6t` — the volatile 6T FinFET SRAM
   cell (the paper's OSR baseline).
 * :func:`~repro.cells.nvsram.add_nvsram` — the NV-SRAM cell of Fig. 2:
-  6T core + two PS-FinFETs + two MTJs on the SR/CTRL lines.
+  the 6T latch + its retention pair (two PS-FinFETs + two MTJs on the
+  SR/CTRL lines), which the NV-FF shares.
 * :func:`~repro.cells.powerswitch.add_power_switch` — the header p-channel
   FinFET power switch creating the virtual-VDD rail.
 * :class:`~repro.cells.array.PowerDomain` — the N-wordline x M-bit power

@@ -15,11 +15,13 @@ Topology (all devices one fin):
 * slave latch: transfer gate (transparent at CLK high), two inverters,
   feedback gate (closed at CLK low), storage nodes ``S`` (= QB sense),
   ``Q`` and ``S3`` (= Q complement, the second inverter's output);
-* PS-FinFETs from ``Q`` / ``S3`` through MTJs to the shared CTRL line,
-  gated by SR.  Both retention taps sit on *directly driven* inverter
-  outputs — tapping the transmission-gate node ``S`` instead would leave
-  the L-store current sinking through the feedback gate's series
-  resistance and starve it below the MTJ critical current.
+* the NV-SRAM cell's retention pair
+  (:func:`~repro.cells.nvsram.add_retention_pair`): PS-FinFETs from
+  ``Q`` / ``S3`` through MTJs to the shared CTRL line, gated by SR, with
+  ``mtj_qb`` on ``S3``.  Both retention taps sit on *directly driven*
+  inverter outputs — tapping the transmission-gate node ``S`` instead
+  would leave the L-store current sinking through the feedback gate's
+  series resistance and starve it below the MTJ critical current.
 
 Store and restore use the same two-step store / VVDD-pull-up recall as
 the NV-SRAM cell, executed with the clock parked low so the slave
@@ -28,19 +30,21 @@ feedback loop is engaged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
-from ..circuit import Capacitor, Circuit
-from ..devices.finfet import FinFET, FinFETParams
-from ..devices.mtj import MTJ, MTJParams, MTJState, MTJ_TABLE1
-from ..devices.ptm20 import CJUNCTION_PER_FIN, NFET_20NM_HP, PFET_20NM_HP
+from ..circuit import Circuit
+from ..devices.finfet import FinFETParams
+from ..devices.mtj import MTJParams, MTJState, MTJ_TABLE1
+from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
 from .logic import add_clock_buffer, add_inverter, add_transmission_gate
+from .nvsram import MtjPair, add_retention_pair
 
 
 @dataclass
-class NvFlipFlop:
-    """Handle to an instantiated NV-FF (flat node/element names)."""
+class NvFlipFlop(MtjPair):
+    """Handle to an instantiated NV-FF (flat node/element names); its
+    retention pair sits on ``Q`` and ``S3``."""
 
     name: str
     d: str
@@ -54,9 +58,6 @@ class NvFlipFlop:
     vvdd: str
     sr: str
     ctrl: str
-    mtj_q_name: str
-    mtj_s_name: str
-    element_names: Dict[str, str] = field(default_factory=dict)
 
     def read_q(self, solution, vdd: float) -> bool:
         """Decode the slave-latch output (True = Q high)."""
@@ -74,32 +75,6 @@ class NvFlipFlop:
             f"{self.name}.m2": high,
         }
 
-    # -- MTJ access -------------------------------------------------------
-    def mtj_q(self, circuit: Circuit) -> MTJ:
-        return circuit[self.mtj_q_name]
-
-    def mtj_s(self, circuit: Circuit) -> MTJ:
-        """The MTJ on the complementary (S3) retention branch."""
-        return circuit[self.mtj_s_name]
-
-    def set_mtj_data(self, circuit: Circuit, data: bool) -> None:
-        """Program the MTJ pair to encode ``data`` (Q-high = (AP, P))."""
-        if data:
-            self.mtj_q(circuit).set_state(MTJState.ANTIPARALLEL)
-            self.mtj_s(circuit).set_state(MTJState.PARALLEL)
-        else:
-            self.mtj_q(circuit).set_state(MTJState.PARALLEL)
-            self.mtj_s(circuit).set_state(MTJState.ANTIPARALLEL)
-
-    def stored_data(self, circuit: Circuit) -> Optional[bool]:
-        """Bit encoded in the MTJ pair (None if the pair is invalid)."""
-        states = (self.mtj_q(circuit).state, self.mtj_s(circuit).state)
-        if states == (MTJState.ANTIPARALLEL, MTJState.PARALLEL):
-            return True
-        if states == (MTJState.PARALLEL, MTJState.ANTIPARALLEL):
-            return False
-        return None
-
 
 def add_nvff(
     circuit: Circuit,
@@ -113,7 +88,7 @@ def add_nvff(
     pfet: FinFETParams = PFET_20NM_HP,
     mtj_params: MTJParams = MTJ_TABLE1,
     mtj_q_state: MTJState = MTJState.PARALLEL,
-    mtj_s_state: MTJState = MTJState.ANTIPARALLEL,
+    mtj_qb_state: MTJState = MTJState.ANTIPARALLEL,
 ) -> NvFlipFlop:
     """Instantiate an NV-FF into ``circuit`` under prefix ``name``.
 
@@ -152,27 +127,10 @@ def add_nvff(
                           clk=clkb_i, clkb=clk_i, nfet=nfet, pfet=pfet)
 
     # Nonvolatile retention branches on the directly driven slave nodes.
-    sq_mid = f"{name}.nq"
-    ss_mid = f"{name}.ns"
-    circuit.add(FinFET(f"{name}.psq", q, sr, sq_mid, nfet, 1))
-    circuit.add(FinFET(f"{name}.pss", s3, sr, ss_mid, nfet, 1))
-    mtj_q = circuit.add(MTJ(f"{name}.mtjq", ctrl, sq_mid, mtj_params,
-                            mtj_q_state))
-    mtj_s = circuit.add(MTJ(f"{name}.mtjs", ctrl, ss_mid, mtj_params,
-                            mtj_s_state))
-    circuit.add(Capacitor(f"{name}.cnq", sq_mid, "0", CJUNCTION_PER_FIN))
-    circuit.add(Capacitor(f"{name}.cns", ss_mid, "0", CJUNCTION_PER_FIN))
-
-    return NvFlipFlop(
-        name=name,
-        d=d,
-        clk=clk,
-        q=q,
-        s=s_in,
-        s3=s3,
-        vvdd=vvdd,
-        sr=sr,
-        ctrl=ctrl,
-        mtj_q_name=mtj_q.name,
-        mtj_s_name=mtj_s.name,
+    pair = add_retention_pair(
+        circuit, name, (q, s3), ("q", "s"), "n", sr, ctrl,
+        nfet=nfet, nfin=1, mtj_params=mtj_params,
+        states=(mtj_q_state, mtj_qb_state),
     )
+    return NvFlipFlop(**vars(pair), name=name, d=d, clk=clk, q=q, s=s_in,
+                      s3=s3, vvdd=vvdd, sr=sr, ctrl=ctrl)

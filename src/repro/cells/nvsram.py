@@ -1,10 +1,12 @@
-"""The NV-SRAM cell of the paper's Fig. 2.
+"""The NV-SRAM cell of the paper's Fig. 2, and its retention pair.
 
-The cell is a 6T core plus, on each storage node, a **pseudo-spin-FinFET
+The cell is a 6T latch plus, on each storage node, a **pseudo-spin-FinFET
 (PS-FinFET)**: an n-channel FinFET in series with an MTJ.  The PS-FinFET
 gates share the **SR** line (V_SR = 0.65 V activates them; 0 V separates
 the MTJs from the latch during normal operation) and the far ends of both
-MTJs share the **CTRL** line.
+MTJs share the **CTRL** line.  :func:`add_retention_pair` builds that
+branch pair and :class:`MtjPair` owns its data encoding; the NV-FF
+(:mod:`repro.cells.nvff`) carries the same pair on its slave latch.
 
 MTJ orientation and the restore mechanism
 -----------------------------------------
@@ -29,8 +31,8 @@ drivability" of the two PS-FinFET paths).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from ..circuit import Capacitor, Circuit
 from ..devices.finfet import FinFET, FinFETParams
@@ -44,44 +46,23 @@ from .sram6t import Sram6TCell, add_sram6t
 
 
 @dataclass
-class NvSramCell:
-    """Handle to an instantiated NV-SRAM cell."""
+class MtjPair:
+    """The MTJs of a latch's two retention branches, by element name.
 
-    core: Sram6TCell
-    sr: str
-    ctrl: str
-    #: Internal nodes between each PS-FinFET and its MTJ.
-    sq: str
-    sqb: str
+    The one owner of the data encoding: the H-store drives the high
+    node's MTJ antiparallel, so a stored 1 (Q high) is
+    (MTJ_Q, MTJ_QB) = (AP, P).
+    """
+
     mtj_q_name: str
     mtj_qb_name: str
-    element_names: Dict[str, str] = field(default_factory=dict)
 
-    @property
-    def name(self) -> str:
-        return self.core.name
-
-    @property
-    def q(self) -> str:
-        return self.core.q
-
-    @property
-    def qb(self) -> str:
-        return self.core.qb
-
-    def initial_conditions(self, data: bool, vdd: float) -> Dict[str, float]:
-        return self.core.initial_conditions(data, vdd)
-
-    def read_data(self, solution, vdd: float) -> bool:
-        return self.core.read_data(solution, vdd)
-
-    # -- MTJ access ---------------------------------------------------------
     def mtj_q(self, circuit: Circuit) -> MTJ:
-        """The MTJ attached to storage node Q."""
+        """The MTJ on the Q-side branch."""
         return circuit[self.mtj_q_name]
 
     def mtj_qb(self, circuit: Circuit) -> MTJ:
-        """The MTJ attached to storage node QB."""
+        """The MTJ on the complementary branch."""
         return circuit[self.mtj_qb_name]
 
     def set_mtj_states(self, circuit: Circuit, q_state: MTJState,
@@ -90,18 +71,65 @@ class NvSramCell:
         self.mtj_q(circuit).set_state(q_state)
         self.mtj_qb(circuit).set_state(qb_state)
 
-    def stored_data(self, circuit: Circuit) -> Optional[bool]:
-        """Bit encoded in the MTJ pair after a store (None if invalid).
+    def set_mtj_data(self, circuit: Circuit, data: bool) -> None:
+        """Program the pair to encode ``data``."""
+        q_state = MTJState.ANTIPARALLEL if data else MTJState.PARALLEL
+        self.set_mtj_states(circuit, q_state, q_state.opposite)
 
-        H-store drives the high node's MTJ antiparallel, so Q-high is
-        encoded as (MTJ_Q, MTJ_QB) = (AP, P).
-        """
-        states = (self.mtj_q(circuit).state, self.mtj_qb(circuit).state)
-        if states == (MTJState.ANTIPARALLEL, MTJState.PARALLEL):
-            return True
-        if states == (MTJState.PARALLEL, MTJState.ANTIPARALLEL):
-            return False
-        return None
+    def stored_data(self, circuit: Circuit) -> Optional[bool]:
+        """Bit the pair encodes (None if both junctions agree)."""
+        q_state = self.mtj_q(circuit).state
+        if self.mtj_qb(circuit).state is q_state:
+            return None
+        return q_state is MTJState.ANTIPARALLEL
+
+
+def add_retention_pair(
+    circuit: Circuit,
+    name: str,
+    nodes: Tuple[str, str],
+    sides: Tuple[str, str],
+    mid: str,
+    sr: str,
+    ctrl: str,
+    nfet: FinFETParams,
+    nfin: int,
+    mtj_params: MTJParams,
+    states: Tuple[MTJState, MTJState],
+) -> MtjPair:
+    """Add a PS-FinFET + MTJ retention branch on each of a latch's two
+    storage ``nodes`` (Q side first).
+
+    The branch of side ``s`` is the PS-FinFET ``{name}.ps{s}`` (gate on
+    ``sr``) from its node to the intermediate node ``{name}.{mid}{s}``,
+    the MTJ ``{name}.mtj{s}`` from there to ``ctrl`` (pinned terminal
+    toward the node, free terminal on CTRL) starting in its entry of
+    ``states``, and the junction capacitor ``{name}.c{mid}{s}``.  Both
+    PS-FinFETs go in first, then both MTJs, then both capacitors.
+    """
+    mids = [f"{name}.{mid}{side}" for side in sides]
+    for node, side, node_mid in zip(nodes, sides, mids):
+        circuit.add(FinFET(f"{name}.ps{side}", node, sr, node_mid, nfet,
+                           nfin))
+    mtjs = [circuit.add(MTJ(f"{name}.mtj{side}", ctrl, node_mid, mtj_params,
+                            state))
+            for side, node_mid, state in zip(sides, mids, states)]
+    for side, node_mid in zip(sides, mids):
+        circuit.add(Capacitor(f"{name}.c{mid}{side}", node_mid, "0",
+                              nfin * CJUNCTION_PER_FIN))
+    return MtjPair(mtj_q_name=mtjs[0].name, mtj_qb_name=mtjs[1].name)
+
+
+@dataclass
+class NvSramCell(Sram6TCell, MtjPair):
+    """Handle to an instantiated NV-SRAM cell: the 6T latch plus its
+    retention pair."""
+
+    sr: str
+    ctrl: str
+    #: Internal nodes between each PS-FinFET and its MTJ.
+    sq: str
+    sqb: str
 
 
 def add_nvsram(
@@ -136,31 +164,14 @@ def add_nvsram(
 
     Returns an :class:`NvSramCell` handle.
     """
-    core = add_sram6t(
+    latch = add_sram6t(
         circuit, name, vvdd, bl, blb, wl,
         nfl=nfl, nfd=nfd, nfp=nfp, nfet=nfet, pfet=pfet,
     )
-    sq = f"{name}.sq"
-    sqb = f"{name}.sqb"
-
-    elements = {
-        "psq": circuit.add(FinFET(f"{name}.psq", core.q, sr, sq, nfet, nfps)),
-        "psqb": circuit.add(FinFET(f"{name}.psqb", core.qb, sr, sqb, nfet, nfps)),
-    }
-    mtj_q = circuit.add(MTJ(f"{name}.mtjq", ctrl, sq, mtj_params, mtj_q_state))
-    mtj_qb = circuit.add(MTJ(f"{name}.mtjqb", ctrl, sqb, mtj_params, mtj_qb_state))
-
-    # Junction capacitance of the PS-FinFET / MTJ intermediate nodes.
-    circuit.add(Capacitor(f"{name}.csq", sq, "0", nfps * CJUNCTION_PER_FIN))
-    circuit.add(Capacitor(f"{name}.csqb", sqb, "0", nfps * CJUNCTION_PER_FIN))
-
-    return NvSramCell(
-        core=core,
-        sr=sr,
-        ctrl=ctrl,
-        sq=sq,
-        sqb=sqb,
-        mtj_q_name=mtj_q.name,
-        mtj_qb_name=mtj_qb.name,
-        element_names={k: e.name for k, e in elements.items()},
+    pair = add_retention_pair(
+        circuit, name, (latch.q, latch.qb), ("q", "qb"), "s", sr, ctrl,
+        nfet=nfet, nfin=nfps, mtj_params=mtj_params,
+        states=(mtj_q_state, mtj_qb_state),
     )
+    return NvSramCell(**vars(latch), **vars(pair), sr=sr, ctrl=ctrl,
+                      sq=f"{name}.sq", sqb=f"{name}.sqb")

@@ -21,9 +21,6 @@ from ..circuit import Capacitor, Circuit
 from ..devices.finfet import FinFET, FinFETParams
 from ..devices.ptm20 import CJUNCTION_PER_FIN, PFET_20NM_HP
 
-#: Super-cutoff gate voltage from the paper (volts).
-V_SUPER_CUTOFF = 1.0
-
 
 @dataclass
 class PowerSwitch:
@@ -52,7 +49,7 @@ def add_power_switch(
     ----------
     gate:
         Node carrying the power-gating control voltage (0 = on,
-        VDD = off, :data:`V_SUPER_CUTOFF` = super cutoff).
+        VDD = off, ``OperatingConditions.v_pg_super`` = super cutoff).
     nfsw:
         Fin number of the switch (per cell).
     """

@@ -14,8 +14,8 @@ the device model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from ..circuit import Capacitor, Circuit
 from ..devices.finfet import FinFET, FinFETParams
@@ -38,7 +38,7 @@ class Sram6TCell:
     bl: str
     blb: str
     wl: str
-    element_names: Dict[str, str] = field(default_factory=dict)
+    element_names: Dict[str, str]
 
     def initial_conditions(self, data: bool, vdd: float) -> Dict[str, float]:
         """IC map writing ``data`` (True = Q high) into the latch."""

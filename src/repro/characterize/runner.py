@@ -163,16 +163,16 @@ def _extract_read(tb: CellTestbench, out: CellCharacterization,
     window = schedule.windows_of(Mode.READ)[1]
     out.e_read = window_energy(result, window)
     out.read_delay = _read_delay(result, tb, window)
-    if not tb.core.read_data(result.final_solution(), cond.vdd):
+    if not tb.cell.read_data(result.final_solution(), cond.vdd):
         raise CharacterizationError("read disturbed the stored data")
 
 
 def _read_delay(result: TransientResult, tb: CellTestbench,
                 window: PhaseWindow) -> float:
     """Word-line assertion to READ_SENSE_THRESHOLD bitline differential."""
-    t_wl = window.t_start + 0.45 * window.duration
+    t_wl = window.wl_on
     mask = (result.time >= t_wl) & (result.time <= window.t_end)
-    diff = np.abs(result.differential(tb.core.bl, tb.core.blb))[mask]
+    diff = np.abs(result.differential(tb.cell.bl, tb.cell.blb))[mask]
     times = result.time[mask]
     above = np.nonzero(diff >= READ_SENSE_THRESHOLD)[0]
     if above.size == 0:
@@ -202,13 +202,13 @@ def _extract_write(tb: CellTestbench, out: CellCharacterization,
     window = schedule.windows_of(Mode.WRITE)[1]  # writes True
     out.e_write = window_energy(result, window)
 
-    t_wl = window.t_start + 0.25 * window.duration
-    crossing = result.crossing_time(tb.core.q, cond.vdd / 2.0,
+    t_wl = window.wl_on
+    crossing = result.crossing_time(tb.cell.q, cond.vdd / 2.0,
                                     direction="rise", after=t_wl)
     if crossing is None:
         raise CharacterizationError("write never flipped the cell")
     out.write_delay = crossing - t_wl
-    if tb.core.read_data(result.final_solution(), cond.vdd):
+    if tb.cell.read_data(result.final_solution(), cond.vdd):
         raise CharacterizationError("final write(0) did not stick")
 
 
@@ -296,4 +296,4 @@ def _extract_restore(tb: CellTestbench, out: CellCharacterization,
     trust.note(result)
     out.e_restore = window_energy(result, window)
     out.t_restore = tb.cond.t_restore
-    out.restore_ok = tb.core.read_data(result.final_solution(), tb.cond.vdd)
+    out.restore_ok = tb.cell.read_data(result.final_solution(), tb.cond.vdd)

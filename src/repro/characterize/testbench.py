@@ -83,7 +83,7 @@ class CellTestbench:
 
     circuit: Circuit
     kind: str
-    cell: object          # Sram6TCell or NvSramCell
+    cell: Sram6TCell      # the latch; an NvSramCell for kind "nv"
     cond: OperatingConditions
     domain: PowerDomain
 
@@ -92,10 +92,6 @@ class CellTestbench:
         if self.kind != "nv":
             raise CharacterizationError("testbench does not host an NV cell")
         return self.cell
-
-    @property
-    def core(self) -> Sram6TCell:
-        return self.cell.core if self.kind == "nv" else self.cell
 
     # -- drive ----------------------------------------------------------
     def apply_mode(self, mode: Mode) -> None:
@@ -110,7 +106,7 @@ class CellTestbench:
             self.circuit[LINE_SOURCES[line]].set_waveform(wave)
 
     def initial_conditions(self, data: bool) -> Dict[str, float]:
-        ic = self.core.initial_conditions(data, self.cond.vdd)
+        ic = self.cell.initial_conditions(data, self.cond.vdd)
         ic["vvdd"] = self.cond.vdd
         return ic
 
@@ -121,18 +117,9 @@ class CellTestbench:
                          for name in SUPPLY_SOURCES))
 
     def set_mtj_data(self, data: bool) -> None:
-        """Program the MTJ pair to encode ``data`` (NV cells only).
-
-        Q-high is encoded as (MTJ_Q, MTJ_QB) = (AP, P); see
-        :mod:`repro.cells.nvsram`.
-        """
-        cell = self.nv_cell
-        if data:
-            cell.set_mtj_states(self.circuit, MTJState.ANTIPARALLEL,
-                                MTJState.PARALLEL)
-        else:
-            cell.set_mtj_states(self.circuit, MTJState.PARALLEL,
-                                MTJState.ANTIPARALLEL)
+        """Program the MTJ pair to encode ``data`` (NV cells only; see
+        :class:`repro.cells.nvsram.MtjPair`)."""
+        self.nv_cell.set_mtj_data(self.circuit, data)
 
     def store_step(self, mode: Mode) -> MTJ:
         """Bias store step ``mode`` (``STORE_H`` or ``STORE_L``) with the
@@ -162,7 +149,7 @@ class CellTestbench:
         else:
             rail = (self.cond.v_sleep_rail if mode is Mode.SLEEP
                     else self.cond.vdd)
-            ic = self.core.initial_conditions(data, rail)
+            ic = self.cell.initial_conditions(data, rail)
             ic["vvdd"] = rail
         return operating_point(self.circuit, ic=ic)
 
@@ -180,7 +167,7 @@ class CellTestbench:
         if self.kind == "nv" and mtj_data is not None:
             self.set_mtj_data(mtj_data)
         if collapsed:
-            ic = {self.core.q: 0.0, self.core.qb: 0.0, "vvdd": 0.0}
+            ic = {self.cell.q: 0.0, self.cell.qb: 0.0, "vvdd": 0.0}
         else:
             ic = self.initial_conditions(data)
         span = schedule.total_duration

@@ -118,8 +118,3 @@ class Capacitor(Element):
         self._i_prev = geq * v_new + ieq
         self._v_prev = v_new
         return None
-
-    @property
-    def voltage_history(self) -> float:
-        """Voltage across the capacitor at the last committed timepoint."""
-        return self._v_prev

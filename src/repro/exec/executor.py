@@ -42,7 +42,6 @@ import random
 import signal
 import threading
 import time
-import traceback
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -154,7 +153,6 @@ def retry_delay(options: CampaignOptions, task_id: str,
 @dataclass
 class _Inflight:
     task: TaskSpec
-    attempt: int
     dispatched_at: float
     started_at: Optional[float] = None
 
@@ -233,6 +231,7 @@ class _CampaignRun:
         self.key = campaign.key
         self.tasks = {t.task_id: t for t in campaign.tasks}
         self.order = [t.task_id for t in campaign.tasks]
+        self.position = {tid: i for i, tid in enumerate(self.order)}
         self.outcomes: Dict[str, TaskOutcome] = {}
         self.attempts: Dict[str, int] = {}
         self.failures: Dict[str, List[dict]] = {}
@@ -310,13 +309,22 @@ class _CampaignRun:
         self._progress(f"retrying {task.label or task.task_id} in "
                        f"{delay:.2f}s after {kind}")
 
-    def _poison(self, task: TaskSpec, payload: dict) -> None:
-        self.failures.setdefault(task.task_id, []).append(
-            {"kind": "poison", "detail": payload.get("error", ""),
-             "traceback": payload.get("traceback", ""),
-             "attempt": self.attempts.get(task.task_id, 1)})
-        self._terminal(task, QUARANTINED,
-                       elapsed=payload.get("elapsed", 0.0))
+    def _finish(self, task: TaskSpec, kind: str, payload: dict) -> None:
+        """Record how a task ended, as :func:`~repro.exec.worker.run_task`
+        classified it (inline or in a worker)."""
+        elapsed = payload.get("elapsed", 0.0)
+        if kind == "done":
+            self._terminal(task, COMPLETED, result=payload.get("result"),
+                           elapsed=elapsed)
+        elif kind == "skip":
+            self._terminal(task, SKIPPED, skip=payload.get("skip"),
+                           elapsed=elapsed)
+        else:
+            self.failures.setdefault(task.task_id, []).append(
+                {"kind": "poison", "detail": payload.get("error", ""),
+                 "traceback": payload.get("traceback", ""),
+                 "attempt": self.attempts.get(task.task_id, 1)})
+            self._terminal(task, QUARANTINED, elapsed=elapsed)
 
     def _poll_external_stop(self) -> None:
         """Raise the interrupt level from an embedding host's drain poll."""
@@ -388,8 +396,7 @@ def run_campaign(campaign: Campaign,
 # ---------------------------------------------------------------------------
 
 def _run_inline(run: _CampaignRun) -> None:
-    from ..errors import AnalysisError
-    from ..recovery.partial import SkipRecord
+    from .worker import run_task
 
     fn = run.campaign.resolve_fn()
     while run.ready_tasks:
@@ -397,24 +404,14 @@ def _run_inline(run: _CampaignRun) -> None:
         if run.interrupt_level > 0:
             return
         task = run.tasks[run.ready_tasks.popleft()]
-        t0 = time.monotonic()
         try:
-            result = fn(task.params)
-            run._terminal(task, COMPLETED, result=result,
-                          elapsed=time.monotonic() - t0)
-        except AnalysisError as err:
-            skip = SkipRecord.from_error(err, label=task.label,
-                                         stage="campaign")
-            run._terminal(task, SKIPPED, skip=skip.to_dict(),
-                          elapsed=time.monotonic() - t0)
+            kind, payload = run_task(fn, task.params,
+                                     run.position[task.task_id], task.label)
         except KeyboardInterrupt:
             run.interrupt_level += 1
             run.interrupt_signal = "SIGINT"
             return
-        except Exception as err:  # lint: skip=RV405 — poison path keeps the traceback
-            run._poison(task, {"error": repr(err),
-                               "traceback": traceback.format_exc(),
-                               "elapsed": time.monotonic() - t0})
+        run._finish(task, kind, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +485,10 @@ def _run_pooled(run: _CampaignRun) -> None:
                 for worker in workers.values():
                     if worker.inflight is None and run.ready_tasks:
                         task = run.tasks[run.ready_tasks.popleft()]
-                        attempt = run.attempts[task.task_id]
-                        worker.inflight = _Inflight(task, attempt, now)
+                        worker.inflight = _Inflight(task, now)
                         worker.queue.put((task.task_id, task.params,
-                                          attempt, task.label))
+                                          run.position[task.task_id],
+                                          task.label))
 
             # computed *after* dispatch: a just-dispatched task counts
             # as in flight, or the exit checks below fire one loop early
@@ -533,19 +530,7 @@ def _run_pooled(run: _CampaignRun) -> None:
                                 and current.task.task_id == task_id
                                 and task_id not in run.outcomes):
                             worker.inflight = None
-                            task = current.task
-                            if kind == "done":
-                                run._terminal(
-                                    task, COMPLETED,
-                                    result=payload.get("result"),
-                                    elapsed=payload.get("elapsed", 0.0))
-                            elif kind == "skip":
-                                run._terminal(
-                                    task, SKIPPED,
-                                    skip=payload.get("skip"),
-                                    elapsed=payload.get("elapsed", 0.0))
-                            else:
-                                run._poison(task, payload)
+                            run._finish(current.task, kind, payload)
                         else:
                             worker.inflight = None
             if not got_any:

@@ -2,8 +2,9 @@
 
 Each worker is one spawned process running :func:`worker_main`: resolve
 the campaign's task function once, then loop pulling ``(task_id,
-params, attempt)`` items from a dedicated dispatch queue and pushing
-outcome messages onto the shared result queue.
+params, index, label)`` items from a dedicated dispatch queue and pushing
+outcome messages onto its result queue.  :func:`run_task` classifies how
+a task ended, here and in the executor's inline mode alike.
 
 Once its imports finish, the worker sets its ``ready`` event: the
 parent stops applying the warm-up grace to its watchdog deadlines, and
@@ -12,7 +13,7 @@ charges a later death to the task it was running.
 Message protocol (worker -> parent), all tuples
 ``(kind, worker_id, task_id, payload)``:
 
-``("start", id, task_id, {"attempt": n})``
+``("start", id, task_id, {})``
     The task function is about to run; the parent arms the watchdog.
 ``("done", id, task_id, {"result": ..., "elapsed": s})``
     Task returned a JSON-serialisable result.
@@ -20,14 +21,17 @@ Message protocol (worker -> parent), all tuples
     Task raised an :class:`~repro.errors.AnalysisError` after the
     recovery ladder was exhausted — deterministic, record-and-skip.
 ``("error", id, task_id, {"error", "traceback", "elapsed"})``
-    Task raised a non-analysis exception: a poison task.  The parent
-    quarantines it instead of retrying.
+    Task raised any other exception, or returned a result JSON cannot
+    encode: a poison task.  The parent quarantines it instead of
+    retrying.
 ``("bye", id, None, {})``
     Clean shutdown after the ``None`` sentinel.
 
 Workers ignore SIGINT: interactive Ctrl-C delivers SIGINT to the whole
 foreground process group, and the *parent* owns the drain decision (it
-terminates workers explicitly when the grace period expires).
+terminates workers explicitly when the grace period expires).  A task
+that raises ``KeyboardInterrupt`` or ``SystemExit`` ends its worker,
+which the parent charges as a crash.
 """
 
 from __future__ import annotations
@@ -36,7 +40,10 @@ import json
 import signal
 import time
 import traceback
-from typing import Any, Dict
+from typing import Any, Callable, Dict, Tuple
+
+from ..errors import AnalysisError
+from ..recovery.partial import SkipRecord
 
 
 def worker_main(worker_id: int, fn_ref: str, task_queue,
@@ -50,8 +57,6 @@ def worker_main(worker_id: int, fn_ref: str, task_queue,
     # Heavy imports happen here, inside the worker, so the parent's
     # dispatch loop never pays for them and the watchdog can tell
     # "warming up" from "hung" via the ready event below.
-    from ..errors import AnalysisError
-    from ..recovery.partial import SkipRecord
     from .campaign import resolve_task_fn
 
     fn = resolve_task_fn(fn_ref)
@@ -62,34 +67,33 @@ def worker_main(worker_id: int, fn_ref: str, task_queue,
         if item is None:
             result_queue.put(("bye", worker_id, None, {}))
             return
-        task_id, params, attempt, label = item
-        result_queue.put(("start", worker_id, task_id, {"attempt": attempt}))
-        t0 = time.monotonic()
-        try:
-            result = fn(params)
-            payload: Dict[str, Any] = {"result": _json_safe(result),
-                                       "elapsed": time.monotonic() - t0}
-            result_queue.put(("done", worker_id, task_id, payload))
-        except AnalysisError as err:
-            skip = SkipRecord.from_error(err, index=attempt, label=label,
-                                         stage="campaign")
-            result_queue.put(("skip", worker_id, task_id,
-                              {"skip": skip.to_dict(),
-                               "elapsed": time.monotonic() - t0}))
-        except BaseException as err:  # noqa: B036  # lint: skip=RV405
-            # Poison task: anything non-analysis (programming errors,
-            # corrupted params).  The full traceback travels back to the
-            # parent's forensics — nothing is swallowed, and the worker
-            # survives to take the next task.
-            result_queue.put(("error", worker_id, task_id,
-                              {"error": repr(err),
-                               "traceback": traceback.format_exc(),
-                               "elapsed": time.monotonic() - t0}))
-            if isinstance(err, (KeyboardInterrupt, SystemExit)):
-                raise
+        task_id, params, index, label = item
+        result_queue.put(("start", worker_id, task_id, {}))
+        kind, payload = run_task(fn, params, index, label)
+        result_queue.put((kind, worker_id, task_id, payload))
 
 
-def _json_safe(result: Any) -> Any:
-    """Reject non-JSON results in the worker, where the traceback helps."""
-    json.dumps(result)
-    return result
+def run_task(fn: Callable[[Dict[str, Any]], Any], params: Dict[str, Any],
+             index: int, label: str) -> Tuple[str, Dict[str, Any]]:
+    """Run one task and classify how it ended: ``("done", ...)``,
+    ``("skip", ...)`` or ``("error", ...)`` with the payloads of the
+    message protocol above.  ``index`` is the task's position in its
+    campaign, recorded in a skip."""
+    t0 = time.monotonic()
+    try:
+        result = fn(params)
+        json.dumps(result)   # a task returns JSON data (see Campaign.fn)
+        return "done", {"result": result, "elapsed": time.monotonic() - t0}
+    except AnalysisError as err:
+        skip = SkipRecord.from_error(err, index=index, label=label,
+                                     stage="campaign")
+        return "skip", {"skip": skip.to_dict(),
+                        "elapsed": time.monotonic() - t0}
+    except Exception as err:  # lint: skip=RV405 — poison keeps the traceback
+        # Poison task: anything non-analysis (programming errors,
+        # corrupted params, a result JSON cannot encode).  The full
+        # traceback travels to the forensics — nothing is swallowed,
+        # and a worker survives to take the next task.
+        return "error", {"error": repr(err),
+                         "traceback": traceback.format_exc(),
+                         "elapsed": time.monotonic() - t0}

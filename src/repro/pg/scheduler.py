@@ -24,12 +24,11 @@ from .modes import LineLevels, Mode, OperatingConditions, bias_for_mode
 
 #: Fraction of a read cycle spent precharging before word-line assertion.
 _READ_PRECHARGE_FRACTION = 0.40
-#: Word-line assertion window inside a read cycle (fractions of t_cycle).
-_READ_WL_WINDOW = (0.45, 0.95)
+#: Word-line assertion window inside a read and a write cycle (fractions
+#: of the cycle).
+_WL_WINDOW = {Mode.READ: (0.45, 0.95), Mode.WRITE: (0.25, 0.90)}
 #: Write-driver window inside a write cycle.
 _WRITE_DRIVER_WINDOW = (0.10, 0.95)
-#: Word-line window inside a write cycle.
-_WRITE_WL_WINDOW = (0.25, 0.90)
 
 
 @dataclass(frozen=True)
@@ -61,6 +60,12 @@ class PhaseWindow:
     @property
     def duration(self) -> float:
         return self.t_end - self.t_start
+
+    @property
+    def wl_on(self) -> float:
+        """Instant the word line starts rising in this READ or WRITE
+        window (the reference of the read and write delays)."""
+        return self.t_start + _WL_WINDOW[self.mode][0] * self.duration
 
 
 class _PwlBuilder:
@@ -146,8 +151,8 @@ class Schedule:
         """Precharge-then-sense read activity."""
         vdd = self.cond.vdd
         t_pre_end = t0 + _READ_PRECHARGE_FRACTION * duration
-        wl_on = t0 + _READ_WL_WINDOW[0] * duration
-        wl_off = t0 + _READ_WL_WINDOW[1] * duration
+        wl_on = t0 + _WL_WINDOW[Mode.READ][0] * duration
+        wl_off = t0 + _WL_WINDOW[Mode.READ][1] * duration
         builders["prech"].set(t0, vdd, t_edge)
         builders["prech"].set(t_pre_end, 0.0, t_edge)
         # Reads may use word-line underdrive (bias assist) for stability.
@@ -162,8 +167,8 @@ class Schedule:
         vdd = self.cond.vdd
         drv_on = t0 + _WRITE_DRIVER_WINDOW[0] * duration
         drv_off = t0 + _WRITE_DRIVER_WINDOW[1] * duration
-        wl_on = t0 + _WRITE_WL_WINDOW[0] * duration
-        wl_off = t0 + _WRITE_WL_WINDOW[1] * duration
+        wl_on = t0 + _WL_WINDOW[Mode.WRITE][0] * duration
+        wl_off = t0 + _WL_WINDOW[Mode.WRITE][1] * duration
         bl_level = vdd if data else 0.0
         blb_level = 0.0 if data else vdd
         builders["prech"].set(t0, 0.0, t_edge)

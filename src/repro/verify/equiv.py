@@ -129,10 +129,9 @@ def _cell_dc_case(kind: str, mode_name: str) -> Dict[str, Quantity]:
 
     tb = build_cell_testbench(kind)
     sol = tb.settle(Mode(mode_name))
-    core = tb.core
     out = {
         f"v({node})": Quantity(sol.voltage(node), "voltage")
-        for node in (core.q, core.qb, "vvdd", "bl", "blb")
+        for node in (tb.cell.q, tb.cell.qb, "vvdd", "bl", "blb")
     }
     out["p(supply)"] = Quantity(tb.supply_power(sol), "power")
     return out
@@ -167,8 +166,8 @@ def _nv_store_case() -> Dict[str, Quantity]:
     return {
         "e(store_h)": Quantity(window_energy(result, win_h), "energy"),
         "e(store_l)": Quantity(window_energy(result, win_l), "energy"),
-        "v(q,final)": Quantity(final.voltage(tb.core.q), "voltage"),
-        "v(qb,final)": Quantity(final.voltage(tb.core.qb), "voltage"),
+        "v(q,final)": Quantity(final.voltage(tb.cell.q), "voltage"),
+        "v(qb,final)": Quantity(final.voltage(tb.cell.qb), "voltage"),
         "mtj-events": Quantity(float(len(result.events)), "count"),
         "stored-1": Quantity(
             float(tb.nv_cell.stored_data(tb.circuit) is True), "flag"),
@@ -185,10 +184,10 @@ def _nv_restore_case() -> Dict[str, Quantity]:
     final = result.final_solution()
     return {
         "e(restore)": Quantity(window_energy(result, window), "energy"),
-        "v(q,final)": Quantity(final.voltage(tb.core.q), "voltage"),
-        "v(qb,final)": Quantity(final.voltage(tb.core.qb), "voltage"),
+        "v(q,final)": Quantity(final.voltage(tb.cell.q), "voltage"),
+        "v(qb,final)": Quantity(final.voltage(tb.cell.qb), "voltage"),
         "restored-1": Quantity(
-            float(tb.core.read_data(final, tb.cond.vdd)), "flag"),
+            float(tb.cell.read_data(final, tb.cond.vdd)), "flag"),
     }
 
 
@@ -219,7 +218,7 @@ def _pg_rail_case() -> Dict[str, Quantity]:
         for t in (0.5e-9, 2e-9, 4e-9, 8e-9)
     }
     out["v(q,final)"] = Quantity(
-        result.final_solution().voltage(tb.core.q), "voltage")
+        result.final_solution().voltage(tb.cell.q), "voltage")
     return out
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis import operating_point
 from repro.circuit import Circuit, Resistor, VoltageSource
 from repro.cells import add_power_switch
-from repro.cells.powerswitch import V_SUPER_CUTOFF
+from repro.pg.modes import OperatingConditions
 
 VDD = 0.9
 
@@ -47,13 +47,13 @@ class TestOffState:
 
     def test_super_cutoff_leaks_much_less(self):
         c_nom, _ = _bench(VDD, load=1e8)
-        c_sup, _ = _bench(V_SUPER_CUTOFF, load=1e8)
+        c_sup, _ = _bench(OperatingConditions().v_pg_super, load=1e8)
         i_nom = -operating_point(c_nom).branch_current("vdd")
         i_sup = -operating_point(c_sup).branch_current("vdd")
         assert i_sup < i_nom / 5.0
 
     def test_super_cutoff_voltage_constant(self):
-        assert V_SUPER_CUTOFF == 1.0  # the paper's V_PG
+        assert OperatingConditions().v_pg_super == 1.0  # the paper's V_PG
 
 
 class TestHandle:

@@ -8,6 +8,8 @@ import pytest
 
 from repro.characterize.runner import characterize_cell
 from repro.devices.mtj import MTJ_TABLE1
+from repro.pg.modes import Mode
+from repro.pg.scheduler import Schedule, ScheduleStep
 
 
 class TestNvCharacterization:
@@ -93,3 +95,23 @@ class TestCaching:
 
         with pytest.raises(CharacterizationError):
             characterize_cell("9t", cache_dir=None)
+
+
+class TestDelayReference:
+    """The read and write delays count from the instant the schedule
+    raises the word line in the measured window."""
+
+    @pytest.mark.parametrize("mode, data", [(Mode.READ, None),
+                                            (Mode.WRITE, True)])
+    def test_reference_is_the_word_line_corner(self, cond, mode, data):
+        t_cyc = cond.t_cycle
+        schedule = Schedule(
+            [ScheduleStep(Mode.STANDBY, 2 * t_cyc)]
+            + [ScheduleStep(mode, t_cyc, data=data)] * 3
+            + [ScheduleStep(Mode.STANDBY, t_cyc)],
+            cond,
+        )
+        window = schedule.windows_of(mode)[1]
+        wl = schedule.line_waveforms()["wl"]
+        corner = next(t for t in wl.times if t >= window.t_start)
+        assert abs(window.wl_on - corner) <= 1e-15

@@ -45,8 +45,8 @@ class TestConstruction:
     def test_core_accessor(self):
         nv = build_cell_testbench("nv")
         vt = build_cell_testbench("6t")
-        assert nv.core.q == "cell.q"
-        assert vt.core.q == "cell.q"
+        assert nv.cell.q == "cell.q"
+        assert vt.cell.q == "cell.q"
         with pytest.raises(CharacterizationError):
             vt.nv_cell
 

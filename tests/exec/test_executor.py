@@ -162,3 +162,33 @@ class TestPooled:
         (outcome,) = result.completed
         assert outcome.attempts == 2
         assert outcome.failures[0]["kind"] == "crash"
+
+
+class TestInlineMatchesPooled:
+    """Inline and pooled runs classify a task's end with one function,
+    so they record the same outcome."""
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_skip_index_is_task_position(self, tmp_path, workers):
+        campaign = chaos_campaign(tmp_path, [None, None, "conv_skip"],
+                                  name="skip-index")
+        result = run_campaign(campaign,
+                              options=CampaignOptions(workers=workers))
+        (skipped,) = result.skipped
+        assert skipped.attempts == 1
+        assert skipped.skip["index"] == 2
+        assert skipped.skip["label"] == "fault:conv_skip"
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_non_json_result_is_poison(self, workers):
+        # ``set(params)`` returns the set of the param names, which JSON
+        # cannot encode.
+        campaign = Campaign(name="non-json", fn="builtins:set",
+                            tasks=[make_task({"x": 1.0})])
+        result = run_campaign(campaign,
+                              options=CampaignOptions(workers=workers))
+        (poisoned,) = result.quarantined
+        assert poisoned.attempts == 1
+        assert poisoned.failures[-1]["kind"] == "poison"
+        assert "not JSON serializable" in poisoned.failures[-1]["detail"]
+        assert not result.completed

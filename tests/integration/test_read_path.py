@@ -54,15 +54,14 @@ def _read_path(kind: str, data: bool, n_rows: int = 512):
         c.add(VoltageSource("vctrl", "ctrl", "0", dc=0.07))
         cell = add_nvsram(c, "cell", "vdd", "bl", "blb", "wl", "sr",
                           "ctrl")
-        core = cell.core
     else:
-        core = cell = add_sram6t(c, "cell", "vdd", "bl", "blb", "wl")
+        cell = add_sram6t(c, "cell", "vdd", "bl", "blb", "wl")
 
     sa = add_senseamp(c, "sa", "bl", "blb", "sae", "iso", "vdd")
-    ic = core.initial_conditions(data, VDD)
+    ic = cell.initial_conditions(data, VDD)
     result = transient(c, T_END, ic=ic,
                        options=TransientOptions(dt_initial=10e-12))
-    return c, core, sa, result
+    return c, cell, sa, result
 
 
 class TestReadPath:

@@ -152,6 +152,26 @@ def test_repro_imports_and_lints_without_networkx():
     assert proc.stdout.split() == ["1"]
 
 
+#: Imports what a warm ``repro all`` imports and prints how many
+#: ``repro`` modules that loaded.
+WARM_PATH = """
+import sys
+import repro.cli, repro.experiments.summary
+print(sum(1 for m in sys.modules if m == "repro" or m.startswith("repro.")))
+"""
+
+
+def test_warm_path_loads_at_most_78_repro_modules():
+    """Import is most of a warm ``repro all``, so a module that joins
+    its import path must replace one already on it."""
+    src = Path(repro.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", WARM_PATH], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 78
+
+
 def _walk_modules():
     for info in pkgutil.walk_packages(repro.__path__,
                                       prefix="repro."):
