@@ -10,7 +10,7 @@ threshold-crossing search, and peak/average measurements.
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 

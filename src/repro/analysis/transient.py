@@ -27,10 +27,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import ConvergenceError, TimestepError
-from ..recovery.ladder import RecoveryOptions, recover_transient_step
+from ..recovery.ladder import recover_transient_step
 from .dc import operating_point
 from .mna import Context
-from .results import Solution, TransientResult
+from .results import TransientResult
 from .solver import NewtonOptions, newton_solve
 from .trust import TrustAccumulator
 
@@ -58,8 +58,6 @@ class TransientOptions:
     #: Maximum accepted steps before aborting (runaway guard).
     max_steps: int = 5_000_000
     newton: NewtonOptions = field(default_factory=NewtonOptions)
-    #: Transient-local recovery ladder, tried before the step is cut.
-    recovery: RecoveryOptions = field(default_factory=RecoveryOptions)
 
 
 def transient(
@@ -161,15 +159,13 @@ def transient(
         dt_history.append(dt)
 
         recovered_rung = None
-        step_cert = None
         try:
             x_new = newton_solve(circuit, ctx, guess, opts.newton)
-            step_cert = ctx.cert
         except ConvergenceError as err:
             # Local recovery ladder at this fixed timepoint before the
             # (much more expensive) step-size cut.
             salvage = recover_transient_step(circuit, ctx, x, guess,
-                                             opts.newton, opts.recovery)
+                                             opts.newton)
             if salvage is None:
                 rejected += 1
                 dt *= 0.25
@@ -182,17 +178,14 @@ def transient(
                 continue
             x_new = salvage.x
             recovered_rung = salvage.rung
-            step_cert = salvage.cert
+            # Commit with the context that produced x_new: its method is
+            # backward Euler when the rung that converged switched to it.
+            ctx = salvage.ctx
             recoveries.append({
                 "time": t + dt,
                 "rung": salvage.rung,
                 "trace": [a.to_dict() for a in salvage.trace],
             })
-            if salvage.rung in ("backward-euler", "gmin-step"):
-                # Those rungs solved a backward-Euler step; commit must see
-                # the method that actually produced x_new.
-                ctx = Context(mode="tran", time=t + dt, dt=dt, method="be",
-                              x=x)
 
         # LTE control (skipped in the fresh-start regime; a recovered step
         # used a different discretisation, so its trapezoidal LTE estimate
@@ -214,8 +207,8 @@ def transient(
             next_dt = dt * 1.5
 
         # Accept: commit element state, record, advance.
-        if step_cert is not None:
-            trust_acc.note(step_cert)
+        if ctx.cert is not None:
+            trust_acc.note(ctx.cert)
         ctx.x = x_new
         step_events = []
         for element in committing:

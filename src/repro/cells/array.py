@@ -16,13 +16,13 @@ together, and the N word lines of the domain are accessed — and stored —
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..errors import NetlistError
-from ..circuit import Capacitor, Circuit, VoltageSource
+from ..circuit import Circuit, VoltageSource
 from ..devices.finfet import FinFETParams
 from ..devices.mtj import MTJParams, MTJ_TABLE1
-from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP, CJUNCTION_PER_FIN
+from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
 from .nvsram import NvSramCell, add_nvsram
 from .powerswitch import add_power_switch
 

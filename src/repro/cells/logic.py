@@ -8,13 +8,11 @@ cells compose by string wiring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from ..circuit import Capacitor, Circuit
 from ..devices.finfet import FinFET, FinFETParams
 from ..devices.ptm20 import (
-    CGATE_PER_FIN,
     CJUNCTION_PER_FIN,
     NFET_20NM_HP,
     PFET_20NM_HP,

@@ -17,7 +17,6 @@ regenerates the sampled differential to full rails within ~100 ps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from ..circuit import Capacitor, Circuit
 from ..devices.finfet import FinFET, FinFETParams

@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from ..errors import CharacterizationError
 

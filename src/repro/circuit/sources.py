@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from .netlist import Element
-from .waveforms import Constant, Waveform
+from .waveforms import Waveform
 
 
 class VoltageSource(Element):

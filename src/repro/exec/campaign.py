@@ -17,7 +17,7 @@ import hashlib
 import importlib
 import json
 from dataclasses import asdict, dataclass, field, is_dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import ReproError
 

@@ -60,6 +60,12 @@ from .campaign import (
 )
 
 
+#: Extra allowance (seconds) added to the first deadline of a worker that
+#: has not finished importing yet: spawn and heavy imports are not the
+#: task's fault.
+_WARMUP_GRACE_S = 30.0
+
+
 class CampaignInterrupted(ReproError):
     """Raised after a graceful drain; carries the partial result."""
 
@@ -78,10 +84,6 @@ class CampaignOptions:
         Worker-process count; ``0`` executes inline (no isolation).
     task_timeout:
         Per-task wall-clock watchdog in seconds (``None`` = no watchdog).
-    warmup_grace:
-        Extra allowance added to the first deadline of a worker that has
-        not finished importing yet (spawn + heavy imports are not the
-        task's fault).
     max_retries:
         Re-dispatch budget for crash/timeout failures, per task.
     backoff_base / backoff_cap:
@@ -107,7 +109,6 @@ class CampaignOptions:
 
     workers: int = 1
     task_timeout: Optional[float] = None
-    warmup_grace: float = 30.0
     max_retries: int = 2
     backoff_base: float = 0.25
     backoff_cap: float = 5.0
@@ -181,7 +182,7 @@ class _Worker:
             return None
         if self.inflight.started_at is not None:
             return self.inflight.started_at + timeout
-        grace = 0.0 if self.ready.is_set() else options.warmup_grace
+        grace = 0.0 if self.ready.is_set() else _WARMUP_GRACE_S
         return self.inflight.dispatched_at + grace + timeout
 
 

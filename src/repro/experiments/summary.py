@@ -15,9 +15,7 @@ campaign before the serial assembly reads them from the memo.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..cells import PowerDomain
 from ..pg.bet import break_even_time

@@ -20,8 +20,8 @@ their circuit simulations to millisecond shutdowns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from ..errors import SequenceError
 from ..cells.array import PowerDomain

@@ -21,7 +21,7 @@ on, which is electrically equivalent to a regulated retention rail.)
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict
 
 from ..errors import SequenceError

@@ -21,7 +21,6 @@ import math
 
 from ..errors import SequenceError
 from ..characterize.data import FlipFlopCharacterization
-from .modes import OperatingConditions
 
 
 @dataclass

@@ -25,8 +25,8 @@ These schedules describe a single cell's view; array-level serialisation
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 from ..errors import SequenceError
 from .modes import Mode, OperatingConditions

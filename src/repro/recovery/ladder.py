@@ -28,8 +28,13 @@ converges, recording every attempt:
 
 :func:`recover_transient_step` is the transient-local ladder used inside
 the integrator at a *fixed* timepoint, before the step size is cut:
-tighter damping, a backward-Euler fallback (trapezoidal companion models
-ring on stiff store/restore edges), and local gmin stepping.
+equilibration, tighter damping, a backward-Euler fallback (trapezoidal
+companion models ring on stiff store/restore edges), and local gmin
+stepping.
+
+Both ladders climb their rungs through one loop, :func:`_climb`, and
+return the context of the accepted solve (``LadderResult.ctx``), which
+the integrator commits a salvaged step with.
 
 Each rung preserves correctness: intermediate rungs may solve modified
 systems, but the returned solution always comes from a final solve of
@@ -39,7 +44,7 @@ the *unmodified* equations (at floor gmin / full source scale).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -104,70 +109,116 @@ class LadderResult:
     """Outcome of a recovered solve.
 
     ``rung`` is ``None`` when the plain solve succeeded (no recovery was
-    needed); otherwise it names the rung that converged.  ``cert`` is
-    the :class:`~repro.analysis.trust.Certificate` of the final accepted
-    solve (``None`` when unavailable).
+    needed); otherwise it names the rung that converged.  ``ctx`` is the
+    :class:`~repro.analysis.mna.Context` of the final accepted solve (the
+    mode, time, timestep and method that produced ``x``) and ``cert`` its
+    :class:`~repro.analysis.trust.Certificate`.
     """
 
     x: np.ndarray
     trace: List[RungAttempt] = field(default_factory=list)
     rung: Optional[str] = None
-    cert: Optional[object] = None
+    ctx: Optional[Context] = None
 
     @property
     def recovered(self) -> bool:
         return self.rung is not None
 
+    @property
+    def cert(self):
+        return self.ctx.cert if self.ctx is not None else None
+
 
 #: An ``extra_stamps(stamper, ctx)`` callback, as taken by newton_solve.
 ExtraStamps = Optional[Callable]
 
+#: One rung of a ladder: its name, the solve it makes and the detail
+#: its trace entry carries (empty: a failure records the error text).
+Rung = Tuple[str, Callable[[], np.ndarray], str]
 
-def _boosted(newton: "NewtonOptions", damping: float, boost: int) -> "NewtonOptions":
-    return replace(newton, damping=damping,
-                   max_iterations=newton.max_iterations * boost)
+
+class _Contexts:
+    """Fresh solve contexts; ``last`` is the latest one handed out."""
+
+    def __init__(self, make: Callable[..., Context]):
+        self.make, self.last = make, None
+
+    def __call__(self, *args) -> Context:
+        self.last = self.make(*args)
+        return self.last
 
 
-class _Ladder:
-    """Shared attempt bookkeeping for the DC and transient ladders."""
+def _climb(rungs: Iterable[Rung], contexts: _Contexts,
+           trace: List[RungAttempt], failure: Optional[ConvergenceError] = None
+           ) -> Union[LadderResult, ConvergenceError, None]:
+    """Try each rung in order, recording one :class:`RungAttempt` each.
 
-    def __init__(self):
-        self.trace: List[RungAttempt] = []
-        self.last_error: Optional[ConvergenceError] = None
-
-    def attempt(self, rung: str, solve: Callable[[], np.ndarray],
-                detail: str = "") -> Optional[np.ndarray]:
+    Returns the first success as a :class:`LadderResult` (``rung`` is
+    ``None`` for ``plain``) with the context of its last solve, else the
+    latest failure (``failure`` itself when no rung is tried)."""
+    for name, solve, detail in rungs:
         try:
             x = solve()
         except ConvergenceError as err:
-            self.last_error = err
-            self.trace.append(RungAttempt(rung, False, detail=detail or str(err),
-                                          residual=err.residual))
-            return None
-        self.trace.append(RungAttempt(rung, True, detail=detail))
-        return x
+            failure = err
+            trace.append(RungAttempt(name, False, detail=detail or str(err),
+                                     residual=err.residual))
+            continue
+        trace.append(RungAttempt(name, True, detail=detail))
+        return LadderResult(x, trace, None if name == "plain" else name,
+                            contexts.last)
+    return failure
 
-    def exhausted(self, context_message: str) -> ConvergenceError:
-        """Build the terminal error carrying the whole ladder trace."""
-        err = self.last_error
-        trace_dicts = [a.to_dict() for a in self.trace]
-        if err is None:   # pragma: no cover - ladder always attempts once
-            return ConvergenceError(context_message, ladder_trace=trace_dicts)
-        wrapped = ConvergenceError(
-            f"{context_message}: {err}",
-            iterations=err.iterations,
-            residual=err.residual,
-            residual_vector=err.residual_vector,
-            worst_nodes=err.worst_nodes,
-            time=err.time,
-            mode=err.mode,
-            damped_streak=err.damped_streak,
-            x=err.x,
-            ladder_trace=trace_dicts,
-            cond_estimate=getattr(err, "cond_estimate", float("nan")),
-        )
-        wrapped.__cause__ = err
-        return wrapped
+
+def _exhausted(context_message: str, err: ConvergenceError,
+               trace: List[RungAttempt]) -> ConvergenceError:
+    """Build the terminal error carrying the whole ladder trace."""
+    wrapped = ConvergenceError(
+        f"{context_message}: {err}",
+        iterations=err.iterations,
+        residual=err.residual,
+        residual_vector=err.residual_vector,
+        worst_nodes=err.worst_nodes,
+        time=err.time,
+        mode=err.mode,
+        damped_streak=err.damped_streak,
+        x=err.x,
+        ladder_trace=[a.to_dict() for a in trace],
+        cond_estimate=err.cond_estimate,
+    )
+    wrapped.__cause__ = err
+    return wrapped
+
+
+def _equilibrate_rung(opts: RecoveryOptions, solve: Callable,
+                      newton: NewtonOptions) -> List[Rung]:
+    """``solve(options)`` with every linear system equilibrated, if on."""
+    forced = replace(newton, trust=replace(newton.trust,
+                                           always_equilibrate=True))
+    return [("equilibrate", lambda: solve(forced),
+             "forced row/column equilibration")] if opts.equilibrate else []
+
+
+def _damping_rungs(opts: RecoveryOptions, solve: Callable,
+                   newton: NewtonOptions, boost: int,
+                   suffix: str = "") -> List[Rung]:
+    """``solve(options)`` per damping factor, at ``boost`` times the
+    iteration budget."""
+    return [("damping", lambda f=factor: solve(replace(
+        newton, damping=f, max_iterations=newton.max_iterations * boost)),
+        f"damping={factor:g}{suffix}") for factor in opts.damping_factors]
+
+
+def _gmin_chain(solve: Callable, start: np.ndarray, newton: NewtonOptions,
+                steps: Tuple[float, ...]) -> np.ndarray:
+    """``solve(options, x)`` at each shunt of ``steps``, warm-starting
+    each stage, then at ``newton.gmin`` if the chain stops above it."""
+    x = start
+    for gmin in steps:
+        x = solve(replace(newton, gmin=gmin), x)
+    if steps[-1] > newton.gmin:
+        x = solve(newton, x)
+    return x
 
 
 def recover_dc(
@@ -191,107 +242,63 @@ def recover_dc(
     newton = newton or NewtonOptions()
     opts = options or RecoveryOptions()
     circuit.compile()
-    if x0 is None:
-        x0 = np.zeros(circuit.size)
-    x0 = np.asarray(x0, dtype=float)
-    ladder = _Ladder()
-    last_ctx: List[Optional[Context]] = [None]
+    x0 = np.zeros(circuit.size) if x0 is None else np.asarray(x0, dtype=float)
+    fresh = _Contexts(lambda scale=1.0: Context(mode="dc", time=time,
+                                                source_scale=scale))
+    trace: List[RungAttempt] = []
 
-    def fresh_ctx(scale: float = 1.0) -> Context:
-        ctx = Context(mode="dc", time=time, source_scale=scale)
-        last_ctx[0] = ctx
-        return ctx
-
-    def done(x: np.ndarray, rung: Optional[str]) -> LadderResult:
-        cert = last_ctx[0].cert if last_ctx[0] is not None else None
-        return LadderResult(x, ladder.trace, rung, cert=cert)
+    def solve(newton_opts: NewtonOptions, start: np.ndarray = x0,
+              stamps: ExtraStamps = extra_stamps,
+              scale: float = 1.0) -> np.ndarray:
+        return newton_solve(circuit, fresh(scale), start, newton_opts, stamps)
 
     # Rung 1: the solve exactly as requested.
-    x = ladder.attempt("plain", lambda: newton_solve(
-        circuit, fresh_ctx(), x0, newton, extra_stamps))
-    if x is not None:
-        return done(x, None)
+    outcome = _climb([("plain", lambda: solve(newton), "")], fresh, trace)
+    if isinstance(outcome, LadderResult):
+        return outcome
     if not opts.enabled:
-        raise ladder.exhausted("recovery disabled")
+        raise _exhausted("recovery disabled", outcome, trace)
 
     # Rung 1.5: same solve, every linear system equilibrated.  Costs one
     # extra Newton walk at most and rescues the purely *numerical*
     # failures (15-decade conductance spread) before any heavier rung
     # modifies the problem.
-    if opts.equilibrate:
-        x = ladder.attempt(
-            "equilibrate",
-            lambda: newton_solve(
-                circuit, fresh_ctx(), x0,
-                replace(newton,
-                        trust=replace(newton.trust, always_equilibrate=True)),
-                extra_stamps),
-            detail="forced row/column equilibration",
-        )
-        if x is not None:
-            return done(x, "equilibrate")
+    outcome = _climb(_equilibrate_rung(opts, solve, newton), fresh, trace,
+                     outcome)
+    if isinstance(outcome, LadderResult):
+        return outcome
 
-    # Rung 2: tighter damping.  React to damping starvation with a larger
-    # iteration budget — tiny steps need room to accumulate.
-    starved = (ladder.last_error is not None
-               and ladder.last_error.damped_streak
-               >= max(1, newton.max_iterations // 2))
+    # Rung 2: tighter damping.  React to damping starvation (of the
+    # latest failure) with a larger iteration budget — tiny steps need
+    # room to accumulate.
+    starved = outcome.damped_streak >= max(1, newton.max_iterations // 2)
     boost = opts.damping_iteration_boost * (2 if starved else 1)
-    for factor in opts.damping_factors:
-        x = ladder.attempt(
-            "damping",
-            lambda f=factor: newton_solve(
-                circuit, fresh_ctx(), x0, _boosted(newton, f, boost),
-                extra_stamps),
-            detail=f"damping={factor:g}, boost={boost}x",
-        )
-        if x is not None:
-            return done(x, "damping")
-
+    rungs = _damping_rungs(opts, solve, newton, boost, f", boost={boost}x")
     # Rung 3: gmin stepping — relax with large shunts, tighten gradually.
-    def gmin_chain() -> np.ndarray:
-        xg = x0
-        for gmin in opts.gmin_steps:
-            xg = newton_solve(circuit, fresh_ctx(), xg,
-                              replace(newton, gmin=gmin), extra_stamps)
-        if opts.gmin_steps and opts.gmin_steps[-1] > newton.gmin:
-            xg = newton_solve(circuit, fresh_ctx(), xg, newton, extra_stamps)
-        return xg
-
     if opts.gmin_steps:
-        x = ladder.attempt("gmin-step", gmin_chain,
-                           detail=f"{len(opts.gmin_steps)} stages")
-        if x is not None:
-            return done(x, "gmin-step")
-
+        rungs.append(("gmin-step", lambda: _gmin_chain(
+            solve, x0, newton, opts.gmin_steps),
+            f"{len(opts.gmin_steps)} stages"))
     # Rung 4: pseudo-transient continuation.
     if opts.pseudo_transient:
-        x = ladder.attempt(
-            "pseudo-transient",
-            lambda: _pseudo_transient(circuit, x0, newton, extra_stamps,
-                                      fresh_ctx),
-            detail=f"dt ramp to {_PTRAN_DT[-1]:g}s",
-        )
-        if x is not None:
-            return done(x, "pseudo-transient")
-
+        rungs.append(("pseudo-transient", lambda: _pseudo_transient(
+            solve, circuit.num_nodes, x0, newton, extra_stamps),
+            f"dt ramp to {_PTRAN_DT[-1]:g}s"))
     # Rung 5: source ramping.
     if opts.source_ramp and opts.source_steps:
-        x = ladder.attempt(
-            "source-ramp",
-            lambda: _source_ramp(circuit, time, x0, newton, extra_stamps,
-                                 opts, fresh_ctx),
-            detail=f"{len(opts.source_steps)} steps",
-        )
-        if x is not None:
-            return done(x, "source-ramp")
-
-    raise ladder.exhausted(
-        f"recovery ladder exhausted ({len(ladder.trace)} attempts)")
+        rungs.append(("source-ramp", lambda: _source_ramp(
+            solve, x0, newton, opts.source_steps),
+            f"{len(opts.source_steps)} steps"))
+    outcome = _climb(rungs, fresh, trace, outcome)
+    if isinstance(outcome, LadderResult):
+        return outcome
+    raise _exhausted(f"recovery ladder exhausted ({len(trace)} attempts)",
+                     outcome, trace)
 
 
-def _pseudo_transient(circuit, x0: np.ndarray, newton: NewtonOptions,
-                      extra_stamps: ExtraStamps, fresh_ctx) -> np.ndarray:
+def _pseudo_transient(solve: Callable, num_nodes: int, x0: np.ndarray,
+                      newton: NewtonOptions,
+                      extra_stamps: ExtraStamps) -> np.ndarray:
     """Pseudo-transient continuation toward the DC point.
 
     Backward-Euler companion stamps of an artificial capacitance C from
@@ -299,11 +306,7 @@ def _pseudo_transient(circuit, x0: np.ndarray, newton: NewtonOptions,
     toward the previous iterate — a heavily regularised system for small
     dt that relaxes to the true one as dt grows.
     """
-    from ..analysis.mna import Context
-    from ..analysis.solver import newton_solve
-
-    num_nodes = circuit.num_nodes
-    x = np.asarray(x0, dtype=float).copy()
+    x = x0.copy()
     for dt in _PTRAN_DT:
         g_art = _PTRAN_CAPACITANCE / dt
         x_prev = x.copy()
@@ -316,28 +319,23 @@ def _pseudo_transient(circuit, x0: np.ndarray, newton: NewtonOptions,
             if extra_stamps is not None:
                 extra_stamps(stamper, ctx)
 
-        x = newton_solve(circuit, fresh_ctx(), x, newton, stamps)
+        x = solve(newton, x, stamps)
     # Final polish of the unmodified system from the continuation point.
-    return newton_solve(circuit, fresh_ctx(), x, newton, extra_stamps)
+    return solve(newton, x)
 
 
-def _source_ramp(circuit, time: float, x0: np.ndarray,
-                 newton: NewtonOptions, extra_stamps: ExtraStamps,
-                 opts: RecoveryOptions, fresh_ctx) -> np.ndarray:
+def _source_ramp(solve: Callable, x0: np.ndarray, newton: NewtonOptions,
+                 steps: Tuple[float, ...]) -> np.ndarray:
     """Ramp independent sources up from a fraction of their level."""
-    from ..analysis.solver import newton_solve
-
-    x = np.zeros_like(np.asarray(x0, dtype=float))
-    for scale in opts.source_steps:
-        ctx = fresh_ctx(scale)
+    x = np.zeros_like(x0)
+    for scale in steps:
         try:
-            x = newton_solve(circuit, ctx, x, newton, extra_stamps)
+            x = solve(newton, x, scale=scale)
         except ConvergenceError:
             # One retry with elevated gmin at this rung of the ramp.
-            x = newton_solve(circuit, fresh_ctx(scale), x,
-                             replace(newton, gmin=1e-6), extra_stamps)
-    if abs(opts.source_steps[-1] - 1.0) > 1e-12:
-        x = newton_solve(circuit, fresh_ctx(), x, newton, extra_stamps)
+            x = solve(replace(newton, gmin=1e-6), x, scale=scale)
+    if abs(steps[-1] - 1.0) > 1e-12:
+        x = solve(newton, x)
     return x
 
 
@@ -351,14 +349,15 @@ def recover_transient_step(
 ) -> Optional[LadderResult]:
     """Transient-local ladder at a fixed timepoint and timestep.
 
-    Tried *before* the integrator cuts the step size: tighter damping,
-    a backward-Euler fallback when the failing method was trapezoidal,
-    and local gmin stepping (backward Euler, warm-started from the last
-    accepted state).  Element internal state is untouched — only accepted
-    steps commit — so attempts are free of side effects.
+    Tried *before* the integrator cuts the step size: equilibration,
+    tighter damping, a backward-Euler fallback when the failing method
+    was trapezoidal, and local gmin stepping (backward Euler, warm-started
+    from the last accepted state).  Element internal state is untouched —
+    only accepted steps commit — so attempts are free of side effects.
 
     Returns ``None`` when every local rung fails (the caller should cut
-    ``dt``), otherwise a :class:`LadderResult` naming the rung.
+    ``dt``), otherwise a :class:`LadderResult` naming the rung, whose
+    ``ctx`` (the method that produced ``x``) commits the step.
     """
     from ..analysis.mna import Context
     from ..analysis.solver import newton_solve
@@ -366,61 +365,21 @@ def recover_transient_step(
     opts = options or RecoveryOptions()
     if not opts.enabled:
         return None
-    ladder = _Ladder()
-    last_ctx: List[Optional[Context]] = [None]
+    fresh = _Contexts(lambda method: Context(
+        mode="tran", time=ctx.time, dt=ctx.dt, method=method, x=x_prev))
 
-    def step_ctx(method: str) -> Context:
-        fresh = Context(mode="tran", time=ctx.time, dt=ctx.dt, method=method,
-                        x=x_prev)
-        last_ctx[0] = fresh
-        return fresh
+    def solve(newton_opts: NewtonOptions, start: np.ndarray = guess,
+              method: str = ctx.method) -> np.ndarray:
+        return newton_solve(circuit, fresh(method), start, newton_opts)
 
-    def done(x: np.ndarray, rung: str) -> LadderResult:
-        cert = last_ctx[0].cert if last_ctx[0] is not None else None
-        return LadderResult(x, ladder.trace, rung, cert=cert)
-
-    if opts.equilibrate:
-        x = ladder.attempt(
-            "equilibrate",
-            lambda: newton_solve(
-                circuit, step_ctx(ctx.method), guess,
-                replace(newton,
-                        trust=replace(newton.trust,
-                                      always_equilibrate=True))),
-            detail="forced row/column equilibration",
-        )
-        if x is not None:
-            return done(x, "equilibrate")
-
-    for factor in opts.damping_factors:
-        x = ladder.attempt(
-            "damping",
-            lambda f=factor: newton_solve(
-                circuit, step_ctx(ctx.method), guess,
-                _boosted(newton, f, opts.damping_iteration_boost)),
-            detail=f"damping={factor:g}",
-        )
-        if x is not None:
-            return done(x, "damping")
-
+    rungs = _equilibrate_rung(opts, solve, newton) + _damping_rungs(
+        opts, solve, newton, opts.damping_iteration_boost)
     if ctx.method != "be":
-        x = ladder.attempt("backward-euler", lambda: newton_solve(
-            circuit, step_ctx("be"), guess, newton))
-        if x is not None:
-            return done(x, "backward-euler")
-
+        rungs.append(("backward-euler", lambda: solve(newton, method="be"),
+                      ""))
     if opts.gmin_steps:
-        def gmin_chain() -> np.ndarray:
-            xg = np.asarray(x_prev, dtype=float).copy()
-            for gmin in opts.gmin_steps:
-                xg = newton_solve(circuit, step_ctx("be"), xg,
-                                  replace(newton, gmin=gmin))
-            if opts.gmin_steps[-1] > newton.gmin:
-                xg = newton_solve(circuit, step_ctx("be"), xg, newton)
-            return xg
-
-        x = ladder.attempt("gmin-step", gmin_chain)
-        if x is not None:
-            return done(x, "gmin-step")
-
-    return None
+        rungs.append(("gmin-step", lambda: _gmin_chain(
+            lambda o, x: solve(o, x, "be"), np.array(x_prev, dtype=float),
+            newton, opts.gmin_steps), ""))
+    outcome = _climb(rungs, fresh, [])
+    return outcome if isinstance(outcome, LadderResult) else None

@@ -51,9 +51,6 @@ ROUTE_FNS: Dict[str, str] = {
 #: Entries of the in-memory result memo (least recently used evicted).
 MEMO_SIZE = 512
 
-#: Extra watchdog allowance for a worker still importing (seconds).
-_WARMUP_GRACE_S = 30.0
-
 
 @dataclass
 class CacheHit:
@@ -151,12 +148,9 @@ class ExecBackend:
         campaign = self._campaign_for(request, timeout_s)
         options = CampaignOptions(
             workers=self.workers,
-            task_timeout=None,
-            warmup_grace=_WARMUP_GRACE_S,
             max_retries=self.max_retries,
             backoff_base=0.05,
             backoff_cap=1.0,
-            drain_grace=2.0,
             forensics_dir=self.forensics_dir,
             # only a *hard* server stop interrupts an admitted
             # interactive execution; a graceful drain lets it finish

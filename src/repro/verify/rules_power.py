@@ -23,7 +23,7 @@ classic wiring mistakes each have a rule:
 
 from __future__ import annotations
 
-from typing import Iterator, List, Set
+from typing import Iterator, Set
 
 from ..circuit.netlist import Circuit
 from ..circuit.passives import Capacitor

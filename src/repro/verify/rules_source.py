@@ -20,12 +20,15 @@ this codebase has by construction:
   :func:`repro.units.parse_quantity`;
 * RV405 — bare or overbroad ``except`` that swallows
   ``ConvergenceError``/``TimestepError`` forensics without re-raising;
-* RV406 — mutable default arguments in public APIs.
+* RV406 — mutable default arguments in public APIs;
+* RV407 — module-level imports the module never reads.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
+import os
 import re
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -499,3 +502,46 @@ def check_mutable_defaults(module: SourceModule) -> Iterator[Finding]:
                              "container in the body"),
                     location=module.loc(default),
                 )
+
+
+# ---------------------------------------------------------------------------
+# RV407 — unused imports
+# ---------------------------------------------------------------------------
+
+
+def _names_read(tree: ast.AST) -> Set[str]:
+    """Every name ``tree`` reads, names inside string annotations too."""
+    read: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        for annotation in (getattr(node, "annotation", None),
+                           getattr(node, "returns", None)):
+            for leaf in ast.walk(annotation) if annotation else ():
+                text = leaf.value if isinstance(leaf, ast.Constant) else None
+                if isinstance(text, str):
+                    with contextlib.suppress(SyntaxError):
+                        read |= _names_read(ast.parse(text, mode="eval"))
+    return read
+
+
+@rule("RV407", "unused-import", "source", "warning",
+      "A module-level import is never used",
+      "An unused import is a false dependency: it costs import time on "
+      "every run and outlives the code that needed it.  Package "
+      "__init__ modules re-export their imports and are exempt.")
+def check_unused_imports(module: SourceModule) -> Iterator[Finding]:
+    """Flag top-level imports whose bound name the module never reads."""
+    if module.tree is None or os.path.basename(module.path) == "__init__.py":
+        return
+    read = _names_read(module.tree) | {"*"}   # a star import binds no name
+    for stmt in module.tree.body:
+        if (isinstance(stmt, (ast.Import, ast.ImportFrom))
+                and getattr(stmt, "module", None) != "__future__"):
+            unused = [alias.asname or alias.name for alias in stmt.names
+                      if (alias.asname or alias.name.partition(".")[0])
+                      not in read]
+            if unused:
+                yield Finding(subject="module", location=module.loc(stmt),
+                              message=("imported but never used: "
+                                       + ", ".join(unused)))

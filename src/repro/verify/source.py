@@ -4,8 +4,8 @@
 (``scope="source"``) run Python-``ast`` checks over one module at a
 time — float equality on physical quantities, NaN-unsafe reductions,
 raw SPICE quantity strings, swallowed solver forensics, mutable
-defaults.  Modules are parsed serially on the calling thread: CPython
-3.11's AST constructor is not thread-safe.
+defaults, unused imports.  Modules are parsed serially on the calling
+thread: CPython 3.11's AST constructor is not thread-safe.
 
 The target object handed to every ``scope="source"`` rule is a
 :class:`SourceModule`: the module text, its parsed AST and the

@@ -9,7 +9,7 @@ from repro.analysis import operating_point
 from repro.analysis.dc import OperatingPointOptions
 from repro.analysis.mna import Context
 from repro.analysis.solver import NewtonOptions, newton_solve
-from repro.circuit import Circuit, Resistor, VoltageSource
+from repro.circuit import Capacitor, Circuit, Resistor, VoltageSource
 from repro.devices import FinFET, NFET_20NM_HP, PFET_20NM_HP
 from repro.errors import ConvergenceError
 from repro.recovery import (
@@ -115,6 +115,32 @@ class TestRecoverDc:
         assert damping
         assert "boost=8x" in damping[0].detail
 
+    @pytest.mark.parametrize("max_iterations, plain_detail, boost", [
+        (2, "Newton failed to converge in 2 iterations (2 consecutive "
+            "damped steps at exit; damping-starved)", 8),
+        (3, "Newton failed to converge in 3 iterations", 4),
+    ], ids=["starved", "unstarved"])
+    def test_starved_latch_full_trace(self, max_iterations, plain_detail,
+                                      boost):
+        """The damping boost reads the latest failure, which is the
+        equilibrate rung's: starved at two iterations, not at three."""
+        newton = NewtonOptions(max_iterations=max_iterations)
+        result = recover_dc(_latch(), newton=newton)
+        assert [(a.rung, a.ok, a.detail) for a in result.trace] == [
+            ("plain", False, plain_detail),
+            ("equilibrate", False, "forced row/column equilibration"),
+            ("damping", True, f"damping=0.1, boost={boost}x"),
+        ]
+        assert result.rung == "damping"
+
+    def test_ctx_is_the_accepted_solve(self):
+        result = recover_dc(_latch(), newton=STARVED)
+        assert result.recovered
+        assert (result.ctx.mode, result.ctx.source_scale) == ("dc", 1.0)
+        assert result.ctx.x is result.x
+        assert result.ctx.cert is not None
+        assert result.cert is result.ctx.cert
+
     def test_source_ramp_disabled_respected(self):
         c = _latch()
         options = RecoveryOptions(damping_factors=(), gmin_steps=(),
@@ -204,3 +230,62 @@ class TestRecoverTransientStep:
             NewtonOptions(max_iterations=1),
             options=RecoveryOptions(enabled=False))
         assert result is None
+
+
+class TestTransientRungContext:
+    """A salvaged step's ``ctx`` is the context its ``x`` was solved
+    with, so the integrator commits with the method that produced it."""
+
+    R, C, DT = 1e3, 1e-12, 1e-12
+
+    def _rc_step(self):
+        """One trapezoidal step of an RC charging from 0 V toward 1 V."""
+        c = Circuit()
+        c.add(VoltageSource("v", "a", "0", dc=1.0))
+        c.add(Resistor("r", "a", "b", self.R))
+        c.add(Capacitor("c", "b", "0", self.C))
+        c.compile()
+        x_prev = np.zeros(c.size)
+        x_prev[c.index_of("a")] = 1.0
+        ctx = Context(mode="tran", time=self.DT, dt=self.DT, method="trap",
+                      x=x_prev)
+        for element in c.elements():
+            element.init_state(ctx)
+        return c, ctx, x_prev
+
+    @pytest.mark.parametrize("rung, method, options, absurd_guess", [
+        ("equilibrate", "trap", RecoveryOptions(), False),
+        ("damping", "trap", RecoveryOptions(equilibrate=False), False),
+        ("backward-euler", "be",
+         RecoveryOptions(equilibrate=False, damping_factors=()), False),
+        ("gmin-step", "be",
+         RecoveryOptions(equilibrate=False, damping_factors=()), True),
+    ], ids=["equilibrate", "damping", "backward-euler", "gmin-step"])
+    def test_ctx_carries_the_method_that_produced_x(self, rung, method,
+                                                    options, absurd_guess):
+        c, ctx, x_prev = self._rc_step()
+        guess = np.full(c.size, 1e6) if absurd_guess else x_prev.copy()
+        result = recover_transient_step(c, ctx, x_prev, guess,
+                                        NewtonOptions(max_iterations=5),
+                                        options)
+        assert result.rung == rung
+        assert result.ctx.method == method
+        assert (result.ctx.mode, result.ctx.time, result.ctx.dt) == (
+            "tran", ctx.time, ctx.dt)
+        assert result.ctx.cert is not None
+        assert result.cert is result.ctx.cert
+        # One step of the method's companion model: BE gives
+        # 1 / (1 + RC/dt), the trapezoidal rule 1 / (1 + 2RC/dt).
+        rc_over_dt = self.R * self.C / self.DT
+        expected = 1.0 / (1.0 + (2.0 if method == "trap" else 1.0)
+                          * rc_over_dt)
+        assert result.x[c.index_of("b")] == pytest.approx(expected, rel=1e-6)
+
+
+def test_gmin_floor_matches_the_solver():
+    """The import cycle keeps the ladder's floor a literal: pin it."""
+    from repro.analysis import solver
+    from repro.recovery import ladder
+
+    assert ladder.GMIN_FLOOR == solver.GMIN_FLOOR
+    assert RecoveryOptions().gmin_steps[-1] == solver.GMIN_FLOOR

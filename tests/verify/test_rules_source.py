@@ -31,7 +31,7 @@ def codes(report):
 def test_rv4xx_band_registered():
     source_rules = REGISTRY.rules("source")
     assert [r.code for r in source_rules] == [
-        "RV400", "RV401", "RV402", "RV404", "RV405", "RV406"]
+        "RV400", "RV401", "RV402", "RV404", "RV405", "RV406", "RV407"]
     for rule_ in source_rules:
         assert rule_.description
         assert rule_.rationale
@@ -93,6 +93,24 @@ def test_rv406_mutable_defaults():
     assert set(codes(report)) == {"RV406"}
     subjects = {d.subject for d in report}
     assert subjects == {"collect_rows", "tag_point"}
+
+
+def test_rv407_unused_imports():
+    report = lint_fixture("viol_rv407.py")
+    assert set(codes(report)) == {"RV407"}
+    assert all(d.severity.value == "warning" for d in report)
+    # One finding per import statement, naming what it never reads; a
+    # name read only inside a string annotation counts as read, and
+    # neither __future__ nor a function-local import is flagged.
+    assert sorted((d.location.line, d.message.split(": ")[1].split(";")[0])
+                  for d in report) == [(5, "json"), (6, "os.path"),
+                                       (7, "Tuple")]
+
+
+def test_rv407_exempts_package_init():
+    text = "from .core import Finding\n"
+    assert codes(verify_source_text(text, path="pkg/__init__.py")) == []
+    assert codes(verify_source_text(text, path="pkg/mod.py")) == ["RV407"]
 
 
 # -- suppression mechanics ---------------------------------------------------
