@@ -8,6 +8,9 @@ numerical-trust layer (:mod:`repro.analysis.trust`) costs on *clean*
 solves — certified vs uncertified operating point and transient — and
 writes the split to ``BENCH_engine.json`` at the repo root, so the
 "certification is ≈free" claim is a tracked artefact, not an anecdote.
+The same file records the steps of each transient and the Newton
+iterations of one cold ``nv`` characterization, so a change to what a
+characterization simulates shows in a committed count.
 """
 
 import json
@@ -18,11 +21,12 @@ from time import perf_counter
 import numpy as np
 
 from repro.exec.atomicio import atomic_write_text
-from repro.analysis import operating_point, transient, trust
+from repro.analysis import operating_point, transient
 from repro.analysis.dc import OperatingPointOptions
 from repro.analysis.solver import NewtonOptions
 from repro.analysis.transient import TransientOptions
 from repro.analysis.trust import TrustOptions
+from repro.characterize import testbench
 from repro.characterize.runner import characterize_cell
 from repro.characterize.testbench import build_cell_testbench
 from repro.cells import PowerDomain
@@ -118,10 +122,12 @@ def _median_paired_ratio(certified, plain, pairs):
 def _count_calls(fn, *targets):
     """``fn()`` and how many times it called each ``(owner, name)`` target.
 
-    Counts calls of, e.g., :func:`repro.analysis.trust.onenorm_condest`,
-    the one O(n³) inversion per certified solve that the condest reuse
-    exists to skip, or ``numpy.linalg.solve``, one per Newton iteration
-    of a solve no defense re-solves.  Returns ``(result, count, ...)``.
+    Counts calls of, e.g., ``numpy.linalg.inv``, the one O(n³)
+    inversion per certified solve that the condest reuse exists to skip
+    (made inside :mod:`repro.analysis.trust`, whichever of its functions
+    asks for the condition number), or ``numpy.linalg.solve``, one per
+    Newton iteration of a solve no defense re-solves.  Returns
+    ``(result, count, ...)``.
     """
     counts = [0] * len(targets)
     originals = [getattr(owner, name) for owner, name in targets]
@@ -142,6 +148,38 @@ def _count_calls(fn, *targets):
     return (result, *counts)
 
 
+#: The transients of an ``nv`` characterization, in the order it runs
+#: them.
+_TRANSIENT_PHASES = ("read", "write", "store", "restore")
+
+
+def _characterization_counts():
+    """Accepted and rejected steps of each transient, and the Newton
+    iterations (``numpy.linalg.solve`` calls), of one cold
+    ``characterize_cell("nv")`` at Table I and N = 512."""
+    runs = []
+    real = testbench.transient
+
+    def recorded(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    testbench.transient = recorded
+    try:
+        _, iterations = _count_calls(
+            lambda: characterize_cell("nv", COND, DOMAIN, cache_dir=None),
+            (np.linalg, "solve"))
+    finally:
+        testbench.transient = real
+    assert len(runs) == len(_TRANSIENT_PHASES)
+    block = {"cell": "nv, Table I, N = 512, uncached"}
+    for phase, run in zip(_TRANSIENT_PHASES, runs):
+        block[phase] = {"accepted_steps": int(run.stats["accepted_steps"]),
+                        "rejected_steps": int(run.stats["rejected_steps"])}
+    block["newton_iterations"] = iterations
+    return block
+
+
 def bench_trust_certification_overhead(benchmark, publish):
     """Certified vs uncertified clean solves → ``BENCH_engine.json``.
 
@@ -156,7 +194,9 @@ def bench_trust_certification_overhead(benchmark, publish):
     asserted exactly: the certified transient inverts at most one
     matrix in four of its certified solves.  The file also records the
     transient's Newton iterations (``numpy.linalg.solve`` calls) and its
-    uncertified time per iteration.
+    uncertified time per iteration, and the per-transient steps and
+    Newton iterations of one cold ``nv`` characterization
+    (:func:`_characterization_counts`).
     """
     op_ratio, op_cert, op_plain = _median_paired_ratio(
         lambda: _trust_op(True), lambda: _trust_op(False), pairs=9)
@@ -166,7 +206,7 @@ def bench_trust_certification_overhead(benchmark, publish):
     benchmark(lambda: _trust_tran(True))
     result, inversions, iterations = _count_calls(
         lambda: _trust_tran(True),
-        (trust, "onenorm_condest"), (np.linalg, "solve"))
+        (np.linalg, "inv"), (np.linalg, "solve"))
     assert math.isfinite(result.residual_norm)
     assert math.isfinite(result.cond_estimate)
     assert result.stats["defended_steps"] == 0, \
@@ -201,6 +241,7 @@ def bench_trust_certification_overhead(benchmark, publish):
             "defended_steps": int(result.stats["defended_steps"]),
             "condest_inversions": inversions,
         },
+        "characterization": _characterization_counts(),
     }
     atomic_write_text(_REPO / "BENCH_engine.json",
                       json.dumps(payload, indent=2) + "\n")

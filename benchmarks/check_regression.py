@@ -57,6 +57,14 @@ SPECS: Dict[str, List[Tuple[str, str, float]]] = {
         ("certification.worst_residual_norm_a", "max-growth", 1e3),
         ("certification.defended_steps", "exact", 0.0),
         ("certification.condest_inversions", "exact", 0.0),
+        # what one cold nv characterization simulates may shrink, but
+        # may not grow beyond newton_iterations' 2%; rejected steps are
+        # recorded only, since 2% of the store's 23 is under one step
+        ("characterization.read.accepted_steps", "max-growth", 1.02),
+        ("characterization.write.accepted_steps", "max-growth", 1.02),
+        ("characterization.store.accepted_steps", "max-growth", 1.02),
+        ("characterization.restore.accepted_steps", "max-growth", 1.02),
+        ("characterization.newton_iterations", "max-growth", 1.02),
     ],
     "BENCH_fig7.json": [
         ("schema", "exact", 0.0),

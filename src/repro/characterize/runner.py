@@ -8,7 +8,10 @@ Fig. 7-9 energy composition.  It runs:
    sleep / shutdown / super-cutoff shutdown);
 2. a read-burst transient (energy of one steady-state read cycle plus
    the read delay);
-3. a write-burst transient (ditto for writes);
+3. a write-burst transient (ditto for writes).  Each burst measures
+   the second of its three accesses and its transient ends with that
+   access's window (:func:`run_access`); the read-disturb and
+   write-stick checks read the cell at that window's end;
 4. a store transient (two-step store, MTJ switching verified, store
    currents measured against the 1.5 x Ic margin);
 5. a restore transient from a fully collapsed rail (recall correctness
@@ -143,27 +146,38 @@ def window_energy(result: TransientResult, window: PhaseWindow) -> float:
 # read / write
 # ---------------------------------------------------------------------------
 
-def _extract_read(tb: CellTestbench, out: CellCharacterization,
-                  trust: TrustAccumulator) -> None:
-    cond = tb.cond
-    t_cyc = cond.t_cycle
+def run_access(tb: CellTestbench,
+               mode: Mode) -> Tuple[TransientResult, PhaseWindow]:
+    """The read (``Mode.READ``) or write (``Mode.WRITE``) recipe:
+    standby for 2 t_cycle, three accesses (writes of 0, 1, 0), then
+    standby for t_cycle.  The second access is the measured one, and the
+    run ends with its window.  Returns the transient and that window.
+
+    The third access and the closing standby are never simulated, yet
+    they stay declared: ``CellTestbench.run`` caps the step at 1/40 of
+    the whole schedule, so every step before the window's end is the
+    one a run to the schedule's end takes.
+    """
+    t_cyc = tb.cond.t_cycle
+    data = (False, True, False) if mode is Mode.WRITE else (None,) * 3
     schedule = Schedule(
-        [
-            ScheduleStep(Mode.STANDBY, 2 * t_cyc),
-            ScheduleStep(Mode.READ, t_cyc),
-            ScheduleStep(Mode.READ, t_cyc),
-            ScheduleStep(Mode.READ, t_cyc),
-            ScheduleStep(Mode.STANDBY, t_cyc),
-        ],
-        cond,
+        [ScheduleStep(Mode.STANDBY, 2 * t_cyc)]
+        + [ScheduleStep(mode, t_cyc, data=d) for d in data]
+        + [ScheduleStep(Mode.STANDBY, t_cyc)],
+        tb.cond,
         volatile=tb.kind == "6t",
     )
-    result = tb.run(schedule, mtj_data=False)
+    window = schedule.windows_of(mode)[1]
+    return tb.run(schedule, mtj_data=False, t_stop=window.t_end), window
+
+
+def _extract_read(tb: CellTestbench, out: CellCharacterization,
+                  trust: TrustAccumulator) -> None:
+    result, window = run_access(tb, Mode.READ)
     trust.note(result)
-    window = schedule.windows_of(Mode.READ)[1]
     out.e_read = window_energy(result, window)
     out.read_delay = _read_delay(result, tb, window)
-    if not tb.cell.read_data(result.final_solution(), cond.vdd):
+    if not tb.cell.read_data(result.final_solution(), tb.cond.vdd):
         raise CharacterizationError("read disturbed the stored data")
 
 
@@ -184,32 +198,23 @@ def _read_delay(result: TransientResult, tb: CellTestbench,
 
 def _extract_write(tb: CellTestbench, out: CellCharacterization,
                    trust: TrustAccumulator) -> None:
-    cond = tb.cond
-    t_cyc = cond.t_cycle
-    schedule = Schedule(
-        [
-            ScheduleStep(Mode.STANDBY, 2 * t_cyc),
-            ScheduleStep(Mode.WRITE, t_cyc, data=False),
-            ScheduleStep(Mode.WRITE, t_cyc, data=True),
-            ScheduleStep(Mode.WRITE, t_cyc, data=False),
-            ScheduleStep(Mode.STANDBY, t_cyc),
-        ],
-        cond,
-        volatile=tb.kind == "6t",
-    )
-    result = tb.run(schedule, mtj_data=False)
+    result, window = run_access(tb, Mode.WRITE)  # the write of a 1
     trust.note(result)
-    window = schedule.windows_of(Mode.WRITE)[1]  # writes True
     out.e_write = window_energy(result, window)
+    out.write_delay = _write_delay(result, tb, window)
+    if not tb.cell.read_data(result.final_solution(), tb.cond.vdd):
+        raise CharacterizationError("write(1) did not stick")
 
+
+def _write_delay(result: TransientResult, tb: CellTestbench,
+                 window: PhaseWindow) -> float:
+    """Word-line assertion to Q rising through V_DD/2."""
     t_wl = window.wl_on
-    crossing = result.crossing_time(tb.cell.q, cond.vdd / 2.0,
+    crossing = result.crossing_time(tb.cell.q, tb.cond.vdd / 2.0,
                                     direction="rise", after=t_wl)
     if crossing is None:
         raise CharacterizationError("write never flipped the cell")
-    out.write_delay = crossing - t_wl
-    if tb.cell.read_data(result.final_solution(), cond.vdd):
-        raise CharacterizationError("final write(0) did not stick")
+    return crossing - t_wl
 
 
 # ---------------------------------------------------------------------------

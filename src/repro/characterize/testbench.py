@@ -155,13 +155,17 @@ class CellTestbench:
 
     def run(self, schedule: Schedule, data: bool = True,
             mtj_data: Optional[bool] = None, collapsed: bool = False,
-            dt_max: Optional[float] = None) -> TransientResult:
+            dt_max: Optional[float] = None,
+            t_stop: Optional[float] = None) -> TransientResult:
         """Transient of the cell driven through ``schedule``.
 
         ``mtj_data`` programs the MTJ pair first (NV cells only).  The
         run starts from the latch holding ``data`` at full rail, or with
-        ``collapsed`` from a fully discharged cell and rail.  ``dt_max``
-        defaults to 1/40 of the schedule.
+        ``collapsed`` from a fully discharged cell and rail.  It ends at
+        ``t_stop``, the schedule's end by default.  ``dt_max`` defaults
+        to 1/40 of the whole schedule whatever ``t_stop`` is, so every
+        step before ``t_stop`` is the one a run to the schedule's end
+        takes (integration is causal).
         """
         self.apply_waveforms(schedule.line_waveforms())
         if self.kind == "nv" and mtj_data is not None:
@@ -175,7 +179,8 @@ class CellTestbench:
             dt_initial=min(20e-12, self.cond.t_cycle / 200.0),
             dt_max=span / 40.0 if dt_max is None else dt_max,
         )
-        return transient(self.circuit, span, ic=ic, options=options)
+        return transient(self.circuit, span if t_stop is None else t_stop,
+                         ic=ic, options=options)
 
 
 def mtj_current(result: TransientResult, mtj: MTJ, state: MTJState,

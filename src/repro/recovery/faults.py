@@ -43,6 +43,12 @@ FAULT_KINDS = ("vth_shift", "device_open", "mtj_drift", "node_short",
 #: Resistance of injected shorts/bridges (ohms).
 _R_SHORT = 1.0
 
+#: Newton iterations per step of a faulted chaos store transient.  Tight
+#: on purpose: under the default budget no step of those runs fails
+#: Newton, so the suite would never reach the transient recovery ladder
+#: (docs/ROBUSTNESS.md).
+_TRANSIENT_NEWTON_BUDGET = 3
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -301,11 +307,15 @@ def chaos_store_transient(
 ) -> dict:
     """Transient chaos: a shortened two-step store on faulted NV decks.
 
-    Heavier than :func:`chaos_operating_points` (each fault costs a
-    transient), so the stress suite and the ``--transient`` CLI flag use
-    small fault counts.  Returns the ``solver-transient`` chaos report.
+    Each step is solved under a ``_TRANSIENT_NEWTON_BUDGET``-iteration
+    Newton budget, so a fault that slows convergence climbs
+    :func:`~repro.recovery.ladder.recover_transient_step`.  Heavier than
+    :func:`chaos_operating_points` (each fault costs a transient), so
+    the stress suite and the ``--transient`` CLI flag use small fault
+    counts.  Returns the ``solver-transient`` chaos report.
     """
     from ..analysis import transient
+    from ..analysis.solver import NewtonOptions
     from ..analysis.transient import TransientOptions
     from ..pg.modes import Mode, OperatingConditions
     from ..pg.scheduler import Schedule, ScheduleStep
@@ -322,8 +332,10 @@ def chaos_store_transient(
         tb.apply_waveforms(schedule.line_waveforms())
         tb.set_mtj_data(False)
         ic = {**tb.initial_conditions(True), **ic_override}
+        options = TransientOptions(dt_initial=20e-12, newton=NewtonOptions(
+            max_iterations=_TRANSIENT_NEWTON_BUDGET))
         result = transient(circuit, schedule.total_duration, ic=ic,
-                           options=TransientOptions(dt_initial=20e-12))
+                           options=options)
         return result.recoveries[-1]["rung"] if result.recoveries else None
 
     return _solver_suite("solver-transient", "nv:store-transient", n_faults,

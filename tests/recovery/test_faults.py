@@ -131,3 +131,5 @@ class TestChaosStress:
         report = chaos_store_transient(n_faults=4, seed=2015)
         assert len(report["records"]) == 4
         assert all(r["actual"] in OUTCOMES for r in report["records"])
+        # The suite's tight Newton budget must reach the transient ladder.
+        assert any(r["rung"] is not None for r in report["records"])

@@ -111,6 +111,30 @@ def test_engine_residual_growth_bounded(tmp_path):
     assert not ok          # 1e4 x growth > the 1e3 allowance
 
 
+def test_characterization_counts_may_fall_not_grow(tmp_path):
+    steps = {"read": (232, 53), "write": (413, 85), "store": (137, 23),
+             "restore": (161, 34)}
+    base = {"schema": 1, "characterization": {
+        phase: {"accepted_steps": a, "rejected_steps": r}
+        for phase, (a, r) in steps.items()}}
+    base["characterization"]["newton_iterations"] = 2564
+    fewer = json.loads(json.dumps(base))
+    fewer["characterization"]["write"]["accepted_steps"] = 300
+    fewer["characterization"]["newton_iterations"] = 2000
+    fewer["characterization"]["store"]["rejected_steps"] = 40  # unpinned
+    write_pair(tmp_path, "BENCH_engine.json", base, fewer)
+    ok, rows = run(tmp_path)
+    assert ok, check_regression.render(rows, ok)
+
+    grown = json.loads(json.dumps(base))
+    grown["characterization"]["read"]["accepted_steps"] = 410  # > 2%
+    write_pair(tmp_path, "BENCH_engine.json", base, grown)
+    ok, rows = run(tmp_path)
+    assert not ok
+    assert [r["metric"] for r in rows if r["status"] == "FAIL"] == [
+        "characterization.read.accepted_steps"]
+
+
 def test_nothing_compared_is_a_failure(tmp_path):
     (tmp_path / "base").mkdir()
     (tmp_path / "fresh").mkdir()
