@@ -16,7 +16,7 @@ characterization simulates shows in a committed count.
 import json
 import math
 from pathlib import Path
-from time import perf_counter
+from time import process_time
 
 import numpy as np
 
@@ -98,12 +98,14 @@ def _trust_tran(certify):
 
 
 def _median_paired_ratio(certified, plain, pairs):
-    """Median certified/uncertified time ratio over ``pairs`` pairs.
+    """Median certified/uncertified CPU-time ratio over ``pairs`` pairs.
 
-    Each pair runs the two back to back, alternating which one goes
-    first, so a drift in host speed hits both halves of a pair alike;
-    the median then drops the pairs a scheduler hiccup landed in.
-    Returns the ratio and the median certified and uncertified times.
+    Each half is timed with the process's CPU clock, so time the host
+    gives to other processes is not charged to it.  Each pair runs the
+    two back to back, alternating which one goes first, so a drift in
+    host speed hits both halves of a pair alike; the median then drops
+    the pairs a scheduler hiccup landed in.  Returns the ratio and the
+    median certified and uncertified times.
     """
     certified()                               # warm caches / JIT imports
     plain()
@@ -111,9 +113,9 @@ def _median_paired_ratio(certified, plain, pairs):
     for k in range(pairs):
         runs = [(certified, t_cert), (plain, t_plain)]
         for fn, times in (runs if k % 2 == 0 else runs[::-1]):
-            t0 = perf_counter()
+            t0 = process_time()
             fn()
-            times.append(perf_counter() - t0)
+            times.append(process_time() - t0)
         ratios.append(t_cert[-1] / t_plain[-1])
     return (float(np.median(ratios)), float(np.median(t_cert)),
             float(np.median(t_plain)))

@@ -31,95 +31,94 @@ Quickstart::
     print(model.e_cyc(BenchmarkSpec(Architecture.NVPG, n_rw=100,
                                     t_sl=100e-9, t_sd=1e-3)))
     print(break_even_time(model, Architecture.NVPG, n_rw=100).bet)
+
+Each package root states its public names once, in ``_EXPORTS``: a map
+from each name to the submodule it comes from (the defining module; for
+``repro`` itself, the subpackage that exports it).  A name imports its
+submodule on first use (:func:`_lazy_exports`), so each entry point
+loads only the modules it runs.  ``repro.verify`` is the exception: it
+imports its rule modules to register their rules.
 """
 
-from .errors import (
-    ReproError,
-    NetlistError,
-    AnalysisError,
-    ConvergenceError,
-    DeviceError,
-    CharacterizationError,
-    SequenceError,
-)
-from .circuit import Circuit, Resistor, Capacitor, VoltageSource
-from .analysis import operating_point, dc_sweep, transient
-from .devices import (
-    FinFET,
-    FinFETParams,
-    MTJ,
-    MTJParams,
-    MTJState,
-    MTJ_TABLE1,
-    NFET_20NM_HP,
-    PFET_20NM_HP,
-)
-from .cells import (
-    PowerDomain,
-    add_nvsram,
-    add_sram6t,
-    add_power_switch,
-    build_cell_array,
-)
-from .pg import (
-    Architecture,
-    BenchmarkSpec,
-    CellEnergyModel,
-    Mode,
-    OperatingConditions,
-    benchmark_sequence,
-    break_even_time,
-)
-from .characterize import (
-    CellCharacterization,
-    characterize_cell,
-    build_cell_testbench,
-)
-from .experiments import ExperimentContext
-from .spice import parse_deck, run_deck
+import sys
+
+
+def _lazy_exports(package: str, exports: dict[str, str]):
+    """The module ``__getattr__`` and ``__dir__`` (PEP 562) of
+    ``package``, whose public names ``exports`` maps to the submodules
+    they come from, relative to ``package`` (``".netlist"``).
+
+    A name resolves on first access and is then cached on the package.
+    A name defined in the submodule of the same name
+    (``repro.analysis.transient``) is bound now, not on first use:
+    importing that submodule binds the module to its name on the
+    package, over a name not yet resolved.
+    """
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name):
+        if name not in exports:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        # ``from .module import name``.  The builtin import, unlike
+        # importlib.import_module, is what ``python -X importtime`` times.
+        module = __import__(exports[name][1:], namespace, None, (name,), 1)
+        value = namespace[name] = getattr(module, name)
+        return value
+
+    def __dir__():
+        return sorted({*namespace, *exports})
+
+    for name, module in exports.items():
+        if module == "." + name:
+            __getattr__(name)
+    return __getattr__, __dir__
+
+
+_EXPORTS = {
+    "ReproError": ".errors",
+    "NetlistError": ".errors",
+    "AnalysisError": ".errors",
+    "ConvergenceError": ".errors",
+    "DeviceError": ".errors",
+    "CharacterizationError": ".errors",
+    "SequenceError": ".errors",
+    "Circuit": ".circuit",
+    "Resistor": ".circuit",
+    "Capacitor": ".circuit",
+    "VoltageSource": ".circuit",
+    "operating_point": ".analysis",
+    "dc_sweep": ".analysis",
+    "transient": ".analysis",
+    "FinFET": ".devices",
+    "FinFETParams": ".devices",
+    "MTJ": ".devices",
+    "MTJParams": ".devices",
+    "MTJState": ".devices",
+    "MTJ_TABLE1": ".devices",
+    "NFET_20NM_HP": ".devices",
+    "PFET_20NM_HP": ".devices",
+    "PowerDomain": ".cells",
+    "add_nvsram": ".cells",
+    "add_sram6t": ".cells",
+    "add_power_switch": ".cells",
+    "build_cell_array": ".cells",
+    "Architecture": ".pg",
+    "BenchmarkSpec": ".pg",
+    "CellEnergyModel": ".pg",
+    "Mode": ".pg",
+    "OperatingConditions": ".pg",
+    "benchmark_sequence": ".pg",
+    "break_even_time": ".pg",
+    "CellCharacterization": ".characterize",
+    "characterize_cell": ".characterize",
+    "build_cell_testbench": ".characterize",
+    "ExperimentContext": ".experiments",
+    "parse_deck": ".spice",
+    "run_deck": ".spice",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ReproError",
-    "NetlistError",
-    "AnalysisError",
-    "ConvergenceError",
-    "DeviceError",
-    "CharacterizationError",
-    "SequenceError",
-    "Circuit",
-    "Resistor",
-    "Capacitor",
-    "VoltageSource",
-    "operating_point",
-    "dc_sweep",
-    "transient",
-    "FinFET",
-    "FinFETParams",
-    "MTJ",
-    "MTJParams",
-    "MTJState",
-    "MTJ_TABLE1",
-    "NFET_20NM_HP",
-    "PFET_20NM_HP",
-    "PowerDomain",
-    "add_nvsram",
-    "add_sram6t",
-    "add_power_switch",
-    "build_cell_array",
-    "Architecture",
-    "BenchmarkSpec",
-    "CellEnergyModel",
-    "Mode",
-    "OperatingConditions",
-    "benchmark_sequence",
-    "break_even_time",
-    "CellCharacterization",
-    "characterize_cell",
-    "build_cell_testbench",
-    "ExperimentContext",
-    "parse_deck",
-    "run_deck",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -18,26 +18,24 @@ accepted solve is certified by the numerical-trust layer
 ``cond_estimate`` / ``refined`` annotations.
 """
 
-from .batch import BatchSolution, CircuitBatch
-from .dc import operating_point, OperatingPointOptions
-from .sweep import BatchSweepResult, dc_sweep, SweepResult
-from .transient import transient, TransientOptions
-from .results import Solution, TransientResult
-from .trust import Certificate, TrustAccumulator, TrustOptions
+from .. import _lazy_exports
 
-__all__ = [
-    "BatchSolution",
-    "BatchSweepResult",
-    "CircuitBatch",
-    "operating_point",
-    "OperatingPointOptions",
-    "dc_sweep",
-    "SweepResult",
-    "transient",
-    "TransientOptions",
-    "Solution",
-    "TransientResult",
-    "Certificate",
-    "TrustAccumulator",
-    "TrustOptions",
-]
+_EXPORTS = {
+    "BatchSolution": ".batch",
+    "BatchSweepResult": ".sweep",
+    "CircuitBatch": ".batch",
+    "operating_point": ".dc",
+    "OperatingPointOptions": ".dc",
+    "dc_sweep": ".sweep",
+    "SweepResult": ".sweep",
+    "transient": ".transient",
+    "TransientOptions": ".transient",
+    "Solution": ".results",
+    "TransientResult": ".results",
+    "Certificate": ".trust",
+    "TrustAccumulator": ".trust",
+    "TrustOptions": ".trust",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

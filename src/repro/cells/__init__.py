@@ -14,28 +14,25 @@
   companion papers), built from :mod:`~repro.cells.logic` primitives.
 """
 
-from .sram6t import Sram6TCell, add_sram6t
-from .nvsram import NvSramCell, add_nvsram
-from .powerswitch import PowerSwitch, add_power_switch
-from .array import PowerDomain, build_cell_array
-from .logic import add_clock_buffer, add_inverter, add_transmission_gate
-from .nvff import NvFlipFlop, add_nvff
-from .senseamp import SenseAmp, add_senseamp
+from .. import _lazy_exports
 
-__all__ = [
-    "Sram6TCell",
-    "add_sram6t",
-    "NvSramCell",
-    "add_nvsram",
-    "PowerSwitch",
-    "add_power_switch",
-    "PowerDomain",
-    "build_cell_array",
-    "add_inverter",
-    "add_transmission_gate",
-    "add_clock_buffer",
-    "NvFlipFlop",
-    "add_nvff",
-    "SenseAmp",
-    "add_senseamp",
-]
+_EXPORTS = {
+    "Sram6TCell": ".sram6t",
+    "add_sram6t": ".sram6t",
+    "NvSramCell": ".nvsram",
+    "add_nvsram": ".nvsram",
+    "PowerSwitch": ".powerswitch",
+    "add_power_switch": ".powerswitch",
+    "PowerDomain": ".array",
+    "build_cell_array": ".array",
+    "add_inverter": ".logic",
+    "add_transmission_gate": ".logic",
+    "add_clock_buffer": ".logic",
+    "NvFlipFlop": ".nvff",
+    "add_nvff": ".nvff",
+    "SenseAmp": ".senseamp",
+    "add_senseamp": ".senseamp",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

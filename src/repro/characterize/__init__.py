@@ -16,50 +16,33 @@ distils the numbers the energy composition of Figs. 7-9 needs:
   (the design constraint the paper cites for the (1,1) fin choice).
 """
 
-from .data import CellCharacterization, FlipFlopCharacterization
-from .testbench import CellTestbench, build_cell_testbench
-from .cache import CellPoint
-from .runner import characterize_cell
-from .leakage import leakage_vs_vctrl
-from .store import (
-    store_current_vs_vsr,
-    store_current_vs_vctrl,
-    derive_store_biases,
-    verify_store_bias_choice,
-)
-from .vvdd import vvdd_vs_nfsw
-from .snm import butterfly_curve, static_noise_margin
-from .retention import RetentionSweep, retention_voltage_sweep
-from .variability import (
-    VariationModel,
-    store_yield_analysis,
-    read_snm_distribution,
-)
-from .ff_runner import characterize_nvff
-from .disturb import DisturbReport, nof_access_disturb, nvpg_access_disturb
+from .. import _lazy_exports
 
-__all__ = [
-    "CellCharacterization",
-    "CellPoint",
-    "CellTestbench",
-    "build_cell_testbench",
-    "characterize_cell",
-    "leakage_vs_vctrl",
-    "store_current_vs_vsr",
-    "store_current_vs_vctrl",
-    "derive_store_biases",
-    "verify_store_bias_choice",
-    "vvdd_vs_nfsw",
-    "butterfly_curve",
-    "static_noise_margin",
-    "RetentionSweep",
-    "retention_voltage_sweep",
-    "VariationModel",
-    "store_yield_analysis",
-    "read_snm_distribution",
-    "FlipFlopCharacterization",
-    "characterize_nvff",
-    "DisturbReport",
-    "nof_access_disturb",
-    "nvpg_access_disturb",
-]
+_EXPORTS = {
+    "CellCharacterization": ".data",
+    "CellPoint": ".cache",
+    "CellTestbench": ".testbench",
+    "build_cell_testbench": ".testbench",
+    "characterize_cell": ".runner",
+    "leakage_vs_vctrl": ".leakage",
+    "store_current_vs_vsr": ".store",
+    "store_current_vs_vctrl": ".store",
+    "derive_store_biases": ".store",
+    "verify_store_bias_choice": ".store",
+    "vvdd_vs_nfsw": ".vvdd",
+    "butterfly_curve": ".snm",
+    "static_noise_margin": ".snm",
+    "RetentionSweep": ".retention",
+    "retention_voltage_sweep": ".retention",
+    "VariationModel": ".variability",
+    "store_yield_analysis": ".variability",
+    "read_snm_distribution": ".variability",
+    "FlipFlopCharacterization": ".data",
+    "characterize_nvff": ".ff_runner",
+    "DisturbReport": ".disturb",
+    "nof_access_disturb": ".disturb",
+    "nvpg_access_disturb": ".disturb",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -6,37 +6,26 @@ name.  Node names are free-form strings; ``"0"`` and ``"gnd"`` are the
 ground node.  Analyses in :mod:`repro.analysis` consume a finished circuit.
 """
 
-from .netlist import Circuit, GROUND
-from .passives import Resistor, Capacitor
-from .sources import VoltageSource, CurrentSource
-from .switches import VoltageControlledSwitch
-from .waveforms import (
-    Waveform,
-    Constant,
-    Pulse,
-    PiecewiseLinear,
-    Step,
-    Sequence,
-    Sine,
-    Exponential,
-)
-from .subcircuit import SubCircuit
+from .. import _lazy_exports
 
-__all__ = [
-    "Circuit",
-    "GROUND",
-    "Resistor",
-    "Capacitor",
-    "VoltageSource",
-    "CurrentSource",
-    "VoltageControlledSwitch",
-    "Waveform",
-    "Constant",
-    "Pulse",
-    "PiecewiseLinear",
-    "Step",
-    "Sequence",
-    "Sine",
-    "Exponential",
-    "SubCircuit",
-]
+_EXPORTS = {
+    "Circuit": ".netlist",
+    "GROUND": ".netlist",
+    "Resistor": ".passives",
+    "Capacitor": ".passives",
+    "VoltageSource": ".sources",
+    "CurrentSource": ".sources",
+    "VoltageControlledSwitch": ".switches",
+    "Waveform": ".waveforms",
+    "Constant": ".waveforms",
+    "Pulse": ".waveforms",
+    "PiecewiseLinear": ".waveforms",
+    "Step": ".waveforms",
+    "Sequence": ".waveforms",
+    "Sine": ".waveforms",
+    "Exponential": ".waveforms",
+    "SubCircuit": ".subcircuit",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -9,18 +9,19 @@
   resistance plus current-induced magnetisation switching dynamics.
 """
 
-from .finfet import FinFET, FinFETParams
-from .ptm20 import NFET_20NM_HP, PFET_20NM_HP, technology_summary
-from .mtj import MTJ, MTJParams, MTJState, MTJ_TABLE1
+from .. import _lazy_exports
 
-__all__ = [
-    "FinFET",
-    "FinFETParams",
-    "NFET_20NM_HP",
-    "PFET_20NM_HP",
-    "technology_summary",
-    "MTJ",
-    "MTJParams",
-    "MTJState",
-    "MTJ_TABLE1",
-]
+_EXPORTS = {
+    "FinFET": ".finfet",
+    "FinFETParams": ".finfet",
+    "NFET_20NM_HP": ".ptm20",
+    "PFET_20NM_HP": ".ptm20",
+    "technology_summary": ".ptm20",
+    "MTJ": ".mtj",
+    "MTJParams": ".mtj",
+    "MTJState": ".mtj",
+    "MTJ_TABLE1": ".mtj",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

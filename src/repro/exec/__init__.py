@@ -11,42 +11,26 @@ points.  See ``docs/ROBUSTNESS.md`` ("Campaigns") for the failure
 taxonomy and resume semantics.
 """
 
-from .campaign import (
-    COMPLETED,
-    QUARANTINED,
-    SKIPPED,
-    TERMINAL_STATES,
-    Campaign,
-    CampaignError,
-    CampaignResult,
-    TaskOutcome,
-    TaskSpec,
-    make_task,
-    resolve_task_fn,
-    stable_hash,
-)
-from .executor import (
-    CampaignInterrupted,
-    CampaignOptions,
-    retry_delay,
-    run_campaign,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "COMPLETED",
-    "QUARANTINED",
-    "SKIPPED",
-    "TERMINAL_STATES",
-    "Campaign",
-    "CampaignError",
-    "CampaignInterrupted",
-    "CampaignOptions",
-    "CampaignResult",
-    "TaskOutcome",
-    "TaskSpec",
-    "make_task",
-    "resolve_task_fn",
-    "retry_delay",
-    "run_campaign",
-    "stable_hash",
-]
+_EXPORTS = {
+    "COMPLETED": ".campaign",
+    "QUARANTINED": ".campaign",
+    "SKIPPED": ".campaign",
+    "TERMINAL_STATES": ".campaign",
+    "Campaign": ".campaign",
+    "CampaignError": ".campaign",
+    "CampaignInterrupted": ".campaign",
+    "CampaignOptions": ".executor",
+    "CampaignResult": ".campaign",
+    "TaskOutcome": ".campaign",
+    "TaskSpec": ".campaign",
+    "make_task": ".campaign",
+    "resolve_task_fn": ".campaign",
+    "retry_delay": ".executor",
+    "run_campaign": ".executor",
+    "stable_hash": ".campaign",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -34,6 +34,14 @@ class CampaignError(ReproError):
     """A campaign definition is malformed."""
 
 
+class CampaignInterrupted(ReproError):
+    """Raised after a graceful drain; carries the partial result."""
+
+    def __init__(self, message: str, result: CampaignResult):
+        super().__init__(message)
+        self.result = result
+
+
 def _normalise(value: Any) -> Any:
     """Canonicalise a value for hashing (task ids and cache keys)."""
     if is_dataclass(value) and not isinstance(value, type):

@@ -54,6 +54,7 @@ from .campaign import (
     QUARANTINED,
     SKIPPED,
     Campaign,
+    CampaignInterrupted,
     CampaignResult,
     TaskOutcome,
     TaskSpec,
@@ -64,14 +65,6 @@ from .campaign import (
 #: has not finished importing yet: spawn and heavy imports are not the
 #: task's fault.
 _WARMUP_GRACE_S = 30.0
-
-
-class CampaignInterrupted(ReproError):
-    """Raised after a graceful drain; carries the partial result."""
-
-    def __init__(self, message: str, result: CampaignResult):
-        super().__init__(message)
-        self.result = result
 
 
 @dataclass

@@ -19,6 +19,10 @@ Everything crossing the process boundary is plain JSON: a
 characterisation is sent as its point's JSON form
 (:meth:`repro.characterize.cache.CellPoint.to_params`) and rebuilt
 here, results are returned as dicts.
+
+What a task runs is imported at module top level: a worker resolves its
+task function before it reports ready, so those imports fall inside
+the watchdog's warm-up grace, not inside the first task's deadline.
 """
 
 from __future__ import annotations
@@ -29,6 +33,9 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict
 
+from ..characterize.cache import CellPoint
+from ..characterize.ff_runner import characterize_nvff
+from ..characterize.runner import characterize_cell
 from ..errors import ConvergenceError
 
 
@@ -47,10 +54,6 @@ def characterize_task(params: Dict[str, Any]) -> Dict[str, Any]:
     the parent fold the result into its in-memory memo even when the
     cache is disabled.
     """
-    from ..characterize.cache import CellPoint
-    from ..characterize.ff_runner import characterize_nvff
-    from ..characterize.runner import characterize_cell
-
     point = CellPoint.from_params(params)
     cache_dir = params.get("cache_dir")
     if point.kind == "nvff":

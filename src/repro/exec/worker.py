@@ -56,7 +56,9 @@ def worker_main(worker_id: int, fn_ref: str, task_queue,
 
     # Heavy imports happen here, inside the worker, so the parent's
     # dispatch loop never pays for them and the watchdog can tell
-    # "warming up" from "hung" via the ready event below.
+    # "warming up" from "hung" via the ready event below.  Resolving the
+    # task function imports its module, and with it everything that
+    # module imports at top level (see repro.exec.tasks).
     from .campaign import resolve_task_fn
 
     fn = resolve_task_fn(fn_ref)

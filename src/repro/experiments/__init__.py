@@ -20,31 +20,24 @@ Module        Paper artefact
 ===========  ==========================================================
 """
 
-from .context import ExperimentContext
-from .table1 import run_table1
-from .fig1 import run_fig1
-from .fig3 import run_fig3
-from .fig4 import run_fig4
-from .fig5 import run_fig5
-from .fig6 import run_fig6
-from .fig7 import run_fig7a, run_fig7b, run_fig7c
-from .fig8 import run_fig8
-from .fig9 import run_fig9
-from .summary import run_summary, SummaryResult
+from .. import _lazy_exports
 
-__all__ = [
-    "ExperimentContext",
-    "run_table1",
-    "run_fig1",
-    "run_fig3",
-    "run_fig4",
-    "run_fig5",
-    "run_fig6",
-    "run_fig7a",
-    "run_fig7b",
-    "run_fig7c",
-    "run_fig8",
-    "run_fig9",
-    "run_summary",
-    "SummaryResult",
-]
+_EXPORTS = {
+    "ExperimentContext": ".context",
+    "run_table1": ".table1",
+    "run_fig1": ".fig1",
+    "run_fig3": ".fig3",
+    "run_fig4": ".fig4",
+    "run_fig5": ".fig5",
+    "run_fig6": ".fig6",
+    "run_fig7a": ".fig7",
+    "run_fig7b": ".fig7",
+    "run_fig7c": ".fig7",
+    "run_fig8": ".fig8",
+    "run_fig9": ".fig9",
+    "run_summary": ".summary",
+    "SummaryResult": ".summary",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

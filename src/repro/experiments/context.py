@@ -21,6 +21,7 @@ from ..characterize.runner import characterize_cell
 from ..devices.finfet import FinFETParams
 from ..devices.mtj import MTJParams, MTJ_TABLE1
 from ..devices.ptm20 import NFET_20NM_HP, PFET_20NM_HP
+from ..exec.campaign import COMPLETED, Campaign, CampaignResult, make_task
 from ..exec.envelope import cache_root
 from ..pg.energy import CellEnergyModel
 from ..pg.modes import OperatingConditions
@@ -131,9 +132,6 @@ class ExperimentContext:
 
         Returns the :class:`~repro.exec.CampaignResult`.
         """
-        from ..exec import (COMPLETED, Campaign, CampaignOptions,
-                            CampaignResult, make_task, run_campaign)
-
         misses: Dict[CellPoint, None] = {}
         for domain, cond, mtj_params in points:
             for kind in ("nv", "6t"):
@@ -158,6 +156,10 @@ class ExperimentContext:
                             tasks=tasks)
         if not tasks:
             return CampaignResult(campaign=name, key=campaign.key)
+        # Only a prewarm with misses runs a campaign: one over a full
+        # cache (a warm ``repro all``) never loads the executor.
+        from ..exec.executor import CampaignOptions, run_campaign
+
         result = run_campaign(campaign, CampaignOptions(workers=workers))
         for point, task in zip(pending, tasks):
             outcome = result.outcome(task.task_id)

@@ -16,31 +16,25 @@ This package is the paper's core contribution layer:
   N-row domain that cross-validates the closed-form composition.
 """
 
-from .modes import Mode, OperatingConditions, LineLevels, bias_for_mode
-from .sequences import (
-    Architecture,
-    BenchmarkSpec,
-    benchmark_sequence,
-)
-from .energy import CellEnergyModel, CycleEnergyBreakdown
-from .bet import break_even_time, bet_curve_crossing
-from .domainsim import DomainSimResult, PowerDomainSimulator, RowState
-from .registers import RegisterBankModel
+from .. import _lazy_exports
 
-__all__ = [
-    "Mode",
-    "OperatingConditions",
-    "LineLevels",
-    "bias_for_mode",
-    "Architecture",
-    "BenchmarkSpec",
-    "benchmark_sequence",
-    "CellEnergyModel",
-    "CycleEnergyBreakdown",
-    "break_even_time",
-    "bet_curve_crossing",
-    "PowerDomainSimulator",
-    "DomainSimResult",
-    "RowState",
-    "RegisterBankModel",
-]
+_EXPORTS = {
+    "Mode": ".modes",
+    "OperatingConditions": ".modes",
+    "LineLevels": ".modes",
+    "bias_for_mode": ".modes",
+    "Architecture": ".sequences",
+    "BenchmarkSpec": ".sequences",
+    "benchmark_sequence": ".sequences",
+    "CellEnergyModel": ".energy",
+    "CycleEnergyBreakdown": ".energy",
+    "break_even_time": ".bet",
+    "bet_curve_crossing": ".bet",
+    "PowerDomainSimulator": ".domainsim",
+    "DomainSimResult": ".domainsim",
+    "RowState": ".domainsim",
+    "RegisterBankModel": ".registers",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

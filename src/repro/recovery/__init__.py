@@ -16,7 +16,7 @@ The resilience layer around :mod:`repro.analysis`:
   semantics for the sweep and characterisation drivers: failed points
   are annotated, not fatal.
 * :mod:`repro.recovery.faults` — the solver and executor fault models
-  (imported lazily; ``from repro.recovery import faults``) that prove
+  (not exported; ``from repro.recovery import faults``) that prove
   the ladder and the campaign engine degrade gracefully.  The serve
   and crash-safety suites live in :mod:`repro.serve.chaos` and
   :mod:`repro.verify.crashcheck`.
@@ -24,27 +24,22 @@ The resilience layer around :mod:`repro.analysis`:
 See ``docs/ROBUSTNESS.md`` for the full tour.
 """
 
-from .ladder import (
-    LadderResult,
-    RecoveryOptions,
-    RungAttempt,
-    recover_dc,
-    recover_transient_step,
-)
-from .forensics import chaos_report, dump_failure, load_failure, render_failure
-from .partial import SkipRecord, run_point, skip_payload
+from .. import _lazy_exports
 
-__all__ = [
-    "LadderResult",
-    "RecoveryOptions",
-    "RungAttempt",
-    "recover_dc",
-    "recover_transient_step",
-    "chaos_report",
-    "dump_failure",
-    "load_failure",
-    "render_failure",
-    "SkipRecord",
-    "run_point",
-    "skip_payload",
-]
+_EXPORTS = {
+    "LadderResult": ".ladder",
+    "RecoveryOptions": ".ladder",
+    "RungAttempt": ".ladder",
+    "recover_dc": ".ladder",
+    "recover_transient_step": ".ladder",
+    "chaos_report": ".forensics",
+    "dump_failure": ".forensics",
+    "load_failure": ".forensics",
+    "render_failure": ".forensics",
+    "SkipRecord": ".partial",
+    "run_point": ".partial",
+    "skip_payload": ".partial",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -22,24 +22,21 @@ dependency-free asyncio HTTP/JSON server.  The robustness contract (see
   the socket closes.
 """
 
-from .admission import AdmissionController
-from .backend import ExecBackend
-from .breaker import CircuitBreaker
-from .coalesce import Coalescer
-from .protocol import ProtocolError, ServeRequest, canonicalize
-from .server import ReproServer, ServeOptions, ServerHandle
-from .client import ServeClient
+from .. import _lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "CircuitBreaker",
-    "Coalescer",
-    "ExecBackend",
-    "ProtocolError",
-    "ReproServer",
-    "ServeClient",
-    "ServeOptions",
-    "ServeRequest",
-    "ServerHandle",
-    "canonicalize",
-]
+_EXPORTS = {
+    "AdmissionController": ".admission",
+    "CircuitBreaker": ".breaker",
+    "Coalescer": ".coalesce",
+    "ExecBackend": ".backend",
+    "ProtocolError": ".protocol",
+    "ReproServer": ".server",
+    "ServeClient": ".client",
+    "ServeOptions": ".server",
+    "ServeRequest": ".protocol",
+    "ServerHandle": ".server",
+    "canonicalize": ".protocol",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

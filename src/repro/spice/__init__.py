@@ -16,13 +16,15 @@ Entry points: :func:`parse_deck` (text -> :class:`ParsedDeck`) and
 :func:`run_deck` (execute every analysis card).
 """
 
-from .parser import ParsedDeck, parse_deck, parse_file
-from .runner import DeckResults, run_deck
+from .. import _lazy_exports
 
-__all__ = [
-    "ParsedDeck",
-    "parse_deck",
-    "parse_file",
-    "DeckResults",
-    "run_deck",
-]
+_EXPORTS = {
+    "ParsedDeck": ".parser",
+    "parse_deck": ".parser",
+    "parse_file": ".parser",
+    "DeckResults": ".runner",
+    "run_deck": ".runner",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

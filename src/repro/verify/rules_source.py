@@ -529,7 +529,8 @@ def _names_read(tree: ast.AST) -> Set[str]:
       "A module-level import is never used",
       "An unused import is a false dependency: it costs import time on "
       "every run and outlives the code that needed it.  Package "
-      "__init__ modules re-export their imports and are exempt.")
+      "__init__ modules are exempt: a package root may re-export "
+      "what it imports, as repro.verify does.")
 def check_unused_imports(module: SourceModule) -> Iterator[Finding]:
     """Flag top-level imports whose bound name the module never reads."""
     if module.tree is None or os.path.basename(module.path) == "__init__.py":

@@ -1,7 +1,13 @@
 """Campaign data model: content addressing, task specs, outcomes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.exec import (
     COMPLETED,
     QUARANTINED,
@@ -94,6 +100,22 @@ class TestResolveTaskFn:
     def test_not_callable(self):
         with pytest.raises(CampaignError, match="callable"):
             resolve_task_fn("repro.exec.tasks:__doc__")
+
+    def test_characterize_task_loads_the_runner_on_resolve(self):
+        """A worker sets ``ready`` once it has resolved its task function,
+        and the watchdog's warm-up grace covers only what runs before
+        that: the characterization imports must not wait for the first
+        task."""
+        src = Path(repro.__file__).resolve().parents[1]
+        script = ("import sys\n"
+                  "from repro.exec.campaign import resolve_task_fn\n"
+                  "resolve_task_fn('repro.exec.tasks:characterize_task')\n"
+                  "print('repro.characterize.runner' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True"]
 
 
 class TestTaskOutcome:

@@ -1,7 +1,13 @@
 """Tests for the experiment context (memoisation and overrides)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cells import PowerDomain
 from repro.devices.mtj import MTJ_FIG9B
 from repro.experiments import ExperimentContext, run_fig7a
@@ -110,3 +116,29 @@ def test_prewarm_sends_only_misses_to_workers(tmp_path, ctx, small_domain,
         warm.point(kind, small_domain) for kind in ("nv", "6t")}
     assert run_fig7a(warm, small_domain).render() == \
         run_fig7a(ctx, small_domain).render()
+
+
+#: A warm Fig. 7(a) at N = 32 through the CLI, prewarming on two
+#: workers; prints whether the campaign executor was imported.
+WARM_CLI_PREWARM = """
+import sys
+from repro.cli import main
+main(["fig7a", "--wordlines", "32", "--workers", "2"])
+print("repro.exec.executor" in sys.modules)
+"""
+
+
+def test_prewarm_with_no_misses_imports_no_executor(ctx, small_domain):
+    """A warm ``repro all`` prewarms every point from the cache: neither
+    the CLI nor the prewarm may pay for importing the campaign
+    executor then."""
+    for kind in ("nv", "6t"):
+        ctx.characterization(kind, small_domain)
+    src = Path(repro.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src),
+           "REPRO_CACHE_DIR": str(ctx.cache_dir)}
+    proc = subprocess.run([sys.executable, "-c", WARM_CLI_PREWARM],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False"

@@ -172,6 +172,107 @@ def test_warm_path_loads_at_most_78_repro_modules():
     assert int(proc.stdout) <= 78
 
 
+#: What each benchmark workload imports before it starts, and how many
+#: ``repro`` modules that may load: package exports load on first use,
+#: so each import loads only the modules it runs.
+SETUP_IMPORTS = {
+    "import repro.characterize.runner": 40,
+    "import repro.characterize.variability": 37,
+    "import repro.cli, repro.experiments.summary": 61,
+}
+
+#: Runs ``sys.argv[1]`` and prints how many ``repro`` modules it loaded.
+COUNT_LOADED = """
+import sys
+exec(sys.argv[1])
+print(sum(1 for m in sys.modules if m == "repro" or m.startswith("repro.")))
+"""
+
+
+def _fresh_interpreter(script, *args):
+    """stdout of ``script`` run with ``args`` in a new interpreter."""
+    src = Path(repro.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("imports,most", sorted(SETUP_IMPORTS.items()))
+def test_setup_import_loads_only_what_it_runs(imports, most):
+    assert int(_fresh_interpreter(COUNT_LOADED, imports)) <= most
+
+
+#: The package roots whose exports load on first use.  ``repro.verify``
+#: stays eager: importing its rule modules registers the rules.
+LAZY_PACKAGES = [
+    "repro", "repro.analysis", "repro.circuit", "repro.devices",
+    "repro.cells", "repro.pg", "repro.characterize", "repro.experiments",
+    "repro.spice", "repro.exec", "repro.recovery", "repro.serve",
+]
+
+
+def _defining_module(module, name):
+    """The module that defines ``module.name``, following export maps."""
+    while name in getattr(module, "_EXPORTS", {}):
+        module = importlib.import_module(module._EXPORTS[name],
+                                         module.__name__)
+    return module
+
+
+#: Lists each package's ``dir`` before any of its exports is resolved.
+DIR_BEFORE_USE = """
+import importlib, sys
+for name in sys.argv[1:]:
+    package = importlib.import_module(name)
+    print(set(package.__all__) <= set(dir(package)))
+"""
+
+#: Imports the submodule named like ``repro.analysis.transient`` first.
+TRANSIENT_AFTER_ITS_MODULE = """
+import inspect, sys
+import repro.analysis.transient
+print(inspect.isfunction(sys.modules["repro.analysis"].transient))
+"""
+
+
+class TestLazyExports:
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_exports_are_their_defining_objects(self, package):
+        """Also once every submodule named like an export is imported:
+        the import binds the module to that name on the package."""
+        module = importlib.import_module(package)
+        for info in pkgutil.iter_modules(module.__path__):
+            if info.name in module.__all__:
+                importlib.import_module(f"{package}.{info.name}")
+        for name in module.__all__:
+            defining = _defining_module(module, name)
+            assert getattr(module, name) is getattr(defining, name), name
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_star_import_binds_all(self, package):
+        namespace = {}
+        exec(f"from {package} import *", namespace)
+        assert set(importlib.import_module(package).__all__) <= \
+            set(namespace)
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_unknown_attribute_names_the_package(self, package):
+        module = importlib.import_module(package)
+        with pytest.raises(AttributeError,
+                           match=f"module '{package}' has no attribute"):
+            module.no_such_export
+
+    def test_dir_lists_exports_before_use(self):
+        out = _fresh_interpreter(DIR_BEFORE_USE, *LAZY_PACKAGES).split()
+        assert out == ["True"] * len(LAZY_PACKAGES)
+
+    def test_analysis_transient_stays_the_function(self):
+        assert _fresh_interpreter(TRANSIENT_AFTER_ITS_MODULE).split() == \
+            ["True"]
+
+
 def _walk_modules():
     for info in pkgutil.walk_packages(repro.__path__,
                                       prefix="repro."):
